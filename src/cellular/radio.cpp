@@ -21,11 +21,10 @@ double pathLossDb(const PathLossParams& params, double d_km) {
 }
 
 double shadowedPathLossDb(const PathLossParams& params, double d_km,
-                          std::mt19937_64& rng) {
+                          sim::Rng& rng) {
   double loss = pathLossDb(params, d_km);
   if (params.shadowing_sigma_db > 0.0) {
-    std::normal_distribution<double> shadow{0.0, params.shadowing_sigma_db};
-    loss += shadow(rng);
+    loss += sim::sampleNormal(rng, 0.0, params.shadowing_sigma_db);
   }
   return loss;
 }
@@ -118,11 +117,11 @@ double RadioModel::sinrDb(Vec2 position, CellId serving_cell) const {
 }
 
 double RadioModel::shadowedSinrDb(Vec2 position, CellId serving_cell,
-                                  std::mt19937_64& rng) const {
-  std::normal_distribution<double> shadow{
-      0.0, config_.path_loss.shadowing_sigma_db};
-  const bool shadowing = config_.path_loss.shadowing_sigma_db > 0.0;
-  const double serving_extra = shadowing ? shadow(rng) : 0.0;
+                                  sim::Rng& rng) const {
+  const double sigma_db = config_.path_loss.shadowing_sigma_db;
+  const bool shadowing = sigma_db > 0.0;
+  const double serving_extra =
+      shadowing ? sim::sampleNormal(rng, 0.0, sigma_db) : 0.0;
   const double signal_mw = linkPowerMw(position, serving_cell, serving_extra);
   double interference_mw = noise_mw_;
   const std::uint32_t begin = interferer_offsets_[serving_cell];
@@ -134,7 +133,8 @@ double RadioModel::shadowedSinrDb(Vec2 position, CellId serving_cell,
     if (activity <= 0.0) continue;
     // One shadowing draw per ACTIVE footprint link, in ascending id order —
     // the draw sequence is part of the model's deterministic contract.
-    const double extra = shadowing ? shadow(rng) : 0.0;
+    const double extra =
+        shadowing ? sim::sampleNormal(rng, 0.0, sigma_db) : 0.0;
     const double dx = position.x - station_x_[k];
     const double dy = position.y - station_y_[k];
     const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);

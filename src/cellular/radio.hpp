@@ -33,12 +33,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "cellular/geometry.hpp"
 #include "cellular/network.hpp"
+#include "sim/rng.hpp"
 
 namespace facs::cellular {
 
@@ -62,7 +62,7 @@ struct PathLossParams {
 
 /// Path loss with one shadowing realization drawn from \p rng.
 [[nodiscard]] double shadowedPathLossDb(const PathLossParams& params,
-                                        double d_km, std::mt19937_64& rng);
+                                        double d_km, sim::Rng& rng);
 
 /// Configuration of the downlink radio model.
 struct RadioConfig {
@@ -136,7 +136,7 @@ class RadioModel {
 
   /// As sinrDb(), with per-link shadowing drawn from \p rng.
   [[nodiscard]] double shadowedSinrDb(Vec2 position, CellId serving_cell,
-                                      std::mt19937_64& rng) const;
+                                      sim::Rng& rng) const;
 
   /// Ids of the cells in \p serving_cell's interference footprint, in
   /// ascending id order (the canonical summation order). The whole network

@@ -50,9 +50,8 @@ double TrafficMix::meanDemandBu() const noexcept {
   return mean;
 }
 
-ServiceClass TrafficMix::sample(std::mt19937_64& rng) const {
-  std::uniform_real_distribution<double> u{0.0, 1.0};
-  const double x = u(rng);
+ServiceClass TrafficMix::sample(sim::Rng& rng) const {
+  const double x = rng.uniform01();
   double cumulative = 0.0;
   for (std::size_t i = 0; i < kServiceClassCount; ++i) {
     cumulative += fractions_[i];

@@ -28,7 +28,7 @@ void advance(MotionState& state, double dt_s) {
 }  // namespace
 
 void ConstantVelocity::step(MotionState& state, double dt_s,
-                            std::mt19937_64& /*rng*/) {
+                            sim::Rng& /*rng*/) {
   requirePositiveDt(dt_s);
   advance(state, dt_s);
 }
@@ -49,12 +49,12 @@ double SpeedDependentTurn::sigmaDeg(double speed_kmh) const noexcept {
 }
 
 void SpeedDependentTurn::step(MotionState& state, double dt_s,
-                              std::mt19937_64& rng) {
+                              sim::Rng& rng) {
   requirePositiveDt(dt_s);
   const double sigma = sigmaDeg(state.speed_kmh) * std::sqrt(dt_s);
   if (sigma > 0.0) {
-    std::normal_distribution<double> turn{0.0, sigma};
-    state.heading_deg = normalizeAngleDeg(state.heading_deg + turn(rng));
+    state.heading_deg = normalizeAngleDeg(state.heading_deg +
+                                          sim::sampleNormal(rng, 0.0, sigma));
   }
   advance(state, dt_s);
 }
@@ -72,7 +72,7 @@ GaussMarkov::GaussMarkov(GaussMarkovParams params) : params_{params} {
   }
 }
 
-void GaussMarkov::step(MotionState& state, double dt_s, std::mt19937_64& rng) {
+void GaussMarkov::step(MotionState& state, double dt_s, sim::Rng& rng) {
   requirePositiveDt(dt_s);
   if (!mean_heading_set_) {
     mean_heading_deg_ = state.heading_deg;
@@ -83,15 +83,16 @@ void GaussMarkov::step(MotionState& state, double dt_s, std::mt19937_64& rng) {
   const double a = std::pow(params_.alpha, steps);
   const double noise_scale = std::sqrt(1.0 - a * a);
 
-  std::normal_distribution<double> n{0.0, 1.0};
-  state.speed_kmh = a * state.speed_kmh +
-                    (1.0 - a) * params_.mean_speed_kmh +
-                    noise_scale * params_.speed_sigma_kmh * n(rng);
+  state.speed_kmh =
+      a * state.speed_kmh + (1.0 - a) * params_.mean_speed_kmh +
+      noise_scale * params_.speed_sigma_kmh * rng.standardNormal();
   if (state.speed_kmh < 0.0) state.speed_kmh = 0.0;
 
   // Revert around the mean heading through the smallest angle difference.
   const double diff = normalizeAngleDeg(state.heading_deg - mean_heading_deg_);
-  const double new_diff = a * diff + noise_scale * params_.heading_sigma_deg * n(rng);
+  const double new_diff =
+      a * diff +
+      noise_scale * params_.heading_sigma_deg * rng.standardNormal();
   state.heading_deg = normalizeAngleDeg(mean_heading_deg_ + new_diff);
 
   advance(state, dt_s);
@@ -108,17 +109,16 @@ RandomWaypoint::RandomWaypoint(double area_radius_km, double pause_s)
 }
 
 void RandomWaypoint::pickWaypoint(const MotionState& /*state*/,
-                                  std::mt19937_64& rng) {
+                                  sim::Rng& rng) {
   // Uniform over the disc (sqrt radius transform).
-  std::uniform_real_distribution<double> u{0.0, 1.0};
-  const double r = area_radius_km_ * std::sqrt(u(rng));
-  const double theta = 2.0 * cellular::kPi * u(rng);
+  const double r = area_radius_km_ * std::sqrt(rng.uniform01());
+  const double theta = 2.0 * cellular::kPi * rng.uniform01();
   waypoint_ = {r * std::cos(theta), r * std::sin(theta)};
   has_waypoint_ = true;
 }
 
 void RandomWaypoint::step(MotionState& state, double dt_s,
-                          std::mt19937_64& rng) {
+                          sim::Rng& rng) {
   requirePositiveDt(dt_s);
   double remaining_s = dt_s;
   while (remaining_s > 0.0) {

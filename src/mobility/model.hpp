@@ -10,9 +10,9 @@
 /// sensitivity experiments.
 
 #include <memory>
-#include <random>
 
 #include "cellular/geometry.hpp"
+#include "sim/rng.hpp"
 
 namespace facs::mobility {
 
@@ -32,7 +32,7 @@ class MobilityModel {
   /// Advances \p state by \p dt_s seconds.
   /// \throws std::invalid_argument if dt_s is not positive.
   virtual void step(MotionState& state, double dt_s,
-                    std::mt19937_64& rng) = 0;
+                    sim::Rng& rng) = 0;
 
  protected:
   MobilityModel() = default;
@@ -41,7 +41,7 @@ class MobilityModel {
 /// Straight-line motion at constant speed and heading.
 class ConstantVelocity final : public MobilityModel {
  public:
-  void step(MotionState& state, double dt_s, std::mt19937_64& rng) override;
+  void step(MotionState& state, double dt_s, sim::Rng& rng) override;
 };
 
 /// Parameters of the speed-dependent direction-change model.
@@ -59,7 +59,7 @@ class SpeedDependentTurn final : public MobilityModel {
  public:
   explicit SpeedDependentTurn(SpeedDependentTurnParams params = {});
 
-  void step(MotionState& state, double dt_s, std::mt19937_64& rng) override;
+  void step(MotionState& state, double dt_s, sim::Rng& rng) override;
 
   /// Heading standard deviation (deg per sqrt-second) at a given speed.
   [[nodiscard]] double sigmaDeg(double speed_kmh) const noexcept;
@@ -90,7 +90,7 @@ class GaussMarkov final : public MobilityModel {
   ///         sigmas / reference period.
   explicit GaussMarkov(GaussMarkovParams params = {});
 
-  void step(MotionState& state, double dt_s, std::mt19937_64& rng) override;
+  void step(MotionState& state, double dt_s, sim::Rng& rng) override;
 
   [[nodiscard]] const GaussMarkovParams& params() const noexcept {
     return params_;
@@ -111,10 +111,10 @@ class RandomWaypoint final : public MobilityModel {
   /// \throws std::invalid_argument on non-positive radius or negative pause.
   explicit RandomWaypoint(double area_radius_km, double pause_s = 0.0);
 
-  void step(MotionState& state, double dt_s, std::mt19937_64& rng) override;
+  void step(MotionState& state, double dt_s, sim::Rng& rng) override;
 
  private:
-  void pickWaypoint(const MotionState& state, std::mt19937_64& rng);
+  void pickWaypoint(const MotionState& state, sim::Rng& rng);
 
   double area_radius_km_;
   double pause_s_;

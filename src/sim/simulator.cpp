@@ -84,6 +84,11 @@ struct CallState {
       : model{turn} {}
 };
 
+// Every live call holds one pool slot. With a 2504-byte Mersenne Twister as
+// its stream a slot took over 2.5 KB; the 48-byte Rng keeps it a tenth of
+// that or less, the >10x per-call memory cut serve mode relies on.
+static_assert(sizeof(CallState) <= 256, "CallState regrew past 256 bytes");
+
 /// How many commit lanes a run gets: the configured group count when the
 /// policy promises cell-local or group-local commits, one serialized lane
 /// for Global scope (the partition further clamps to the cell count).
@@ -850,9 +855,8 @@ class Engine {
   /// their exact historical draw sequence.
   [[nodiscard]] CellId drawSpawnCell(Rng& rng) {
     if (spawn_cdf_.empty()) {
-      std::uniform_int_distribution<std::size_t> cell_pick{
-          0, network_.cellCount() - 1};
-      return static_cast<CellId>(cell_pick(rng));
+      return static_cast<CellId>(sampleIndex(
+          rng, static_cast<std::uint32_t>(network_.cellCount())));
     }
     const double u = sampleUniform(rng, 0.0, spawn_cdf_.back());
     const auto it = std::upper_bound(spawn_cdf_.begin(), spawn_cdf_.end(), u);

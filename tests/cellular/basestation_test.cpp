@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
+
+#include "sim/rng.hpp"
 
 namespace facs::cellular {
 namespace {
@@ -94,15 +95,13 @@ TEST(BaseStation, RandomChurnPreservesInvariants) {
   // Property: under arbitrary allocate/release churn the ledger never
   // exceeds capacity and RTC + NRTC always equals the sum of live records.
   BaseStation bs{0, 40};
-  std::mt19937_64 rng{99};
-  std::uniform_int_distribution<int> op{0, 2};
-  std::uniform_int_distribution<int> size{1, 10};
+  sim::Rng rng = sim::makeRng(99);
   std::vector<std::pair<CallId, int>> live;
   CallId next = 1;
 
   for (int step = 0; step < 5000; ++step) {
-    if (op(rng) != 0 || live.empty()) {
-      const int bu = size(rng);
+    if (sim::sampleIndex(rng, 3) != 0 || live.empty()) {
+      const int bu = 1 + static_cast<int>(sim::sampleIndex(rng, 10));
       if (bs.canFit(bu)) {
         const bool rt = (bu != 1);
         bs.allocate(next, bu, rt);
@@ -110,8 +109,8 @@ TEST(BaseStation, RandomChurnPreservesInvariants) {
         ++next;
       }
     } else {
-      std::uniform_int_distribution<std::size_t> pick{0, live.size() - 1};
-      const std::size_t i = pick(rng);
+      const std::size_t i =
+          sim::sampleIndex(rng, static_cast<std::uint32_t>(live.size()));
       bs.release(live[i].first);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
     }

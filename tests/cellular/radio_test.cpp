@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <span>
 
 namespace facs::cellular {
@@ -46,7 +45,7 @@ TEST(PathLoss, ClampsNearFieldAndRejectsNegative) {
 TEST(PathLoss, ShadowingIsZeroMeanAndDisablable) {
   PathLossParams p;
   p.shadowing_sigma_db = 8.0;
-  std::mt19937_64 rng{1};
+  sim::Rng rng = sim::makeRng(1);
   double sum = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -131,7 +130,7 @@ TEST(RadioModel, ShadowedSinrVariesAroundDeterministic) {
   HexNetwork net{1};
   net.station(3).allocate(1, 40, true);
   const RadioModel radio{net};
-  std::mt19937_64 rng{3};
+  sim::Rng rng = sim::makeRng(3);
   const Vec2 user{4.0, 0.0};
   const double det = radio.sinrDb(user, 0);
   double sum = 0.0;
@@ -287,17 +286,16 @@ TEST(RadioModel, TruncatedTailBoundHoldsAcrossRandomPlacements) {
   const RadioModel exact{net};
   const double bound = bounded.truncationTailBoundMw();
   ASSERT_GT(bound, 0.0);
-  std::mt19937_64 rng{20250808};
-  std::uniform_real_distribution<double> uni{0.0, 1.0};
+  sim::Rng rng = sim::makeRng(20250808);
   std::vector<double> util(net.cellCount());
   for (int trial = 0; trial < 200; ++trial) {
-    for (double& u : util) u = uni(rng);
+    for (double& u : util) u = rng.uniform01();
     const auto reader = [&](CellId cell) { return util[cell]; };
     const CellId serving = static_cast<CellId>(
-        static_cast<std::size_t>(uni(rng) * 0.999 * net.cellCount()));
+        static_cast<std::size_t>(rng.uniform01() * 0.999 * net.cellCount()));
     // A point inside the serving hex: within the inradius (~0.866 R).
-    const double r = 0.85 * net.cellRadiusKm() * uni(rng);
-    const double a = 2.0 * 3.14159265358979 * uni(rng);
+    const double r = 0.85 * net.cellRadiusKm() * rng.uniform01();
+    const double a = 2.0 * 3.14159265358979 * rng.uniform01();
     const Vec2 pos{net.cell(serving).center.x + r * std::cos(a),
                    net.cell(serving).center.y + r * std::sin(a)};
     const double signal =

@@ -9,7 +9,7 @@ namespace {
 
 using cellular::Vec2;
 
-std::mt19937_64 rng(std::uint64_t seed = 1) { return std::mt19937_64{seed}; }
+sim::Rng rng(std::uint64_t seed = 1) { return sim::makeRng(seed); }
 
 TEST(ConstantVelocity, MovesAlongHeading) {
   ConstantVelocity model;

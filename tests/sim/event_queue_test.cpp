@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <string>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace facs::sim {
 namespace {
@@ -61,15 +62,14 @@ TEST(EventQueue, RejectsSchedulingInThePast) {
 
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EventQueue<int> q;
-  std::mt19937_64 rng{7};
-  std::uniform_real_distribution<double> dt{0.0, 10.0};
+  Rng rng = makeRng(7);
   double clock = 0.0;
   double last_seen = 0.0;
   int pushed = 0;
   int popped = 0;
   for (int round = 0; round < 2000; ++round) {
     if (q.empty() || (round % 3 != 0)) {
-      q.push(clock + dt(rng), pushed++);
+      q.push(clock + sampleUniform(rng, 0.0, 10.0), pushed++);
     } else {
       const auto e = q.pop();
       ASSERT_TRUE(e.has_value());
