@@ -6,6 +6,9 @@
 namespace facs::cellular {
 
 double normalizeAngleDeg(double deg) noexcept {
+  // In range already (most headings after a small turn): fmod is exact and
+  // would return deg unchanged, so the result is the same without it.
+  if (deg > -180.0 && deg <= 180.0) return deg;
   double a = std::fmod(deg, 360.0);
   if (a <= -180.0) a += 360.0;
   if (a > 180.0) a -= 360.0;
