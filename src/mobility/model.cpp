@@ -51,7 +51,11 @@ double SpeedDependentTurn::sigmaDeg(double speed_kmh) const noexcept {
 void SpeedDependentTurn::step(MotionState& state, double dt_s,
                               sim::Rng& rng) {
   requirePositiveDt(dt_s);
-  const double sigma = sigmaDeg(state.speed_kmh) * std::sqrt(dt_s);
+  if (state.speed_kmh != sigma_speed_kmh_) {
+    sigma_speed_kmh_ = state.speed_kmh;
+    sigma_deg_ = sigmaDeg(state.speed_kmh);
+  }
+  const double sigma = sigma_deg_ * std::sqrt(dt_s);
   if (sigma > 0.0) {
     state.heading_deg = normalizeAngleDeg(state.heading_deg +
                                           sim::sampleNormal(rng, 0.0, sigma));

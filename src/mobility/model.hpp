@@ -9,6 +9,7 @@
 /// RandomWaypoint and GaussMarkov are provided as standard alternatives for
 /// sensitivity experiments.
 
+#include <limits>
 #include <memory>
 
 #include "cellular/geometry.hpp"
@@ -70,6 +71,10 @@ class SpeedDependentTurn final : public MobilityModel {
 
  private:
   SpeedDependentTurnParams params_;
+  /// sigmaDeg() at the speed of the last step. Speed is constant under
+  /// this model, so a tracking walk pays for the exp() once, not per step.
+  double sigma_speed_kmh_ = std::numeric_limits<double>::quiet_NaN();
+  double sigma_deg_ = 0.0;
 };
 
 /// Gauss-Markov mobility: speed and heading are mean-reverting AR(1)
