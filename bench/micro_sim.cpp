@@ -33,20 +33,6 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
-/// One call's stream as a 19-cell district call with a 16-fix tracking
-/// walk uses it: seed, spawn-cell pick, 4 uniforms, 48 normals.
-void BM_CallStreamDraws(benchmark::State& state) {
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    sim::Rng rng = sim::makeRng(5, 16 + id++);
-    double sum = sim::sampleIndex(rng, 19);
-    for (int i = 0; i < 4; ++i) sum += sim::sampleUniform(rng, 0.0, 1.0);
-    for (int i = 0; i < 48; ++i) sum += sim::sampleNormal(rng, 0.0, 1.0);
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_CallStreamDraws);
-
 sim::SimulationConfig benchConfig(int requests) {
   sim::SimulationConfig cfg;
   cfg.total_requests = requests;

@@ -42,12 +42,9 @@ namespace facs::sim {
 }
 
 /// xoshiro256** with the pending polar spare. Copying an Rng copies the
-/// whole stream position, spare included. Satisfies
-/// std::uniform_random_bit_generator.
+/// whole stream position, spare included.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   /// State seeded as the SplitMix64 sequence of \p key (never all zero:
   /// SplitMix64 is a bijection, so at most one of the four words is 0).
   explicit constexpr Rng(std::uint64_t key = 0) noexcept
@@ -55,13 +52,8 @@ class Rng {
            splitmix64(key + 2 * 0x9E3779B97F4A7C15ULL),
            splitmix64(key + 3 * 0x9E3779B97F4A7C15ULL)} {}
 
-  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
-  [[nodiscard]] static constexpr result_type max() noexcept {
-    return ~result_type{0};
-  }
-
   /// Next raw 64-bit draw.
-  constexpr result_type operator()() noexcept {
+  constexpr std::uint64_t operator()() noexcept {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;
     s_[2] ^= s_[0];

@@ -5,12 +5,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <random>
 
 namespace facs::sim {
 namespace {
-
-static_assert(std::uniform_random_bit_generator<Rng>);
 
 TEST(Rng, FitsInFortyEightBytes) { EXPECT_LE(sizeof(Rng), 48u); }
 
