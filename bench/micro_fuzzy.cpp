@@ -8,7 +8,6 @@
 
 #include <array>
 #include <memory>
-#include <vector>
 
 #include "cellular/network.hpp"
 #include "cellular/policy_registry.hpp"
@@ -57,36 +56,6 @@ void BM_Flc2Inference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Flc2Inference);
-
-/// The batch kernel on a commit-window-shaped input: Cv and R vary per
-/// entry while the shared Cs input holds for runs of entries, so the
-/// fuzzification memo gets the hit pattern the serialized commit phase
-/// produces. Compare against BM_Flc2Inference for the per-decision win.
-void BM_Flc2InferBatch(benchmark::State& state) {
-  fuzzy::MamdaniEngine flc2 = core::buildFlc2();
-  flc2.seal();
-  const std::size_t entries = static_cast<std::size_t>(state.range(0));
-  std::vector<double> inputs;
-  inputs.reserve(entries * 3);
-  double cv = 0.1;
-  double r = 1.0;
-  for (std::size_t i = 0; i < entries; ++i) {
-    inputs.push_back(cv);
-    inputs.push_back(r);
-    inputs.push_back(17.0 + static_cast<double>(i / 8));  // Cs per window
-    cv = cv < 0.9 ? cv + 0.07 : 0.1;
-    r = r < 10.0 ? r + 1.0 : 1.0;
-  }
-  std::vector<double> outputs(entries);
-  fuzzy::BatchScratch scratch;
-  for (auto _ : state) {
-    flc2.inferBatch(inputs, outputs, scratch);
-    benchmark::DoNotOptimize(outputs.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(entries));
-}
-BENCHMARK(BM_Flc2InferBatch)->Arg(16)->Arg(256);
 
 void BM_FacsEvaluate(benchmark::State& state) {
   const auto facs = facsFromRegistry("facs");

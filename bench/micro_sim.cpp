@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/facs.hpp"
 #include "figure_common.hpp"
 #include "sim/event_queue.hpp"
 
@@ -122,8 +121,8 @@ BENCHMARK(BM_GuardDecideExplain);
 /// The split FACS pipeline, stage by stage. Precompute (FLC1 only) is what
 /// the sharded engine hoists into the parallel prepare phase; decide with a
 /// precomputed CV is what remains on the serialized commit path (FLC2
-/// only). Their sum should approximate the inline BM_FacsDecideNoExplain —
-/// the win is WHERE the FLC1 share runs, not how much total work exists.
+/// only). The win is WHERE the FLC1 share runs, not how much total work
+/// exists.
 void BM_FacsPrecompute(benchmark::State& state) {
   const cellular::HexNetwork net{0};
   const auto controller = policy("facs")(net);
@@ -135,46 +134,43 @@ void BM_FacsPrecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_FacsPrecompute);
 
+/// decide() with a precomputed CV over a fixed trace of varied requests:
+/// every entry changes the snapshot (hence Cv), the service class (R) and
+/// the target cell, whose ledgers sit at different occupancies (Cs), so
+/// consecutive decisions never repeat an FLC2 input.
 void BM_FacsDecidePrecomputedCv(benchmark::State& state) {
-  const cellular::HexNetwork net{0};
+  cellular::HexNetwork net{1};
+  for (const cellular::Cell& c : net.cells()) {
+    const cellular::BandwidthUnits occupied = 40 * c.id / 6;
+    if (occupied > 0) net.station(c.id).allocate(c.id + 1, occupied, true);
+  }
   const auto controller = policy("facs")(net);
-  cellular::CallRequest request;
-  request.call = 1;
-  request.service = cellular::ServiceClass::Voice;
-  request.demand_bu = 5;
-  request.snapshot = {45.0, 20.0, 4.0, {4.0, 0.0}};
-  request.target_cell = 0;
-  cellular::AdmissionContext ctx{net.station(0), 0.0};
-  ctx.predicted = controller->precompute(request.snapshot);
+  constexpr std::size_t kTrace = 64;
+  std::vector<cellular::CallRequest> requests(kTrace);
+  std::vector<cellular::PredictedCv> predicted(kTrace);
+  for (std::size_t i = 0; i < kTrace; ++i) {
+    cellular::CallRequest& r = requests[i];
+    r.call = 100 + i;
+    r.service = static_cast<cellular::ServiceClass>(i % 3);
+    r.demand_bu = cellular::profileFor(r.service).demand_bu;
+    r.snapshot = {5.0 + static_cast<double>(i * 37 % 115),
+                  -180.0 + static_cast<double>(i * 53 % 360),
+                  0.5 + static_cast<double>(i * 7 % 19) * 0.5,
+                  {0.0, 0.0}};
+    r.target_cell = static_cast<cellular::CellId>(i % net.cellCount());
+    predicted[i] = controller->precompute(r.snapshot);
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller->decide(request, ctx));
+    const cellular::CallRequest& r = requests[i];
+    cellular::AdmissionContext ctx{net.station(r.target_cell), 0.0};
+    ctx.predicted = predicted[i];
+    benchmark::DoNotOptimize(controller->decide(r, ctx));
+    i = i + 1 < kTrace ? i + 1 : 0;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FacsDecidePrecomputedCv);
-
-/// Per-tick-window FLC2 batching: one evaluateBatch over N pending
-/// decisions versus N virtual decide() calls (the commit phase's two ways
-/// of clearing a window's admissions).
-void BM_FacsEvaluateBatch(benchmark::State& state) {
-  const cellular::HexNetwork net{0};
-  const auto controller = policy("facs")(net);
-  auto* facs = dynamic_cast<core::FacsController*>(controller.get());
-  const int n = static_cast<int>(state.range(0));
-  std::vector<core::PendingDecision> batch(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    batch[static_cast<std::size_t>(i)].cv = 0.1 + 0.8 * i / n;
-    batch[static_cast<std::size_t>(i)].demand_bu = 5.0;
-    batch[static_cast<std::size_t>(i)].occupied_bu =
-        static_cast<double>(i % 40);
-  }
-  for (auto _ : state) {
-    facs->evaluateBatch(batch);
-    benchmark::DoNotOptimize(batch.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_FacsEvaluateBatch)->Arg(16)->Arg(256);
 
 /// SCC decision cost must stay flat as tracked shadows grow: decide()
 /// reads the incremental per-cell demand accumulators (updated on call

@@ -225,8 +225,6 @@ CliOptions parseCli(const std::vector<std::string>& args,
                        std::to_string(opt.serve_duration_s));
       }
       opt.serve = true;  // a duration only makes sense when streaming
-    } else if (a == "--no-precompute") {
-      opt.config.precompute_cv = false;
     } else if (a == "--guard-bu") {
       guard_bu = parseInt(next(a), a);
     } else if (a == "--facs-threshold") {
@@ -327,9 +325,6 @@ run:
                         boundaries every S simulated seconds from the
                         observed per-cell committed-event counts (0 =
                         never; deterministic — epochs land on barriers)
-  --no-precompute       keep snapshot-only policy work (FACS FLC1) on the
-                        serialized commit path (results are bit-identical;
-                        only the phase profile moves)
   --explain             decide with rationales on (identical decisions;
                         truncated rationales are counted and warned about)
   --serve               streaming service mode: one JSON Lines record per

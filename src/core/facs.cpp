@@ -45,13 +45,14 @@ cellular::PredictedCv FacsController::precompute(
   return {predictCv(user), true};
 }
 
-FacsEvaluation FacsController::finishEvaluation(double cv, double ar,
-                                                bool is_handoff,
-                                                int priority) const {
+FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
+                                        double occupied_bu, bool is_handoff,
+                                        int priority) const {
+  const std::array<double, 3> inputs{predicted_cv, demand_bu, occupied_bu};
   FacsEvaluation eval;
-  eval.cv = cv;
-  eval.ar = ar;
-  eval.soft = classify(ar);
+  eval.cv = predicted_cv;
+  eval.ar = flc2_.infer(inputs);
+  eval.soft = classify(eval.ar);
 
   double threshold = config_.accept_threshold;
   threshold -= config_.priority_bias * priority;
@@ -60,16 +61,8 @@ FacsEvaluation FacsController::finishEvaluation(double cv, double ar,
   // (e.g. a pure "not reject not accept" outcome against tau = 0) must not
   // flip on the sign of a 1e-18 rounding residue.
   constexpr double kDecisionEpsilon = 1e-9;
-  eval.accept = ar > threshold + kDecisionEpsilon;
+  eval.accept = eval.ar > threshold + kDecisionEpsilon;
   return eval;
-}
-
-FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
-                                        double occupied_bu, bool is_handoff,
-                                        int priority) const {
-  const std::array<double, 3> inputs{predicted_cv, demand_bu, occupied_bu};
-  return finishEvaluation(predicted_cv, flc2_.infer(inputs), is_handoff,
-                          priority);
 }
 
 FacsEvaluation FacsController::evaluate(const cellular::UserSnapshot& user,
@@ -79,48 +72,18 @@ FacsEvaluation FacsController::evaluate(const cellular::UserSnapshot& user,
                   priority);
 }
 
-void FacsController::evaluateBatch(std::span<PendingDecision> batch) const {
-  // In order: each entry carries the ledger state of its own decision
-  // instant, so there is nothing to reorder. The span flattens into an
-  // entry-major input array and runs through FLC2's batch kernel — sealed
-  // sample-grid aggregation plus fuzzification memoized across consecutive
-  // entries with an unchanged input. The scratch is per-thread and keyed to
-  // the engine's seal id, so the memo also spans consecutive decide()
-  // calls (a batch of one each) within a commit lane, and concurrent lanes
-  // never share state.
-  static thread_local fuzzy::BatchScratch scratch;
-  static thread_local std::vector<double> inputs;
-  static thread_local std::vector<double> outputs;
-  inputs.clear();
-  inputs.reserve(batch.size() * 3);
-  for (const PendingDecision& pending : batch) {
-    inputs.push_back(pending.cv);
-    inputs.push_back(pending.demand_bu);
-    inputs.push_back(pending.occupied_bu);
-  }
-  outputs.resize(batch.size());
-  flc2_.inferBatch(inputs, outputs, scratch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].eval = finishEvaluation(batch[i].cv, outputs[i],
-                                     batch[i].is_handoff, batch[i].priority);
-  }
-}
-
 cellular::AdmissionDecision FacsController::decide(
     const cellular::CallRequest& request,
     const cellular::AdmissionContext& context) {
   // FLC1 ran at request time iff the caller precomputed it (the sharded
   // simulator's parallel prepare phase); otherwise run it inline. Same
   // function of the same snapshot, so the decision is identical either way.
-  PendingDecision pending;
-  pending.cv = context.predicted.valid ? context.predicted.cv
-                                       : predictCv(request.snapshot);
-  pending.demand_bu = static_cast<double>(request.demand_bu);
-  pending.occupied_bu = static_cast<double>(context.station.occupiedBu());
-  pending.is_handoff = request.is_handoff;
-  pending.priority = request.priority;
-  evaluateBatch({&pending, 1});
-  const FacsEvaluation& eval = pending.eval;
+  const double cv = context.predicted.valid ? context.predicted.cv
+                                            : predictCv(request.snapshot);
+  const FacsEvaluation eval =
+      evaluate(cv, static_cast<double>(request.demand_bu),
+               static_cast<double>(context.station.occupiedBu()),
+               request.is_handoff, request.priority);
 
   // The fuzzy stages never see the hard ledger; enforce the capacity
   // invariant here so an "accept" is always allocatable.

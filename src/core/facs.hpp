@@ -6,7 +6,6 @@
 /// counters, which the base-station ledger maintains).
 
 #include <cstdint>
-#include <span>
 #include <string_view>
 
 #include "cellular/admission.hpp"
@@ -59,18 +58,6 @@ struct FacsEvaluation {
   bool accept = false;
 };
 
-/// One admission awaiting its FLC2 stage: the inputs are known (the Cv from
-/// a precompute() or inline FLC1 run, the demand, and the ledger state at
-/// the decision instant), the evaluation is filled in by evaluateBatch().
-struct PendingDecision {
-  double cv = 0.0;           ///< FLC1 output for this request.
-  double demand_bu = 0.0;    ///< R: requested bandwidth.
-  double occupied_bu = 0.0;  ///< Cs: occupied BUs at the decision instant.
-  bool is_handoff = false;
-  int priority = 0;
-  FacsEvaluation eval{};     ///< Out: filled by evaluateBatch().
-};
-
 /// The complete admission system. Stateless between calls apart from the
 /// immutable engines, so one instance may serve many cells concurrently.
 class FacsController final : public cellular::AdmissionController {
@@ -94,9 +81,9 @@ class FacsController final : public cellular::AdmissionController {
                                         bool is_handoff = false,
                                         int priority = 0) const;
 
-  /// Admission stage only, from an already-predicted Cv — what decide()
-  /// runs when the caller precomputed FLC1 off the serialized path.
-  /// Bit-identical to the snapshot overload fed the same Cv.
+  /// Admission stage only, from an already-predicted Cv — the FLC2 path
+  /// every decide() runs. Bit-identical to the snapshot overload fed the
+  /// same Cv.
   [[nodiscard]] FacsEvaluation evaluate(double predicted_cv, double demand_bu,
                                         double occupied_bu,
                                         bool is_handoff = false,
@@ -111,25 +98,9 @@ class FacsController final : public cellular::AdmissionController {
   [[nodiscard]] cellular::PredictedCv precompute(
       const cellular::UserSnapshot& user) const override;
 
-  /// Runs the FLC2 admission stage over every entry, in order. This is THE
-  /// FLC2 execution path: decide() routes each decision through it as a
-  /// batch of one, so the serialized commit phase always lands here. The
-  /// rule-evaluation setup a decision used to pay — structural validation
-  /// (sealed away at engine build) and inference-buffer allocation (a warm
-  /// per-thread scratch) — is amortized across all decisions of a tick
-  /// window whether they arrive as one span or as consecutive decide()
-  /// calls, and the batch runs MamdaniEngine::inferBatch: aggregation
-  /// iterates FLC2's sealed sample-grid tables and fuzzification of each
-  /// input is memoized across consecutive entries whose crisp value is
-  /// unchanged (Cs rarely moves between a window's decisions). Entries
-  /// carry their own ledger state and are never reordered (each decision's
-  /// occupancy input depends on its predecessors' outcomes); each result is
-  /// bit-identical to a standalone evaluate().
-  void evaluateBatch(std::span<PendingDecision> batch) const;
-
   /// Consumes context.predicted when valid (the precomputed FLC1 output);
-  /// falls back to inline FLC1 inference otherwise. Same decision either
-  /// way, bit for bit.
+  /// falls back to inline FLC1 inference otherwise, then runs the FLC2
+  /// stage through evaluate(). Same decision either way, bit for bit.
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override;
@@ -147,12 +118,6 @@ class FacsController final : public cellular::AdmissionController {
   [[nodiscard]] const FacsConfig& config() const noexcept { return config_; }
 
  private:
-  /// Threshold logic + soft classification around a crisp A/R value — the
-  /// single back half both evaluate() and evaluateBatch() share.
-  [[nodiscard]] FacsEvaluation finishEvaluation(double cv, double ar,
-                                               bool is_handoff,
-                                               int priority) const;
-
   FacsConfig config_;
   fuzzy::MamdaniEngine flc1_;
   fuzzy::MamdaniEngine flc2_;

@@ -1,7 +1,6 @@
 #include "fuzzy/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -9,12 +8,6 @@
 namespace facs::fuzzy {
 
 namespace {
-
-/// Monotonic id source for seal(): a BatchScratch memo keyed on the id can
-/// never be replayed against a different engine (or the same engine after a
-/// mutation + reseal), even if an engine object is destroyed and another
-/// constructed at the same address.
-std::atomic<std::uint64_t> g_seal_counter{0};
 
 /// The aggregation inner loop of the sealed path, specialized per operator
 /// pair so the per-sample work is branch-light and autovectorizable. Each
@@ -160,14 +153,6 @@ void MamdaniEngine::checkValid() const {
   // FACS controllers assert completeness separately in their tests.
 }
 
-void MamdaniEngine::setConfig(const EngineConfig& config) {
-  if (config.resolution < 2) {
-    throw std::invalid_argument("engine resolution must be >= 2");
-  }
-  unseal();
-  config_ = config;
-}
-
 void MamdaniEngine::seal() {
   checkValid();
 
@@ -192,12 +177,10 @@ void MamdaniEngine::seal() {
   }
 
   sealed_ = true;
-  seal_id_ = g_seal_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void MamdaniEngine::unseal() {
   sealed_ = false;
-  seal_id_ = 0;
   tables_ = OutputTables{};
 }
 
@@ -299,56 +282,6 @@ double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
   }
   fireInto(scratch.fuzzified, scratch.strengths);
   return aggregateAndDefuzzify(scratch.strengths, scratch);
-}
-
-void MamdaniEngine::inferBatch(std::span<const double> crisp_inputs,
-                               std::span<double> outputs,
-                               BatchScratch& scratch) const {
-  ensureValid();
-  const std::size_t arity = inputs_.size();
-  if (crisp_inputs.size() != outputs.size() * arity) {
-    std::ostringstream os;
-    os << "engine '" << name_ << "' batch expects " << outputs.size() << " x "
-       << arity << " inputs, got " << crisp_inputs.size();
-    throw std::invalid_argument(os.str());
-  }
-
-  // The memo (previous entry's crisp inputs, fuzzified degrees and output)
-  // only transfers across calls when this scratch last served this exact
-  // sealed engine; any other history is dropped. Unsealed engines never
-  // carry a memo out (seal_id_ == 0 matches nothing), though entries within
-  // this one call still share it — the engine cannot mutate mid-span.
-  if (scratch.engine_seal_id != seal_id_ || seal_id_ == 0) {
-    scratch.warm = false;
-  }
-  scratch.engine_seal_id = seal_id_;
-  scratch.inference.fuzzified.resize(arity);
-  scratch.last_inputs.resize(arity);
-
-  for (std::size_t e = 0; e < outputs.size(); ++e) {
-    const double* in = crisp_inputs.data() + e * arity;
-    bool all_unchanged = scratch.warm;
-    for (std::size_t v = 0; v < arity; ++v) {
-      // Bitwise-equal crisp value => identical fuzzified degrees (fuzzify
-      // is a pure function), so the previous entry's vector stands. NaN
-      // compares unequal to itself and always recomputes.
-      if (scratch.warm && in[v] == scratch.last_inputs[v]) continue;
-      inputs_[v].fuzzifyInto(in[v], scratch.inference.fuzzified[v]);
-      scratch.last_inputs[v] = in[v];
-      all_unchanged = false;
-    }
-    if (all_unchanged) {
-      // Every input repeated: the whole inference would re-run identical
-      // arithmetic on identical operands. Reuse the previous output.
-      outputs[e] = scratch.last_output;
-      continue;
-    }
-    fireInto(scratch.inference.fuzzified, scratch.inference.strengths);
-    outputs[e] =
-        aggregateAndDefuzzify(scratch.inference.strengths, scratch.inference);
-    scratch.last_output = outputs[e];
-    scratch.warm = true;
-  }
 }
 
 InferenceTrace MamdaniEngine::inferTraced(

@@ -3,7 +3,6 @@
 /// The Mamdani fuzzy logic controller: fuzzifier, inference engine, fuzzy
 /// rule base and defuzzifier — the four FLC elements of the paper's Fig. 2.
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,28 +26,13 @@ struct EngineConfig {
 /// Reusable working buffers for the allocation-free inference path. One
 /// scratch serves any number of engines (each inference resizes the buffers
 /// to its own shape); reusing it across calls keeps the steady state free
-/// of heap traffic, which is what lets a serialized commit phase batch many
-/// inferences cheaply.
+/// of heap traffic on the per-decision path.
 struct InferenceScratch {
   std::vector<FuzzyVector> fuzzified;
   std::vector<double> strengths;
   std::vector<double> term_activation;
   std::vector<double> curve_mu;  ///< Aggregated curve on the sealed grid.
   DefuzzScratch defuzz;
-};
-
-/// Working state of the batch inference path: the per-entry buffers plus the
-/// fuzzification memo. Unlike InferenceScratch, a BatchScratch is bound to
-/// one sealed engine at a time — the memo caches the previous entry's
-/// fuzzified degrees (and output) and is only valid against the engine that
-/// produced them, so inferBatch() re-keys and drops the memo whenever the
-/// scratch last served a different (or since-resealed) engine.
-struct BatchScratch {
-  InferenceScratch inference;
-  std::vector<double> last_inputs;  ///< Previous entry's crisp inputs.
-  double last_output = 0.0;
-  bool warm = false;                ///< Memo holds the previous entry.
-  std::uint64_t engine_seal_id = 0; ///< Which seal() the memo belongs to.
 };
 
 /// Per-rule diagnostic from a traced inference.
@@ -121,9 +105,9 @@ class MamdaniEngine {
   /// lambda with nested apply() dispatch. The grid is a pure function of
   /// (universe, resolution), so table lookups reproduce degree() bit-exactly
   /// and sealed inference stays bit-identical to the unsealed path. Any
-  /// mutation (addInput, setOutput, addRule, setConfig) unseals and drops
-  /// the tables. Seal before sharing the engine across threads; the sealed
-  /// state is written here only.
+  /// mutation (addInput, setOutput, addRule) unseals and drops the tables.
+  /// Seal before sharing the engine across threads; the sealed state is
+  /// written here only.
   /// \throws std::logic_error when the engine is structurally invalid.
   void seal();
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
@@ -132,34 +116,15 @@ class MamdaniEngine {
   /// universe. \throws std::invalid_argument on arity mismatch.
   [[nodiscard]] double infer(std::span<const double> crisp_inputs) const;
 
-  /// As infer(), reusing \p scratch for every intermediate buffer — the
-  /// batch-friendly hot path: no allocation once the scratch has warmed up,
-  /// and bit-identical to infer() (same arithmetic in the same order).
+  /// As infer(), reusing \p scratch for every intermediate buffer: no
+  /// allocation once the scratch has warmed up, and bit-identical to infer()
+  /// (same arithmetic in the same order).
   [[nodiscard]] double infer(std::span<const double> crisp_inputs,
                              InferenceScratch& scratch) const;
-
-  /// Batch inference: \p crisp_inputs holds the entries back to back,
-  /// entry-major (entry e's inputs at [e * inputCount(), (e+1) *
-  /// inputCount())), and \p outputs receives one crisp value per entry.
-  /// Fuzzification of each input variable is memoized across consecutive
-  /// entries whose crisp value is unchanged (in a commit window the shared
-  /// Cs input rarely moves between decisions); an entry whose inputs all
-  /// repeat reuses the previous output outright. Both shortcuts reuse pure
-  /// functions of identical inputs, so every entry is bit-identical to a
-  /// standalone infer(). The memo survives across calls when the same
-  /// scratch keeps serving the same sealed engine — consecutive decide()
-  /// calls batch as well as one span does.
-  /// \throws std::invalid_argument when crisp_inputs.size() !=
-  ///         outputs.size() * inputCount().
-  void inferBatch(std::span<const double> crisp_inputs,
-                  std::span<double> outputs, BatchScratch& scratch) const;
 
   /// As infer(), returning full diagnostics.
   [[nodiscard]] InferenceTrace inferTraced(
       std::span<const double> crisp_inputs) const;
-
-  /// Replaces the operator configuration (used by the ablation benches).
-  void setConfig(const EngineConfig& config);
 
  private:
   /// Firing strength of each rule for the fuzzified inputs, into
@@ -180,8 +145,8 @@ class MamdaniEngine {
   /// checkValid() unless a prior seal() vouches for the current structure.
   void ensureValid() const;
 
-  /// Drops the cached validation, the seal id and the precomputed tables —
-  /// every mutating entry point funnels through here.
+  /// Drops the cached validation and the precomputed tables — every
+  /// mutating entry point funnels through here.
   void unseal();
 
   /// Arity check + defuzzified output via the scratch buffers (shared core
@@ -206,7 +171,6 @@ class MamdaniEngine {
   RuleBase rules_;
   OutputTables tables_;
   bool sealed_ = false;
-  std::uint64_t seal_id_ = 0;  ///< Unique per seal(); 0 while unsealed.
 };
 
 }  // namespace facs::fuzzy

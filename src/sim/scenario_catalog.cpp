@@ -245,11 +245,6 @@ SimulationBuilder& SimulationBuilder::shards(int n) {
   return *this;
 }
 
-SimulationBuilder& SimulationBuilder::precomputeCv(bool on) {
-  config_.precompute_cv = on;
-  return *this;
-}
-
 SimulationBuilder& SimulationBuilder::commitGroups(int n) {
   config_.commit_groups = n;
   return *this;

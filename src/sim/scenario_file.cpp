@@ -317,15 +317,13 @@ class Parser {
         }
       } else if (key == "repartition_every_s") {
         cfg.repartition_every_s = parseNumber(value, key);
-      } else if (key == "precompute") {
-        cfg.precompute_cv = parseBool(value, key);
       } else if (key == "explain") {
         cfg.explain = parseBool(value, key);
       } else {
         unknownKey(key,
                    "requests|window_s|arrivals|warmup_s|seed|shards|"
                    "commit_groups|partition|repartition_every_s|"
-                   "precompute|explain");
+                   "explain");
       }
     } else if (section_ == "population") {
       if (key == "speed_kmh") {
@@ -715,7 +713,6 @@ std::string writeScenarioFile(const ScenarioSpec& spec) {
      << "\n"
      << "repartition_every_s = " << shortestNumber(cfg.repartition_every_s)
      << "\n"
-     << "precompute = " << (cfg.precompute_cv ? "true" : "false") << "\n"
      << "explain = " << (cfg.explain ? "true" : "false") << "\n\n";
   os << "[population]\n"
      << "speed_kmh = [" << shortestNumber(pop.speed_min_kmh) << ", "

@@ -44,7 +44,6 @@
 ///   seed = 1
 ///   shards = 1
 ///   commit_groups = 1             # two-level commit lanes (see README)
-///   precompute = true
 ///   explain = false
 ///
 ///   [population]

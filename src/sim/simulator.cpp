@@ -76,8 +76,8 @@ struct CallState {
   /// set by the parallel prepare phase for the initial decision, re-run by
   /// the local phase whenever a mobility step produces the new snapshot a
   /// handoff decision will use (so it is always current when its decision
-  /// commits). Invalid when precompute is disabled or unsupported — the
-  /// policy then infers inline, with bit-identical results.
+  /// commits). Invalid when the policy has no precompute — it then infers
+  /// inline, with bit-identical results.
   cellular::PredictedCv predicted{};
 
   explicit CallState(const mobility::SpeedDependentTurnParams& turn)
@@ -935,16 +935,9 @@ class Engine {
     // in parallel, instead of inside the serialized commit phase. The
     // snapshot cannot change between now and the decision instant (pending
     // calls do not move), so the value stays coherent until consumed.
-    c.predicted = precompute(req.snapshot);
-  }
-
-  /// Gated precompute: invalid (→ inline inference in decide()) when the
-  /// config disables hoisting. Called from shard workers — the controller
-  /// contract requires precompute() to be thread-safe and state-free.
-  [[nodiscard]] cellular::PredictedCv precompute(
-      const cellular::UserSnapshot& snapshot) const {
-    if (!cfg_.precompute_cv) return {};
-    return controller_->precompute(snapshot);
+    // Called from shard workers: the controller contract requires
+    // precompute() to be thread-safe and state-free.
+    c.predicted = controller_->precompute(req.snapshot);
   }
 
   // ------------------------------------------------------------ local phase
@@ -996,8 +989,9 @@ class Engine {
               // reconstruct (a pure function of the unchanged motion state
               // and cell centre, so the bits match).
               if (now_cell) {
-                c.predicted = precompute(mobility::snapshotFromTruth(
-                    c.state, network_.cell(*now_cell).center));
+                c.predicted = controller_->precompute(
+                    mobility::snapshotFromTruth(
+                        c.state, network_.cell(*now_cell).center));
               }
               emit(CommitEntry{entry->time_s, ev});
             }

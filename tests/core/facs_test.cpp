@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
 
 namespace facs::core {
 namespace {
@@ -236,69 +235,35 @@ TEST(FacsController, StalePrecomputedCvIsHonoured) {
             facs.evaluate(facs.predictCv(idealUser()), 5.0, 20.0).ar);
 }
 
-TEST(FacsController, EvaluateBatchMatchesStandaloneEvaluate) {
-  const FacsController facs;
-  std::vector<PendingDecision> batch;
-  // A spread of (cv, demand, occupancy, handoff, priority) combinations,
-  // including ledger states that differ per entry — the commit phase's
-  // reality (each decision sees the occupancy its predecessors left).
-  for (double cv : {0.05, 0.35, 0.65, 0.95}) {
-    for (double occupied : {0.0, 15.0, 30.0, 40.0}) {
-      PendingDecision p;
-      p.cv = cv;
-      p.demand_bu = occupied < 20.0 ? 10.0 : 5.0;
-      p.occupied_bu = occupied;
-      p.is_handoff = cv > 0.5;
-      p.priority = cv > 0.9 ? 1 : 0;
-      batch.push_back(p);
+TEST(FacsController, DecideMatchesEvaluateAcrossLedgerStates) {
+  // decide() is evaluate() on (Cv, R, Cs) plus the capacity check. Walk a
+  // spread of Cv, demand, occupancy, handoff and priority combinations —
+  // ledger states that differ per decision, as in a commit window.
+  FacsController facs;
+  for (int occupied : {0, 15, 30, 40}) {
+    BaseStation bs{0, 40};
+    if (occupied > 0) bs.allocate(99, occupied, true);
+    for (double cv : {0.05, 0.35, 0.65, 0.95}) {
+      CallRequest req = makeRequest(
+          idealUser(), occupied < 20 ? ServiceClass::Video : ServiceClass::Voice,
+          /*handoff=*/cv > 0.5);
+      req.priority = cv > 0.9 ? 1 : 0;
+      AdmissionContext ctx{bs, 0.0};
+      ctx.predicted = {cv, true};
+      const auto d = facs.decide(req, ctx);
+      const FacsEvaluation solo =
+          facs.evaluate(cv, req.demand_bu, occupied, req.is_handoff,
+                        req.priority);
+      EXPECT_EQ(d.score, solo.ar);  // bit-identical, not just close
+      EXPECT_EQ(d.accept, solo.accept && bs.canFit(req.demand_bu));
     }
   }
-  facs.evaluateBatch(batch);
-  for (const PendingDecision& p : batch) {
-    const FacsEvaluation solo =
-        facs.evaluate(p.cv, p.demand_bu, p.occupied_bu, p.is_handoff,
-                      p.priority);
-    EXPECT_EQ(p.eval.ar, solo.ar);  // bit-identical, not just close
-    EXPECT_EQ(p.eval.cv, solo.cv);
-    EXPECT_EQ(p.eval.soft, solo.soft);
-    EXPECT_EQ(p.eval.accept, solo.accept);
-  }
 }
 
-TEST(FacsController, EvaluateBatchMemoizesRepeatedSharedInputs) {
-  const FacsController facs;
-  // A commit-window batch: Cs holds still across runs of decisions (the
-  // fuzzification memo's target case), then moves mid-batch; some entries
-  // repeat completely. Every result must still equal a standalone
-  // evaluate() bit for bit.
-  std::vector<PendingDecision> batch;
-  const double cs_runs[] = {20.0, 20.0, 20.0, 25.0, 25.0, 20.0};
-  int k = 0;
-  for (double cs : cs_runs) {
-    PendingDecision p;
-    p.cv = (k % 3 == 0) ? 0.4 : 0.4 + 0.1 * (k % 3);  // repeats then moves
-    p.demand_bu = (k % 2 == 0) ? 5.0 : 10.0;
-    p.occupied_bu = cs;
-    ++k;
-    batch.push_back(p);
-    batch.push_back(p);  // exact duplicate: full-entry memo hit
-  }
-  facs.evaluateBatch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingDecision& p = batch[i];
-    const FacsEvaluation solo =
-        facs.evaluate(p.cv, p.demand_bu, p.occupied_bu, p.is_handoff,
-                      p.priority);
-    EXPECT_EQ(p.eval.ar, solo.ar) << "entry " << i;
-    EXPECT_EQ(p.eval.accept, solo.accept) << "entry " << i;
-  }
-}
-
-TEST(FacsController, InterleavedControllersNeverShareBatchState) {
-  // decide() routes through a per-thread BatchScratch shared by every
+TEST(FacsController, InterleavedControllersNeverShareScratchState) {
+  // decide() infers through a per-thread InferenceScratch shared by every
   // controller on the thread. Two differently-configured controllers fed
-  // the same inputs back to back must each keep their own answers — the
-  // seal-id keying drops the other engine's memo.
+  // the same inputs back to back must each keep their own answers.
   FacsConfig prod_cfg;
   prod_cfg.flc2.conjunction = fuzzy::TNorm::AlgebraicProduct;
   prod_cfg.flc2.implication = fuzzy::TNorm::AlgebraicProduct;

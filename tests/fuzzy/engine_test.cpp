@@ -170,20 +170,14 @@ TEST(Engine, ProductOperatorsDifferButAgreeOnDominantRule) {
   EXPECT_NE(scaled.infer(mixed), clipped.infer(mixed));
 }
 
-TEST(Engine, SetConfigSwitchesDefuzzifier) {
-  MamdaniEngine e = makeTipper();
+TEST(Engine, ConfigSwitchesDefuzzifier) {
   const std::array<double, 2> in{7.5, 10.0};
-  const double centroid = e.infer(in);
+  const double centroid = makeTipper().infer(in);
 
-  EngineConfig cfg = e.config();
+  EngineConfig cfg;
   cfg.defuzzifier = Defuzzifier::LargestOfMax;
-  e.setConfig(cfg);
-  const double lom = e.infer(in);
+  const double lom = makeTipper(cfg).infer(in);
   EXPECT_GT(lom, centroid);  // LOM rides the rightmost maximizing plateau
-
-  EngineConfig bad = cfg;
-  bad.resolution = 0;
-  EXPECT_THROW(e.setConfig(bad), std::invalid_argument);
 }
 
 TEST(Engine, OutputAlwaysWithinUniverse) {
@@ -204,7 +198,7 @@ TEST(Engine, SealValidatesOnceAndMutationUnseals) {
   e.seal();
   EXPECT_TRUE(e.sealed());
   // Any structural mutation drops the cached validation.
-  e.setConfig(e.config());
+  e.setOutput(e.output());
   EXPECT_FALSE(e.sealed());
   e.seal();
   e.addRule({"poor", "bad"}, "low");
@@ -225,8 +219,8 @@ TEST(Engine, ScratchInferenceIsBitIdenticalToTracedPath) {
       const std::array<double, 2> in{s, f};
       const double traced = e.inferTraced(in).crisp_output;
       // Exact equality on purpose: the scratch path must run the same
-      // arithmetic in the same order, or sealed/unsealed (and batched /
-      // unbatched) consumers would diverge.
+      // arithmetic in the same order, or sealed/unsealed consumers would
+      // diverge.
       EXPECT_EQ(e.infer(in), traced) << "s=" << s << " f=" << f;
       EXPECT_EQ(e.infer(in, scratch), traced) << "s=" << s << " f=" << f;
       // A warm (dirty) scratch must not leak state into the next call.
@@ -271,113 +265,6 @@ TEST(Engine, SealedTablesMatchUnsealedPathBitExactly) {
           << "s=" << s << " f=" << f;
     }
   }
-}
-
-TEST(Engine, InferBatchMatchesScalarBitExactly) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
-
-  std::vector<double> inputs;
-  for (double s = 0.0; s <= 10.0; s += 0.5) {
-    for (double f = 0.0; f <= 10.0; f += 1.0) {
-      inputs.push_back(s);
-      inputs.push_back(f);
-    }
-  }
-  const std::size_t entries = inputs.size() / 2;
-  std::vector<double> outputs(entries);
-  BatchScratch scratch;
-  e.inferBatch(inputs, outputs, scratch);
-  for (std::size_t i = 0; i < entries; ++i) {
-    const std::array<double, 2> in{inputs[2 * i], inputs[2 * i + 1]};
-    EXPECT_EQ(outputs[i], e.infer(in)) << "entry " << i;
-  }
-}
-
-TEST(Engine, InferBatchMemoHandlesRepeatsAndMidBatchChanges) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
-
-  // Entries repeat the shared input, repeat fully, then change it mid-batch
-  // — the memo must reuse only what is bitwise unchanged.
-  const std::vector<double> inputs{
-      3.0, 4.0,   // cold entry
-      3.0, 4.0,   // full repeat: reuses the previous output outright
-      3.0, 7.0,   // first input repeats, second changes
-      5.0, 7.0,   // first changes, second repeats
-      5.0, 7.0,   // full repeat again
-      2.0, 1.0};  // both change
-  std::vector<double> outputs(inputs.size() / 2);
-  BatchScratch scratch;
-  e.inferBatch(inputs, outputs, scratch);
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    const std::array<double, 2> in{inputs[2 * i], inputs[2 * i + 1]};
-    EXPECT_EQ(outputs[i], e.infer(in)) << "entry " << i;
-  }
-
-  // The memo spans calls: a second batch starting on the last entry's
-  // inputs still matches the scalar path.
-  const std::vector<double> next{2.0, 1.0, 2.0, 6.0};
-  std::vector<double> next_out(2);
-  e.inferBatch(next, next_out, scratch);
-  EXPECT_EQ(next_out[0], e.infer(std::array<double, 2>{2.0, 1.0}));
-  EXPECT_EQ(next_out[1], e.infer(std::array<double, 2>{2.0, 6.0}));
-}
-
-TEST(Engine, InferBatchChecksArity) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
-  BatchScratch scratch;
-  const std::vector<double> three{1.0, 2.0, 3.0};  // not a multiple of 2
-  std::vector<double> one(1);
-  EXPECT_THROW(e.inferBatch(three, one, scratch), std::invalid_argument);
-  std::vector<double> two(2);  // 3 inputs for 2 entries of arity 2
-  EXPECT_THROW(e.inferBatch(three, two, scratch), std::invalid_argument);
-}
-
-TEST(Engine, BatchScratchRekeysAcrossEnginesAndReseals) {
-  MamdaniEngine tipper = makeTipper();
-  tipper.seal();
-  MamdaniEngine single{"single"};
-  LinguisticVariable v{"v", Interval{0.0, 1.0}};
-  v.addTerm("lo", makeTriangle(0.0, 0.0, 1.0));
-  v.addTerm("hi", makeTriangle(1.0, 1.0, 0.0));
-  single.addInput(v);
-  single.setOutput(v);
-  single.addRule({"lo"}, "lo");
-  single.addRule({"hi"}, "hi");
-  single.seal();
-
-  // One scratch ping-pongs between engines of different arity: the memo is
-  // keyed to the seal id, so a stale memo from the other engine must never
-  // be consulted.
-  BatchScratch scratch;
-  const std::vector<double> two{3.0, 4.0};
-  const std::vector<double> one{0.25};
-  std::vector<double> out(1);
-  for (int round = 0; round < 3; ++round) {
-    tipper.inferBatch(two, out, scratch);
-    EXPECT_EQ(out[0], tipper.infer(two));
-    single.inferBatch(one, out, scratch);
-    EXPECT_EQ(out[0], single.infer(one));
-  }
-
-  // Resealing mints a fresh id: the memo from the previous seal is dropped
-  // even though the engine object is the same.
-  tipper.inferBatch(two, out, scratch);
-  tipper.setConfig(tipper.config());
-  tipper.seal();
-  tipper.inferBatch(two, out, scratch);
-  EXPECT_EQ(out[0], tipper.infer(two));
-
-  // Unsealed engines (seal id 0) must not persist a memo across calls.
-  MamdaniEngine fresh = makeTipper();
-  ASSERT_FALSE(fresh.sealed());
-  fresh.inferBatch(two, out, scratch);
-  EXPECT_EQ(out[0], fresh.infer(two));
-  fresh.addRule({"good", "tasty"}, "high");  // same arity, new behaviour
-  fresh.inferBatch(two, out, scratch);
-  EXPECT_EQ(out[0], fresh.infer(two));
 }
 
 }  // namespace

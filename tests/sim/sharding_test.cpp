@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
+#include "cellular/policy_registry.hpp"
+#include "core/facs.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "sim/simulator.hpp"
 
@@ -114,23 +119,70 @@ TEST(ShardedEngine, SingleCellRunsShardToo) {
 
 // ---------------------------------------------------------------------------
 // Precompute equivalence: hoisting the snapshot-only FLC1 stage into the
-// parallel prepare/local phases (SimulationConfig::precompute_cv) must not
-// move a single bit of any metric — it is the same inference over the same
-// snapshot, just executed off the serialized commit path.
+// parallel prepare/local phases must not move a single bit of any metric —
+// it is the same inference over the same snapshot, just executed off the
+// serialized commit path. The reference keeps FLC1 inline.
 // ---------------------------------------------------------------------------
+
+/// FACS with FLC1 left on the commit path: forwards decide() to a
+/// FacsController but keeps the default (invalid) precompute(), so every
+/// decision runs the prediction inline. Counts the decisions it sees and
+/// how many arrived with a predicted CV (the engine must never invent one).
+class InlineFlc1Facs final : public cellular::AdmissionController {
+ public:
+  static inline std::atomic<int> decisions{0};
+  static inline std::atomic<int> with_predicted{0};
+
+  [[nodiscard]] std::string name() const override { return "FACS-inline"; }
+  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
+    return facs_.commitScope();
+  }
+  [[nodiscard]] cellular::AdmissionDecision decide(
+      const cellular::CallRequest& request,
+      const cellular::AdmissionContext& context) override {
+    ++decisions;
+    if (context.predicted.valid) ++with_predicted;
+    return facs_.decide(request, context);
+  }
+
+ private:
+  core::FacsController facs_;
+};
+
+/// The default runtime plus "facs-inline" (InlineFlc1Facs).
+const cellular::PolicyRuntime& inlineRuntime() {
+  static const cellular::PolicyRuntime runtime = [] {
+    cellular::PolicyRuntime rt;
+    rt.registerExternal(
+        {"facs-inline", "FACS with FLC1 inline (test reference)",
+         "facs-inline"},
+        [](const cellular::PolicySpec&) -> ControllerFactory {
+          return [](const cellular::HexNetwork&) {
+            return std::make_unique<InlineFlc1Facs>();
+          };
+        });
+    return rt;
+  }();
+  return runtime;
+}
+
+Metrics runInlineFlc1(const SimulationConfig& cfg) {
+  return SimulationBuilder{cfg}
+      .runtime(inlineRuntime())
+      .policy("facs-inline")
+      .run();
+}
 
 TEST(PrecomputeEquivalence, BitIdenticalOnVsOffAcrossShardCounts) {
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 1;
-  cfg.precompute_cv = false;
-  const Metrics inline_flc1 = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics inline_flc1 = runInlineFlc1(cfg);
   // The scenario must include handoffs: each one is a mobility update that
   // invalidates the CV prepared at request time, forcing the local phase
   // to re-run the prediction against the post-step snapshot.
   ASSERT_GT(inline_flc1.handoff_requests, 0);
   for (const int shards : {1, 2, 4}) {
     cfg.shards = shards;
-    cfg.precompute_cv = true;
     const Metrics hoisted = SimulationBuilder{cfg}.policy("facs").run();
     expectBitIdentical(inline_flc1, hoisted,
                        "precompute on, shards=" + std::to_string(shards));
@@ -149,12 +201,10 @@ TEST(PrecomputeEquivalence, MobilityInvalidatedCvRecomputesBeforeCommit) {
   cfg.scenario.speed_min_kmh = 80.0;
   cfg.scenario.speed_max_kmh = 120.0;
   cfg.shards = 1;
-  cfg.precompute_cv = false;
-  const Metrics inline_flc1 = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics inline_flc1 = runInlineFlc1(cfg);
   ASSERT_GT(inline_flc1.handoff_requests, inline_flc1.new_requests / 2);
   for (const int shards : {1, 4}) {
     cfg.shards = shards;
-    cfg.precompute_cv = true;
     const Metrics hoisted = SimulationBuilder{cfg}.policy("facs").run();
     expectBitIdentical(inline_flc1, hoisted,
                        "handoff-heavy precompute, shards=" +
@@ -163,22 +213,18 @@ TEST(PrecomputeEquivalence, MobilityInvalidatedCvRecomputesBeforeCommit) {
 }
 
 TEST(PrecomputeEquivalence, PoliciesWithoutPrecomputeAreUnaffected) {
-  // Policies that keep the default no-op precompute() (SCC here) must see
-  // an invalid PredictedCv and decide exactly as before, toggle or not.
+  // A policy that keeps the default no-op precompute() must see an invalid
+  // PredictedCv at every decision — new calls and handoffs alike — and so
+  // decide inline.
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 2;
-  cfg.precompute_cv = true;
-  const Metrics on = SimulationBuilder{cfg}.policy("scc").run();
-  cfg.precompute_cv = false;
-  const Metrics off = SimulationBuilder{cfg}.policy("scc").run();
-  expectBitIdentical(on, off, "scc precompute on vs off");
-}
-
-TEST(PrecomputeEquivalence, BuilderAndConfigSurfaceTheToggle) {
-  EXPECT_TRUE(SimulationConfig{}.precompute_cv);  // hoisting is the default
-  const SimulationConfig cfg =
-      SimulationBuilder::scenario("urban-walkers").precomputeCv(false).build();
-  EXPECT_FALSE(cfg.precompute_cv);
+  InlineFlc1Facs::decisions = 0;
+  InlineFlc1Facs::with_predicted = 0;
+  const Metrics m = runInlineFlc1(cfg);
+  ASSERT_GT(m.handoff_requests, 0);
+  EXPECT_GE(InlineFlc1Facs::decisions.load(),
+            m.new_requests + m.handoff_requests);
+  EXPECT_EQ(InlineFlc1Facs::with_predicted.load(), 0);
 }
 
 TEST(ShardedEngine, PhaseProfileIsPopulated) {

@@ -22,6 +22,7 @@
 
 #include <sys/resource.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -229,20 +230,23 @@ int benchScaling(const std::string& path) {
 
 int benchMicro(const std::string& path) {
   // The decide-path microbaseline: per-inference latency of FLC2 (the
-  // engine every admission decision runs) and of the FACS batch kernel on
-  // a commit-window-shaped span. The sweep walks (Cv, R, Cs) through the
-  // same grid via the scalar and batch paths and audits the checksums
-  // equal before writing — the det_ key pins the engine's arithmetic, the
-  // audit pins the batch kernel's bit-identity to it.
+  // engine every admission decision runs) and of FACS decide() with a
+  // precomputed Cv on a commit-window-shaped sweep. The sweep walks
+  // (Cv, R, Cs) through a fixed grid; the det_ key pins the engine's
+  // arithmetic, and an in-tool audit pins decide()'s score to scalar FLC2
+  // before anything is written.
   const fuzzy::MamdaniEngine flc2 = core::buildFlc2();
 
+  constexpr std::array<double, 7> kCs{0.0, 8.5, 17.0, 17.0, 17.0, 29.5, 40.0};
   std::vector<double> inputs;
+  std::vector<cellular::CellId> ledger_of;  ///< Cell whose ledger holds Cs.
   for (double cv : {0.05, 0.25, 0.45, 0.45, 0.65, 0.95}) {
     for (double r : {1.0, 5.0, 5.0, 10.0}) {
-      for (double cs : {0.0, 8.5, 17.0, 17.0, 17.0, 29.5, 40.0}) {
+      for (std::size_t k = 0; k < kCs.size(); ++k) {
         inputs.push_back(cv);
         inputs.push_back(r);
-        inputs.push_back(cs);
+        inputs.push_back(kCs[k]);
+        ledger_of.push_back(static_cast<cellular::CellId>(k));
       }
     }
   }
@@ -264,32 +268,50 @@ int benchMicro(const std::string& path) {
   const double infer_ns = secondsSince(t0) * 1e9 /
                           static_cast<double>(entries * kScalarRounds);
 
-  // Batch path through the FACS controller (the production route) on the
-  // same grid, same order.
-  const core::FacsController facs;
-  std::vector<core::PendingDecision> batch(entries);
+  // decide() through the FACS controller (the production route) on the
+  // same grid, same order. Cs is read from a base-station ledger, one cell
+  // per grid column; ledgers hold whole BUs, so the half-BU columns (8.5,
+  // 29.5) sit at 8 and 29.
+  core::FacsController facs;
+  cellular::HexNetwork ledgers{1};
+  for (std::size_t k = 0; k < kCs.size(); ++k) {
+    const auto bu = static_cast<cellular::BandwidthUnits>(kCs[k]);
+    if (bu > 0) {
+      ledgers.station(static_cast<cellular::CellId>(k)).allocate(k + 1, bu,
+                                                                 true);
+    }
+  }
+  std::vector<cellular::CallRequest> requests(entries);
   for (std::size_t e = 0; e < entries; ++e) {
-    batch[e].cv = inputs[3 * e];
-    batch[e].demand_bu = inputs[3 * e + 1];
-    batch[e].occupied_bu = inputs[3 * e + 2];
+    requests[e].call = 100 + e;
+    requests[e].demand_bu =
+        static_cast<cellular::BandwidthUnits>(inputs[3 * e + 1]);
+    requests[e].target_cell = ledger_of[e];
   }
-  constexpr int kBatchRounds = 40;
-  double batch_checksum = 0.0;
+  constexpr int kDecideRounds = 40;
+  std::vector<double> scores(entries);
   const auto t1 = std::chrono::steady_clock::now();
-  for (int round = 0; round < kBatchRounds; ++round) {
-    facs.evaluateBatch(batch);
-    double sum = 0.0;
-    for (const core::PendingDecision& p : batch) sum += p.eval.ar;
-    batch_checksum = sum;
+  for (int round = 0; round < kDecideRounds; ++round) {
+    for (std::size_t e = 0; e < entries; ++e) {
+      const cellular::AdmissionContext context{
+          ledgers.station(ledger_of[e]), 0.0, false, {inputs[3 * e], true}};
+      scores[e] = facs.decide(requests[e], context).score;
+    }
   }
-  const double batch_ns = secondsSince(t1) * 1e9 /
-                          static_cast<double>(entries * kBatchRounds);
+  const double decide_ns = secondsSince(t1) * 1e9 /
+                           static_cast<double>(entries * kDecideRounds);
 
-  if (batch_checksum != scalar_checksum) {
-    std::cerr << "bench_baseline: batch kernel diverged from scalar FLC2 ("
-              << sim::shortestNumber(batch_checksum) << " vs "
-              << sim::shortestNumber(scalar_checksum) << ")\n";
-    return 1;
+  for (std::size_t e = 0; e < entries; ++e) {
+    const std::array<double, 3> in{
+        inputs[3 * e], inputs[3 * e + 1],
+        static_cast<double>(ledgers.station(ledger_of[e]).occupiedBu())};
+    const double expected = flc2.infer(in);
+    if (scores[e] != expected) {
+      std::cerr << "bench_baseline: decide() diverged from scalar FLC2 at "
+                << "entry " << e << " (" << sim::shortestNumber(scores[e])
+                << " vs " << sim::shortestNumber(expected) << ")\n";
+      return 1;
+    }
   }
 
   // The SIR decide path on the 19-cell study network (rings=2, 1.5 km
@@ -375,14 +397,14 @@ int benchMicro(const std::string& path) {
   json.add("det_flc2_checksum", scalar_checksum);
   json.add("det_sir_checksum", sir_checksum);
   json.add("perf_flc2_infer_ns", infer_ns);
-  json.add("perf_facs_batch_ns", batch_ns);
+  json.add("perf_facs_decide_ns", decide_ns);
   json.add("perf_sir_decide_ns", sir_decide_ns);
   if (!json.writeTo(path)) {
     std::cerr << "bench_baseline: cannot write " << path << "\n";
     return 1;
   }
   std::cout << "wrote " << path << " (" << entries << " entries, "
-            << "infer " << infer_ns << " ns, batch " << batch_ns
+            << "infer " << infer_ns << " ns, decide " << decide_ns
             << " ns, sir decide " << sir_decide_ns << " ns)\n";
   return 0;
 }
