@@ -239,7 +239,7 @@ int benchMicro(const std::string& path) {
 
   constexpr std::array<double, 7> kCs{0.0, 8.5, 17.0, 17.0, 17.0, 29.5, 40.0};
   std::vector<double> inputs;
-  std::vector<cellular::CellId> ledger_of;  ///< Cell whose ledger holds Cs.
+  std::vector<cellular::CellId> ledger_of;  // cell whose ledger holds Cs
   for (double cv : {0.05, 0.25, 0.45, 0.45, 0.65, 0.95}) {
     for (double r : {1.0, 5.0, 5.0, 10.0}) {
       for (std::size_t k = 0; k < kCs.size(); ++k) {
