@@ -72,16 +72,28 @@ void BM_FacsEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_FacsEvaluate);
 
-/// Defuzzification resolution is the main latency knob: sweep it.
+/// Defuzzification resolution is the main latency knob: sweep it, over 64
+/// varied (Cv, R, Cs) inputs — the snapshot (hence Cv), the demand and the
+/// occupancy all change from one evaluation to the next.
 void BM_FacsEvaluateResolution(benchmark::State& state) {
   const auto facs = facsFromRegistry(
       "facs:res=" + std::to_string(state.range(0)));
-  cellular::UserSnapshot user;
-  user.speed_kmh = 45.0;
-  user.angle_deg = 20.0;
-  user.distance_km = 4.0;
+  constexpr std::size_t kInputs = 64;
+  constexpr std::array<double, 3> kDemands{1.0, 5.0, 10.0};
+  std::array<cellular::UserSnapshot, kInputs> users{};
+  std::array<double, kInputs> demand{};
+  std::array<double, kInputs> occupied{};
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    users[i].speed_kmh = 5.0 + static_cast<double>(i * 37 % 115);
+    users[i].angle_deg = -180.0 + static_cast<double>(i * 53 % 360);
+    users[i].distance_km = 0.5 + static_cast<double>(i * 7 % 19) * 0.5;
+    demand[i] = kDemands[i % kDemands.size()];
+    occupied[i] = static_cast<double>(i * 11 % 41);
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(facs->evaluate(user, 5.0, 17.0));
+    benchmark::DoNotOptimize(facs->evaluate(users[i], demand[i], occupied[i]));
+    i = i + 1 < kInputs ? i + 1 : 0;
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -74,22 +74,54 @@ void BM_SimulationWithGpsTracking(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationWithGpsTracking);
 
+/// A fixed trace of varied requests on the 7-cell disk: every entry
+/// changes the snapshot (hence Cv), the service class (R) and the target
+/// cell, whose ledgers sit at different occupancies (Cs), so consecutive
+/// decisions never repeat a fuzzy input. Benchmarks cycle through it.
+struct DecisionTrace {
+  static constexpr std::size_t kSize = 64;
+  cellular::HexNetwork net{1};
+  std::vector<cellular::CallRequest> requests;
+
+  DecisionTrace() : requests(kSize) {
+    for (const cellular::Cell& c : net.cells()) {
+      const cellular::BandwidthUnits occupied = 40 * c.id / 6;
+      if (occupied > 0) net.station(c.id).allocate(c.id + 1, occupied, true);
+    }
+    for (std::size_t i = 0; i < kSize; ++i) {
+      cellular::CallRequest& r = requests[i];
+      r.call = 100 + i;
+      r.service = static_cast<cellular::ServiceClass>(i % 3);
+      r.demand_bu = cellular::profileFor(r.service).demand_bu;
+      r.snapshot = {5.0 + static_cast<double>(i * 37 % 115),
+                    -180.0 + static_cast<double>(i * 53 % 360),
+                    0.5 + static_cast<double>(i * 7 % 19) * 0.5,
+                    {0.0, 0.0}};
+      r.target_cell = static_cast<cellular::CellId>(i % net.cellCount());
+    }
+  }
+
+  /// The next trace index after \p i, wrapping.
+  [[nodiscard]] static std::size_t next(std::size_t i) noexcept {
+    return i + 1 < kSize ? i + 1 : 0;
+  }
+};
+
 /// The decision hot path with rationale off (the simulator's mode: no
-/// string is built) vs on (the dashboard/debug mode). The gap is the cost
-/// the opt-in API removed from every simulated decision.
+/// string is built) vs on (the dashboard/debug mode), over the varied
+/// trace. The gap is the cost the opt-in API removed from every simulated
+/// decision.
 template <bool kExplain>
 void BM_DecideRationale(benchmark::State& state, const std::string& spec) {
-  const cellular::HexNetwork net{0};
-  const auto controller = policy(spec)(net);
-  cellular::CallRequest request;
-  request.call = 1;
-  request.service = cellular::ServiceClass::Voice;
-  request.demand_bu = 5;
-  request.snapshot = {45.0, 20.0, 4.0, {4.0, 0.0}};
-  request.target_cell = 0;
-  const cellular::AdmissionContext ctx{net.station(0), 0.0, kExplain};
+  const DecisionTrace trace;
+  const auto controller = policy(spec)(trace.net);
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller->decide(request, ctx));
+    const cellular::CallRequest& r = trace.requests[i];
+    const cellular::AdmissionContext ctx{trace.net.station(r.target_cell), 0.0,
+                                         kExplain};
+    benchmark::DoNotOptimize(controller->decide(r, ctx));
+    i = DecisionTrace::next(i);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -118,55 +150,38 @@ void BM_GuardDecideExplain(benchmark::State& state) {
 }
 BENCHMARK(BM_GuardDecideExplain);
 
-/// The split FACS pipeline, stage by stage. Precompute (FLC1 only) is what
-/// the sharded engine hoists into the parallel prepare phase; decide with a
-/// precomputed CV is what remains on the serialized commit path (FLC2
-/// only). The win is WHERE the FLC1 share runs, not how much total work
-/// exists.
+/// The split FACS pipeline, stage by stage, over the varied trace.
+/// Precompute (FLC1 only) is what the engine hoists into the parallel
+/// prepare phase; decide with a precomputed CV is what remains on the
+/// commit path (FLC2 only). The win is WHERE the FLC1 share runs, not how
+/// much total work exists.
 void BM_FacsPrecompute(benchmark::State& state) {
-  const cellular::HexNetwork net{0};
-  const auto controller = policy("facs")(net);
-  const cellular::UserSnapshot snapshot{45.0, 20.0, 4.0, {4.0, 0.0}};
+  const DecisionTrace trace;
+  const auto controller = policy("facs")(trace.net);
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller->precompute(snapshot));
+    benchmark::DoNotOptimize(
+        controller->precompute(trace.requests[i].snapshot));
+    i = DecisionTrace::next(i);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FacsPrecompute);
 
-/// decide() with a precomputed CV over a fixed trace of varied requests:
-/// every entry changes the snapshot (hence Cv), the service class (R) and
-/// the target cell, whose ledgers sit at different occupancies (Cs), so
-/// consecutive decisions never repeat an FLC2 input.
 void BM_FacsDecidePrecomputedCv(benchmark::State& state) {
-  cellular::HexNetwork net{1};
-  for (const cellular::Cell& c : net.cells()) {
-    const cellular::BandwidthUnits occupied = 40 * c.id / 6;
-    if (occupied > 0) net.station(c.id).allocate(c.id + 1, occupied, true);
-  }
-  const auto controller = policy("facs")(net);
-  constexpr std::size_t kTrace = 64;
-  std::vector<cellular::CallRequest> requests(kTrace);
-  std::vector<cellular::PredictedCv> predicted(kTrace);
-  for (std::size_t i = 0; i < kTrace; ++i) {
-    cellular::CallRequest& r = requests[i];
-    r.call = 100 + i;
-    r.service = static_cast<cellular::ServiceClass>(i % 3);
-    r.demand_bu = cellular::profileFor(r.service).demand_bu;
-    r.snapshot = {5.0 + static_cast<double>(i * 37 % 115),
-                  -180.0 + static_cast<double>(i * 53 % 360),
-                  0.5 + static_cast<double>(i * 7 % 19) * 0.5,
-                  {0.0, 0.0}};
-    r.target_cell = static_cast<cellular::CellId>(i % net.cellCount());
-    predicted[i] = controller->precompute(r.snapshot);
+  const DecisionTrace trace;
+  const auto controller = policy("facs")(trace.net);
+  std::vector<cellular::PredictedCv> predicted(DecisionTrace::kSize);
+  for (std::size_t i = 0; i < DecisionTrace::kSize; ++i) {
+    predicted[i] = controller->precompute(trace.requests[i].snapshot);
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    const cellular::CallRequest& r = requests[i];
-    cellular::AdmissionContext ctx{net.station(r.target_cell), 0.0};
+    const cellular::CallRequest& r = trace.requests[i];
+    cellular::AdmissionContext ctx{trace.net.station(r.target_cell), 0.0};
     ctx.predicted = predicted[i];
     benchmark::DoNotOptimize(controller->decide(r, ctx));
-    i = i + 1 < kTrace ? i + 1 : 0;
+    i = DecisionTrace::next(i);
   }
   state.SetItemsProcessed(state.iterations());
 }

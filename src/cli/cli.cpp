@@ -306,11 +306,14 @@ network:
 
 run:
   --seed N              RNG seed (default 1)
-  --shards N            worker shards for one run (default from scenario;
-                        results are bit-identical at any shard count)
-  --commit-groups N     commit lanes for the two-level commit (default 1 =
-                        one serialized commit phase, bit-identical to the
-                        ungrouped engine; N>1 needs a cell-local policy
+  --shards N            worker threads for one run (default from scenario):
+                        request preparation fans out by call, commit
+                        groups fan out over the workers (group g on
+                        worker g mod N); results are bit-identical at
+                        any shard count
+  --commit-groups N     cell groups, each owning its event queue, local
+                        mobility phase and commit lane (default 1 = one
+                        serialized commit; N>1 needs a cell-local policy
                         and changes cross-group visibility — see README
                         "Commit groups & reservations"; deterministic at
                         any shard count)
@@ -329,7 +332,7 @@ run:
                         truncated rationales are counted and warned about)
   --serve               streaming service mode: one JSON Lines record per
                         metrics window on stdout (window deltas, cumulative
-                        state, call-pool / ring-buffer stats), final line
+                        state, call-pool stats), final line
                         carries the batch-identical totals — see README
                         "Streaming service mode"
   --metrics-every S     streaming emission period, simulated seconds

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "cellular/policy_registry.hpp"
-#include "sim/reservation.hpp"  // mergeCombine — the barrier's combining shape
 
 namespace facs::scc {
 
@@ -454,31 +453,22 @@ cellular::BarrierDrainStats ShadowClusterController::onCommitBarrier(
 
 cellular::BarrierDrainStats ShadowClusterController::drainBarrierWork() {
   cellular::BarrierDrainStats stats;
-  // Fold the deferred cross-group writes: sort each acting group's buffer
-  // by the canonical (cell, interval, group, seq) key, tree-combine pairs
-  // of sorted runs (the reservation drain's combining shape), then apply
-  // serially. The fold order is a pure function of the committed event
-  // sequence, so the float sums are reproducible at any shard count.
-  bool any = false;
-  for (std::vector<DemandDelta>& buffer : deferred_) {
-    if (!buffer.empty()) {
-      std::sort(buffer.begin(), buffer.end(), DemandDeltaEarlier{});
-      any = true;
-    }
+  // Fold the deferred cross-group writes: concatenate the acting groups'
+  // buffers in group order, sort once by the total (cell, interval, group,
+  // seq) key, then apply serially. The fold order is a pure function of the
+  // committed event sequence, so the float sums are reproducible at any
+  // shard count.
+  std::vector<DemandDelta>& all = deferred_[0];
+  for (std::size_t g = 1; g < deferred_.size(); ++g) {
+    all.insert(all.end(), deferred_[g].begin(), deferred_[g].end());
+    deferred_[g].clear();
   }
-  if (any) {
-    for (std::size_t step = 1; step < deferred_.size(); step *= 2) {
-      for (std::size_t g = 0; g + step < deferred_.size(); g += 2 * step) {
-        sim::mergeCombine(deferred_[g], deferred_[g + step],
-                          DemandDeltaEarlier{});
-      }
-    }
-    for (const DemandDelta& delta : deferred_[0]) {
-      demand_[demandIndex(delta.cell, delta.k)] += delta.value;
-    }
-    stats.deltas_applied = deferred_[0].size();
-    deferred_[0].clear();
+  std::sort(all.begin(), all.end(), DemandDeltaEarlier{});
+  for (const DemandDelta& delta : all) {
+    demand_[demandIndex(delta.cell, delta.k)] += delta.value;
   }
+  stats.deltas_applied = all.size();
+  all.clear();
   // Re-home boundary-crossing handoff refreshes: the fresh shadow already
   // sits in stores_[to_group]; the stale record under the old anchor still
   // holds its contribution in a foreign store. Serial context — retract

@@ -119,7 +119,7 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// can keep per-group shadow stores keyed by the engine's partition and
   /// commit from concurrent group lanes — GroupLocal: in-group footprint
   /// rows update live, rows crossing a group boundary defer into
-  /// demand-delta records drained (tree-combined) at onCommitBarrier().
+  /// demand-delta records drained (sorted once) at onCommitBarrier().
   /// reach = 0 is the original unbounded accumulation — every update
   /// touches every cell — which no partition can confine: Global, and the
   /// engine serializes to one lane.
@@ -146,9 +146,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// total projected demand is conserved exactly across a repartition.
   void onPartitionChanged(const cellular::CellGroupPartition& p) override;
 
-  /// Applies the deferred cross-group demand deltas (sorted per acting
-  /// group, tree-combined in canonical (cell, interval, group, seq) order,
-  /// then folded serially), re-homes shadows whose handoff refresh crossed
+  /// Applies the deferred cross-group demand deltas (concatenated, sorted
+  /// once in canonical (cell, interval, group, seq) order, then folded
+  /// serially), re-homes shadows whose handoff refresh crossed
   /// a group boundary, runs any due per-group exact rebuilds, and
   /// refreshes the barrier snapshot foreign-row reads use. Single-threaded
   /// by the engine's contract.
@@ -268,8 +268,8 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// incremental updates accumulated there, minus the float residue.
   void maybeRebuildGrouped();
 
-  /// Folds the deferred cross-group deltas (sort per buffer, tree-combine,
-  /// serial apply) and re-homes migrated shadows. Barrier context.
+  /// Folds the deferred cross-group deltas (concatenate, sort once, serial
+  /// apply) and re-homes migrated shadows. Barrier context.
   [[nodiscard]] cellular::BarrierDrainStats drainBarrierWork();
 
   /// True when per-group stores are live: a partition with more than one

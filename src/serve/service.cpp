@@ -81,10 +81,7 @@ std::string windowJsonLine(const sim::WindowSnapshot& w,
      << ", \"pool_high_water\": " << s.pool_high_water
      << ", \"pool_acquired\": " << s.pool_acquired
      << ", \"pool_released\": " << s.pool_released
-     << ", \"pool_grow_events\": " << s.pool_grow_events
-     << ", \"ring_capacity\": " << s.ring_capacity
-     << ", \"ring_high_water\": " << s.ring_high_water
-     << ", \"ring_spills\": " << s.ring_spills << "}";
+     << ", \"pool_grow_events\": " << s.pool_grow_events << "}";
   return os.str();
 }
 

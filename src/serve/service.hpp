@@ -8,9 +8,8 @@
 /// run-cumulative per-lane committed-event counts (`lane_events_cum` — the
 /// live lane-balance signal; wall-clock lane times stay out of the stream
 /// so records remain byte-identical run to run) and the
-/// allocation-substrate stats (call-pool occupancy/high-water, ring
-/// high-water/spills) a supervisor needs to assert the engine's memory is
-/// flat.
+/// allocation-substrate stats (call-pool occupancy/high-water/growth) a
+/// supervisor needs to assert the engine's memory is flat.
 ///
 /// Equivalence contract (tested in tests/sim/serve_mode_test.cpp): windows
 /// are aligned to the engine's own tick-window barriers, so a streamed run
@@ -18,9 +17,10 @@
 /// sum exactly to the batch totals, and the final record's cumulative
 /// counters are bit-identical to the batch Metrics, at any shards ×
 /// commit_groups. Repeated runs of a fixed (config, seed, shards,
-/// commit_groups) are byte-identical, and every record's METRICS content
-/// is shard-count-invariant — only the substrate stats (ring occupancy)
-/// reflect how the work happened to be partitioned. One caveat for runs
+/// commit_groups) are byte-identical, and at a fixed commit_groups every
+/// record is shard-count-invariant (the call pool recycles slots in the
+/// serial barrier, so even its stats do not depend on the worker count).
+/// One caveat for runs
 /// WITHOUT handoffs (no natural barriers): the emission period itself
 /// windows the run, which lowers how many calls are materialized at once
 /// — every metric still matches the batch run except

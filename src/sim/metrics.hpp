@@ -140,12 +140,12 @@ struct Metrics {
   // that caps sharded speedup (Amdahl). With commit_groups > 1 the
   // per-group lane section runs concurrently and is accounted separately
   // (commit_lane_s); commit_phase_s then covers only what stays serialized:
-  // routing the merged mailboxes and draining reservations at the barrier.
+  // draining reservations and policy residue at the barrier.
   // At commit_groups == 1 the single lane IS the serialized commit, so its
   // time stays in commit_phase_s and commit_lane_s is 0 — the baseline the
   // grouped share is compared against.
   double prepare_phase_s = 0.0;  ///< Parallel: arrival draws, GPS tracking.
-  double local_phase_s = 0.0;    ///< Parallel: per-shard queue draining.
+  double local_phase_s = 0.0;    ///< Parallel: per-group queue draining.
   double commit_phase_s = 0.0;   ///< Serial: ledger/controller mutations.
   double commit_lane_s = 0.0;    ///< Parallel: group commit lanes (groups>1).
 

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <vector>
 
 #include "cellular/call.hpp"
@@ -79,25 +78,5 @@ class ReservationMailbox {
  private:
   std::vector<Reservation> pending_;
 };
-
-/// One round of a tree-structured combining step: merge two already-sorted
-/// partial sequences into the left one (the Yu et al. NIC-barrier shape —
-/// pairwise combining in O(log N) rounds instead of one O(N) serial sweep).
-/// Each parallel drain leaves its deferred work pre-sorted in canonical
-/// order, so the barrier only ever merges, never re-sorts.
-template <typename T, typename Less>
-void mergeCombine(std::vector<T>& left, std::vector<T>& right, Less less) {
-  if (right.empty()) return;
-  if (left.empty()) {
-    left.swap(right);
-    return;
-  }
-  std::vector<T> merged;
-  merged.reserve(left.size() + right.size());
-  std::merge(left.begin(), left.end(), right.begin(), right.end(),
-             std::back_inserter(merged), less);
-  left.swap(merged);
-  right.clear();
-}
 
 }  // namespace facs::sim

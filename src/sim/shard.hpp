@@ -1,20 +1,20 @@
 #pragma once
 /// \file shard.hpp
-/// Sharded-execution substrate for the simulator: a persistent worker pool
-/// whose shards advance in lock-stepped phases, and the mailbox types
-/// shards use to hand cross-cell work (handoffs, decisions, releases) to
-/// the serialized commit phase at each tick barrier.
+/// Worker substrate for the simulator: a persistent pool of worker threads
+/// that advance in lock-stepped phases, and the event types each commit
+/// group's queue and lane carry.
 ///
-/// Determinism contract: shard workers only ever touch shard-owned state
-/// (their own event queue, per-call motion state and RNG streams); every
-/// mutation of shared state (ledgers, the admission controller, metrics)
-/// happens in the single-threaded commit phase, which processes the merged
-/// mailboxes in a canonical (time, kind, call) order. The partition of
-/// cells over shards therefore cannot change any simulation outcome — only
-/// how much local work runs concurrently. The one policy call workers make
-/// is AdmissionController::precompute(), which is const and state-free by
-/// contract (it computes a pure function of a call-owned snapshot), so it
-/// is concurrency-safe and outcome-neutral by construction.
+/// Determinism contract: a worker only ever touches state owned by the
+/// commit groups it runs (their event queues, lanes, ledgers, and the
+/// motion state and RNG streams of the calls they carry) or, in the
+/// prepare phase, the calls it was handed. Every lane replays its events in
+/// a canonical (time, kind, call) order, and cross-group work waits for the
+/// serial tick barrier, so the worker count cannot change any simulation
+/// outcome — only how much work runs concurrently. The one policy call
+/// outside a lane is AdmissionController::precompute(), which is const and
+/// state-free by contract (it computes a pure function of a call-owned
+/// snapshot), so it is concurrency-safe and outcome-neutral by
+/// construction.
 
 #include <condition_variable>
 #include <cstdint>
@@ -28,7 +28,7 @@
 
 namespace facs::sim {
 
-/// What a shard asks the commit phase to do. Values double as the
+/// What an event asks its group's lane to do. Values double as the
 /// canonical tie-break rank for events at equal timestamps (ends release
 /// capacity before decisions consume it; boundary crossings commit last).
 enum class ShardEventKind : std::uint8_t {
@@ -37,13 +37,13 @@ enum class ShardEventKind : std::uint8_t {
   Move = 2,      ///< A mobility step detected a cell crossing / coverage exit.
 };
 
-/// One entry of a shard's event queue or outbox mailbox.
+/// One entry of a group's event queue or commit lane.
 struct ShardEvent {
   ShardEventKind kind = ShardEventKind::Move;
   cellular::CallId call = 0;
   /// Ownership generation of the call when the event was scheduled. A call
-  /// that migrates between shards (handoff) bumps its epoch; stale copies
-  /// left in the old owner's queue fail the epoch check and are dropped.
+  /// that changes cell (handoff) bumps its epoch; stale copies left in the
+  /// old group's queue fail the epoch check and are dropped.
   std::uint32_t epoch = 0;
   /// Call-pool slot the call occupied when the event was scheduled. The
   /// pool recycles slots of finished calls, so an event is only live when
@@ -53,8 +53,8 @@ struct ShardEvent {
 };
 
 /// Canonical commit order: time, then kind rank, then call id. Independent
-/// of shard count and of per-shard queue insertion order, which is what
-/// makes sharded runs bit-identical to serial ones.
+/// of the worker count and of queue insertion order, which is what makes
+/// multi-worker runs bit-identical to serial ones.
 struct CommitEntry {
   double time_s = 0.0;
   ShardEvent event;

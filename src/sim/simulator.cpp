@@ -12,7 +12,6 @@
 
 #include "mobility/gps.hpp"
 #include "serve/call_pool.hpp"
-#include "serve/ring_buffer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/reservation.hpp"
 #include "sim/shard.hpp"
@@ -38,13 +37,6 @@ using mobility::MotionState;
 constexpr std::uint64_t kArrivalStream = 0;
 constexpr std::uint64_t kCallStreamBase = 16;
 
-/// Per-shard outbox ring capacity (entries). A window's outbox holds at
-/// most the events that commit in that window, which tracks concurrent
-/// calls, not cumulative ones; overflow spills to a counted vector, so an
-/// undersized ring degrades visibly (EngineWindowStats::ring_spills), not
-/// fatally.
-constexpr std::size_t kOutboxRingCapacity = 4096;
-
 /// Lifecycle of one simulated call.
 enum class CallPhase : std::uint8_t {
   Pending,  ///< Tracked, waiting for its admission instant.
@@ -53,9 +45,10 @@ enum class CallPhase : std::uint8_t {
 };
 
 /// Everything one call owns, living in a pool slot for exactly the call's
-/// lifetime. Shard workers touch only calls their cells carry; within the
-/// commit phase, exactly one group lane (the lane of the call's current
-/// cell) may touch a call per window, and the barrier drain runs alone.
+/// lifetime. Prepare builds it on any worker; from then on only the group
+/// that owns the call's current cell writes it — that group's local phase
+/// and lane, or its reservation drain at the barrier. Other groups only
+/// read its phase and epoch, to discard stale event copies.
 struct CallState {
   CallRequest request;  ///< target_cell kept current across handoffs.
   MotionState state;    ///< Ground truth.
@@ -63,8 +56,8 @@ struct CallState {
   Rng rng;              ///< Per-call stream; all of this call's draws.
   double end_time_s = -1.0;  ///< Valid while Active.
   CallPhase phase = CallPhase::Pending;
-  /// Ownership generation: bumped when the call changes shard (handoff) so
-  /// event copies left in the old owner's queue are recognisably stale.
+  /// Ownership generation: bumped when the call changes cell (handoff) so
+  /// event copies left in the old group's queue are recognisably stale.
   /// Also bumped when a cross-group reservation is posted, so no event can
   /// execute while the claim is in flight to the barrier.
   std::uint32_t epoch = 0;
@@ -239,11 +232,7 @@ class Engine {
             cfg, network_, controller_ ? requestedLanes(cfg, *controller_) : 1)},
         shard_count_{std::max(1, std::min(cfg.shards, kMaxShards))},
         pool_{shard_count_},
-        queues_(static_cast<std::size_t>(shard_count_)),
-        rings_(static_cast<std::size_t>(shard_count_),
-               serve::RingBuffer<CommitEntry>{kOutboxRingCapacity}),
-        spills_(static_cast<std::size_t>(shard_count_)),
-        local_events_(static_cast<std::size_t>(shard_count_), 0),
+        queues_(static_cast<std::size_t>(partition_.groups())),
         lanes_(static_cast<std::size_t>(partition_.groups())),
         mailboxes_(static_cast<std::size_t>(partition_.groups())) {
     if (!controller_) {
@@ -366,24 +355,21 @@ class Engine {
       const auto t2 = stamp();
       metrics_.local_phase_s += since(t1, t2);
 
-      // Commit: route the merged mailboxes to the group lanes (serial),
-      // replay each lane (concurrent when grouped; THE serialized commit
-      // when not), then drain cross-group reservations and flush deferred
-      // events at the barrier (serial). With one lane everything lands in
-      // commit_phase_s — the pre-grouped accounting; with several, the
-      // lane replay is no longer serialized and is reported separately.
-      routeCommits();
-      const auto t3 = stamp();
+      // Commit: replay each lane (concurrent when grouped; THE serialized
+      // commit when not), then drain cross-group reservations at the
+      // barrier. With one lane everything lands in commit_phase_s — the
+      // pre-grouped accounting; with several, the lane replay is no longer
+      // serialized and is reported separately.
       runLanes(window_end);
-      const auto t4 = stamp();
+      const auto t3 = stamp();
       drainBarrier(window_end);
       releaseFreed();
-      const auto t5 = stamp();
+      const auto t4 = stamp();
       if (grouped) {
-        metrics_.commit_phase_s += since(t2, t3) + since(t4, t5);
-        metrics_.commit_lane_s += since(t3, t4);
+        metrics_.commit_phase_s += since(t3, t4);
+        metrics_.commit_lane_s += since(t2, t3);
       } else {
-        metrics_.commit_phase_s += since(t2, t5);
+        metrics_.commit_phase_s += since(t2, t4);
       }
 
       // Mutations due exactly at this barrier apply now, after every
@@ -422,23 +408,12 @@ class Engine {
  private:
   using Queue = EventQueue<ShardEvent>;
 
-  /// Per-window deferred schedule: an event that belongs to a later window
-  /// and must be pushed into a shard queue — which lanes cannot do
-  /// concurrently (two groups' cells may share a shard queue), so lanes
-  /// buffer these and the barrier flushes them serially.
-  struct DeferredEvent {
-    double time_s = 0.0;
-    CellId cell = 0;
-    ShardEvent event;
-  };
-
   /// A drop-path controller release deferred out of the parallel
   /// reservation drain: onReleased() names the SOURCE cell's station,
   /// which belongs to a foreign group, so running it inside a per-group
-  /// drain would be the one cross-group touch of the whole barrier. Each
-  /// drain appends these in its canonical drain order; the barrier
-  /// tree-combines the per-lane runs (mergeCombine) and replays the result
-  /// serially in global (time, call) order.
+  /// drain would be the one cross-group touch of the whole barrier. The
+  /// barrier concatenates the per-lane runs, sorts them once by the total
+  /// (time, call) key and replays the result serially.
   struct DeferredRelease {
     double time_s = 0.0;
     CallId call = 0;
@@ -456,16 +431,14 @@ class Engine {
 
   /// One commit lane: the canonical-order replay queue of one cell group
   /// plus everything the lane accumulates privately — outgoing reservation
-  /// claims, deferred schedules, slots its commits finished (recycled at
-  /// the barrier: lanes run concurrently and must not touch the shared
-  /// freelist), its group's slice of the occupancy integral and of the
-  /// counters. Lanes never touch each other's state; the barrier folds
-  /// them in group order.
+  /// claims, slots its commits finished (recycled at the barrier: lanes
+  /// run concurrently and must not touch the shared freelist), its group's
+  /// slice of the occupancy integral and of the counters. Lanes never
+  /// touch each other's state; the barrier folds them in group order.
   struct GroupLane {
     std::priority_queue<CommitEntry, std::vector<CommitEntry>, CommitLater>
         queue;
     std::vector<Reservation> outgoing;
-    std::vector<DeferredEvent> deferred;
     /// Drop-path controller releases this lane's reservation drain
     /// deferred (already in canonical order — the drain order).
     std::vector<DeferredRelease> releases;
@@ -486,6 +459,9 @@ class Engine {
     /// apart from `events` because reservation commits were never part of
     /// engine_events and must not become part of it.
     std::uint64_t barrier_events = 0;
+    /// Home-cell mobility steps this group's local phase ran: part of
+    /// engine_events, never of lane_events.
+    std::uint64_t local_events = 0;
     /// Wall clock this lane spent running: its canonical replay plus its
     /// share of the parallel reservation drain (Metrics::lane_commit_s).
     /// Observational only — never an input to any outcome.
@@ -546,25 +522,46 @@ class Engine {
     }
   }
 
-  [[nodiscard]] int shardOf(CellId cell) const noexcept {
-    return static_cast<int>(static_cast<std::size_t>(cell) %
-                            static_cast<std::size_t>(shard_count_));
-  }
-
   [[nodiscard]] int laneOf(CellId cell) const {
     return partition_.groupOf(cell);
+  }
+
+  /// Schedules \p ev into the event queue of \p cell's group. Only that
+  /// group's lane or reservation drain ever calls this for its own cells,
+  /// so each queue has one writer per phase.
+  void schedule(double time_s, CellId cell, const ShardEvent& ev) {
+    queues_[static_cast<std::size_t>(laneOf(cell))].push(time_s, ev);
+  }
+
+  /// Runs \p fn(g) for every commit group: inline at one group, else over
+  /// the shard pool with group g on worker g mod shards.
+  template <typename Fn>
+  void forEachGroup(const Fn& fn) {
+    const int groups = partition_.groups();
+    if (groups == 1) {
+      fn(0);
+      return;
+    }
+    pool_.run([&](int shard) {
+      for (int g = shard; g < groups; g += shard_count_) fn(g);
+    });
   }
 
   [[nodiscard]] bool isDown(CellId cell) const noexcept {
     return !down_.empty() && down_[static_cast<std::size_t>(cell)] != 0;
   }
 
-  /// Resolves an event to its call iff the slot still carries the call the
-  /// event was scheduled for — the cross-lifetime staleness check (pool
-  /// slots recycle; epochs cover staleness within one lifetime).
+  /// Resolves an event to its call iff the event is still live: the slot
+  /// still carries the call it was scheduled for (pool slots recycle), a
+  /// Decision finds the call pending, and an End or Move finds it active
+  /// under the epoch it was scheduled with. Every other copy is stale.
   [[nodiscard]] CallState* liveCall(const ShardEvent& ev) {
     if (call_pool_.occupantOf(ev.slot) != ev.call) return nullptr;
-    return &call_pool_.at(ev.slot);
+    CallState& c = call_pool_.at(ev.slot);
+    const bool live = ev.kind == ShardEventKind::Decision
+                          ? c.phase == CallPhase::Pending
+                          : c.phase == CallPhase::Active && ev.epoch == c.epoch;
+    return live ? &c : nullptr;
   }
 
   [[nodiscard]] std::optional<double> nextEventTime() const {
@@ -604,10 +601,10 @@ class Engine {
   /// non-zero weight and all-silent epochs degrade to uniform) feed the
   /// weighted partition. Deterministic — the counts are pure functions of
   /// (config, seed), never wall time. Runs only in barrier context (lanes
-  /// quiesced, mailboxes drained, deferred events flushed), so remapping a
-  /// cell can never strand an in-flight claim or a queued lane event; the
-  /// per-group occupancy integrals are closed at \p at_s and re-based from
-  /// the live ledgers under the new mapping.
+  /// quiesced, mailboxes drained), so remapping a cell can never strand an
+  /// in-flight claim; the per-group occupancy integrals are closed at
+  /// \p at_s and re-based from the live ledgers under the new mapping, and
+  /// the event queues are re-homed to the new groups.
   void repartitionEpoch(double at_s) {
     next_epoch_s_ += cfg_.repartition_every_s;
     epoch_weights_.resize(cell_events_.size());
@@ -646,8 +643,25 @@ class Engine {
       lanes_[static_cast<std::size_t>(laneOf(cell.id))].occupied_bu +=
           network_.station(cell.id).occupiedBu();
     }
+    rehomeQueues();
     controller_->onPartitionChanged(partition_);
     ++metrics_.repartitions;
+  }
+
+  /// Moves every live queued event into the queue of its call's group under
+  /// the current mapping and drops stale copies (the local phase would
+  /// discard them anyway). The queues are fresh, because EventQueue refuses
+  /// a push earlier than its last pop.
+  void rehomeQueues() {
+    std::vector<Queue> old(queues_.size());
+    old.swap(queues_);
+    for (Queue& q : old) {
+      while (const auto e = q.pop()) {
+        if (const CallState* c = liveCall(e->payload)) {
+          schedule(e->time_s, c->request.target_cell, e->payload);
+        }
+      }
+    }
   }
 
   /// Minimum projected imbalance gain (max/mean group weight, a pure ratio)
@@ -732,7 +746,7 @@ class Engine {
     out.reservations_admitted += p.reservations_admitted;
     out.reservations_dropped += p.reservations_dropped;
     out.busy_bu_seconds += lane.busy_bu_seconds;
-    out.engine_events += lane.events;
+    out.engine_events += lane.events + lane.local_events;
   }
 
   /// The run's full Metrics at this instant, folded exactly like the final
@@ -753,7 +767,6 @@ class Engine {
     }
     out.observed_span_s = std::max(0.0, last_change_s - cfg_.warmup_s);
     out.total_capacity_bu = network_.totalCapacityBu();
-    for (const std::uint64_t n : local_events_) out.engine_events += n;
     out.peak_concurrent_calls = call_pool_.stats().high_water;
     return out;
   }
@@ -767,13 +780,6 @@ class Engine {
     s.pool_acquired = ps.acquired;
     s.pool_released = ps.released;
     s.pool_grow_events = ps.grow_events;
-    s.ring_capacity = rings_.empty() ? 0 : rings_.front().capacity();
-    for (const auto& r : rings_) {
-      s.ring_high_water =
-          std::max(s.ring_high_water,
-                   static_cast<std::uint64_t>(r.highWater()));
-    }
-    s.ring_spills = ring_spills_total_;
     s.mutations_applied = metrics_.mutations_applied;
     return s;
   }
@@ -809,7 +815,8 @@ class Engine {
   /// tracking through the observation window, the admission-time
   /// snapshot — in parallel over the shard pool (each call only touches
   /// its own slot and RNG stream), then schedule the decision events
-  /// serially in call order. Lazy-by-window is bit-identical to the old
+  /// serially in call order, each into its target cell's group queue.
+  /// Lazy-by-window is bit-identical to the old
   /// everything-up-front preparation: the arrival stream is consumed in
   /// the same order, and every other draw comes from the call's own
   /// stream, which does not care when it runs. Decision instants are
@@ -841,9 +848,8 @@ class Engine {
     for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
       const std::uint32_t slot = batch_slots_[i];
       const CallState& c = call_pool_.at(slot);
-      queues_[static_cast<std::size_t>(shardOf(c.request.target_cell))].push(
-          batch_times_[i] + track,
-          ShardEvent{ShardEventKind::Decision, c.request.call, 0, slot});
+      schedule(batch_times_[i] + track, c.request.target_cell,
+               ShardEvent{ShardEventKind::Decision, c.request.call, 0, slot});
     }
   }
 
@@ -942,103 +948,62 @@ class Engine {
 
   // ------------------------------------------------------------ local phase
 
-  /// Each shard drains its queue up to the window end. Mobility steps run
-  /// here (call-local: per-call RNG and state); everything that needs the
-  /// shared ledgers/controller becomes a ring-mailbox entry for the commit
-  /// phase (overflow spills to a counted vector — backpressure is visible,
-  /// not fatal). Stale events (recycled slots, superseded epochs, finished
+  /// Each group drains its event queue up to the window end. Mobility
+  /// steps run here (call-local: per-call RNG and state); everything that
+  /// needs the shared ledgers/controller goes straight into the group's
+  /// commit lane. Stale events (recycled slots, superseded epochs, finished
   /// calls) die here.
   void runLocalPhase(double window_end) {
-    pool_.run([&](int shard) {
-      Queue& q = queues_[static_cast<std::size_t>(shard)];
-      auto& ring = rings_[static_cast<std::size_t>(shard)];
-      auto& spill = spills_[static_cast<std::size_t>(shard)];
-      std::uint64_t& events = local_events_[static_cast<std::size_t>(shard)];
-      const auto emit = [&](const CommitEntry& e) {
-        if (!ring.tryPush(e)) spill.push_back(e);
-      };
+    forEachGroup([&](int g) {
+      Queue& q = queues_[static_cast<std::size_t>(g)];
+      GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
       while (const auto entry = q.popBefore(window_end)) {
         const ShardEvent& ev = entry->payload;
         CallState* cp = liveCall(ev);
-        if (!cp) continue;  // slot recycled: a previous lifetime's event
+        if (!cp) continue;
         CallState& c = *cp;
-        switch (ev.kind) {
-          case ShardEventKind::Decision:
-            if (c.phase != CallPhase::Pending) break;
-            emit(CommitEntry{entry->time_s, ev});
-            break;
-          case ShardEventKind::End:
-            if (c.phase != CallPhase::Active || ev.epoch != c.epoch) break;
-            emit(CommitEntry{entry->time_s, ev});
-            break;
-          case ShardEventKind::Move: {
-            if (c.phase != CallPhase::Active || ev.epoch != c.epoch) break;
-            c.model.step(c.state, cfg_.mobility_update_s, c.rng);
-            const auto now_cell = network_.cellAt(c.state.position_km);
-            if (now_cell && *now_cell == c.request.target_cell) {
-              // Still home: the step stays entirely shard-local. Only these
-              // count here — crossings count when their commit executes.
-              ++events;
-              q.push(entry->time_s + cfg_.mobility_update_s, ev);
-            } else {
-              // Crossed a border or left coverage: cross-cell, so the
-              // barrier decides (handoff admission / departure). The step
-              // changed the snapshot the handoff decision will see, so the
-              // prepared CV is stale — re-run the prediction here, in
-              // parallel, against the same snapshot commitCrossing() will
-              // reconstruct (a pure function of the unchanged motion state
-              // and cell centre, so the bits match).
-              if (now_cell) {
-                c.predicted = controller_->precompute(
-                    mobility::snapshotFromTruth(
-                        c.state, network_.cell(*now_cell).center));
-              }
-              emit(CommitEntry{entry->time_s, ev});
-            }
-            break;
-          }
+        if (laneOf(c.request.target_cell) != g) {
+          // A live event in a foreign group's queue means a re-home was
+          // missed: this group's lane must never touch that call.
+          throw std::logic_error("live event queued outside its call's group");
         }
+        if (ev.kind != ShardEventKind::Move) {
+          lane.queue.push(CommitEntry{entry->time_s, ev});
+          continue;
+        }
+        c.model.step(c.state, cfg_.mobility_update_s, c.rng);
+        const auto now_cell = network_.cellAt(c.state.position_km);
+        if (now_cell && *now_cell == c.request.target_cell) {
+          // Still home: the step stays entirely group-local. Only these
+          // count here — crossings count when their commit executes.
+          ++lane.local_events;
+          q.push(entry->time_s + cfg_.mobility_update_s, ev);
+          continue;
+        }
+        // Crossed a border or left coverage: cross-cell, so the lane
+        // decides (handoff admission / departure). The step changed the
+        // snapshot the handoff decision will see, so the prepared CV is
+        // stale — re-run the prediction here, in parallel, against the same
+        // snapshot commitCrossing() will reconstruct (a pure function of the
+        // unchanged motion state and cell centre, so the bits match).
+        if (now_cell) {
+          c.predicted = controller_->precompute(mobility::snapshotFromTruth(
+              c.state, network_.cell(*now_cell).center));
+        }
+        lane.queue.push(CommitEntry{entry->time_s, ev});
       }
     });
   }
 
   // ----------------------------------------------------------- commit phase
 
-  /// Serial routing step: every mailbox entry goes to the lane of the
-  /// call's current cell. All of a call's events of one window route to
-  /// one lane (pending calls do not move, and active calls change cells
-  /// only when that same lane — or the barrier — commits the crossing),
-  /// so lanes touch disjoint call and ledger state by construction. Ring
-  /// first, then the spill vector — together the shard's push order.
-  void routeCommits() {
-    const auto route = [&](const CommitEntry& e) {
-      const CellId cell = call_pool_.at(e.event.slot).request.target_cell;
-      lanes_[static_cast<std::size_t>(laneOf(cell))].queue.push(e);
-    };
-    for (std::size_t s = 0; s < rings_.size(); ++s) {
-      auto& ring = rings_[s];
-      while (auto e = ring.tryPop()) route(*e);
-      auto& spill = spills_[s];
-      ring_spills_total_ += spill.size();
-      for (const CommitEntry& e : spill) route(e);
-      spill.clear();
-    }
-  }
-
   /// Replays every lane to quiescence. One lane runs inline (it IS the
-  /// serialized commit phase of the pre-grouped engine); several fan out
-  /// over the shard pool, each worker walking the lanes it owns.
+  /// serialized commit phase of the pre-grouped engine). All of a call's
+  /// events of one window sit in one lane (pending calls do not move, and
+  /// active calls change cells only when that same lane — or the barrier —
+  /// commits the crossing), so lanes touch disjoint call and ledger state.
   void runLanes(double window_end) {
-    const int lane_count = partition_.groups();
-    if (lane_count == 1) {
-      runLane(0, window_end);
-      return;
-    }
-    pool_.run([&](int shard) {
-      for (int g = shard; g < lane_count; g += shard_count_) {
-        runLane(g, window_end);
-      }
-    });
+    forEachGroup([&](int g) { runLane(g, window_end); });
   }
 
   /// Drains one lane's queue — plus any follow-up events commits push back
@@ -1052,31 +1017,21 @@ class Engine {
       lane.queue.pop();
       const double now = e.time_s;
       CallState* cp = liveCall(e.event);
-      if (!cp) continue;
-      CallState& c = *cp;
       // Only events that execute count toward engine_events; stale entries
       // superseded by an in-window handoff or drop are bookkeeping noise.
+      if (!cp) continue;
+      CallState& c = *cp;
+      ++lane.events;
+      noteCellLoad(c.request.target_cell);
       switch (e.event.kind) {
         case ShardEventKind::Decision:
-          if (c.phase == CallPhase::Pending) {
-            ++lane.events;
-            noteCellLoad(c.request.target_cell);
-            commitDecision(lane, c, now, window_end);
-          }
+          commitDecision(lane, c, now, window_end);
           break;
         case ShardEventKind::End:
-          if (c.phase == CallPhase::Active && e.event.epoch == c.epoch) {
-            ++lane.events;
-            noteCellLoad(c.request.target_cell);
-            commitEnd(lane, c, now);
-          }
+          commitEnd(lane, c, now);
           break;
         case ShardEventKind::Move:
-          if (c.phase == CallPhase::Active && e.event.epoch == c.epoch) {
-            ++lane.events;
-            noteCellLoad(c.request.target_cell);
-            commitCrossing(g, lane, c, now, window_end);
-          }
+          commitCrossing(g, lane, c, now, window_end);
           break;
       }
     }
@@ -1087,29 +1042,25 @@ class Engine {
 
   /// Schedules an admitted call's departure: into the lane's own queue when
   /// it still falls inside this window (the call's cell stays in this
-  /// group), else deferred for the barrier to push into its owner shard's
-  /// queue.
+  /// group), else into the group's event queue for a later window.
   void scheduleEnd(GroupLane& lane, const CallState& c, CallId id,
                    double window_end) {
     const ShardEvent ev{ShardEventKind::End, id, c.epoch, c.slot};
     if (c.end_time_s < window_end) {
       lane.queue.push(CommitEntry{c.end_time_s, ev});
     } else {
-      lane.deferred.push_back(
-          DeferredEvent{c.end_time_s, c.request.target_cell, ev});
+      schedule(c.end_time_s, c.request.target_cell, ev);
     }
   }
 
   /// First mobility step after \p now: the next multiple of the update
   /// period strictly ahead of it (always >= window_end, i.e. next window).
-  void scheduleFirstMove(GroupLane& lane, const CallState& c, CallId id,
-                         double now) {
+  void scheduleFirstMove(const CallState& c, CallId id, double now) {
     if (!cfg_.enable_handoffs) return;
     const double period = cfg_.mobility_update_s;
     const double next = (std::floor(now / period) + 1.0) * period;
-    lane.deferred.push_back(DeferredEvent{
-        next, c.request.target_cell,
-        ShardEvent{ShardEventKind::Move, id, c.epoch, c.slot}});
+    schedule(next, c.request.target_cell,
+             ShardEvent{ShardEventKind::Move, id, c.epoch, c.slot});
   }
 
   /// Marks a lane-context call finished: the slot joins the lane's freed
@@ -1121,7 +1072,6 @@ class Engine {
 
   void commitDecision(GroupLane& lane, CallState& c, double now,
                       double window_end) {
-    if (c.phase != CallPhase::Pending) return;
     const CallRequest& req = c.request;
     cellular::BaseStation& station = network_.station(req.target_cell);
     // The prepare phase already ran the snapshot-only stage; decide() now
@@ -1169,7 +1119,7 @@ class Engine {
                              c.rng,
                              cellular::profileFor(req.service).mean_holding_s);
     scheduleEnd(lane, c, req.call, window_end);
-    scheduleFirstMove(lane, c, req.call, now);
+    scheduleFirstMove(c, req.call, now);
   }
 
   void commitEnd(GroupLane& lane, CallState& c, double now) {
@@ -1253,9 +1203,8 @@ class Engine {
       // with the new one.
       ++c.epoch;
       scheduleEnd(lane, c, req.call, window_end);
-      lane.deferred.push_back(DeferredEvent{
-          now + cfg_.mobility_update_s, *new_cell,
-          ShardEvent{ShardEventKind::Move, req.call, c.epoch, c.slot}});
+      schedule(now + cfg_.mobility_update_s, *new_cell,
+               ShardEvent{ShardEventKind::Move, req.call, c.epoch, c.slot});
     } else {
       if (count) ++lane.partial.handoff_dropped;
       controller_->onRejected(req, ctx);
@@ -1269,14 +1218,11 @@ class Engine {
   /// The tick-window barrier, after every lane has quiesced: cross-group
   /// reservations are delivered to their target groups' mailboxes and
   /// drained PER TARGET GROUP, concurrently — each drain validates its
-  /// claims in canonical (time, call) order against ledgers and call state
-  /// only its own group owns. The one cross-group touch (the drop path's
-  /// source-cell controller release) is deferred into per-lane runs that a
-  /// tree-structured combining step merges in O(log groups) rounds and the
-  /// barrier root replays serially; everything else a drain cannot do
-  /// concurrently (shard-queue pushes, pool recycling) rides the existing
-  /// deferred/freed machinery. Then the lanes' deferred next-window events
-  /// are flushed into the shard queues (serial: queues are shared).
+  /// claims in canonical (time, call) order against ledgers, call state and
+  /// the event queue only its own group owns. The one cross-group touch
+  /// (the drop path's source-cell controller release) is deferred into
+  /// per-lane runs that the barrier sorts once and replays serially; pool
+  /// recycling rides the lanes' freed lists.
   void drainBarrier(double window_end) {
     bool any = false;
     for (GroupLane& lane : lanes_) {
@@ -1292,13 +1238,6 @@ class Engine {
     // group boundary defers deltas even when no call crossed (no
     // reservation posted).
     policyBarrier(window_end);
-    for (GroupLane& lane : lanes_) {
-      for (const DeferredEvent& d : lane.deferred) {
-        queues_[static_cast<std::size_t>(shardOf(d.cell))].push(d.time_s,
-                                                                d.event);
-      }
-      lane.deferred.clear();
-    }
   }
 
   /// Lets a GroupLocal policy apply its deferred cross-group writes (and
@@ -1313,12 +1252,10 @@ class Engine {
     metrics_.shadow_migrations += stats.shadows_migrated;
   }
 
-  /// Fans the reservation drain out over the shard pool, one worker per
-  /// target group (ledger-disjoint by construction), then combines and
-  /// replays the deferred drop-path releases.
+  /// Fans the reservation drain out over the groups (ledger-disjoint by
+  /// construction), then replays the deferred drop-path releases.
   void drainMailboxes(double window_end) {
-    const int lane_count = partition_.groups();
-    const auto drainOne = [&](int g) {
+    forEachGroup([&](int g) {
       auto& mailbox = mailboxes_[static_cast<std::size_t>(g)];
       if (mailbox.empty()) return;
       GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
@@ -1329,60 +1266,28 @@ class Engine {
       lane.wall_s += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
-    };
-    if (lane_count == 1) {
-      drainOne(0);
-    } else {
-      pool_.run([&](int shard) {
-        for (int g = shard; g < lane_count; g += shard_count_) {
-          drainOne(g);
-        }
-      });
-    }
-    combineAndRunReleases();
+    });
+    runDeferredReleases();
   }
 
-  /// Tree-structured combining for the deferred drop-path releases (the
-  /// Yu et al. collective-barrier shape): log2(groups) pairwise merge
-  /// rounds fold every lane's (already canonically ordered) run into lane
-  /// 0, then the root replays the combined run serially in global
-  /// (time, call) order — the only stage allowed to touch foreign groups'
-  /// controller state.
-  void combineAndRunReleases() {
-    const int lane_count = partition_.groups();
-    bool any = false;
-    for (const GroupLane& lane : lanes_) {
-      if (!lane.releases.empty()) {
-        any = true;
-        break;
-      }
+  /// Concatenates the lanes' deferred drop-path releases in group order,
+  /// sorts them once by the total (time, call) key — a call crosses at most
+  /// one border per window — and replays them serially: the only stage
+  /// allowed to touch foreign groups' controller state.
+  void runDeferredReleases() {
+    std::vector<DeferredRelease>& all = lanes_[0].releases;
+    for (std::size_t g = 1; g < lanes_.size(); ++g) {
+      std::vector<DeferredRelease>& run = lanes_[g].releases;
+      all.insert(all.end(), run.begin(), run.end());
+      run.clear();
     }
-    if (!any) return;
-    for (int step = 1; step < lane_count; step *= 2) {
-      const int stride = 2 * step;
-      // More than one pair this round: merge the pairs concurrently (each
-      // touches only its own two lanes).
-      if (lane_count > stride) {
-        pool_.run([&](int shard) {
-          for (int g = shard * stride; g + step < lane_count;
-               g += shard_count_ * stride) {
-            mergeCombine(lanes_[static_cast<std::size_t>(g)].releases,
-                         lanes_[static_cast<std::size_t>(g + step)].releases,
-                         DeferredReleaseEarlier{});
-          }
-        });
-      } else {
-        mergeCombine(lanes_[0].releases,
-                     lanes_[static_cast<std::size_t>(step)].releases,
-                     DeferredReleaseEarlier{});
-      }
-    }
-    for (const DeferredRelease& d : lanes_[0].releases) {
+    std::sort(all.begin(), all.end(), DeferredReleaseEarlier{});
+    for (const DeferredRelease& d : all) {
       controller_->onReleased(
           d.request,
           AdmissionContext{network_.station(d.from_cell), d.time_s});
     }
-    lanes_[0].releases.clear();
+    all.clear();
   }
 
   /// Recycles the slots of every call the lanes finished this window.
@@ -1408,9 +1313,9 @@ class Engine {
   /// is owned by \p lane's group (the target station and ledger slice, the
   /// call — a call crosses at most one border per window, so exactly one
   /// drain sees it, and its epoch bump keeps every other event copy
-  /// stale) or a lane-private buffer (counters in lane.partial, queue
-  /// pushes in lane.deferred, slot recycling in lane.freed, the drop
-  /// path's foreign-station release in lane.releases).
+  /// stale), its group's event queue, or a lane-private buffer (counters
+  /// in lane.partial, slot recycling in lane.freed, the drop path's
+  /// foreign-station release in lane.releases).
   void commitReservation(GroupLane& lane, const Reservation& r,
                          double window_end) {
     CallState& c = call_pool_.at(r.slot);
@@ -1452,7 +1357,7 @@ class Engine {
       }
       controller_->onRejected(req, ctx);
       // The source-cell release is the drop path's one foreign-group
-      // touch: deferred for the combining barrier to replay serially.
+      // touch: deferred for the barrier to replay serially.
       lane.releases.push_back(
           DeferredRelease{r.time_s, r.call, c.request, r.from_cell});
       c.phase = CallPhase::Done;
@@ -1485,12 +1390,10 @@ class Engine {
       lane.freed.push_back(r.slot);
       return;
     }
-    lane.deferred.push_back(DeferredEvent{
-        c.end_time_s, r.to_cell,
-        ShardEvent{ShardEventKind::End, r.call, c.epoch, r.slot}});
-    lane.deferred.push_back(DeferredEvent{
-        r.time_s + cfg_.mobility_update_s, r.to_cell,
-        ShardEvent{ShardEventKind::Move, r.call, c.epoch, r.slot}});
+    schedule(c.end_time_s, r.to_cell,
+             ShardEvent{ShardEventKind::End, r.call, c.epoch, r.slot});
+    schedule(r.time_s + cfg_.mobility_update_s, r.to_cell,
+             ShardEvent{ShardEventKind::Move, r.call, c.epoch, r.slot});
   }
 
   // ------------------------------------------------------------- mutations
@@ -1571,12 +1474,7 @@ class Engine {
   int shard_count_;
   ShardPool pool_;
 
-  std::vector<Queue> queues_;  ///< One per shard.
-  /// Per-shard outbox: a fixed ring plus a counted spill vector for
-  /// overflow. Together they preserve the shard's push order.
-  std::vector<serve::RingBuffer<CommitEntry>> rings_;
-  std::vector<std::vector<CommitEntry>> spills_;
-  std::vector<std::uint64_t> local_events_;   ///< One per shard.
+  std::vector<Queue> queues_;                 ///< One per group.
   std::vector<GroupLane> lanes_;              ///< One per group.
   std::vector<ReservationMailbox> mailboxes_; ///< One per group.
 
@@ -1618,8 +1516,6 @@ class Engine {
   double next_epoch_s_ = std::numeric_limits<double>::infinity();
   std::vector<double> epoch_weights_;
   std::vector<double> group_weight_;  ///< weightImbalance() scratch.
-
-  std::uint64_t ring_spills_total_ = 0;
 
   // Streaming emission state.
   double next_emit_s_ = 0.0;

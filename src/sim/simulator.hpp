@@ -5,36 +5,33 @@
 /// optional multi-cell mobility with handoffs, and full capacity-invariant
 /// enforcement through the base-station ledgers.
 ///
-/// Execution model (sharded engine): cells are partitioned over
-/// SimulationConfig::shards worker shards. Each shard owns the event queues
-/// of its cells plus the motion state and RNG stream of every call they
-/// carry, and advances in lock-stepped tick windows sized by the mobility
-/// update period (the minimum latency at which a call can cross cells).
-/// Within a window, shards do the call-local work concurrently — GPS
-/// tracking, mobility integration, boundary detection — and hand every
-/// shared-state mutation (admission decisions, releases, handoffs) to a
-/// commit phase at the tick barrier, which replays the merged per-shard
-/// mailboxes in canonical (time, kind, call) order. All randomness is
-/// drawn from per-call SplitMix-derived streams, so runs are bit-identical
-/// for a fixed seed at ANY shard count, including shards=1 (the serial
-/// path: same phases, no worker threads).
+/// Execution model: cells are partitioned into commit groups
+/// (cellular::CellGroupPartition), and each group owns its cells end to
+/// end — one event queue, the local mobility phase of the calls it
+/// carries, and a commit lane — like a base station that admits its own
+/// calls. The run advances in lock-stepped tick windows sized by the
+/// mobility update period (the minimum latency at which a call can cross
+/// cells). Within a window, each group does its call-local work (mobility
+/// integration, boundary detection), then its lane replays the window's
+/// admission decisions, releases and handoffs in canonical
+/// (time, kind, call) order. Groups run on SimulationConfig::shards worker
+/// threads (group g on worker g mod shards); request preparation (spawn
+/// draw, GPS tracking) fans out over the workers by call. All randomness
+/// is drawn from per-call SplitMix-derived streams, so runs are
+/// bit-identical for a fixed seed and group count at ANY shard count,
+/// including shards=1 (no worker threads).
 ///
-/// Two-level commit (commit_groups > 1): instead of one serialized commit
-/// thread, cells are partitioned into commit groups
-/// (cellular::CellGroupPartition) and each group's lane replays its own
-/// events concurrently, in the same canonical order. Handoffs that cross a
-/// group border cannot commit inside either lane; the source lane releases
-/// its half at the crossing instant and posts a Reservation (the paper's
-/// inter-BS message, sim/reservation.hpp) into the target group's mailbox,
-/// drained in canonical order at the tick-window barrier with every
-/// capacity claim re-validated against the live ledger and policy state.
-/// Group-parallel lanes require the policy to declare
-/// cellular::CommitScope::CellLocal; Global-scope policies (SCC, SIR)
-/// degrade to one lane. commit_groups == 1 is bit-identical to the
-/// single-threaded commit at any shard count; commit_groups > 1 changes
-/// cross-group visibility (see README "Commit groups & reservations") but
-/// stays deterministic: fixed (config, seed, groups) gives the same bits
-/// at any shard count.
+/// Handoffs that cross a group border cannot commit inside either lane;
+/// the source lane releases its half at the crossing instant and posts a
+/// Reservation (the paper's inter-BS message, sim/reservation.hpp) into
+/// the target group's mailbox, drained in canonical order at the
+/// tick-window barrier with every capacity claim re-validated against the
+/// live ledger and policy state. Several groups require the policy to
+/// declare cellular::CommitScope::CellLocal or GroupLocal; Global-scope
+/// policies (SCC at reach 0, SIR at radius 0) degrade to one group.
+/// commit_groups == 1 is the single serialized commit; commit_groups > 1
+/// changes cross-group visibility (see README "Commit groups &
+/// reservations") but stays deterministic.
 
 #include <cstdint>
 #include <functional>
@@ -132,24 +129,26 @@ struct SimulationConfig {
   std::uint64_t seed = 1;
   ScenarioParams scenario{};
 
-  /// Worker shards for one run. 1 = serial (no threads). N > 1 partitions
-  /// cells round-robin over N workers that advance in lock-stepped ticks;
-  /// metrics are bit-identical to the serial run for the same seed. Counts
-  /// above the cell count still help: request preparation (GPS tracking)
-  /// is sharded by call, not by cell. Must be in [1, kMaxShards].
+  /// Worker threads for one run. 1 = serial (no threads). With N > 1,
+  /// request preparation (spawn draw, GPS tracking) fans out over the N
+  /// workers by call, and the commit groups fan out over them (group g on
+  /// worker g mod N); a single group runs its local phase and lane on the
+  /// calling thread. Metrics are bit-identical to the serial run for the
+  /// same seed and group count. Must be in [1, kMaxShards].
   int shards = 1;
 
-  /// Commit lanes for the two-level commit scheme. 1 (default) = one
-  /// serialized commit phase, bit-identical to the pre-grouped engine at
-  /// any shard count. N > 1 partitions cells into N contiguous groups
-  /// whose lanes commit concurrently, exchanging cross-group handoffs as
+  /// The cell partition. 1 (default) = one group holding every cell: one
+  /// event queue and one serialized commit lane, bit-identical at any
+  /// shard count. N > 1 partitions cells into N contiguous groups, each
+  /// owning its event queue, local mobility phase and commit lane; the
+  /// groups run concurrently and exchange cross-group handoffs as
   /// Reservations at the tick-window barrier. Requires a policy with
-  /// cellular::CommitScope::CellLocal — Global-scope policies silently
-  /// degrade to one lane (Metrics::commit_groups reports the effective
-  /// count). Deterministic for fixed (config, seed): the same groups give
-  /// the same bits at any shard count, but different group counts are
-  /// different (documented) visibility semantics, not reorderings of one
-  /// truth. Must be in [1, kMaxShards].
+  /// cellular::CommitScope::CellLocal or GroupLocal — Global-scope
+  /// policies silently degrade to one lane (Metrics::commit_groups
+  /// reports the effective count). Deterministic for fixed (config, seed):
+  /// the same groups give the same bits at any shard count, but different
+  /// group counts are different (documented) visibility semantics, not
+  /// reorderings of one truth. Must be in [1, kMaxShards].
   int commit_groups = 1;
 
   /// Cell-to-commit-group mapping strategy. Contiguous (default) keeps
@@ -227,9 +226,9 @@ struct EngineWindowStats {
   std::uint64_t pool_acquired = 0;     ///< Lifetime slot acquisitions.
   std::uint64_t pool_released = 0;     ///< Lifetime slot releases.
   std::uint64_t pool_grow_events = 0;  ///< Slab allocations (flat = good).
-  std::uint64_t ring_capacity = 0;     ///< Per-shard outbox ring capacity.
-  std::uint64_t ring_high_water = 0;   ///< Max ring occupancy (any shard).
-  std::uint64_t ring_spills = 0;       ///< Entries that overflowed a ring.
+  /// Always 0: the engine has no outbox rings any more. Kept only because
+  /// perfbench/main.cpp still reads it.
+  std::uint64_t ring_spills = 0;
   int mutations_applied = 0;           ///< Cumulative mutations so far.
 };
 

@@ -151,7 +151,9 @@ TEST(CommitGroups, GroupedRunsAreShardInvariantAndSeedStable) {
       cfg.shards = 1;
       const Metrics first = SimulationBuilder{cfg}.policy(policy).run();
       EXPECT_EQ(first.commit_groups, groups) << policy;
-      for (const int shards : {2, 4}) {
+      // 3 does not divide the group count and 8 exceeds it: workers that
+      // own two groups, and workers that own none.
+      for (const int shards : {2, 3, 4, 8}) {
         cfg.shards = shards;
         const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
         expectBitIdentical(first, m,
@@ -339,7 +341,7 @@ TEST(GroupLocalScc, SurvivesAMigratingHotspotRepartition) {
             first.reservations_admitted + first.reservations_dropped);
   EXPECT_EQ(first.handoff_requests,
             first.handoff_accepted + first.handoff_dropped);
-  for (const int shards : {2, 4}) {
+  for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
     const Metrics m = SimulationBuilder{cfg}.policy("scc:reach=2").run();
     expectBitIdentical(first, m,
@@ -467,7 +469,7 @@ TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
             first.reservations_admitted + first.reservations_dropped);
   EXPECT_EQ(first.handoff_requests,
             first.handoff_accepted + first.handoff_dropped);
-  for (const int shards : {2, 4}) {
+  for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
     const Metrics m = SimulationBuilder{cfg}.policy("sir:radius=1").run();
     expectBitIdentical(first, m,
@@ -638,7 +640,7 @@ TEST(WeightedPartition, EpochRepartitioningFollowsAMigratingHotspot) {
             first.reservations_admitted + first.reservations_dropped);
   EXPECT_EQ(first.handoff_requests,
             first.handoff_accepted + first.handoff_dropped);
-  for (const int shards : {2, 4}) {
+  for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
     const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
     expectBitIdentical(first, m,
@@ -709,28 +711,6 @@ TEST(ReservationMailbox, DrainsInCanonicalTimeThenCallOrder) {
   EXPECT_EQ(drained[3].call, 9);
   EXPECT_TRUE(box.empty());
   EXPECT_TRUE(box.drain().empty());
-}
-
-TEST(ReservationMailbox, MergeCombineKeepsSortedOrderAndDrainsTheRight) {
-  // The tree-combining primitive of the parallel drain: two sorted
-  // per-lane vectors merge into the left in one pass, the right empties,
-  // and repeated pairwise rounds reproduce the single global order.
-  const auto less = [](int a, int b) { return a < b; };
-  std::vector<int> left{1, 4, 9};
-  std::vector<int> right{2, 4, 7};
-  mergeCombine(left, right, less);
-  EXPECT_EQ(left, (std::vector<int>{1, 2, 4, 4, 7, 9}));
-  EXPECT_TRUE(right.empty());
-  // Degenerate shapes: empty right is a no-op, empty left adopts right.
-  std::vector<int> untouched{5};
-  std::vector<int> empty;
-  mergeCombine(untouched, empty, less);
-  EXPECT_EQ(untouched, (std::vector<int>{5}));
-  std::vector<int> adopter;
-  std::vector<int> donor{3, 8};
-  mergeCombine(adopter, donor, less);
-  EXPECT_EQ(adopter, (std::vector<int>{3, 8}));
-  EXPECT_TRUE(donor.empty());
 }
 
 }  // namespace

@@ -253,7 +253,6 @@ TEST(ServeMode, CallPoolStaysFlatUnderLongChurn) {
         << "window " << i << " allocated after warmup";
     EXPECT_EQ(windows[i].stats.pool_capacity, warm.pool_capacity)
         << "window " << i;
-    EXPECT_EQ(windows[i].stats.ring_spills, 0u) << "window " << i;
   }
   const EngineWindowStats& last = windows.back().stats;
   EXPECT_EQ(last.pool_acquired, 2000u);

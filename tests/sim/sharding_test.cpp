@@ -1,7 +1,7 @@
 /// \file sharding_test.cpp
 /// Determinism contract of the sharded engine: for a fixed seed, the
 /// serial run (shards=1) and every sharded run must produce bit-identical
-/// metrics — the cell partition may only change how much local work runs
+/// metrics — the worker count may only change how much work runs
 /// concurrently, never a single simulation outcome. Double fields are
 /// compared with exact equality on purpose: "close" would hide
 /// nondeterministic commit ordering.

@@ -5,6 +5,7 @@
 #include "cac/baselines.hpp"
 #include "core/facs.hpp"
 #include "scc/shadow_cluster.hpp"
+#include "serve/mutation.hpp"
 
 namespace facs::sim {
 namespace {
@@ -280,6 +281,78 @@ TEST(Simulator, TruncatedRationalesAreCountedOnlyWhenExplaining) {
   EXPECT_EQ(warmed.truncated_rationales, warmed.new_requests);
   EXPECT_LT(warmed.truncated_rationales, 25);
   EXPECT_GT(warmed.truncated_rationales, 0);
+}
+
+// ------------------------------------------------------------ edge configs
+
+TEST(EdgeConfig, RingsAreAcceptedUpToTheCapAndRejectedPastIt) {
+  // validateConfig checks geometry without building the network, so the
+  // 788k-cell cap itself validates cheaply.
+  SimulationConfig cfg = lightConfig(5);
+  cfg.rings = kMaxRings;
+  EXPECT_NO_THROW(validateConfig(cfg));
+  cfg.rings = kMaxRings + 1;
+  EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
+}
+
+TEST(EdgeConfig, UnitCapacityConservesRequests) {
+  // One BU fits a single text call and never a voice or video call; every
+  // request must still end up either accepted or blocked.
+  SimulationConfig cfg = lightConfig(200);
+  cfg.capacity_bu = 1;
+  for (const auto& factory : {completeSharing(), facsFactory()}) {
+    const Metrics m = runSimulation(cfg, factory);
+    EXPECT_EQ(m.new_requests, 200);
+    EXPECT_EQ(m.new_requests, m.new_accepted + m.new_blocked);
+    EXPECT_GT(m.new_blocked, 0);
+    EXPECT_LE(m.meanUtilization(), 1.0 + 1e-9);
+  }
+}
+
+serve::ScenarioMutation outageAt(double at_s) {
+  serve::ScenarioMutation m;
+  m.at_s = at_s;
+  m.op = serve::MutationOp::Outage;
+  m.cell = 0;
+  return m;
+}
+
+TEST(EdgeConfig, MutationAtTimeZeroAppliesBeforeTheFirstDecision) {
+  // The single cell goes down at t = 0: no decision may see it up.
+  SimulationConfig cfg = lightConfig(50);
+  cfg.mutations.push_back(outageAt(0.0));
+  const Metrics m = runSimulation(cfg, completeSharing());
+  EXPECT_EQ(m.mutations_applied, 1);
+  EXPECT_EQ(m.new_requests, 50);
+  EXPECT_EQ(m.new_accepted, 0);
+  EXPECT_EQ(m.new_blocked, 50);
+  EXPECT_EQ(m.outage_forced_drops, 0);
+}
+
+TEST(EdgeConfig, MutationAfterTheLastEventIsNotApplied) {
+  // Pins today's behaviour. With handoffs the run is windowed by the
+  // mobility period and ends after the window of its last event, so a
+  // mutation scheduled past it never fires and the run is the plain one.
+  SimulationConfig cfg = lightConfig(50);
+  cfg.rings = 1;
+  cfg.cell_radius_km = 2.0;
+  cfg.enable_handoffs = true;
+  const Metrics plain = runSimulation(cfg, completeSharing());
+  cfg.mutations.push_back(outageAt(1.0e6));
+  const Metrics m = runSimulation(cfg, completeSharing());
+  EXPECT_EQ(m.mutations_applied, 0);
+  EXPECT_EQ(m.outage_forced_drops, 0);
+  EXPECT_EQ(m.new_accepted, plain.new_accepted);
+  EXPECT_EQ(m.completed, plain.completed);
+  EXPECT_EQ(m.busy_bu_seconds, plain.busy_bu_seconds);
+
+  // Without handoffs the run is one unbounded window, which the mutation
+  // clamps to end at its instant: it applies there, after every event,
+  // and changes nothing.
+  cfg.enable_handoffs = false;
+  const Metrics unbounded = runSimulation(cfg, completeSharing());
+  EXPECT_EQ(unbounded.mutations_applied, 1);
+  EXPECT_EQ(unbounded.outage_forced_drops, 0);
 }
 
 }  // namespace

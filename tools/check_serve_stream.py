@@ -8,7 +8,7 @@ Checks, line by line (stdin or a file argument):
   * window indices count 0,1,2,... and [t0, t1) spans chain without gaps;
   * exactly one record has "final": true, and it is the last;
   * integer deltas are non-negative and cumulative doubles never shrink;
-  * pool/ring invariants hold (live <= high_water <= capacity... growth
+  * call-pool invariants hold (live <= high_water <= capacity... growth
     counters monotone);
   * flat steady state: after the first --warmup-windows records (default 2),
     pool_grow_events and pool_capacity never change again — the zero
@@ -37,14 +37,12 @@ LANE_ARRAY_KEY = "lane_events_cum"
 POOL_KEYS = [
     "pool_capacity", "pool_live", "pool_high_water",
     "pool_acquired", "pool_released", "pool_grow_events",
-    "ring_capacity", "ring_high_water", "ring_spills",
 ]
 REQUIRED = (["window", "t0", "t1", "final"] + DELTA_KEYS + CUMULATIVE_KEYS
             + ["percent_accepted_cum", "mean_utilization_cum"]
             + [LANE_ARRAY_KEY] + POOL_KEYS)
 MONOTONE_KEYS = CUMULATIVE_KEYS + [
     "pool_high_water", "pool_acquired", "pool_released", "pool_grow_events",
-    "ring_high_water", "ring_spills",
 ]
 
 
@@ -129,8 +127,6 @@ def main():
                 fail(line_no, "pool_high_water above pool_capacity")
             if rec["pool_acquired"] - rec["pool_released"] != rec["pool_live"]:
                 fail(line_no, "pool_acquired - pool_released != pool_live")
-            if rec["ring_high_water"] > rec["ring_capacity"]:
-                fail(line_no, "ring_high_water above ring_capacity")
 
             records += 1
             if records == args.warmup_windows:
