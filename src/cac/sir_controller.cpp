@@ -1,8 +1,6 @@
 #include "cac/sir_controller.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "cellular/network.hpp"
 #include "cellular/policy_registry.hpp"
@@ -15,9 +13,9 @@ using cellular::CallRequest;
 using cellular::CellId;
 using cellular::ReasonCode;
 
-SirController::SirController(const cellular::RadioModel& radio,
+SirController::SirController(const cellular::HexNetwork& network,
                              SirThresholds thresholds)
-    : radio_{radio}, thresholds_{thresholds} {}
+    : radio_{network}, thresholds_{thresholds} {}
 
 AdmissionDecision SirController::decide(const CallRequest& request,
                                         const AdmissionContext& context) {
@@ -28,8 +26,7 @@ AdmissionDecision SirController::decide(const CallRequest& request,
   } else {
     // GroupLocal read discipline: own-group utilizations live (this lane
     // owns their ledgers for the window), foreign groups from the barrier
-    // snapshot. Same interferer walk and arithmetic as sinrDb(), so a
-    // single-group partition reproduces the Global path bit-for-bit.
+    // snapshot. Same interferer walk and arithmetic as sinrDb().
     const int my_group = group_of_[serving];
     const cellular::HexNetwork& net = radio_.network();
     sinr_db = radio_.sinrDbWith(
@@ -74,9 +71,9 @@ void SirController::onPartitionChanged(
 }
 
 cellular::BarrierDrainStats SirController::onCommitBarrier(double /*now_s*/) {
-  // Only the grouped read path consumes the snapshot; a Global-scoped run
-  // (radius 0) must stay byte-for-byte on the legacy metrics too, so leave
-  // its counters untouched.
+  // Only the grouped read path consumes the snapshot; a single-group run
+  // must stay byte-for-byte on the legacy metrics too, so leave its
+  // counters untouched.
   if (!grouped()) return {};
   cellular::BarrierDrainStats stats;
   const cellular::HexNetwork& net = radio_.network();
@@ -90,95 +87,19 @@ cellular::BarrierDrainStats SirController::onCommitBarrier(double /*now_s*/) {
   return stats;
 }
 
-std::string SirController::auditWorkload(
-    const cellular::WorkloadEnvelope& /*envelope*/) const {
-  const int radius = radio_.config().interference_radius_hops;
-  if (radius <= 0) return {};  // exact sum: nothing truncated
-  const double tail_mw = radio_.truncationTailBoundMw();
-  const double noise_mw = radio_.noiseFloorMw();
-  if (!(noise_mw > 0.0) || tail_mw <= kTailNoiseFractionLimit * noise_mw) {
-    return {};
-  }
-  char buf[208];
-  std::snprintf(
-      buf, sizeof buf,
-      "SIR radius=%d can discard a worst-case interference tail of %.3gx "
-      "the thermal noise floor (documented limit %gx): bounded-footprint "
-      "SINR overstates edge-user quality by up to %.1f dB; raise radius or "
-      "use radius=0 for the exact sum",
-      radius, tail_mw / noise_mw, kTailNoiseFractionLimit,
-      10.0 * std::log10(1.0 + tail_mw / noise_mw));
-  return buf;
-}
-
 // ------------------------------------------------------------------------
 namespace {
 
 using cellular::PolicyRegistrar;
 using cellular::PolicySpec;
 
-/// SirController bundled with the radio model it consults, so the registry
-/// can hand out self-contained controllers (the inner controller holds a
-/// reference into this wrapper). Forwards the FULL controller protocol —
-/// scope, precompute, lifecycle hooks, partition/barrier hooks, audit — so
-/// a registry-built `sir` is indistinguishable from a directly-constructed
-/// one (the grouped commit path depends on it).
-class StandaloneSirController final : public cellular::AdmissionController {
- public:
-  StandaloneSirController(const cellular::HexNetwork& net,
-                          cellular::RadioConfig radio_config,
-                          SirThresholds thresholds)
-      : radio_{net, radio_config}, inner_{radio_, thresholds} {}
-
-  [[nodiscard]] std::string name() const override { return inner_.name(); }
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return inner_.commitScope();
-  }
-  [[nodiscard]] AdmissionDecision decide(
-      const CallRequest& request, const AdmissionContext& context) override {
-    return inner_.decide(request, context);
-  }
-  [[nodiscard]] cellular::PredictedCv precompute(
-      const cellular::UserSnapshot& user) const override {
-    return inner_.precompute(user);
-  }
-  void onAdmitted(const CallRequest& request,
-                  const AdmissionContext& context) override {
-    inner_.onAdmitted(request, context);
-  }
-  void onReleased(const CallRequest& request,
-                  const AdmissionContext& context) override {
-    inner_.onReleased(request, context);
-  }
-  void onRejected(const CallRequest& request,
-                  const AdmissionContext& context) override {
-    inner_.onRejected(request, context);
-  }
-  void onPartitionChanged(
-      const cellular::CellGroupPartition& partition) override {
-    inner_.onPartitionChanged(partition);
-  }
-  cellular::BarrierDrainStats onCommitBarrier(double now_s) override {
-    return inner_.onCommitBarrier(now_s);
-  }
-  [[nodiscard]] std::string auditWorkload(
-      const cellular::WorkloadEnvelope& envelope) const override {
-    return inner_.auditWorkload(envelope);
-  }
-
- private:
-  cellular::RadioModel radio_;
-  SirController inner_;
-};
-
 const PolicyRegistrar register_sir{
     {"sir",
      "SIR-based CAC: admit only when downlink SINR clears a per-class "
      "threshold and the bandwidth fits.",
-     "sir[:T_text,T_voice,T_video][,radius=R]  (min SINR dB, default "
-     "-3,1,5; R hops bound the interference sum, 0 = whole network)"},
+     "sir[:T_text,T_voice,T_video]  (min SINR dB, default -3,1,5)"},
     [](const PolicySpec& spec) -> cellular::ControllerFactory {
-      spec.expectOnly(cellular::kServiceClassCount, {"radius"});
+      spec.expectOnly(cellular::kServiceClassCount, {});
       if (!spec.positional().empty() &&
           spec.positionalCount() != cellular::kServiceClassCount) {
         throw cellular::PolicySpecError(
@@ -190,16 +111,8 @@ const PolicyRegistrar register_sir{
       for (std::size_t i = 0; i < spec.positionalCount(); ++i) {
         thresholds.min_sinr_db[i] = spec.numberAt(i, thresholds.min_sinr_db[i]);
       }
-      const int radius = spec.intFor("radius", 0);
-      if (radius < 0) {
-        throw cellular::PolicySpecError(
-            "policy 'sir': radius must be >= 0 hops");
-      }
-      return [thresholds, radius](const cellular::HexNetwork& net) {
-        cellular::RadioConfig radio_config;
-        radio_config.interference_radius_hops = radius;
-        return std::make_unique<StandaloneSirController>(net, radio_config,
-                                                         thresholds);
+      return [thresholds](const cellular::HexNetwork& net) {
+        return std::make_unique<SirController>(net, thresholds);
       };
     }};
 

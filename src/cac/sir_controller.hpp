@@ -6,23 +6,18 @@
 /// Xiao–Shroff–Chong). A request is admitted only if (a) the requester's
 /// downlink SINR clears a per-class threshold and (b) the bandwidth fits.
 ///
-/// Commit scope depends on the radio model's interference footprint:
-///
-///  * **Unbounded footprint** (`interference_radius_hops == 0`): decide()
-///    integrates interference over EVERY station's live utilization — the
-///    read set is the whole network, no partition confines it, the policy
-///    is `CommitScope::Global` and the engine serializes commits to one
-///    lane.
-///  * **Bounded footprint** (`radius > 0`): the read set is a fixed hop
-///    neighbourhood, so the controller adopts the GroupLocal protocol.
-///    Interferers in the acting cell's own commit group are read live
-///    in-lane (they cannot change under the lane that owns them);
-///    interferers in other groups are read from a per-cell utilization
-///    snapshot refreshed single-threaded at every tick-window barrier
-///    (onCommitBarrier), AFTER the engine's reservation drain — i.e.
-///    cross-group interference is visible with at most one tick-window of
-///    lag, the same barrier-visibility semantics as grouped SCC. Results
-///    are seed-stable and shard-invariant for a fixed group count.
+/// decide() sums the interference of every other station in the network —
+/// the exact whole-network sum — and the controller is
+/// `CommitScope::GroupLocal`: a barrier snapshot confines what a lane reads
+/// outside its own group. Interferers in the acting cell's own commit group
+/// are read live in-lane (they cannot change under the lane that owns
+/// them); interferers in other groups are read from a per-cell utilization
+/// snapshot refreshed single-threaded at every tick-window barrier
+/// (onCommitBarrier), AFTER the engine's reservation drain — i.e.
+/// cross-group interference is visible with at most one tick-window of lag,
+/// the same barrier-visibility semantics as grouped SCC. Results are
+/// seed-stable and shard-invariant for a fixed group count; at one group
+/// every read is live.
 
 #include <array>
 #include <string>
@@ -45,25 +40,17 @@ struct SirThresholds {
 
 class SirController final : public cellular::AdmissionController {
  public:
-  /// Fraction of the noise floor the truncated-tail bound may reach before
-  /// auditWorkload() flags the configured radius as too aggressive. Below
-  /// this, the discarded interference is provably in noise the SINR
-  /// comparison already absorbs.
-  static constexpr double kTailNoiseFractionLimit = 0.1;
-
-  /// \param radio not owned; must outlive the controller.
-  SirController(const cellular::RadioModel& radio,
-                SirThresholds thresholds = {});
+  /// Builds the controller's radio model over \p network (not owned; must
+  /// outlive the controller).
+  explicit SirController(const cellular::HexNetwork& network,
+                         SirThresholds thresholds = {});
 
   [[nodiscard]] std::string name() const override { return "SIR"; }
 
-  /// Global when the interference sum spans the whole network (radius 0);
-  /// GroupLocal when the footprint is bounded — see the file comment for
-  /// the live/snapshot read discipline that makes the promise hold.
+  /// GroupLocal: see the file comment for the live/snapshot read
+  /// discipline that makes the promise hold.
   [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return radio_.config().interference_radius_hops > 0
-               ? cellular::CommitScope::GroupLocal
-               : cellular::CommitScope::Global;
+    return cellular::CommitScope::GroupLocal;
   }
 
   [[nodiscard]] cellular::AdmissionDecision decide(
@@ -79,26 +66,18 @@ class SirController final : public cellular::AdmissionController {
   /// cross-group interference traffic shows up in Metrics::demand_deltas.
   cellular::BarrierDrainStats onCommitBarrier(double now_s) override;
 
-  /// Warns when the configured interference radius discards a worst-case
-  /// tail above kTailNoiseFractionLimit of the noise floor.
-  [[nodiscard]] std::string auditWorkload(
-      const cellular::WorkloadEnvelope& envelope) const override;
-
   [[nodiscard]] double threshold(cellular::ServiceClass c) const noexcept {
     return thresholds_.min_sinr_db[static_cast<std::size_t>(c)];
   }
 
  private:
   /// True when decides must split reads between live in-group ledgers and
-  /// the barrier snapshot: bounded footprint AND a real multi-group
-  /// partition adopted. Single-group runs (and standalone use without an
-  /// engine) read everything live — identical to the Global path.
-  [[nodiscard]] bool grouped() const noexcept {
-    return partition_groups_ > 1 &&
-           radio_.config().interference_radius_hops > 0;
-  }
+  /// the barrier snapshot: a real multi-group partition adopted.
+  /// Single-group runs (and standalone use without an engine) read
+  /// everything live.
+  [[nodiscard]] bool grouped() const noexcept { return partition_groups_ > 1; }
 
-  const cellular::RadioModel& radio_;
+  cellular::RadioModel radio_;
   SirThresholds thresholds_;
   int partition_groups_ = 1;
   std::vector<int> group_of_;      ///< Cell -> commit group (engine's map).

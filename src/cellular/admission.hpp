@@ -220,16 +220,19 @@ enum class CommitScope : std::uint8_t {
   /// engine's partition through onPartitionChanged(). Writes that would
   /// cross a group boundary must be deferred internally and drained when
   /// the engine calls onCommitBarrier() — single-threaded, at the
-  /// tick-window barrier, alongside the reservation drain. Declaring
+  /// tick-window barrier, alongside the reservation drain — and reads of
+  /// another group's state must come from a copy refreshed there (SIR's
+  /// utilization snapshot, SCC's demand snapshot). Declaring
   /// GroupLocal is the same promise as CellLocal, widened from one cell to
   /// one group: concurrent calls for different GROUPS must be data-race
   /// free and deterministic. The engine runs GroupLocal policies at the
   /// full configured lane count.
   GroupLocal,
   /// The call may consult or mutate state spanning arbitrary cells with no
-  /// partition discipline (SIR interference from every station's
-  /// utilization, unbounded SCC shadows at reach=0). The engine serializes
-  /// every commit — commit_groups degrades to one lane. The safe default.
+  /// partition discipline. The engine serializes every commit —
+  /// commit_groups degrades to one lane. The safe default for a policy
+  /// that declares nothing: external policies, and `rsv`, whose
+  /// predicted-handoff reservations write into arbitrary cells.
   Global,
 };
 

@@ -40,9 +40,6 @@ RadioModel::RadioModel(const HexNetwork& network, Config config)
   if (!(config_.path_loss.min_distance_km > 0.0)) {
     throw std::invalid_argument("minimum path-loss distance must be positive");
   }
-  if (config_.interference_radius_hops < 0) {
-    throw std::invalid_argument("interference radius must be >= 0 hops");
-  }
   buildTables();
 }
 
@@ -58,40 +55,21 @@ void RadioModel::buildTables() {
   noise_mw_ = dbmToMw(config_.noise_floor_dbm);
 
   const std::size_t cells = network_.cellCount();
-  const int radius = config_.interference_radius_hops;
   interferer_offsets_.assign(cells + 1, 0);
   interferer_ids_.clear();
   station_x_.clear();
   station_y_.clear();
   interferer_ids_.reserve(cells * (cells - (cells > 0 ? 1 : 0)));
 
-  tail_bound_mw_ = 0.0;
   for (const Cell& serving : network_.cells()) {
     interferer_offsets_[serving.id] =
         static_cast<std::uint32_t>(interferer_ids_.size());
-    double tail_mw = 0.0;
     for (const Cell& other : network_.cells()) {
       if (other.id == serving.id) continue;
-      const bool in_footprint =
-          radius == 0 || hexDistance(serving.coord, other.coord) <= radius;
-      if (in_footprint) {
-        interferer_ids_.push_back(other.id);
-        station_x_.push_back(other.center.x);
-        station_y_.push_back(other.center.y);
-        continue;
-      }
-      // Worst case for a discarded interferer: its cell fully utilized and
-      // the user at the serving cell's edge toward it — closest approach is
-      // the centre distance minus the hex circumradius (clamped at the
-      // path-loss pole guard, like every real link).
-      const double closest_km =
-          std::max(serving.center.distanceTo(other.center) -
-                       network_.cellRadiusKm(),
-                   pl.min_distance_km);
-      tail_mw += config_.activity_factor * gain_const_mw_ *
-                 std::pow(closest_km * closest_km, neg_half_exponent_);
+      interferer_ids_.push_back(other.id);
+      station_x_.push_back(other.center.x);
+      station_y_.push_back(other.center.y);
     }
-    tail_bound_mw_ = std::max(tail_bound_mw_, tail_mw);
   }
   interferer_offsets_[cells] =
       static_cast<std::uint32_t>(interferer_ids_.size());
@@ -131,7 +109,7 @@ double RadioModel::shadowedSinrDb(Vec2 position, CellId serving_cell,
     const double activity =
         config_.activity_factor * network_.station(cell).utilization();
     if (activity <= 0.0) continue;
-    // One shadowing draw per ACTIVE footprint link, in ascending id order —
+    // One shadowing draw per ACTIVE interfering link, in ascending id order —
     // the draw sequence is part of the model's deterministic contract.
     const double extra =
         shadowing ? sim::sampleNormal(rng, 0.0, sigma_db) : 0.0;

@@ -18,22 +18,16 @@
 ///    drops the `hypot`/`sqrt` too. Tx power and path loss are network-wide
 ///    here (reuse-1, uniform sites), so C is a single scalar rather than
 ///    the per-cell table a heterogeneous deployment would need.
-///  * **Interferer tables.** Per serving cell, the ids of the co-channel
-///    cells in its interference footprint as one flat SoA walk (ids +
-///    station coordinates), in ascending id order — the same summation
-///    order as iterating `network.cells()`, so the footprint-bounded walk
-///    at radius 0 reproduces the naive loop's floating-point sum exactly.
-///  * **Truncated-tail bound.** When the footprint is bounded
-///    (`interference_radius_hops > 0`), a worst-case bound on the
-///    interference the truncation can ever discard (every excluded cell
-///    fully utilized, the user at its closest possible approach), so
-///    callers can audit the approximation instead of trusting it.
+///  * **Interferer tables.** Per serving cell, the ids of every other
+///    co-channel cell as one flat SoA walk (ids + station coordinates), in
+///    ascending id order — the same summation order as iterating
+///    `network.cells()`, so the table walk reproduces the naive loop's
+///    floating-point sum exactly.
 ///
 /// Units: distances km, powers dBm, gains/losses dB.
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cellular/geometry.hpp"
@@ -73,13 +67,6 @@ struct RadioConfig {
   /// cell's power that is actually radiated, scaled by the cell's
   /// bandwidth utilization at evaluation time.
   double activity_factor = 1.0;
-  /// Interference footprint: only cells within this many hex hops of the
-  /// serving cell enter the interference sum. 0 (the default) keeps the
-  /// exact whole-network sum. Bounding the footprint is an approximation —
-  /// interference falls as d^−n, so the discarded tail is small and its
-  /// worst case is computable (truncationTailBoundMw()) — and it is what
-  /// makes the SIR read set partition-confinable.
-  int interference_radius_hops = 0;
 };
 
 /// Downlink radio snapshot of one network: every base station transmits at
@@ -103,8 +90,8 @@ class RadioModel {
   [[nodiscard]] double receivedPowerDbm(Vec2 position, CellId cell) const;
 
   /// Downlink SINR (dB) at \p position served by \p serving_cell.
-  /// Interference from each other cell in the footprint is weighted by that
-  /// cell's current utilization (an idle cell does not interfere).
+  /// Interference from every other cell is weighted by that cell's current
+  /// utilization (an idle cell does not interfere).
   [[nodiscard]] double sinrDb(Vec2 position, CellId serving_cell) const;
 
   /// As sinrDb(), but reading each interferer's utilization through
@@ -138,30 +125,6 @@ class RadioModel {
   [[nodiscard]] double shadowedSinrDb(Vec2 position, CellId serving_cell,
                                       sim::Rng& rng) const;
 
-  /// Ids of the cells in \p serving_cell's interference footprint, in
-  /// ascending id order (the canonical summation order). The whole network
-  /// minus the serving cell at radius 0.
-  [[nodiscard]] std::span<const CellId> interferersOf(
-      CellId serving_cell) const {
-    return {interferer_ids_.data() + interferer_offsets_[serving_cell],
-            interferer_ids_.data() + interferer_offsets_[serving_cell + 1]};
-  }
-
-  /// Worst case on the interference power (mW) the bounded footprint can
-  /// discard, over every serving cell and every user position inside it:
-  /// each excluded cell at full activity, the user at the excluded
-  /// station's closest possible approach (cell edge toward it). 0 when the
-  /// footprint is unbounded. Compare against noiseFloorMw(): a tail far
-  /// below the noise floor cannot move any SINR comparison that noise
-  /// itself does not already dominate.
-  [[nodiscard]] double truncationTailBoundMw() const noexcept {
-    return tail_bound_mw_;
-  }
-
-  /// Thermal noise floor in linear mW (the constant term of every
-  /// interference sum).
-  [[nodiscard]] double noiseFloorMw() const noexcept { return noise_mw_; }
-
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] const HexNetwork& network() const noexcept { return network_; }
 
@@ -183,7 +146,6 @@ class RadioModel {
   double neg_half_exponent_ = 0.0;  ///< -n/2, for (d^2)^(-n/2).
   double min_distance_sq_ = 0.0;    ///< Clamp for the d -> 0 pole, squared.
   double noise_mw_ = 0.0;           ///< dbmToMw(noise_floor_dbm).
-  double tail_bound_mw_ = 0.0;      ///< See truncationTailBoundMw().
 
   // Flat per-serving-cell interferer tables: for serving cell s, entries
   // [interferer_offsets_[s], interferer_offsets_[s+1]) of interferer_ids_

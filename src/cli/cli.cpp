@@ -313,7 +313,8 @@ run:
                         any shard count
   --commit-groups N     cell groups, each owning its event queue, local
                         mobility phase and commit lane (default 1 = one
-                        serialized commit; N>1 needs a cell-local policy
+                        serialized commit; N>1 needs a cell- or
+                        group-local policy — every built-in but rsv —
                         and changes cross-group visibility — see README
                         "Commit groups & reservations"; deterministic at
                         any shard count)

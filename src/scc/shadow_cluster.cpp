@@ -127,9 +127,9 @@ double ShadowClusterController::contribution(const Shadow& shadow, CellId cell,
 }
 
 void ShadowClusterController::applyShadow(const Shadow& shadow, double sign) {
-  // Group-local accounting: a bounded reach confines the write set to the
-  // shadow's anchor neighbourhood (flat in the network size); reach = 0
-  // visits every cell — the original global accumulation.
+  // A bounded reach confines the write set to the shadow's anchor
+  // neighbourhood (flat in the network size); reach = 0 visits every cell
+  // — the original global accumulation.
   for (const cellular::CellId cell : footprint(shadow.anchor)) {
     for (int k = 0; k < config_.intervals; ++k) {
       demand_[static_cast<std::size_t>(cell) *
@@ -392,7 +392,6 @@ void ShadowClusterController::onReleased(const CallRequest& request,
 
 void ShadowClusterController::onPartitionChanged(
     const cellular::CellGroupPartition& p) {
-  if (config_.reach <= 0) return;  // Global scope: no grouped state to key
   if (grouped()) {
     // The engine drains the policy barrier before adopting a repartition,
     // so this is normally a no-op; a direct driver (unit tests) may still

@@ -67,11 +67,10 @@ struct SccConfig {
   /// (the cell of its last report). 0 (default) = unbounded: every update
   /// touches every cell's accumulator — the historical behaviour at
   /// O(cells x intervals) per update. A positive reach bounds each update
-  /// (and the periodic rebuild) to the cells within that many hops —
-  /// group-LOCAL shadow accounting: the cost becomes flat in the network
-  /// size, and a shadow's writes stay inside a bounded neighbourhood (the
-  /// precondition for SCC ever committing from the engine's parallel
-  /// cell-group lanes).
+  /// (and the periodic rebuild) to the cells within that many hops, so the
+  /// cost becomes flat in the network size. Reach does not gate parallel
+  /// commits: the controller is GroupLocal at every setting, and rows
+  /// outside the acting group defer to the barrier either way.
   ///
   /// Size it to the projection horizon, not to the Gaussian spread: the
   /// footprint is anchored at the LAST-REPORT cell, but contribution()
@@ -114,18 +113,13 @@ class ShadowClusterController final : public cellular::AdmissionController {
 
   [[nodiscard]] std::string name() const override { return "SCC"; }
 
-  /// Partition-aware scope. With a bounded `reach`, every shadow's writes
-  /// stay inside a known neighbourhood of its anchor, so the controller
-  /// can keep per-group shadow stores keyed by the engine's partition and
-  /// commit from concurrent group lanes — GroupLocal: in-group footprint
-  /// rows update live, rows crossing a group boundary defer into
+  /// GroupLocal at every reach: the controller keeps per-group shadow
+  /// stores keyed by the engine's partition and commits from concurrent
+  /// group lanes. In-group footprint rows update live; rows crossing a
+  /// group boundary (at reach = 0, every foreign row) defer into
   /// demand-delta records drained (sorted once) at onCommitBarrier().
-  /// reach = 0 is the original unbounded accumulation — every update
-  /// touches every cell — which no partition can confine: Global, and the
-  /// engine serializes to one lane.
   [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return config_.reach > 0 ? cellular::CommitScope::GroupLocal
-                             : cellular::CommitScope::Global;
+    return cellular::CommitScope::GroupLocal;
   }
 
   [[nodiscard]] cellular::AdmissionDecision decide(
@@ -138,10 +132,10 @@ class ShadowClusterController final : public cellular::AdmissionController {
                   const cellular::AdmissionContext& context) override;
 
   /// Adopts the engine's cell-to-group mapping (startup and every adopted
-  /// repartition epoch — barrier context). In grouped mode (reach > 0 and
-  /// more than one group) the shared shadow map splits into per-group
-  /// stores keyed by each shadow's anchor group; a boundary move re-keys
-  /// every store in canonical call order. `demand_` is left untouched by
+  /// repartition epoch — barrier context). In grouped mode (more than one
+  /// group) the shared shadow map splits into per-group stores keyed by
+  /// each shadow's anchor group; a boundary move re-keys every store in
+  /// canonical call order. `demand_` is left untouched by
   /// the re-keying — every tracked contribution is already folded in — so
   /// total projected demand is conserved exactly across a repartition.
   void onPartitionChanged(const cellular::CellGroupPartition& p) override;
@@ -273,10 +267,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   [[nodiscard]] cellular::BarrierDrainStats drainBarrierWork();
 
   /// True when per-group stores are live: a partition with more than one
-  /// group was adopted and reach bounds the footprint.
+  /// group was adopted.
   [[nodiscard]] bool grouped() const noexcept {
-    return partition_.has_value() && partition_->groups() > 1 &&
-           config_.reach > 0;
+    return partition_.has_value() && partition_->groups() > 1;
   }
 
   [[nodiscard]] std::size_t demandIndex(cellular::CellId cell,

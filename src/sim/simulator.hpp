@@ -28,7 +28,7 @@
 /// tick-window barrier with every capacity claim re-validated against the
 /// live ledger and policy state. Several groups require the policy to
 /// declare cellular::CommitScope::CellLocal or GroupLocal; Global-scope
-/// policies (SCC at reach 0, SIR at radius 0) degrade to one group.
+/// policies (external plugins, `rsv`) degrade to one group.
 /// commit_groups == 1 is the single serialized commit; commit_groups > 1
 /// changes cross-group visibility (see README "Commit groups &
 /// reservations") but stays deterministic.
@@ -143,12 +143,13 @@ struct SimulationConfig {
   /// owning its event queue, local mobility phase and commit lane; the
   /// groups run concurrently and exchange cross-group handoffs as
   /// Reservations at the tick-window barrier. Requires a policy with
-  /// cellular::CommitScope::CellLocal or GroupLocal — Global-scope
-  /// policies silently degrade to one lane (Metrics::commit_groups
-  /// reports the effective count). Deterministic for fixed (config, seed):
-  /// the same groups give the same bits at any shard count, but different
-  /// group counts are different (documented) visibility semantics, not
-  /// reorderings of one truth. Must be in [1, kMaxShards].
+  /// cellular::CommitScope::CellLocal or GroupLocal (every built-in but
+  /// `rsv`) — Global-scope policies silently degrade to one lane
+  /// (Metrics::commit_groups reports the effective count). Deterministic
+  /// for fixed (config, seed): the same groups give the same bits at any
+  /// shard count, but different group counts are different (documented)
+  /// visibility semantics, not reorderings of one truth. Must be in
+  /// [1, kMaxShards].
   int commit_groups = 1;
 
   /// Cell-to-commit-group mapping strategy. Contiguous (default) keeps

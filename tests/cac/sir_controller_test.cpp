@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "cellular/network.hpp"
 #include "cellular/policy_registry.hpp"
@@ -13,7 +14,6 @@ namespace {
 using cellular::AdmissionContext;
 using cellular::CallRequest;
 using cellular::HexNetwork;
-using cellular::RadioModel;
 using cellular::ServiceClass;
 using cellular::Vec2;
 
@@ -29,8 +29,7 @@ CallRequest request(ServiceClass service, Vec2 position) {
 
 TEST(SirController, QuietNetworkAdmitsEveryone) {
   const HexNetwork net{1};
-  const RadioModel radio{net};
-  SirController sir{radio};
+  SirController sir{net};
   const AdmissionContext ctx{net.station(0), 0.0};
   for (const auto s :
        {ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video}) {
@@ -46,8 +45,7 @@ TEST(SirController, InterferedEdgeRejectsVideoFirst) {
   for (cellular::CellId id = 1; id < 7; ++id) {
     net.station(id).allocate(id, 40, true);
   }
-  const RadioModel radio{net};
-  SirController sir{radio};
+  SirController sir{net};
   const AdmissionContext ctx{net.station(0), 0.0};
 
   // At the cell edge the SINR is low: the video threshold (5 dB) fails
@@ -65,8 +63,7 @@ TEST(SirController, CellCentreSurvivesInterference) {
   for (cellular::CellId id = 1; id < 7; ++id) {
     net.station(id).allocate(id, 40, true);
   }
-  const RadioModel radio{net};
-  SirController sir{radio};
+  SirController sir{net};
   const AdmissionContext ctx{net.station(0), 0.0};
   EXPECT_TRUE(
       sir.decide(request(ServiceClass::Video, {0.5, 0.0}), ctx).accept);
@@ -75,8 +72,7 @@ TEST(SirController, CellCentreSurvivesInterference) {
 TEST(SirController, StillRequiresBandwidth) {
   HexNetwork net{1};
   net.station(0).allocate(99, 35, true);  // 5 BU free
-  const RadioModel radio{net};
-  SirController sir{radio};
+  SirController sir{net};
   const AdmissionContext ctx{net.station(0), 0.0, /*explain=*/true};
   const auto d = sir.decide(request(ServiceClass::Video, {0.5, 0.0}), ctx);
   EXPECT_FALSE(d.accept);  // SINR fine, bandwidth not
@@ -86,26 +82,28 @@ TEST(SirController, StillRequiresBandwidth) {
 
 TEST(SirController, CustomThresholds) {
   const HexNetwork net{1};
-  const RadioModel radio{net};
   SirThresholds strict;
   strict.min_sinr_db = {60.0, 60.0, 60.0};  // unreachably clean
-  SirController sir{radio, strict};
+  SirController sir{net, strict};
   const AdmissionContext ctx{net.station(0), 0.0};
   EXPECT_FALSE(sir.decide(request(ServiceClass::Text, {1.0, 0.0}), ctx).accept);
   EXPECT_DOUBLE_EQ(sir.threshold(ServiceClass::Voice), 60.0);
 }
 
-// ------------------------------------------- bounded footprint & grouping --
+// ---------------------------------------------------- barrier snapshot --
 
-TEST(SirController, CommitScopeFollowsTheFootprint) {
+TEST(SirController, GroupLocalAtEverySetting) {
+  // The barrier snapshot, not a bounded footprint, confines the read set:
+  // the exact whole-network sum is GroupLocal with or without custom
+  // thresholds and before or after a partition is adopted.
   const HexNetwork net{1};
-  const RadioModel exact{net};
-  EXPECT_EQ(SirController{exact}.commitScope(),
-            cellular::CommitScope::Global);
-  cellular::RadioConfig rc;
-  rc.interference_radius_hops = 1;
-  const RadioModel bounded{net, rc};
-  EXPECT_EQ(SirController{bounded}.commitScope(),
+  SirController sir{net};
+  EXPECT_EQ(sir.commitScope(), cellular::CommitScope::GroupLocal);
+  sir.onPartitionChanged(cellular::CellGroupPartition{net, 4});
+  EXPECT_EQ(sir.commitScope(), cellular::CommitScope::GroupLocal);
+  SirThresholds strict;
+  strict.min_sinr_db = {60.0, 60.0, 60.0};
+  EXPECT_EQ((SirController{net, strict}.commitScope()),
             cellular::CommitScope::GroupLocal);
 }
 
@@ -118,12 +116,9 @@ TEST(SirController, SnapshotReadsMatchLiveAtAQuiescentBarrier) {
     net.station(id).allocate(id, static_cast<cellular::BandwidthUnits>(5 * id),
                              true);
   }
-  cellular::RadioConfig rc;
-  rc.interference_radius_hops = 1;
-  const RadioModel radio{net, rc};
-  SirController grouped{radio};
+  SirController grouped{net};
   grouped.onPartitionChanged(cellular::CellGroupPartition{net, 4});
-  SirController live{radio};
+  SirController live{net};
   const AdmissionContext ctx{net.station(0), 0.0};
   for (const auto s :
        {ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video}) {
@@ -140,13 +135,10 @@ TEST(SirController, SnapshotReadsMatchLiveAtAQuiescentBarrier) {
 TEST(SirController, ForeignUtilizationIsSnapshotUntilTheBarrier) {
   // One group per cell: every interferer is foreign, so decide() reads the
   // barrier snapshot only. A ledger change in another cell must stay
-  // invisible until onCommitBarrier refreshes — PR 8 barrier-visibility
+  // invisible until onCommitBarrier refreshes — barrier-visibility
   // semantics, one tick-window of lag at most.
   HexNetwork net{1};
-  cellular::RadioConfig rc;
-  rc.interference_radius_hops = 1;
-  const RadioModel radio{net, rc};
-  SirController sir{radio};
+  SirController sir{net};
   sir.onPartitionChanged(cellular::CellGroupPartition{net, 7});
   const AdmissionContext ctx{net.station(0), 0.0};
   const CallRequest video = request(ServiceClass::Video, {8.5, 0.0});
@@ -163,59 +155,38 @@ TEST(SirController, ForeignUtilizationIsSnapshotUntilTheBarrier) {
 }
 
 TEST(SirController, UngroupedControllerIgnoresTheBarrierProtocol) {
-  // Radius 0 keeps the Global scope: the barrier hook must stay a strict
-  // no-op so a grouped-config run over a Global policy keeps the legacy
-  // metrics byte for byte.
-  const HexNetwork net{1};
-  const RadioModel radio{net};
-  SirController sir{radio};
-  sir.onPartitionChanged(cellular::CellGroupPartition{net, 7});
+  // A single-group partition reads every ledger live: the barrier hook
+  // must stay a strict no-op, even after a ledger moves, so a one-group
+  // run keeps the legacy metrics byte for byte.
+  HexNetwork net{1};
+  SirController sir{net};
+  sir.onPartitionChanged(cellular::CellGroupPartition{net, 1});
+  net.station(3).allocate(1, 40, true);
   EXPECT_EQ(sir.onCommitBarrier(0.0).deltas_applied, 0u);
   EXPECT_TRUE(sir.auditWorkload({120.0, 10.0}).empty());
 }
 
-TEST(SirController, AuditFlagsAMaterialTruncationTail) {
-  const HexNetwork net{2, 1.5};
-  cellular::RadioConfig rc;
-  rc.interference_radius_hops = 1;
-  const RadioModel aggressive{net, rc};
-  const std::string warning =
-      SirController{aggressive}.auditWorkload({120.0, 1.5});
-  ASSERT_FALSE(warning.empty());
-  EXPECT_NE(warning.find("radius=1"), std::string::npos);
-  // A footprint covering the whole disk truncates nothing: silent.
-  rc.interference_radius_hops = 4;
-  const RadioModel covering{net, rc};
-  EXPECT_TRUE(SirController{covering}.auditWorkload({120.0, 1.5}).empty());
-}
-
-TEST(SirController, RegistryBuiltSirForwardsTheFullProtocol) {
-  // The standalone wrapper must behave exactly like a directly-constructed
-  // controller: scope, partition/barrier hooks and the audit all reach the
-  // inner policy (forwarding only name/decide was the latent trap).
+TEST(SirController, RegistryBuiltSirIsGroupLocalAndRejectsRadius) {
   const HexNetwork net{1};
   auto& runtime = cellular::PolicyRuntime::defaultRuntime();
-  const std::unique_ptr<cellular::AdmissionController> bounded =
-      runtime.makeController("sir:radius=1", net);
-  EXPECT_EQ(bounded->commitScope(), cellular::CommitScope::GroupLocal);
-  EXPECT_FALSE(bounded->auditWorkload({120.0, 10.0}).empty());
-  bounded->onPartitionChanged(cellular::CellGroupPartition{net, 7});
-  EXPECT_EQ(bounded->onCommitBarrier(0.0).deltas_applied, 0u);
-
-  const std::unique_ptr<cellular::AdmissionController> exact =
+  const std::unique_ptr<cellular::AdmissionController> plain =
       runtime.makeController("sir", net);
-  EXPECT_EQ(exact->commitScope(), cellular::CommitScope::Global);
-  EXPECT_TRUE(exact->auditWorkload({120.0, 10.0}).empty());
+  EXPECT_EQ(plain->commitScope(), cellular::CommitScope::GroupLocal);
 
-  // Thresholds and radius compose in one spec.
-  const std::unique_ptr<cellular::AdmissionController> both =
-      runtime.makeController("sir:-3,1,5,radius=2", net);
-  EXPECT_EQ(both->commitScope(), cellular::CommitScope::GroupLocal);
+  // Thresholds reach the controller: nothing clears 60 dB.
+  const std::unique_ptr<cellular::AdmissionController> strict =
+      runtime.makeController("sir:60,60,60", net);
+  EXPECT_EQ(strict->commitScope(), cellular::CommitScope::GroupLocal);
+  const AdmissionContext ctx{net.station(0), 0.0};
+  EXPECT_FALSE(
+      strict->decide(request(ServiceClass::Text, {1.0, 0.0}), ctx).accept);
 
-  EXPECT_THROW((void)runtime.makeController("sir:radius=-1", net),
-               cellular::PolicySpecError);
-  EXPECT_THROW((void)runtime.makeController("sir:radius=1,bogus=2", net),
-               cellular::PolicySpecError);
+  // `radius` is not a sir key: the registry rejects it.
+  for (const std::string radius : {"radius=1", "radius=-1"}) {
+    EXPECT_THROW((void)runtime.makeController("sir:" + radius, net),
+                 cellular::PolicySpecError)
+        << radius;
+  }
 }
 
 }  // namespace

@@ -424,14 +424,24 @@ TEST(ShadowCluster, ReachSpanningTheDiskMatchesUnbounded) {
 // barrier drain, repartition re-keying and the reach-sizing audit.
 // ---------------------------------------------------------------------------
 
-TEST(ShadowCluster, CommitScopeFollowsReach) {
+TEST(ShadowCluster, GroupLocalAtEveryReach) {
+  // Foreign rows defer to the barrier at any reach (at reach 0 every
+  // foreign row does), so no setting needs the Global serialization.
   const HexNetwork net{1};
-  EXPECT_EQ(ShadowClusterController(net).commitScope(),
-            cellular::CommitScope::Global);
-  SccConfig bounded;
-  bounded.reach = 2;
-  EXPECT_EQ(ShadowClusterController(net, bounded).commitScope(),
-            cellular::CommitScope::GroupLocal);
+  for (const int reach : {0, 1, 2}) {
+    SccConfig cfg;
+    cfg.reach = reach;
+    EXPECT_EQ(ShadowClusterController(net, cfg).commitScope(),
+              cellular::CommitScope::GroupLocal)
+        << "reach=" << reach;
+  }
+  const auto& runtime = cellular::PolicyRuntime::defaultRuntime();
+  for (const char* spec : {"scc", "scc:reach=2",
+                           "scc:theta=0.85,sigma=8,growth=0,intervals=3"}) {
+    EXPECT_EQ(runtime.makeController(spec, net)->commitScope(),
+              cellular::CommitScope::GroupLocal)
+        << spec;
+  }
 }
 
 TEST(ShadowCluster, GroupedDemandMatchesUngroupedAfterTheBarrier) {
@@ -441,34 +451,39 @@ TEST(ShadowCluster, GroupedDemandMatchesUngroupedAfterTheBarrier) {
   // (to float re-association noise — the fold changes the addition order,
   // never the terms).
   const HexNetwork net{2};  // 19 cells
-  SccConfig cfg;
-  cfg.reach = 2;
-  ShadowClusterController grouped{net, cfg};
-  ShadowClusterController ungrouped{net, cfg};
-  grouped.onPartitionChanged(cellular::CellGroupPartition{net, 3});
+  // At reach 0 every footprint spans the disk, so every foreign row defers.
+  for (const int reach : {0, 2}) {
+    SccConfig cfg;
+    cfg.reach = reach;
+    ShadowClusterController grouped{net, cfg};
+    ShadowClusterController ungrouped{net, cfg};
+    grouped.onPartitionChanged(cellular::CellGroupPartition{net, 3});
 
-  std::uint64_t expected_deltas = 0;
-  for (cellular::CallId id = 1; id <= 6; ++id) {
-    const cellular::CellId anchor = static_cast<cellular::CellId>(3 * id % 19);
-    const auto r = makeRequest(id, ServiceClass::Video,
-                               net.cell(anchor).center + Vec2{0.3, -0.2},
-                               30.0 + 5.0 * static_cast<double>(id),
-                               40.0 * static_cast<double>(id), anchor);
-    grouped.onAdmitted(r, AdmissionContext{net.station(anchor), 0.0});
-    ungrouped.onAdmitted(r, AdmissionContext{net.station(anchor), 0.0});
-    ++expected_deltas;  // at least some of each footprint crosses a border
-  }
-  ASSERT_GE(expected_deltas, 1u);
-  const cellular::BarrierDrainStats stats = grouped.onCommitBarrier(0.0);
-  EXPECT_GT(stats.deltas_applied, 0u);
-  EXPECT_EQ(stats.shadows_migrated, 0u);
-  EXPECT_EQ(grouped.trackedCalls(), ungrouped.trackedCalls());
-  for (const cellular::Cell& cell : net.cells()) {
-    const DemandProfile a = grouped.projectedDemand(cell.id);
-    const DemandProfile b = ungrouped.projectedDemand(cell.id);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_NEAR(a[k], b[k], 1e-9) << "cell " << cell.id << " k " << k;
+    std::uint64_t expected_deltas = 0;
+    for (cellular::CallId id = 1; id <= 6; ++id) {
+      const cellular::CellId anchor =
+          static_cast<cellular::CellId>(3 * id % 19);
+      const auto r = makeRequest(id, ServiceClass::Video,
+                                 net.cell(anchor).center + Vec2{0.3, -0.2},
+                                 30.0 + 5.0 * static_cast<double>(id),
+                                 40.0 * static_cast<double>(id), anchor);
+      grouped.onAdmitted(r, AdmissionContext{net.station(anchor), 0.0});
+      ungrouped.onAdmitted(r, AdmissionContext{net.station(anchor), 0.0});
+      ++expected_deltas;  // at least some of each footprint crosses a border
+    }
+    ASSERT_GE(expected_deltas, 1u);
+    const cellular::BarrierDrainStats stats = grouped.onCommitBarrier(0.0);
+    EXPECT_GT(stats.deltas_applied, 0u);
+    EXPECT_EQ(stats.shadows_migrated, 0u);
+    EXPECT_EQ(grouped.trackedCalls(), ungrouped.trackedCalls());
+    for (const cellular::Cell& cell : net.cells()) {
+      const DemandProfile a = grouped.projectedDemand(cell.id);
+      const DemandProfile b = ungrouped.projectedDemand(cell.id);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_NEAR(a[k], b[k], 1e-9)
+            << "reach " << reach << " cell " << cell.id << " k " << k;
+      }
     }
   }
 }

@@ -13,8 +13,9 @@
 ///    (several groups after the last bandwidth units of one cell) resolve
 ///    deterministically in canonical (time, call) order.
 ///  * Policies with a Global commit scope degrade to one lane; GroupLocal
-///    policies (SCC with a bounded reach) keep the full lane count, defer
-///    cross-group writes through the barrier drain, and stay bit-identical
+///    policies (SCC and SIR, at every setting) keep the full lane count,
+///    read foreign groups from a barrier snapshot, defer cross-group
+///    writes through the barrier drain, and stay bit-identical
 ///    across shard counts — including under epoch re-partitioning, where
 ///    their per-group stores re-key deterministically.
 ///  * The load-aware (weighted) partition is deterministic too — seed-
@@ -30,11 +31,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "cellular/network.hpp"
+#include "cellular/policy_registry.hpp"
 #include "serve/mutation.hpp"
 #include "sim/reservation.hpp"
 #include "sim/scenario_catalog.hpp"
@@ -217,20 +220,51 @@ TEST(CommitGroups, ContendedLastUnitsResolveDeterministically) {
   expectBitIdentical(first, again, "contended repeat");
 }
 
+/// Test-only policy that declares no commit scope and so keeps the
+/// AdmissionController default, Global: complete sharing through the
+/// policy interface. It pins the engine's degrade-to-one-lane path
+/// whichever built-in policies declare a wider scope.
+class GlobalScopeSharing final : public cellular::AdmissionController {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "GlobalScopeSharing";
+  }
+  [[nodiscard]] cellular::AdmissionDecision decide(
+      const cellular::CallRequest& request,
+      const cellular::AdmissionContext& context) override {
+    const bool fits = context.station.canFit(request.demand_bu);
+    return {fits,
+            fits ? cellular::ReasonCode::Admitted
+                 : cellular::ReasonCode::NoCapacity,
+            fits ? 1.0 : -1.0, ""};
+  }
+};
+
 TEST(CommitGroups, GlobalScopePoliciesDegradeToOneLane) {
-  // SCC at reach=0 writes accumulators across EVERY cell — no partition
-  // confines it, CommitScope::Global — so a grouped config must serialize
-  // (and report that it did), with results identical to an explicit
-  // groups=1 run. (A bounded reach upgrades the scope to GroupLocal — the
-  // GroupLocalScc tests below.)
+  // A Global policy may touch any cell's state, so a grouped config must
+  // serialize (and report that it did), with results identical to an
+  // explicit groups=1 run.
+  ASSERT_EQ(GlobalScopeSharing{}.commitScope(), cellular::CommitScope::Global);
+  cellular::PolicyRuntime runtime;
+  runtime.registerExternal(
+      {"global-cs", "test stub: complete sharing at Global scope",
+       "global-cs"},
+      [](const cellular::PolicySpec&) -> ControllerFactory {
+        return [](const cellular::HexNetwork&) {
+          return std::make_unique<GlobalScopeSharing>();
+        };
+      });
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 4;
-  const Metrics grouped = SimulationBuilder{cfg}.policy("scc").run();
+  const Metrics grouped =
+      SimulationBuilder{cfg}.runtime(runtime).policy("global-cs").run();
   EXPECT_EQ(grouped.commit_groups, 1);
   EXPECT_EQ(grouped.reservations_posted, 0u);
+  EXPECT_GT(grouped.new_accepted, 0);
   cfg.commit_groups = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("scc").run();
-  expectBitIdentical(serial, grouped, "scc grouped vs serial");
+  const Metrics serial =
+      SimulationBuilder{cfg}.runtime(runtime).policy("global-cs").run();
+  expectBitIdentical(serial, grouped, "global-cs grouped vs serial");
 }
 
 // ------------------------------------------------ GroupLocal policy commits
@@ -373,68 +407,71 @@ TEST(GroupLocalScc, RepartitionHysteresisSkipsLowGainEpochs) {
 // -------------------------------------------------- GroupLocal SIR commits
 
 TEST(GroupLocalSir, CommitsFromAllLanesAndStaysDeterministic) {
-  // The bounded-footprint SIR contract: `sir:radius=R` is GroupLocal, so
-  // the engine keeps the full configured lane count (no Global degrade),
-  // the barrier-refreshed utilization snapshot shows up as demand_deltas,
+  // The grouped SIR contract: `sir` is GroupLocal, so the engine keeps
+  // the full configured lane count (no Global degrade), the
+  // barrier-refreshed utilization snapshot shows up as demand_deltas,
   // and the run is a pure function of (config, seed) — bit-identical at
   // every shard count and on repeats.
   for (const int groups : {2, 4}) {
     SimulationConfig cfg = contestedConfig();
     cfg.commit_groups = groups;
     cfg.shards = 1;
-    const Metrics first =
-        SimulationBuilder{cfg}.policy("sir:radius=1").run();
+    const Metrics first = SimulationBuilder{cfg}.policy("sir").run();
     EXPECT_EQ(first.commit_groups, groups);
     EXPECT_GT(first.demand_deltas, 0u)
         << "utilizations move every window: the snapshot refresh must "
            "report changed cells";
     for (const int shards : {2, 4}) {
       cfg.shards = shards;
-      const Metrics m = SimulationBuilder{cfg}.policy("sir:radius=1").run();
+      const Metrics m = SimulationBuilder{cfg}.policy("sir").run();
       expectBitIdentical(first, m, "sir groups=" + std::to_string(groups) +
                                        " shards=" + std::to_string(shards));
     }
     cfg.shards = 1;
-    const Metrics again = SimulationBuilder{cfg}.policy("sir:radius=1").run();
+    const Metrics again = SimulationBuilder{cfg}.policy("sir").run();
     expectBitIdentical(first, again,
                        "sir repeated groups=" + std::to_string(groups));
   }
 }
 
-TEST(GroupLocalSir, RadiusZeroStaysGlobalAndOnTheLegacyBits) {
-  // The exact whole-network sum cannot be partition-confined: a grouped
-  // config over plain `sir` must serialize to one lane with results (and
-  // metrics) identical to an explicit groups=1 run — the pre-grouping
-  // engine's bits, at any shard count.
-  SimulationConfig cfg = contestedConfig();
-  cfg.commit_groups = 4;
-  const Metrics grouped = SimulationBuilder{cfg}.policy("sir").run();
-  EXPECT_EQ(grouped.commit_groups, 1);
-  EXPECT_EQ(grouped.reservations_posted, 0u);
-  EXPECT_EQ(grouped.demand_deltas, 0u);
-  cfg.commit_groups = 1;
-  for (const int shards : {1, 4}) {
-    cfg.shards = shards;
-    const Metrics serial = SimulationBuilder{cfg}.policy("sir").run();
-    expectBitIdentical(serial, grouped,
-                       "sir radius=0 shards=" + std::to_string(shards));
+TEST(GroupLocalSir, ExactSirAndUnboundedSccKeepEveryLane) {
+  // The exact whole-network SIR sum and SCC at reach 0 are both confined
+  // by the barrier snapshot, not by a footprint: a grouped config keeps
+  // every lane, reports barrier traffic, and is a pure function of
+  // (config, seed, groups) at any worker count.
+  for (const char* policy : {"sir", "scc"}) {
+    SimulationConfig cfg = contestedConfig();
+    cfg.commit_groups = 4;
+    cfg.shards = 1;
+    const Metrics first = SimulationBuilder{cfg}.policy(policy).run();
+    EXPECT_EQ(first.commit_groups, 4) << policy;
+    EXPECT_GT(first.demand_deltas, 0u) << policy;
+    for (const int shards : {3, 4, 8}) {
+      cfg.shards = shards;
+      const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
+      expectBitIdentical(first, m, std::string{policy} + " groups=4 shards=" +
+                                       std::to_string(shards));
+    }
+    cfg.shards = 1;
+    const Metrics again = SimulationBuilder{cfg}.policy(policy).run();
+    expectBitIdentical(first, again, std::string{policy} + " repeat");
   }
 }
 
 TEST(GroupLocalSir, GroupsOneReadsEverythingLive) {
-  // At one group the snapshot never engages: decide() reads live ledgers
-  // exactly like the Global path, with zero barrier traffic — and the run
+  // At one group the snapshot never engages: decide() reads live ledgers,
+  // with zero barrier traffic — and the run
   // is bit-identical at every shard count.
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 1;
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("sir:radius=1").run();
+  const Metrics serial = SimulationBuilder{cfg}.policy("sir").run();
   EXPECT_EQ(serial.commit_groups, 1);
   EXPECT_EQ(serial.demand_deltas, 0u);
   EXPECT_EQ(serial.reservations_posted, 0u);
   cfg.shards = 4;
-  const Metrics sharded = SimulationBuilder{cfg}.policy("sir:radius=1").run();
-  expectBitIdentical(serial, sharded, "sir:radius=1 groups=1 shards=4");
+  const Metrics sharded = SimulationBuilder{cfg}.policy("sir").run();
+  expectBitIdentical(serial, sharded, "sir groups=1 shards=4");
 }
 
 TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
@@ -459,7 +496,7 @@ TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
   cfg.mutations.push_back(cool);
   cfg.mutations.push_back(heat);
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("sir:radius=1").run();
+  const Metrics first = SimulationBuilder{cfg}.policy("sir").run();
   EXPECT_EQ(first.commit_groups, 4);
   EXPECT_GT(first.repartitions, 0)
       << "a migrating hotspot must trigger at least one boundary re-draw";
@@ -471,12 +508,12 @@ TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
             first.handoff_accepted + first.handoff_dropped);
   for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("sir:radius=1").run();
+    const Metrics m = SimulationBuilder{cfg}.policy("sir").run();
     expectBitIdentical(first, m,
                        "sir migrating shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("sir:radius=1").run();
+  const Metrics again = SimulationBuilder{cfg}.policy("sir").run();
   expectBitIdentical(first, again, "sir migrating repeat");
 }
 

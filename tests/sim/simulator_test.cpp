@@ -6,6 +6,7 @@
 #include "core/facs.hpp"
 #include "scc/shadow_cluster.hpp"
 #include "serve/mutation.hpp"
+#include "sim/scenario_catalog.hpp"
 
 namespace facs::sim {
 namespace {
@@ -353,6 +354,40 @@ TEST(EdgeConfig, MutationAfterTheLastEventIsNotApplied) {
   const Metrics unbounded = runSimulation(cfg, completeSharing());
   EXPECT_EQ(unbounded.mutations_applied, 1);
   EXPECT_EQ(unbounded.outage_forced_drops, 0);
+}
+
+TEST(EdgeConfig, ZeroTrackingWindowConservesRequestsAcrossGroups) {
+  // tracking_window_s = 0 skips the GPS walk: each decision reads the
+  // ground-truth snapshot at its arrival instant. Across four commit
+  // groups every new and handoff request must still be settled, and the
+  // run must not depend on the worker count.
+  SimulationConfig cfg;
+  cfg.rings = 1;
+  cfg.cell_radius_km = 2.0;
+  cfg.total_requests = 150;
+  cfg.arrival_window_s = 400.0;
+  cfg.enable_handoffs = true;
+  cfg.mobility_update_s = 5.0;
+  cfg.seed = 31;
+  cfg.scenario.speed_min_kmh = 30.0;
+  cfg.scenario.speed_max_kmh = 110.0;
+  cfg.scenario.distance_max_km = 2.0;
+  cfg.scenario.tracking_window_s = 0.0;
+  cfg.commit_groups = 4;
+  for (const char* policy : {"facs", "sir", "scc"}) {
+    cfg.shards = 1;
+    const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
+    EXPECT_EQ(m.commit_groups, 4) << policy;
+    EXPECT_EQ(m.new_requests, 150) << policy;
+    EXPECT_EQ(m.new_requests, m.new_accepted + m.new_blocked) << policy;
+    EXPECT_GT(m.handoff_requests, 0) << policy;
+    EXPECT_EQ(m.handoff_requests, m.handoff_accepted + m.handoff_dropped)
+        << policy;
+    cfg.shards = 3;
+    EXPECT_EQ(SimulationBuilder{cfg}.policy(policy).run().toJson(),
+              m.toJson())
+        << policy << " shards 1 vs 3";
+  }
 }
 
 }  // namespace
