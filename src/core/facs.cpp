@@ -148,10 +148,9 @@ const PolicyRegistrar register_facs{
      "The paper's Fuzzy Admission Control System (FLC1 prediction cascaded "
      "into FLC2 admission).",
      "facs[:TAU][,tau=T,handoff=H,priority=P,ops=minmax|prod|luk,"
-     "defuzz=centroid|bisector|mom|som|lom,res=N]"},
+     "defuzz=centroid|bisector|mom|som|lom]"},
     [](const PolicySpec& spec) -> cellular::ControllerFactory {
-      spec.expectOnly(1, {"tau", "handoff", "priority", "ops", "defuzz",
-                          "res"});
+      spec.expectOnly(1, {"tau", "handoff", "priority", "ops", "defuzz"});
       FacsConfig cfg;
       cfg.accept_threshold = spec.numberFor("tau", spec.numberAt(0, 0.0));
       cfg.handoff_bias = spec.numberFor("handoff", cfg.handoff_bias);
@@ -162,15 +161,6 @@ const PolicyRegistrar register_facs{
             parseDefuzzifier(spec.keywordFor("defuzz", "centroid"));
         cfg.flc1.defuzzifier = d;
         cfg.flc2.defuzzifier = d;
-      }
-      if (spec.hasKey("res")) {
-        const int res = spec.intFor("res", 1001);
-        if (res < 2) {
-          throw PolicySpecError(
-              "policy 'facs': defuzzification resolution must be >= 2");
-        }
-        cfg.flc1.resolution = res;
-        cfg.flc2.resolution = res;
       }
       return [cfg](const cellular::HexNetwork&) {
         return std::make_unique<FacsController>(cfg);

@@ -20,7 +20,15 @@ struct EngineConfig {
   TNorm implication = TNorm::Minimum;    ///< Applies firing strength to the consequent (clip).
   SNorm aggregation = SNorm::Maximum;    ///< Merges rule outputs.
   Defuzzifier defuzzifier = Defuzzifier::Centroid;
-  int resolution = 1001;                 ///< Output-universe samples for defuzzification.
+  /// Output-universe samples for defuzzification. Only engines that sample
+  /// use it; see MamdaniEngine::piecewiseLinear().
+  int resolution = 1001;
+};
+
+/// Per-rule diagnostic from a traced inference.
+struct RuleActivation {
+  std::size_t rule_index = 0;
+  double firing_strength = 0.0;  ///< After conjunction and weighting.
 };
 
 /// Reusable working buffers for the allocation-free inference path. One
@@ -29,16 +37,11 @@ struct EngineConfig {
 /// of heap traffic on the per-decision path.
 struct InferenceScratch {
   std::vector<FuzzyVector> fuzzified;
-  std::vector<double> strengths;
+  std::vector<RuleActivation> fired;  ///< Rules with strength > 0.
   std::vector<double> term_activation;
   std::vector<double> curve_mu;  ///< Aggregated curve on the sealed grid.
   DefuzzScratch defuzz;
-};
-
-/// Per-rule diagnostic from a traced inference.
-struct RuleActivation {
-  std::size_t rule_index = 0;
-  double firing_strength = 0.0;  ///< After conjunction and weighting.
+  PiecewiseEnvelope piecewise;   ///< Breakpoint buffers of the exact path.
 };
 
 /// Full diagnostic of one inference step (for tests, examples and the
@@ -97,20 +100,28 @@ class MamdaniEngine {
 
   /// Validates once and caches the result: sealed engines skip the
   /// per-inference checkValid() (an O(rules^2 + term-product) scan that
-  /// otherwise dominates small rule bases). Sealing also precomputes the
-  /// output sample-grid tables — the defuzzification x-grid, its trapezoid
-  /// weights, and every output term's membership at every grid point (an
-  /// SoA resolution x termCount array) — so the aggregated-curve evaluation
-  /// becomes flat loops over contiguous doubles instead of a per-sample
-  /// lambda with nested apply() dispatch. The grid is a pure function of
-  /// (universe, resolution), so table lookups reproduce degree() bit-exactly
-  /// and sealed inference stays bit-identical to the unsealed path. Any
-  /// mutation (addInput, setOutput, addRule) unseals and drops the tables.
-  /// Seal before sharing the engine across threads; the sealed state is
-  /// written here only.
+  /// otherwise dominates small rule bases), and remember piecewiseLinear()
+  /// and the rule grid that lets firing skip rules of zero-degree terms.
+  /// An engine that samples (piecewiseLinear() false) also gets its
+  /// OutputTables here, so its aggregated curve is flat loops over
+  /// contiguous doubles instead of a per-sample lambda with nested apply()
+  /// dispatch; the tables reproduce degree() bit-exactly. Either way sealed
+  /// inference is bit-identical to the unsealed path. Any mutation
+  /// (addInput, setOutput, addRule) unseals and drops the tables. Seal
+  /// before sharing the engine across threads; the sealed state is written
+  /// here only.
   /// \throws std::logic_error when the engine is structurally invalid.
   void seal();
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
+
+  /// True when the aggregated output curve is piecewise linear — Min
+  /// implication, Max aggregation and every output term reporting its
+  /// vertices (Triangular, Trapezoidal) — so inference defuzzifies it in
+  /// closed form over its breakpoints (PiecewiseEnvelope) and ignores
+  /// `resolution`. Any other engine samples the curve on `resolution`
+  /// points: Prod or Lukasiewicz implication, probabilistic or bounded-sum
+  /// aggregation, or a smooth output term (shapes.hpp).
+  [[nodiscard]] bool piecewiseLinear() const;
 
   /// Runs one inference; \p crisp_inputs are clamped to each variable's
   /// universe. \throws std::invalid_argument on arity mismatch.
@@ -127,20 +138,30 @@ class MamdaniEngine {
       std::span<const double> crisp_inputs) const;
 
  private:
-  /// Firing strength of each rule for the fuzzified inputs, into
-  /// \p strengths (cleared first). The single implementation both the
-  /// traced and the scratch path run — one arithmetic, no drift.
-  void fireInto(const std::vector<FuzzyVector>& fuzzified,
-                std::vector<double>& strengths) const;
+  static constexpr std::size_t kNoRule = static_cast<std::size_t>(-1);
 
-  /// Per-term aggregation of \p strengths into scratch.term_activation
+  /// Every rule with a positive firing strength for scratch.fuzzified,
+  /// into scratch.fired in ascending rule order. A sealed engine with a
+  /// rule grid visits only the rules of nonzero input terms; any other
+  /// engine scans every rule. Both fold each antecedent in input order, so
+  /// they give the same list. The single implementation both the traced and
+  /// the scratch path run — one arithmetic, no drift.
+  void fireInto(InferenceScratch& scratch) const;
+
+  /// The rule base as a dense grid over the input-term product (input 0
+  /// most significant): the rule of each antecedent, or kNoRule. Empty
+  /// when a rule has a wildcard, two rules share an antecedent, or the
+  /// product is too large to tabulate.
+  [[nodiscard]] std::vector<std::size_t> ruleGrid() const;
+
+  /// Per-term aggregation of scratch.fired into scratch.term_activation
   /// (resized and zeroed here) followed by defuzzification of the
-  /// aggregated curve — the shared back half of every inference. Sealed
-  /// engines iterate the precomputed sample-grid tables; unsealed engines
-  /// evaluate the curve through the term objects. Same grid, same apply()
-  /// order, so the two are bit-identical.
-  [[nodiscard]] double aggregateAndDefuzzify(
-      const std::vector<double>& strengths, InferenceScratch& scratch) const;
+  /// aggregated curve — the shared back half of every inference.
+  /// Piecewise-linear engines, sealed or not, run the closed-form kernel.
+  /// Sampling engines iterate the precomputed sample-grid tables when
+  /// sealed and evaluate the curve through the term objects otherwise; same
+  /// grid, same apply() order, so the two are bit-identical.
+  [[nodiscard]] double aggregateAndDefuzzify(InferenceScratch& scratch) const;
 
   /// checkValid() unless a prior seal() vouches for the current structure.
   void ensureValid() const;
@@ -154,10 +175,11 @@ class MamdaniEngine {
   [[nodiscard]] double inferInto(std::span<const double> crisp_inputs,
                                  InferenceScratch& scratch) const;
 
-  /// Precomputed defuzzification tables of a sealed engine (empty while
-  /// unsealed). The grid and weights depend only on (universe, resolution);
-  /// term_mu is term-major — term t's row is [t * x.size(), (t+1) *
-  /// x.size()) — so the aggregation inner loop walks contiguous doubles.
+  /// Precomputed sample-grid tables of a sealed engine that samples (empty
+  /// while unsealed and for piecewise-linear engines, which never sample).
+  /// The grid and weights depend only on (universe, resolution); term_mu is
+  /// term-major — term t's row is [t * x.size(), (t+1) * x.size()) — so
+  /// the aggregation inner loop walks contiguous doubles.
   struct OutputTables {
     std::vector<double> x;        ///< Sample grid over the output universe.
     std::vector<double> half_dx;  ///< Trapezoid weights, 0.5 * segment dx.
@@ -170,7 +192,9 @@ class MamdaniEngine {
   std::vector<LinguisticVariable> output_;  ///< 0 or 1 elements.
   RuleBase rules_;
   OutputTables tables_;
+  std::vector<std::size_t> rule_at_;  ///< ruleGrid(), cached by seal().
   bool sealed_ = false;
+  bool piecewise_ = false;  ///< piecewiseLinear(), cached by seal().
 };
 
 }  // namespace facs::fuzzy

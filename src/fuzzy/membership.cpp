@@ -18,7 +18,12 @@ void requireFinite(double v, const char* what) {
 }  // namespace
 
 Triangular::Triangular(double center, double left_width, double right_width)
-    : center_{center}, left_{left_width}, right_{right_width} {
+    : center_{center},
+      left_{left_width},
+      right_{right_width},
+      vertices_{{{center - left_width, 0.0},
+                 {center, 1.0},
+                 {center + right_width, 0.0}}} {
   requireFinite(center, "center");
   requireFinite(left_width, "left_width");
   requireFinite(right_width, "right_width");
@@ -61,7 +66,11 @@ Trapezoidal::Trapezoidal(double plateau_lo, double plateau_hi,
     : plateau_lo_{plateau_lo},
       plateau_hi_{plateau_hi},
       left_{left_width},
-      right_{right_width} {
+      right_{right_width},
+      vertices_{{{plateau_lo - left_width, 0.0},
+                 {plateau_lo, 1.0},
+                 {plateau_hi, 1.0},
+                 {plateau_hi + right_width, 0.0}}} {
   requireFinite(plateau_lo, "plateau_lo");
   requireFinite(plateau_hi, "plateau_hi");
   requireFinite(left_width, "left_width");

@@ -11,7 +11,9 @@
 /// Both are represented here with the paper's parameterisation so that the
 /// FLC definitions in src/core can be read side-by-side with the paper.
 
+#include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -33,6 +35,13 @@ struct Interval {
     return x;
   }
   friend constexpr bool operator==(const Interval&, const Interval&) = default;
+};
+
+/// A corner of a piecewise-linear membership curve.
+struct Vertex {
+  double x = 0.0;
+  double mu = 0.0;
+  friend constexpr bool operator==(const Vertex&, const Vertex&) = default;
 };
 
 /// Abstract membership function mu : R -> [0, 1].
@@ -57,6 +66,15 @@ class MembershipFunction {
   [[nodiscard]] virtual std::string describe() const = 0;
 
   [[nodiscard]] virtual std::unique_ptr<MembershipFunction> clone() const = 0;
+
+  /// Corners of the curve when it is piecewise linear, in ascending x:
+  /// degree() is the linear interpolation between consecutive vertices and
+  /// zero outside [front().x, back().x]. Two vertices at the same x are a
+  /// vertical edge (a zero-width side). Empty for smooth shapes — the
+  /// engine samples those instead of integrating them in closed form.
+  [[nodiscard]] virtual std::span<const Vertex> vertices() const noexcept {
+    return {};
+  }
 
  protected:
   MembershipFunction() = default;
@@ -87,6 +105,11 @@ class Triangular final : public MembershipFunction {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::unique_ptr<MembershipFunction> clone() const override;
 
+  /// (x0 - a0, 0), (x0, 1), (x0 + a1, 0).
+  [[nodiscard]] std::span<const Vertex> vertices() const noexcept override {
+    return vertices_;
+  }
+
   [[nodiscard]] double center() const noexcept { return center_; }
   [[nodiscard]] double leftWidth() const noexcept { return left_; }
   [[nodiscard]] double rightWidth() const noexcept { return right_; }
@@ -95,6 +118,7 @@ class Triangular final : public MembershipFunction {
   double center_;
   double left_;
   double right_;
+  std::array<Vertex, 3> vertices_;
 };
 
 /// Trapezoidal membership function, the paper's g(x; x0, x1, a0, a1):
@@ -123,6 +147,11 @@ class Trapezoidal final : public MembershipFunction {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::unique_ptr<MembershipFunction> clone() const override;
 
+  /// (x0 - a0, 0), (x0, 1), (x1, 1), (x1 + a1, 0).
+  [[nodiscard]] std::span<const Vertex> vertices() const noexcept override {
+    return vertices_;
+  }
+
   [[nodiscard]] double plateauLo() const noexcept { return plateau_lo_; }
   [[nodiscard]] double plateauHi() const noexcept { return plateau_hi_; }
   [[nodiscard]] double leftWidth() const noexcept { return left_; }
@@ -133,6 +162,7 @@ class Trapezoidal final : public MembershipFunction {
   double plateau_hi_;
   double left_;
   double right_;
+  std::array<Vertex, 4> vertices_;
 };
 
 /// Convenience factories mirroring the paper's notation.

@@ -120,7 +120,7 @@ TEST(PolicyRegistry, ParameterizedSpecsConstruct) {
   for (const char* spec :
        {"guard:12", "guard:g=4", "threshold:40,40,40", "facs:0.25",
         "facs:tau=0.25,handoff=0.4", "facs:ops=prod", "facs:ops=luk",
-        "facs:defuzz=mom,res=101", "scc:0.85", "scc:theta=0.9,intervals=2",
+        "facs:defuzz=mom", "scc:0.85", "scc:theta=0.9,intervals=2",
         "sir:-3,1,5", "rsv:0.75", "rsv:frac=0.1,minspeed=20"}) {
     EXPECT_NE(PolicyRegistry::global().makeController(spec, net), nullptr)
         << spec;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <span>
 
 namespace facs::fuzzy {
 namespace {
@@ -110,6 +113,41 @@ TEST(Trapezoidal, RejectsInvalidParameters) {
   EXPECT_THROW(Trapezoidal(1.0, 0.0, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Trapezoidal(0.0, 1.0, -1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Trapezoidal(0.0, 1.0, 1.0, -1.0), std::invalid_argument);
+}
+
+/// Linear interpolation of \p v at \p x, right-continuous at vertical
+/// edges and zero outside the corners.
+double interpolate(std::span<const Vertex> v, double x) {
+  double mu = 0.0;
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    if (v[i - 1].x < v[i].x && v[i - 1].x <= x && x <= v[i].x) {
+      mu = std::max(mu, v[i - 1].mu + (v[i].mu - v[i - 1].mu) *
+                                          (x - v[i - 1].x) /
+                                          (v[i].x - v[i - 1].x));
+    }
+  }
+  return mu;
+}
+
+TEST(MembershipFunction, VerticesTraceTheDegreeCurve) {
+  const Triangular tri{0.3, 0.2, 0.5};
+  const Triangular left_edge{0.3, 0.0, 0.5};
+  const Trapezoidal trap{-1.0, 1.0, 0.5, 2.0};
+  const Trapezoidal shoulder{0.0, 2.0, 0.0, 1.0};
+  for (const MembershipFunction* mf :
+       std::initializer_list<const MembershipFunction*>{&tri, &left_edge, &trap,
+                                                        &shoulder}) {
+    const std::span<const Vertex> v = mf->vertices();
+    ASSERT_FALSE(v.empty()) << mf->describe();
+    EXPECT_EQ(v.front().x, mf->support().lo) << mf->describe();
+    EXPECT_EQ(v.back().x, mf->support().hi) << mf->describe();
+    for (double x = -2.0; x <= 4.0; x += 1.0 / 64.0) {
+      EXPECT_NEAR(interpolate(v, x), mf->degree(x), 1e-12)
+          << mf->describe() << " at " << x;
+    }
+  }
+  // A zero-width side is a vertical edge: two corners at the same x.
+  EXPECT_EQ(left_edge.vertices()[0].x, left_edge.vertices()[1].x);
 }
 
 TEST(MembershipFunction, CloneIsIndependentAndEqual) {

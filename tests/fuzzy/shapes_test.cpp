@@ -9,6 +9,13 @@
 namespace facs::fuzzy {
 namespace {
 
+TEST(SmoothShapes, ReportNoVertices) {
+  // The engine samples smooth output terms instead of integrating them.
+  EXPECT_TRUE(Gaussian(5.0, 2.0).vertices().empty());
+  EXPECT_TRUE(GeneralizedBell(0.0, 1.0, 2.0).vertices().empty());
+  EXPECT_TRUE(Sigmoid(0.0, 3.0).vertices().empty());
+}
+
 TEST(GaussianShape, PeakAndSpread) {
   const Gaussian g{5.0, 2.0};
   EXPECT_DOUBLE_EQ(g.degree(5.0), 1.0);
