@@ -31,29 +31,43 @@ std::unique_ptr<core::FacsController> facsFromRegistry(
   return std::unique_ptr<core::FacsController>{typed};
 }
 
-void BM_Flc1Inference(benchmark::State& state) {
-  const fuzzy::MamdaniEngine flc1 = core::buildFlc1();
-  std::array<double, 3> in{60.0, 20.0, 5.0};
-  double x = 0.0;
+constexpr std::size_t kVariedInputs = 64;
+
+/// kVariedInputs points spread over all three input universes of \p engine
+/// (coprime strides per input), so the set of fired rules — hence the number
+/// of active output terms — changes from one inference to the next.
+std::array<std::array<double, 3>, kVariedInputs> variedInputs(
+    const fuzzy::MamdaniEngine& engine) {
+  constexpr std::array<std::size_t, 3> kStrides{37, 53, 29};
+  std::array<std::array<double, 3>, kVariedInputs> inputs{};
+  for (std::size_t i = 0; i < kVariedInputs; ++i) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      const fuzzy::Interval u = engine.input(v).universe();
+      const double f = static_cast<double>(i * kStrides[v] % kVariedInputs) /
+                       static_cast<double>(kVariedInputs - 1);
+      inputs[i][v] = u.lo + f * u.width();
+    }
+  }
+  return inputs;
+}
+
+void inferVaried(benchmark::State& state, const fuzzy::MamdaniEngine& engine) {
+  const auto inputs = variedInputs(engine);
+  std::size_t i = 0;
   for (auto _ : state) {
-    in[1] = x;  // vary the angle so no caching layer could cheat
-    x = x < 180.0 ? x + 1.0 : -180.0;
-    benchmark::DoNotOptimize(flc1.infer(in));
+    benchmark::DoNotOptimize(engine.infer(inputs[i]));
+    i = i + 1 < kVariedInputs ? i + 1 : 0;
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+void BM_Flc1Inference(benchmark::State& state) {
+  inferVaried(state, core::buildFlc1());
 }
 BENCHMARK(BM_Flc1Inference);
 
 void BM_Flc2Inference(benchmark::State& state) {
-  const fuzzy::MamdaniEngine flc2 = core::buildFlc2();
-  std::array<double, 3> in{0.5, 5.0, 20.0};
-  double cs = 0.0;
-  for (auto _ : state) {
-    in[2] = cs;
-    cs = cs < 40.0 ? cs + 0.5 : 0.0;
-    benchmark::DoNotOptimize(flc2.infer(in));
-  }
-  state.SetItemsProcessed(state.iterations());
+  inferVaried(state, core::buildFlc2());
 }
 BENCHMARK(BM_Flc2Inference);
 
@@ -72,18 +86,17 @@ void BM_FacsEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_FacsEvaluate);
 
-/// Defuzzification resolution is the main latency knob: sweep it, over 64
-/// varied (Cv, R, Cs) inputs — the snapshot (hence Cv), the demand and the
-/// occupancy all change from one evaluation to the next.
-void BM_FacsEvaluateResolution(benchmark::State& state) {
-  const auto facs = facsFromRegistry(
-      "facs:res=" + std::to_string(state.range(0)));
-  constexpr std::size_t kInputs = 64;
+/// The full cascade per inference path, over 64 varied (Cv, R, Cs) inputs —
+/// the snapshot (hence Cv), the demand and the occupancy all change from
+/// one evaluation to the next. `facs` defuzzifies in closed form;
+/// `facs:ops=prod` (product implication, probabilistic OR) samples.
+void BM_FacsEvaluateVaried(benchmark::State& state, const char* spec) {
+  const auto facs = facsFromRegistry(spec);
   constexpr std::array<double, 3> kDemands{1.0, 5.0, 10.0};
-  std::array<cellular::UserSnapshot, kInputs> users{};
-  std::array<double, kInputs> demand{};
-  std::array<double, kInputs> occupied{};
-  for (std::size_t i = 0; i < kInputs; ++i) {
+  std::array<cellular::UserSnapshot, kVariedInputs> users{};
+  std::array<double, kVariedInputs> demand{};
+  std::array<double, kVariedInputs> occupied{};
+  for (std::size_t i = 0; i < kVariedInputs; ++i) {
     users[i].speed_kmh = 5.0 + static_cast<double>(i * 37 % 115);
     users[i].angle_deg = -180.0 + static_cast<double>(i * 53 % 360);
     users[i].distance_km = 0.5 + static_cast<double>(i * 7 % 19) * 0.5;
@@ -93,11 +106,12 @@ void BM_FacsEvaluateResolution(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(facs->evaluate(users[i], demand[i], occupied[i]));
-    i = i + 1 < kInputs ? i + 1 : 0;
+    i = i + 1 < kVariedInputs ? i + 1 : 0;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FacsEvaluateResolution)->Arg(101)->Arg(251)->Arg(1001)->Arg(4001);
+BENCHMARK_CAPTURE(BM_FacsEvaluateVaried, exact, "facs");
+BENCHMARK_CAPTURE(BM_FacsEvaluateVaried, sampled, "facs:ops=prod");
 
 void BM_FdlParseFlc1(benchmark::State& state) {
   const std::string doc = fuzzy::toFdl(core::buildFlc1());
