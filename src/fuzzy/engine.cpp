@@ -164,31 +164,8 @@ bool MamdaniEngine::piecewiseLinear() const {
   });
 }
 
-std::vector<std::size_t> MamdaniEngine::ruleGrid() const {
-  constexpr std::size_t kMaxCells = std::size_t{1} << 16;
-  std::size_t cells = 1;
-  for (const LinguisticVariable& v : inputs_) {
-    cells *= v.termCount();
-    if (cells > kMaxCells) return {};
-  }
-  std::vector<std::size_t> grid(cells, kNoRule);
-  const std::vector<Rule>& rules = rules_.rules();
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    std::size_t cell = 0;
-    for (std::size_t v = 0; v < inputs_.size(); ++v) {
-      const std::size_t t = rules[i].antecedent[v];
-      if (t == kAnyTerm) return {};
-      cell = cell * inputs_[v].termCount() + t;
-    }
-    if (grid[cell] != kNoRule) return {};  // a repeated antecedent
-    grid[cell] = i;
-  }
-  return grid;
-}
-
 void MamdaniEngine::seal() {
   checkValid();
-  rule_at_ = ruleGrid();
   piecewise_ = piecewiseLinear();
   sealed_ = true;
   if (piecewise_) return;
@@ -217,20 +194,17 @@ void MamdaniEngine::seal() {
 void MamdaniEngine::unseal() {
   sealed_ = false;
   tables_ = OutputTables{};
-  rule_at_.clear();
 }
 
 void MamdaniEngine::ensureValid() const {
   if (!sealed_) checkValid();
 }
 
-void MamdaniEngine::fireInto(InferenceScratch& scratch) const {
-  const std::vector<FuzzyVector>& fuzzified = scratch.fuzzified;
-  const std::vector<Rule>& rules = rules_.rules();
-  std::vector<RuleActivation>& fired = scratch.fired;
-  fired.clear();
-  const auto fire = [&](std::size_t i) {
-    const Rule& r = rules[i];
+void MamdaniEngine::fireInto(const std::vector<FuzzyVector>& fuzzified,
+                             std::vector<double>& strengths) const {
+  strengths.clear();
+  strengths.reserve(rules_.size());
+  for (const Rule& r : rules_.rules()) {
     double strength = 1.0;
     for (std::size_t v = 0; v < r.antecedent.size(); ++v) {
       if (r.antecedent[v] == kAnyTerm) continue;
@@ -238,38 +212,12 @@ void MamdaniEngine::fireInto(InferenceScratch& scratch) const {
                        fuzzified[v][r.antecedent[v]]);
       if (strength == 0.0) break;
     }
-    strength *= r.weight;
-    if (strength > 0.0) fired.push_back({i, strength});
-  };
-  if (!sealed_ || rule_at_.empty()) {
-    for (std::size_t i = 0; i < rules.size(); ++i) fire(i);
-    return;
-  }
-
-  // Only a rule whose every antecedent term has a nonzero degree can fire:
-  // visit just the grid cells of those terms, then restore rule order (a
-  // no-op for a rule base listed in term order, as the FACS tables are).
-  const auto walk = [&](const auto& self, std::size_t v,
-                        std::size_t cell) -> void {
-    if (v == fuzzified.size()) {
-      if (rule_at_[cell] != kNoRule) fire(rule_at_[cell]);
-      return;
-    }
-    const FuzzyVector& degrees = fuzzified[v];
-    for (std::size_t t = 0; t < degrees.size(); ++t) {
-      if (degrees[t] > 0.0) self(self, v + 1, cell * degrees.size() + t);
-    }
-  };
-  walk(walk, 0, 0);
-  for (std::size_t k = 1; k < fired.size(); ++k) {
-    for (std::size_t m = k;
-         m > 0 && fired[m].rule_index < fired[m - 1].rule_index; --m) {
-      std::swap(fired[m], fired[m - 1]);
-    }
+    strengths.push_back(strength * r.weight);
   }
 }
 
-double MamdaniEngine::aggregateAndDefuzzify(InferenceScratch& scratch) const {
+double MamdaniEngine::aggregateAndDefuzzify(
+    const std::vector<double>& strengths, InferenceScratch& scratch) const {
   // Per-output-term activation level: the s-norm of the strengths of all
   // rules concluding in that term. Computing per-term activation first (and
   // evaluating each term's membership once per sample point) keeps the
@@ -277,11 +225,11 @@ double MamdaniEngine::aggregateAndDefuzzify(InferenceScratch& scratch) const {
   const LinguisticVariable& out = output();
   std::vector<double>& term_activation = scratch.term_activation;
   term_activation.assign(out.termCount(), 0.0);
-  const std::vector<Rule>& rules = rules_.rules();
-  for (const RuleActivation& a : scratch.fired) {
-    const std::size_t t = rules[a.rule_index].consequent;
+  for (std::size_t i = 0; i < strengths.size(); ++i) {
+    if (strengths[i] <= 0.0) continue;
+    const std::size_t t = rules_.rule(i).consequent;
     term_activation[t] =
-        apply(config_.aggregation, term_activation[t], a.firing_strength);
+        apply(config_.aggregation, term_activation[t], strengths[i]);
   }
 
   if (sealed_ ? piecewise_ : piecewiseLinear()) {
@@ -354,8 +302,8 @@ double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
   for (std::size_t v = 0; v < inputs_.size(); ++v) {
     inputs_[v].fuzzifyInto(crisp_inputs[v], scratch.fuzzified[v]);
   }
-  fireInto(scratch);
-  return aggregateAndDefuzzify(scratch);
+  fireInto(scratch.fuzzified, scratch.strengths);
+  return aggregateAndDefuzzify(scratch.strengths, scratch);
 }
 
 InferenceTrace MamdaniEngine::inferTraced(
@@ -378,12 +326,17 @@ InferenceTrace MamdaniEngine::inferTraced(
   }
 
   // Exactly the scratch path's arithmetic — fireInto() and
-  // aggregateAndDefuzzify() are the single implementation both share.
+  // aggregateAndDefuzzify() are the single implementation both share — plus
+  // the activation bookkeeping only the trace wants.
   InferenceScratch scratch;
-  scratch.fuzzified = trace.fuzzified;
-  fireInto(scratch);
-  trace.activations = scratch.fired;
-  trace.crisp_output = aggregateAndDefuzzify(scratch);
+  fireInto(trace.fuzzified, scratch.strengths);
+  for (std::size_t i = 0; i < scratch.strengths.size(); ++i) {
+    if (scratch.strengths[i] > 0.0) {
+      trace.activations.push_back({i, scratch.strengths[i]});
+    }
+  }
+
+  trace.crisp_output = aggregateAndDefuzzify(scratch.strengths, scratch);
   trace.winning_output_term = output().winningTerm(trace.crisp_output);
   return trace;
 }

@@ -25,23 +25,23 @@ struct EngineConfig {
   int resolution = 1001;
 };
 
-/// Per-rule diagnostic from a traced inference.
-struct RuleActivation {
-  std::size_t rule_index = 0;
-  double firing_strength = 0.0;  ///< After conjunction and weighting.
-};
-
 /// Reusable working buffers for the allocation-free inference path. One
 /// scratch serves any number of engines (each inference resizes the buffers
 /// to its own shape); reusing it across calls keeps the steady state free
 /// of heap traffic on the per-decision path.
 struct InferenceScratch {
   std::vector<FuzzyVector> fuzzified;
-  std::vector<RuleActivation> fired;  ///< Rules with strength > 0.
+  std::vector<double> strengths;
   std::vector<double> term_activation;
   std::vector<double> curve_mu;  ///< Aggregated curve on the sealed grid.
   DefuzzScratch defuzz;
   PiecewiseEnvelope piecewise;   ///< Breakpoint buffers of the exact path.
+};
+
+/// Per-rule diagnostic from a traced inference.
+struct RuleActivation {
+  std::size_t rule_index = 0;
+  double firing_strength = 0.0;  ///< After conjunction and weighting.
 };
 
 /// Full diagnostic of one inference step (for tests, examples and the
@@ -100,8 +100,7 @@ class MamdaniEngine {
 
   /// Validates once and caches the result: sealed engines skip the
   /// per-inference checkValid() (an O(rules^2 + term-product) scan that
-  /// otherwise dominates small rule bases), and remember piecewiseLinear()
-  /// and the rule grid that lets firing skip rules of zero-degree terms.
+  /// otherwise dominates small rule bases), and remember piecewiseLinear().
   /// An engine that samples (piecewiseLinear() false) also gets its
   /// OutputTables here, so its aggregated curve is flat loops over
   /// contiguous doubles instead of a per-sample lambda with nested apply()
@@ -138,30 +137,21 @@ class MamdaniEngine {
       std::span<const double> crisp_inputs) const;
 
  private:
-  static constexpr std::size_t kNoRule = static_cast<std::size_t>(-1);
+  /// Firing strength of each rule for the fuzzified inputs, into
+  /// \p strengths (cleared first). The single implementation both the
+  /// traced and the scratch path run — one arithmetic, no drift.
+  void fireInto(const std::vector<FuzzyVector>& fuzzified,
+                std::vector<double>& strengths) const;
 
-  /// Every rule with a positive firing strength for scratch.fuzzified,
-  /// into scratch.fired in ascending rule order. A sealed engine with a
-  /// rule grid visits only the rules of nonzero input terms; any other
-  /// engine scans every rule. Both fold each antecedent in input order, so
-  /// they give the same list. The single implementation both the traced and
-  /// the scratch path run — one arithmetic, no drift.
-  void fireInto(InferenceScratch& scratch) const;
-
-  /// The rule base as a dense grid over the input-term product (input 0
-  /// most significant): the rule of each antecedent, or kNoRule. Empty
-  /// when a rule has a wildcard, two rules share an antecedent, or the
-  /// product is too large to tabulate.
-  [[nodiscard]] std::vector<std::size_t> ruleGrid() const;
-
-  /// Per-term aggregation of scratch.fired into scratch.term_activation
+  /// Per-term aggregation of \p strengths into scratch.term_activation
   /// (resized and zeroed here) followed by defuzzification of the
   /// aggregated curve — the shared back half of every inference.
   /// Piecewise-linear engines, sealed or not, run the closed-form kernel.
   /// Sampling engines iterate the precomputed sample-grid tables when
   /// sealed and evaluate the curve through the term objects otherwise; same
   /// grid, same apply() order, so the two are bit-identical.
-  [[nodiscard]] double aggregateAndDefuzzify(InferenceScratch& scratch) const;
+  [[nodiscard]] double aggregateAndDefuzzify(
+      const std::vector<double>& strengths, InferenceScratch& scratch) const;
 
   /// checkValid() unless a prior seal() vouches for the current structure.
   void ensureValid() const;
@@ -192,7 +182,6 @@ class MamdaniEngine {
   std::vector<LinguisticVariable> output_;  ///< 0 or 1 elements.
   RuleBase rules_;
   OutputTables tables_;
-  std::vector<std::size_t> rule_at_;  ///< ruleGrid(), cached by seal().
   bool sealed_ = false;
   bool piecewise_ = false;  ///< piecewiseLinear(), cached by seal().
 };

@@ -27,6 +27,10 @@ Triangular::Triangular(double center, double left_width, double right_width)
   requireFinite(center, "center");
   requireFinite(left_width, "left_width");
   requireFinite(right_width, "right_width");
+  // The support ends are vertices too; finite parameters can still
+  // overflow them.
+  requireFinite(vertices_.front().x, "center - left_width");
+  requireFinite(vertices_.back().x, "center + right_width");
   if (left_ < 0.0 || right_ < 0.0) {
     throw std::invalid_argument("triangular widths must be non-negative");
   }
@@ -75,6 +79,8 @@ Trapezoidal::Trapezoidal(double plateau_lo, double plateau_hi,
   requireFinite(plateau_hi, "plateau_hi");
   requireFinite(left_width, "left_width");
   requireFinite(right_width, "right_width");
+  requireFinite(vertices_.front().x, "plateau_lo - left_width");
+  requireFinite(vertices_.back().x, "plateau_hi + right_width");
   if (plateau_hi_ < plateau_lo_) {
     throw std::invalid_argument("trapezoid plateau is inverted (x1 < x0)");
   }

@@ -159,8 +159,8 @@ TEST_P(SealedIdentityMatrix, Flc2SealedIsBitIdenticalToUnsealed) {
 }
 
 TEST_P(SealedIdentityMatrix, Flc1SealedIsBitIdenticalToUnsealed) {
-  // The sealed FLC1 fires through its rule grid, the unsealed copy scans
-  // all 42 rules; both must hand the same strengths to the same kernel.
+  // The sealed FLC1 takes the closed-form path from the flag seal() cached,
+  // the unsealed copy decides it per call; both must run the same kernel.
   const MamdaniEngine sealed_engine = core::buildFlc1(makeConfig());
   MamdaniEngine unsealed_engine = sealed_engine;
   unsealed_engine.setOutput(sealed_engine.output());

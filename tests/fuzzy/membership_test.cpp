@@ -75,6 +75,13 @@ TEST(Triangular, RejectsInvalidParameters) {
                std::invalid_argument);
 }
 
+TEST(Triangular, RejectsSupportEndsThatOverflow) {
+  // Each parameter is finite, but center +- width is not.
+  EXPECT_THROW(Triangular(1e308, 1e308, 1e308), std::invalid_argument);
+  EXPECT_THROW(Triangular(-1e308, 1e308, 0.0), std::invalid_argument);
+  EXPECT_NO_THROW(Triangular(0.0, 1e308, 1e308));
+}
+
 TEST(Trapezoidal, PaperFormulaValues) {
   // g(x; x0=0, x1=15, a0=0, a1=15) — the paper's "Slow speed" shape.
   const Trapezoidal trap{0.0, 15.0, 0.0, 15.0};
@@ -113,6 +120,12 @@ TEST(Trapezoidal, RejectsInvalidParameters) {
   EXPECT_THROW(Trapezoidal(1.0, 0.0, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Trapezoidal(0.0, 1.0, -1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Trapezoidal(0.0, 1.0, 1.0, -1.0), std::invalid_argument);
+}
+
+TEST(Trapezoidal, RejectsSupportEndsThatOverflow) {
+  EXPECT_THROW(Trapezoidal(0.0, 1e308, 0.0, 1e308), std::invalid_argument);
+  EXPECT_THROW(Trapezoidal(-1e308, 0.0, 1e308, 0.0), std::invalid_argument);
+  EXPECT_NO_THROW(Trapezoidal(-1e308, 1e308, 0.0, 0.0));
 }
 
 /// Linear interpolation of \p v at \p x, right-continuous at vertical
