@@ -3,11 +3,14 @@
 /// latency of RadioModel::sinrDb and SirController::decide as the network
 /// grows (rings 2/4/6 = 19/61/127 cells). The interference sum is the
 /// exact whole-network walk, so both grow O(cells); these are the numbers
-/// behind the precomputed gain tables' per-interferer cost.
+/// behind the precomputed gain tables' per-interferer cost. BM_CellAt times
+/// the position-to-cell lookup every mobility step makes.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -84,6 +87,34 @@ void BM_SirDecide(benchmark::State& state) {
   state.SetLabel(std::to_string(net.cellCount()) + " cells");
 }
 BENCHMARK(BM_SirDecide)->Arg(2)->Arg(4)->Arg(6);
+
+/// HexNetwork::cellAt over random points of a rings-2 disk (radius 1.5 km):
+/// uniform over a circle sized so about 10% of them miss every cell, the
+/// share a mobility step that leaves coverage sees at most.
+void BM_CellAt(benchmark::State& state) {
+  const cellular::HexNetwork net{2, /*cell_radius_km=*/1.5};
+  // A circle of 4.1 radii leaves ~10% of its area outside the 19 hexes.
+  const double reach = 4.1 * net.cellRadiusKm();
+  std::mt19937_64 gen{42};
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  std::vector<cellular::Vec2> points(4096);
+  std::size_t outside = 0;
+  for (cellular::Vec2& p : points) {
+    const double rho = reach * std::sqrt(unit(gen));
+    const double theta = 2.0 * cellular::kPi * unit(gen);
+    p = {rho * std::cos(theta), rho * std::sin(theta)};
+    if (!net.cellAt(p)) ++outside;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.cellAt(points[i]));
+    i = (i + 1) % points.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["outside_frac"] =
+      static_cast<double>(outside) / static_cast<double>(points.size());
+}
+BENCHMARK(BM_CellAt);
 
 }  // namespace
 

@@ -76,6 +76,8 @@ struct HexCoord {
 [[nodiscard]] Vec2 hexCenter(HexCoord h, double cell_radius_km) noexcept;
 
 /// Hex containing a planar point (inverse of hexCenter, with rounding).
+/// \p p must be finite and its axial coordinates must fit an int;
+/// HexNetwork::cellAt screens positions before calling this.
 [[nodiscard]] HexCoord pointToHex(Vec2 p, double cell_radius_km) noexcept;
 
 /// All hexes within \p rings grid hops of the origin, origin first, then by

@@ -1,25 +1,20 @@
 #include "cellular/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace facs::cellular {
-
-namespace {
-struct HexHash {
-  std::size_t operator()(const HexCoord& h) const noexcept {
-    return std::hash<long long>{}(
-        (static_cast<long long>(h.q) << 32) ^
-        static_cast<long long>(static_cast<unsigned>(h.r)));
-  }
-};
-}  // namespace
 
 HexNetwork::HexNetwork(int rings, double cell_radius_km,
                        BandwidthUnits capacity_bu,
                        const std::vector<CellCapacityOverride>& capacity_overrides)
-    : cell_radius_km_{cell_radius_km} {
+    : cell_radius_km_{cell_radius_km},
+      rings_{rings},
+      // Every point of the disk lies within sqrt(3) * rings + 1 radii of the
+      // origin; 2 * rings + 2 leaves a full radius of margin, so anything
+      // past it rounds to a hex outside the disk anyway.
+      extent_km_{(2.0 * rings + 2.0) * cell_radius_km} {
   if (rings < 0) throw std::invalid_argument("rings must be >= 0");
   if (!(cell_radius_km > 0.0)) {
     throw std::invalid_argument("cell radius must be positive");
@@ -46,31 +41,50 @@ HexNetwork::HexNetwork(int rings, double cell_radius_km,
     overridden[cell] = true;
   }
 
-  std::unordered_map<HexCoord, CellId, HexHash> index;
+  const auto side = static_cast<std::size_t>(2 * rings + 1);
+  index_.assign(side * side, kNoCell);
   cells_.reserve(coords.size());
   stations_.reserve(coords.size());
   for (std::size_t i = 0; i < coords.size(); ++i) {
     const auto id = static_cast<CellId>(i);
     cells_.push_back({id, coords[i], hexCenter(coords[i], cell_radius_km_)});
     stations_.emplace_back(id, capacities[i]);
-    index.emplace(coords[i], id);
+    index_[indexOf(coords[i])] = id;
   }
 
   neighbors_.resize(cells_.size());
   for (const Cell& c : cells_) {
     for (const HexCoord& n : hexNeighbors(c.coord)) {
-      const auto it = index.find(n);
-      if (it != index.end()) neighbors_[c.id].push_back(it->second);
+      if (const auto id = cellOf(n)) neighbors_[c.id].push_back(*id);
     }
   }
 }
 
-std::optional<CellId> HexNetwork::cellAt(Vec2 position) const {
-  const HexCoord h = pointToHex(position, cell_radius_km_);
-  for (const Cell& c : cells_) {
-    if (c.coord == h) return c.id;
+std::size_t HexNetwork::indexOf(HexCoord h) const noexcept {
+  const auto side = static_cast<std::size_t>(2 * rings_ + 1);
+  return static_cast<std::size_t>(h.q + rings_) * side +
+         static_cast<std::size_t>(h.r + rings_);
+}
+
+std::optional<CellId> HexNetwork::cellOf(HexCoord h) const noexcept {
+  // The disk fits the (2 * rings + 1)^2 axial box; the box's corners hold
+  // kNoCell.
+  if (h.q < -rings_ || h.q > rings_ || h.r < -rings_ || h.r > rings_) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  const CellId id = index_[indexOf(h)];
+  if (id == kNoCell) return std::nullopt;
+  return id;
+}
+
+std::optional<CellId> HexNetwork::cellAt(Vec2 position) const {
+  // Refuse non-finite and far-out points before pointToHex casts their
+  // rounded axial coordinates to int (undefined for NaN or out of range).
+  if (!(std::abs(position.x) <= extent_km_ &&
+        std::abs(position.y) <= extent_km_)) {
+    return std::nullopt;
+  }
+  return cellOf(pointToHex(position, cell_radius_km_));
 }
 
 BandwidthUnits HexNetwork::totalOccupiedBu() const noexcept {

@@ -53,7 +53,9 @@ class HexNetwork {
     return stations_.at(id);
   }
 
-  /// Cell containing a planar point, if any cell of the disk does.
+  /// Cell containing a planar point, if any cell of the disk does. O(1):
+  /// one axial rounding and one lookup in a dense index. Non-finite points
+  /// are outside every cell.
   [[nodiscard]] std::optional<CellId> cellAt(Vec2 position) const;
 
   /// Ids of in-network neighbours of a cell (up to 6).
@@ -71,7 +73,21 @@ class HexNetwork {
   [[nodiscard]] BandwidthUnits totalCapacityBu() const noexcept;
 
  private:
+  static constexpr CellId kNoCell = static_cast<CellId>(-1);
+
+  /// Slot of \p h in index_; \p h must lie in the axial box.
+  [[nodiscard]] std::size_t indexOf(HexCoord h) const noexcept;
+  /// Cell at axial coordinate \p h, if the disk has one.
+  [[nodiscard]] std::optional<CellId> cellOf(HexCoord h) const noexcept;
+
   double cell_radius_km_;
+  int rings_;
+  /// Half-width of the square outside which cellAt answers nullopt without
+  /// rounding (see the constructor).
+  double extent_km_;
+  /// Cell id per (q, r) of the (2 * rings + 1)^2 axial box, kNoCell where
+  /// the box holds no disk cell.
+  std::vector<CellId> index_;
   std::vector<Cell> cells_;
   std::vector<BaseStation> stations_;
   std::vector<std::vector<CellId>> neighbors_;

@@ -337,8 +337,16 @@ class Engine {
 
       double window_end = std::numeric_limits<double>::infinity();
       if (std::isfinite(window_s)) {
-        const double k = std::floor(*next / window_s);
+        double k = std::floor(*next / window_s);
         window_end = (k + 1.0) * window_s;
+        // Step times are running sums of the period; with an inexact period
+        // (0.7 s) a sum can land on or just past the product (k + 1) * window
+        // while the quotient still floors to k. That window would hold no
+        // event (popBefore is strict) and the run would spin on it forever.
+        while (!(window_end > *next)) {
+          k += 1.0;
+          window_end = (k + 1.0) * window_s;
+        }
       }
       // Clamp so a barrier lands exactly at the next mutation instant and
       // at the next partition epoch. Progress is guaranteed: the pre-step
@@ -406,8 +414,6 @@ class Engine {
   }
 
  private:
-  using Queue = EventQueue<ShardEvent>;
-
   /// A drop-path controller release deferred out of the parallel
   /// reservation drain: onReleased() names the SOURCE cell's station,
   /// which belongs to a foreign group, so running it inside a per-group
@@ -427,6 +433,21 @@ class Engine {
       if (a.time_s != b.time_s) return a.time_s < b.time_s;
       return a.call < b.call;
     }
+  };
+
+  /// One group's work for later windows. End and Decision events wait on a
+  /// time-ordered heap. Mobility steps — one per active call per period,
+  /// the bulk of all events — wait in a flat list instead: the local phase
+  /// sweeps it once per window, which costs no heap push and pop per step.
+  struct GroupQueue {
+    EventQueue<ShardEvent> events;
+    /// Pending mobility steps, at most one live per call; unordered.
+    std::vector<CommitEntry> movers;
+    /// Minimum time over `movers`, stale entries included (+inf if empty).
+    double next_mover_s = std::numeric_limits<double>::infinity();
+    /// Latest step time the local phase has reached: the mover list's half
+    /// of the group's clock (events.now() is the other).
+    double movers_now_s = 0.0;
   };
 
   /// One commit lane: the canonical-order replay queue of one cell group
@@ -526,11 +547,23 @@ class Engine {
     return partition_.groupOf(cell);
   }
 
-  /// Schedules \p ev into the event queue of \p cell's group. Only that
-  /// group's lane or reservation drain ever calls this for its own cells,
-  /// so each queue has one writer per phase.
+  /// Schedules \p ev into \p cell's group: a mobility step onto its mover
+  /// list, anything else onto its event heap. Only that group's lane or
+  /// reservation drain ever calls this for its own cells, so each group has
+  /// one writer per phase.
+  /// \throws std::invalid_argument if \p time_s precedes the group's clock.
   void schedule(double time_s, CellId cell, const ShardEvent& ev) {
-    queues_[static_cast<std::size_t>(laneOf(cell))].push(time_s, ev);
+    GroupQueue& q = queues_[static_cast<std::size_t>(laneOf(cell))];
+    if (!(time_s >= std::max(q.events.now(), q.movers_now_s))) {
+      throw std::invalid_argument(
+          "event scheduled in the past (time must be >= current clock)");
+    }
+    if (ev.kind != ShardEventKind::Move) {
+      q.events.push(time_s, ev);
+      return;
+    }
+    q.movers.push_back(CommitEntry{time_s, ev});
+    q.next_mover_s = std::min(q.next_mover_s, time_s);
   }
 
   /// Runs \p fn(g) for every commit group: inline at one group, else over
@@ -564,11 +597,16 @@ class Engine {
     return live ? &c : nullptr;
   }
 
+  /// Earliest queued instant of any group — stale movers included, so a
+  /// window still opens when a dead call's step comes due.
   [[nodiscard]] std::optional<double> nextEventTime() const {
     std::optional<double> best;
-    for (const Queue& q : queues_) {
-      const auto t = q.peekTime();
+    for (const GroupQueue& q : queues_) {
+      const auto t = q.events.peekTime();
       if (t && (!best || *t < *best)) best = t;
+      if (!q.movers.empty() && (!best || q.next_mover_s < *best)) {
+        best = q.next_mover_s;
+      }
     }
     if (const auto t = arrivals_.peek()) {
       // An unmaterialized arrival's first event is its admission decision.
@@ -604,7 +642,7 @@ class Engine {
   /// quiesced, mailboxes drained), so remapping a cell can never strand an
   /// in-flight claim; the per-group occupancy integrals are closed at
   /// \p at_s and re-based from the live ledgers under the new mapping, and
-  /// the event queues are re-homed to the new groups.
+  /// the event queues and mover lists are re-homed to the new groups.
   void repartitionEpoch(double at_s) {
     next_epoch_s_ += cfg_.repartition_every_s;
     epoch_weights_.resize(cell_events_.size());
@@ -648,17 +686,22 @@ class Engine {
     ++metrics_.repartitions;
   }
 
-  /// Moves every live queued event into the queue of its call's group under
+  /// Moves every live queued event and mover into its call's group under
   /// the current mapping and drops stale copies (the local phase would
-  /// discard them anyway). The queues are fresh, because EventQueue refuses
-  /// a push earlier than its last pop.
+  /// discard them anyway). The queues are fresh, because schedule() refuses
+  /// a push earlier than a group's clock.
   void rehomeQueues() {
-    std::vector<Queue> old(queues_.size());
+    std::vector<GroupQueue> old(queues_.size());
     old.swap(queues_);
-    for (Queue& q : old) {
-      while (const auto e = q.pop()) {
+    for (GroupQueue& q : old) {
+      while (const auto e = q.events.pop()) {
         if (const CallState* c = liveCall(e->payload)) {
           schedule(e->time_s, c->request.target_cell, e->payload);
+        }
+      }
+      for (const CommitEntry& m : q.movers) {
+        if (const CallState* c = liveCall(m.event)) {
+          schedule(m.time_s, c->request.target_cell, m.event);
         }
       }
     }
@@ -948,51 +991,87 @@ class Engine {
 
   // ------------------------------------------------------------ local phase
 
-  /// Each group drains its event queue up to the window end. Mobility
-  /// steps run here (call-local: per-call RNG and state); everything that
-  /// needs the shared ledgers/controller goes straight into the group's
-  /// commit lane. Stale events (recycled slots, superseded epochs, finished
-  /// calls) die here.
+  /// Each group drains its event heap up to the window end straight into
+  /// its commit lane, then sweeps its mover list once. Mobility steps run
+  /// here (call-local: per-call RNG and state); everything that needs the
+  /// shared ledgers/controller goes into the group's commit lane. Stale
+  /// events (recycled slots, superseded epochs, finished calls) die here.
+  /// Which order the group visits its due events in cannot matter: the
+  /// lane replays them in canonical order, and a step touches only its own
+  /// call.
   void runLocalPhase(double window_end) {
     forEachGroup([&](int g) {
-      Queue& q = queues_[static_cast<std::size_t>(g)];
+      GroupQueue& q = queues_[static_cast<std::size_t>(g)];
       GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
-      while (const auto entry = q.popBefore(window_end)) {
-        const ShardEvent& ev = entry->payload;
-        CallState* cp = liveCall(ev);
-        if (!cp) continue;
-        CallState& c = *cp;
-        if (laneOf(c.request.target_cell) != g) {
-          // A live event in a foreign group's queue means a re-home was
-          // missed: this group's lane must never touch that call.
-          throw std::logic_error("live event queued outside its call's group");
+      while (const auto entry = q.events.popBefore(window_end)) {
+        if (ownedCall(entry->payload, g)) {
+          lane.queue.push(CommitEntry{entry->time_s, entry->payload});
         }
-        if (ev.kind != ShardEventKind::Move) {
-          lane.queue.push(CommitEntry{entry->time_s, ev});
-          continue;
-        }
-        c.model.step(c.state, cfg_.mobility_update_s, c.rng);
-        const auto now_cell = network_.cellAt(c.state.position_km);
-        if (now_cell && *now_cell == c.request.target_cell) {
-          // Still home: the step stays entirely group-local. Only these
-          // count here — crossings count when their commit executes.
-          ++lane.local_events;
-          q.push(entry->time_s + cfg_.mobility_update_s, ev);
-          continue;
-        }
-        // Crossed a border or left coverage: cross-cell, so the lane
-        // decides (handoff admission / departure). The step changed the
-        // snapshot the handoff decision will see, so the prepared CV is
-        // stale — re-run the prediction here, in parallel, against the same
-        // snapshot commitCrossing() will reconstruct (a pure function of the
-        // unchanged motion state and cell centre, so the bits match).
-        if (now_cell) {
-          c.predicted = controller_->precompute(mobility::snapshotFromTruth(
-              c.state, network_.cell(*now_cell).center));
-        }
-        lane.queue.push(CommitEntry{entry->time_s, ev});
       }
+      sweepMovers(g, q, lane, window_end);
     });
+  }
+
+  /// liveCall(), plus the check that a live call belongs to group \p g.
+  [[nodiscard]] CallState* ownedCall(const ShardEvent& ev, int g) {
+    CallState* c = liveCall(ev);
+    if (c && laneOf(c->request.target_cell) != g) {
+      // A live event in a foreign group's queue means a re-home was
+      // missed: this group's lane must never touch that call.
+      throw std::logic_error("live event queued outside its call's group");
+    }
+    return c;
+  }
+
+  /// Runs every mover step due before \p window_end, compacting the list
+  /// in place.
+  void sweepMovers(int g, GroupQueue& q, GroupLane& lane, double window_end) {
+    double next = std::numeric_limits<double>::infinity();
+    std::size_t kept = 0;
+    for (CommitEntry m : q.movers) {
+      if (runDueSteps(g, q, lane, m, window_end)) {
+        q.movers[kept++] = m;
+        next = std::min(next, m.time_s);
+      }
+    }
+    q.movers.resize(kept);
+    q.next_mover_s = next;
+  }
+
+  /// Runs mover \p m's steps due before \p window_end. A step that stays
+  /// home advances the entry one period, and the next step runs too if it
+  /// still falls inside the window. Returns false once the entry leaves the
+  /// list: stale when due, or handed to the lane by a crossing.
+  bool runDueSteps(int g, GroupQueue& q, GroupLane& lane, CommitEntry& m,
+                   double window_end) {
+    while (m.time_s < window_end) {
+      q.movers_now_s = std::max(q.movers_now_s, m.time_s);
+      CallState* cp = ownedCall(m.event, g);
+      if (!cp) return false;
+      CallState& c = *cp;
+      c.model.step(c.state, cfg_.mobility_update_s, c.rng);
+      const auto now_cell = network_.cellAt(c.state.position_km);
+      if (now_cell && *now_cell == c.request.target_cell) {
+        // Still home: the step stays entirely group-local. Only these
+        // count here — crossings count when their commit executes.
+        ++lane.local_events;
+        m.time_s += cfg_.mobility_update_s;
+        continue;
+      }
+      // Crossed a border or left coverage: cross-cell, so the lane
+      // decides (handoff admission / departure). The step changed the
+      // snapshot the handoff decision will see, so the prepared CV is
+      // stale — re-run the prediction here, in parallel, against the same
+      // snapshot commitCrossing() will reconstruct (a pure function of the
+      // unchanged motion state and cell centre, so the bits match).
+      if (now_cell) {
+        c.predicted = controller_->precompute(mobility::snapshotFromTruth(
+            c.state, network_.cell(*now_cell).center));
+      }
+      lane.queue.push(m);
+      return false;
+    }
+    return true;
   }
 
   // ----------------------------------------------------------- commit phase
@@ -1209,7 +1288,7 @@ class Engine {
       if (count) ++lane.partial.handoff_dropped;
       controller_->onRejected(req, ctx);
       controller_->onReleased(c.request, AdmissionContext{old_station, now});
-      finishInLane(lane, c);  // pending End/Move copies die at pop
+      finishInLane(lane, c);  // pending End/Move copies die when due
     }
   }
 
@@ -1474,7 +1553,7 @@ class Engine {
   int shard_count_;
   ShardPool pool_;
 
-  std::vector<Queue> queues_;                 ///< One per group.
+  std::vector<GroupQueue> queues_;            ///< One per group.
   std::vector<GroupLane> lanes_;              ///< One per group.
   std::vector<ReservationMailbox> mailboxes_; ///< One per group.
 

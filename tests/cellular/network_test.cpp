@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "cellular/call.hpp"
@@ -55,6 +58,69 @@ TEST(HexNetwork, CellAtFindsCentersAndRejectsOutside) {
   }
   // Far outside the 7-cell disk.
   EXPECT_FALSE(net.cellAt({200.0, 200.0}).has_value());
+}
+
+/// The definition cellAt's index must reproduce: round to a hex, then scan
+/// every cell for that coordinate.
+std::optional<CellId> cellAtByScan(const HexNetwork& net, Vec2 p) {
+  const HexCoord h = pointToHex(p, net.cellRadiusKm());
+  for (const Cell& c : net.cells()) {
+    if (c.coord == h) return c.id;
+  }
+  return std::nullopt;
+}
+
+TEST(HexNetwork, CellAtIndexMatchesScanOverDenseGrid) {
+  for (const double radius : {1.0, 10.0}) {
+    for (int rings = 0; rings <= 4; ++rings) {
+      const HexNetwork net{rings, radius};
+      std::vector<Vec2> points;
+      // A grid reaching two radii past the disk on every side.
+      const double reach = (std::sqrt(3.0) * rings + 2.0) * radius;
+      const int steps = 120;
+      for (int i = 0; i <= steps; ++i) {
+        for (int j = 0; j <= steps; ++j) {
+          points.push_back({-reach + 2.0 * reach * i / steps,
+                            -reach + 2.0 * reach * j / steps});
+        }
+      }
+      // Cell edges: the midpoint between each pair of neighbouring centres
+      // and every corner of every cell.
+      for (const Cell& c : net.cells()) {
+        for (const CellId n : net.neighbors(c.id)) {
+          points.push_back((c.center + net.cell(n).center) * 0.5);
+        }
+        for (int k = 0; k < 6; ++k) {
+          points.push_back(c.center +
+                           headingVector(30.0 + 60.0 * k) * radius);
+        }
+      }
+      points.push_back({1e6, -1e6});
+      std::size_t inside = 0;
+      for (const Vec2 p : points) {
+        const auto expected = cellAtByScan(net, p);
+        ASSERT_EQ(net.cellAt(p), expected)
+            << "rings " << rings << " radius " << radius << " at (" << p.x
+            << ", " << p.y << ")";
+        if (expected) ++inside;
+      }
+      // The grid really covers both sides of the disk's rim.
+      EXPECT_GT(inside, 0u);
+      EXPECT_LT(inside, points.size());
+    }
+  }
+}
+
+TEST(HexNetwork, CellAtRejectsNonFiniteAndFarOutPositions) {
+  const HexNetwork net{2, 10.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Vec2 p : {Vec2{nan, 0.0}, Vec2{0.0, nan}, Vec2{inf, 0.0},
+                       Vec2{0.0, -inf}, Vec2{1e300, 1e300},
+                       Vec2{-1e20, 0.0}, Vec2{0.0, 3e9}}) {
+    EXPECT_FALSE(net.cellAt(p).has_value()) << p.x << ", " << p.y;
+  }
+  EXPECT_EQ(net.cellAt({0.0, 0.0}), std::optional<CellId>{0});
 }
 
 TEST(HexNetwork, DistanceToStation) {
