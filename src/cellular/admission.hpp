@@ -310,8 +310,8 @@ class AdmissionController {
   /// quiesced and the engine's own reservation mailboxes have drained.
   /// GroupLocal policies apply their deferred cross-group writes here (in
   /// canonical order — the drain must be a pure function of the committed
-  /// event sequence) and report what moved; the default is a no-op. Only
-  /// called when the run actually has more than one commit group.
+  /// event sequence) and report what moved; the default is a no-op.
+  /// Called at every barrier, whatever the commit-group count.
   virtual BarrierDrainStats onCommitBarrier(double /*now_s*/) { return {}; }
 
   /// Startup sizing audit: given the workload envelope, return a one-line

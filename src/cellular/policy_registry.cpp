@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace facs::cellular {
@@ -68,14 +70,18 @@ bool PolicySpec::hasKey(std::string_view key) const noexcept {
 
 double PolicySpec::toNumber(const std::string& value,
                             std::string_view what) const {
+  // std::stod also parses "nan" and "inf": no policy parameter means
+  // either, so a non-finite value is as malformed as "abc".
   try {
     std::size_t pos = 0;
     const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
+    if (pos != value.size() || !std::isfinite(v)) {
+      throw std::invalid_argument(value);
+    }
     return v;
   } catch (const std::exception&) {
     throw PolicySpecError("policy '" + name_ + "': " + std::string{what} +
-                          " expects a number, got '" + value + "'");
+                          " expects a finite number, got '" + value + "'");
   }
 }
 
@@ -92,12 +98,14 @@ double PolicySpec::numberFor(std::string_view key, double fallback) const {
 }
 
 int PolicySpec::toInt(double value, std::string_view what) const {
-  const int i = static_cast<int>(value);
-  if (static_cast<double>(i) != value) {
+  // Range first: casting a double outside int's range is undefined.
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
     throw PolicySpecError("policy '" + name_ + "': " + std::string{what} +
                           " expects an integer");
   }
-  return i;
+  return static_cast<int>(value);
 }
 
 int PolicySpec::intAt(std::size_t index, int fallback) const {

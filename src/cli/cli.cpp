@@ -1,6 +1,5 @@
 #include "cli/cli.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "cellular/policy_registry.hpp"
@@ -109,10 +108,6 @@ CliOptions parseCli(const std::vector<std::string>& args,
       }
     }
   }
-
-  // Legacy shorthands, folded into the policy spec after the loop.
-  std::optional<int> guard_bu;
-  std::optional<double> facs_threshold;
 
   for (; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -225,10 +220,6 @@ CliOptions parseCli(const std::vector<std::string>& args,
                        std::to_string(opt.serve_duration_s));
       }
       opt.serve = true;  // a duration only makes sense when streaming
-    } else if (a == "--guard-bu") {
-      guard_bu = parseInt(next(a), a);
-    } else if (a == "--facs-threshold") {
-      facs_threshold = parseDouble(next(a), a);
     } else if (a == "--sweep") {
       opt.sweep_xs = parseIntList(next(a), a);
     } else if (a == "--reps") {
@@ -242,17 +233,6 @@ CliOptions parseCli(const std::vector<std::string>& args,
     }
   }
 
-  // Legacy shorthands: `--policy guard --guard-bu 12` means `guard:12`,
-  // `--policy facs --facs-threshold 0.25` means `facs:0.25`. They only
-  // apply to a bare spec — an explicit parameterized spec wins.
-  if (guard_bu && opt.policy == "guard") {
-    opt.policy = parsePolicySpec(runtime, "guard:" + std::to_string(*guard_bu));
-  }
-  if (facs_threshold && opt.policy == "facs") {
-    std::ostringstream os;
-    os << "facs:tau=" << *facs_threshold;
-    opt.policy = parsePolicySpec(runtime, os.str());
-  }
   return opt;
 }
 
@@ -273,9 +253,7 @@ policy (--policy SPEC, default from the scenario, else "facs"):
   "facs", "guard:8", "threshold:38,30,20", "facs:tau=0.25,ops=prod".
   Registered policies:
 )" << runtime.describeAll()
-     << R"(  --guard-bu N          legacy shorthand for --policy guard:N
-  --facs-threshold T    legacy shorthand for --policy facs:tau=T
-  --list-policies       print the policy registry and exit
+     << R"(  --list-policies       print the policy registry and exit
 
 scenario (--scenario NAME or --scenario-file PATH overrides the defaults
 below, then flags override the scenario):

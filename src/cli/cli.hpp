@@ -82,7 +82,6 @@ class CliError : public std::runtime_error {
 ///   --commit-groups N   (two-level commit lanes; 1 = serialized commit)
 ///   --serve             --metrics-every S      --serve-duration S
 ///   --explain           (rationales on; truncations counted + warned)
-///   --guard-bu N        --facs-threshold T     (legacy spec shorthands)
 ///   --sweep X1,X2,...   --reps N               --threads N
 ///   --csv               --json                 --help
 ///

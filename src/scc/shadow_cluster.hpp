@@ -17,7 +17,6 @@
 /// the cluster for the whole horizon.
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -48,14 +47,17 @@ struct SccConfig {
   double sigma_growth_km = 2.0;
   /// Mean call holding time used for the activity decay exp(-t / holding).
   double mean_holding_s = 180.0;
-  /// Periodic exact rebuild of the incremental demand cache: after this
-  /// many shadow updates (each admit, release, or handoff-refresh leg is
-  /// one), every per-(cell, interval) accumulator is recomputed from the
+  /// Periodic exact rebuild of the incremental demand cache: at the first
+  /// commit barrier (onCommitBarrier) after this many shadow updates of a
+  /// group (each admit, release, or handoff-refresh leg is one), that
+  /// group's per-(cell, interval) accumulators are recomputed from the
   /// live shadows in canonical call order. Subtract-on-release leaves
   /// ~1e-12 BU of floating residue per churn cycle; the rebuild zeroes it,
   /// bounding the drift forever on long-lived runs. 0 disables. The
   /// amortized cost is O(tracked * cells * intervals / rebuild_every) per
-  /// update — negligible at the default.
+  /// update — negligible at the default. Barriers come from the engine's
+  /// tick windows: a batch run without handoffs has a single window, so
+  /// it rebuilds only once, at the end.
   int rebuild_every = 1'000'000;
   /// Deny calls whose predicted trajectory leaves network coverage within
   /// the horizon: their shadow cluster cannot be established, so their QoS
@@ -132,9 +134,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
                   const cellular::AdmissionContext& context) override;
 
   /// Adopts the engine's cell-to-group mapping (startup and every adopted
-  /// repartition epoch — barrier context). In grouped mode (more than one
-  /// group) the shared shadow map splits into per-group stores keyed by
-  /// each shadow's anchor group; a boundary move re-keys every store in
+  /// repartition epoch — barrier context). Shadows live in per-group
+  /// stores keyed by each shadow's anchor group (a single store until a
+  /// partition is adopted); a boundary move re-keys every store in
   /// canonical call order. `demand_` is left untouched by
   /// the re-keying — every tracked contribution is already folded in — so
   /// total projected demand is conserved exactly across a repartition.
@@ -165,9 +167,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   [[nodiscard]] DemandProfile projectedDemand(cellular::CellId cell) const;
 
   /// Number of mobiles currently exerting a shadow (summed over the
-  /// per-group stores in grouped mode).
+  /// per-group stores).
   [[nodiscard]] std::size_t trackedCalls() const noexcept {
-    std::size_t n = shadows_.size();
+    std::size_t n = 0;
     for (const GroupStore& store : stores_) n += store.shadows.size();
     return n;
   }
@@ -189,11 +191,11 @@ class ShadowClusterController final : public cellular::AdmissionController {
     cellular::CellId anchor = 0;
   };
 
-  /// One commit group's slice of the shadow map (grouped mode): every
-  /// shadow whose anchor the partition maps to this group, plus the
-  /// group's own rebuild counter. Invariant: a shadow lives in the store
-  /// of its anchor's group — lanes and per-target-group reservation
-  /// drains therefore touch disjoint stores.
+  /// One commit group's slice of the shadow map: every shadow whose
+  /// anchor the partition maps to this group, plus the group's own
+  /// rebuild counter. Invariant: a shadow lives in the store of its
+  /// anchor's group — lanes and per-target-group reservation drains
+  /// therefore touch disjoint stores.
   struct GroupStore {
     std::unordered_map<cellular::CallId, Shadow> shadows;
     std::uint64_t updates_since_rebuild = 0;
@@ -237,40 +239,24 @@ class ShadowClusterController final : public cellular::AdmissionController {
   [[nodiscard]] double contribution(const Shadow& shadow,
                                     cellular::CellId cell, int k) const;
 
-  /// Adds (sign +1) or retracts (sign -1) one shadow's contribution from
-  /// every station's demand accumulator — the incremental cache update.
+  /// Adds (sign +1) or retracts (sign -1) one shadow's contribution — the
+  /// incremental cache update. Footprint rows owned by the shadow's anchor
+  /// group apply live (the acting lane/drain owns them); rows across a
+  /// group boundary defer into the acting group's delta buffer for the
+  /// barrier to fold. Counts one update toward the acting group's rebuild
+  /// counter.
   void applyShadow(const Shadow& shadow, double sign);
-
-  /// Grouped-mode incremental update: footprint rows owned by the
-  /// shadow's anchor group apply live (the acting lane/drain owns them);
-  /// rows across a group boundary defer into the acting group's delta
-  /// buffer for the barrier to fold. Counts one update toward the acting
-  /// group's rebuild counter.
-  void applyShadowGrouped(const Shadow& shadow, double sign);
-
-  /// Runs the periodic exact rebuild when rebuild_every updates have
-  /// accumulated. Called only from the public mutators, when shadows_ and
-  /// demand_ agree (never mid-refresh, where a rebuild would double-count
-  /// the shadow being replaced). Ungrouped mode only — grouped rebuilds
-  /// run per group at the barrier (maybeRebuildGrouped).
-  void maybeRebuild();
 
   /// Per-group exact rebuilds, barrier context: any group whose counter
   /// crossed rebuild_every gets its cells' rows zeroed and recomputed from
   /// every tracked shadow whose footprint intersects them (stores in index
   /// order, canonical call order within each) — exactly what the
   /// incremental updates accumulated there, minus the float residue.
-  void maybeRebuildGrouped();
+  void maybeRebuild();
 
   /// Folds the deferred cross-group deltas (concatenate, sort once, serial
   /// apply) and re-homes migrated shadows. Barrier context.
   [[nodiscard]] cellular::BarrierDrainStats drainBarrierWork();
-
-  /// True when per-group stores are live: a partition with more than one
-  /// group was adopted.
-  [[nodiscard]] bool grouped() const noexcept {
-    return partition_.has_value() && partition_->groups() > 1;
-  }
 
   [[nodiscard]] std::size_t demandIndex(cellular::CellId cell,
                                         int k) const noexcept {
@@ -286,17 +272,16 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// Row read for a decision acting in group \p g: the group's own rows
   /// read live (end-of-window within the lane's canonical replay), foreign
   /// rows read the barrier snapshot — the same visibility the engine's
-  /// reservation protocol gives cross-group state. Ungrouped (g < 0)
-  /// reads live, the historical behaviour.
+  /// reservation protocol gives cross-group state. At one group every
+  /// row is the acting group's own, so every read is live.
   [[nodiscard]] double demandRead(int g, cellular::CellId cell,
                                   int k) const noexcept {
-    if (g < 0 || partition_->groupOf(cell) == g) return demandAt(cell, k);
+    if (partition_.groupOf(cell) == g) return demandAt(cell, k);
     return snapshot_[demandIndex(cell, k)];
   }
 
   const cellular::HexNetwork& network_;
   SccConfig config_;
-  std::unordered_map<cellular::CallId, Shadow> shadows_;
   /// Running per-(cell, interval) demand sums over all tracked shadows —
   /// what each BS would hold after accumulating every mobile's probability
   /// vector. Row-major: cell * intervals + k.
@@ -309,15 +294,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// footprint() answers with all_cells_.
   std::vector<std::vector<cellular::CellId>> footprints_;
   std::vector<cellular::CellId> all_cells_;
-  /// Shadow updates since the last exact rebuild of demand_ (ungrouped).
-  std::uint64_t updates_since_rebuild_ = 0;
-
-  // ---- grouped mode (GroupLocal commits; empty/unused otherwise) ----
   /// Copy of the engine's cell-to-group mapping, adopted at
-  /// onPartitionChanged(). Grouped mode engages at groups > 1; at one
-  /// group the legacy single-map path above stays authoritative, keeping
-  /// commit_groups == 1 bit-identical to the pre-grouped controller.
-  std::optional<cellular::CellGroupPartition> partition_;
+  /// onPartitionChanged(); one group until then.
+  cellular::CellGroupPartition partition_;
   /// Per-group shadow stores, indexed by commit group (stores_[g] holds
   /// exactly the shadows whose anchor maps to g).
   std::vector<GroupStore> stores_;

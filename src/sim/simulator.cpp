@@ -110,13 +110,10 @@ static_assert(sizeof(CallState) <= 256, "CallState regrew past 256 bytes");
   return w;
 }
 
-/// The run's initial cell-to-lane mapping. The weighted strategy only
-/// engages at more than one lane: a single lane has nothing to balance, and
-/// routing it through the historical constructor keeps groups == 1 runs
-/// bit-identical to the pre-weighted engine by construction.
+/// The run's initial cell-to-lane mapping.
 [[nodiscard]] cellular::CellGroupPartition makePartition(
     const SimulationConfig& cfg, const HexNetwork& network, int lanes) {
-  if (lanes > 1 && cfg.partition == PartitionStrategy::Weighted) {
+  if (cfg.partition == PartitionStrategy::Weighted) {
     return cellular::CellGroupPartition{network, lanes,
                                         spawnWeightsOf(cfg, network)};
   }
@@ -1321,10 +1318,10 @@ class Engine {
 
   /// Lets a GroupLocal policy apply its deferred cross-group writes (and
   /// re-home migrated records) in barrier context, folding what it drained
-  /// into the run's metrics. A no-op at one lane: the single lane IS the
-  /// serialized commit and policies never defer there.
+  /// into the run's metrics — at every group count. Nothing defers at one
+  /// lane (every row is the lane's own), but the barrier is still where
+  /// barrier-time work such as SCC's periodic exact rebuild runs.
   void policyBarrier(double now_s) {
-    if (partition_.groups() <= 1) return;
     const cellular::BarrierDrainStats stats =
         controller_->onCommitBarrier(now_s);
     metrics_.demand_deltas += stats.deltas_applied;

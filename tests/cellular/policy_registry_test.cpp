@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "cellular/network.hpp"
 #include "sim/scenario_catalog.hpp"
@@ -135,6 +138,45 @@ TEST(PolicyRegistry, IntegerParametersRejectFractions) {
   EXPECT_THROW((void)reg.makeFactory("scc:intervals=1.7"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("scc:radius=1.7"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("facs:res=100.9"), PolicySpecError);
+}
+
+TEST(PolicyRegistry, NumericArgumentsRejectNonFiniteValues) {
+  // std::stod parses "nan" and "inf"; a spec must still reject them, and an
+  // integer argument must reject a finite value outside int's range.
+  // Every registered policy names its numeric arguments here ("#" marks
+  // the value), so a new policy cannot skip the check.
+  const std::map<std::string, std::vector<std::string>> numeric_args{
+      {"cs", {}},  // takes no arguments at all
+      {"facs", {"facs:#", "facs:tau=#", "facs:handoff=#", "facs:priority=#"}},
+      {"guard", {"guard:#", "guard:g=#"}},
+      {"rsv", {"rsv:#", "rsv:frac=#", "rsv:minspeed=#"}},
+      {"scc",
+       {"scc:#", "scc:sigma=#", "scc:growth=#", "scc:interval-s=#",
+        "scc:holding=#", "scc:intervals=#", "scc:rebuild=#", "scc:reach=#"}},
+      {"sir", {"sir:#,1,5", "sir:-3,#,5", "sir:-3,1,#"}},
+      {"threshold", {"threshold:#,30,20", "threshold:38,30,#"}},
+  };
+  const PolicyRegistry& reg = PolicyRegistry::global();
+  for (const std::string& name : reg.names()) {
+    const auto entry = numeric_args.find(name);
+    ASSERT_NE(entry, numeric_args.end()) << name << " has no entry here";
+    for (const std::string& spec : entry->second) {
+      const std::size_t hole = spec.find('#');
+      for (const char* bad : {"nan", "inf", "-inf"}) {
+        const std::string text =
+            spec.substr(0, hole) + bad + spec.substr(hole + 1);
+        EXPECT_THROW((void)reg.makeFactory(text), PolicySpecError) << text;
+      }
+    }
+  }
+  for (const char* text :
+       {"guard:1e300", "threshold:-1e300,30,20", "scc:rebuild=1e300"}) {
+    EXPECT_THROW((void)reg.makeFactory(text), PolicySpecError) << text;
+  }
+  const PolicySpec spec = PolicySpec::parse("x:1e300,n=2147483648");
+  EXPECT_THROW((void)spec.intAt(0, 0), PolicySpecError);
+  EXPECT_THROW((void)spec.intFor("n", 0), PolicySpecError);
+  EXPECT_EQ(PolicySpec::parse("x:2147483647").intAt(0, 0), 2147483647);
 }
 
 TEST(PolicyRegistry, SirThresholdsAreAllOrNothing) {

@@ -40,16 +40,17 @@ TEST(Cli, AcceptsParameterizedPolicySpecs) {
   EXPECT_THROW((void)parseCli({"--policy", "facs:tua=0.2"}), CliError);
 }
 
-TEST(Cli, LegacyShorthandsFoldIntoTheSpec) {
-  EXPECT_EQ(parseCli({"--policy", "guard", "--guard-bu", "12"}).policy,
-            "guard:12");
-  EXPECT_EQ(parseCli({"--policy", "facs", "--facs-threshold", "0.25"}).policy,
-            "facs:tau=0.25");
-  // An explicit parameterized spec wins over the shorthand.
-  EXPECT_EQ(parseCli({"--policy", "guard:4", "--guard-bu", "12"}).policy,
-            "guard:4");
-  // Shorthands for another policy are ignored.
-  EXPECT_EQ(parseCli({"--policy", "cs", "--guard-bu", "12"}).policy, "cs");
+TEST(Cli, RemovedPolicyShorthandsAreUnknownFlags) {
+  // `--policy guard:N` and `--policy facs:tau=T` are the only spellings.
+  for (const char* flag : {"--guard-bu", "--facs-threshold"}) {
+    try {
+      (void)parseCli({"--policy", "guard", flag, "12"});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const CliError& e) {
+      EXPECT_NE(std::string{e.what()}.find("unknown flag"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cli, ScenarioSetsTheBaseConfig) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -230,66 +232,111 @@ TEST(ShadowCluster, DemandCacheDrainsToZeroOnRelease) {
 }
 
 TEST(ShadowCluster, PeriodicRebuildZeroesChurnResidue) {
-  // Long churn: 512 admit/release cycles = 1024 shadow updates. The
-  // subtract-on-release residue (~1e-12 per cycle) would otherwise
-  // accumulate without bound; with rebuild_every = 64 the final release
-  // lands on a rebuild boundary, so the accumulators are recomputed from
-  // the now-empty shadow set — EXACTLY zero, not merely small.
-  const HexNetwork net{1};
-  SccConfig cfg;
-  cfg.rebuild_every = 64;
-  ShadowClusterController scc{net, cfg};
-  const AdmissionContext ctx{net.station(0), 0.0};
-  for (int cycle = 0; cycle < 512; ++cycle) {
-    const auto r = makeRequest(
-        1 + static_cast<cellular::CallId>(cycle % 7), ServiceClass::Video,
-        {0.5 + 0.01 * (cycle % 100), 1.0 - 0.02 * (cycle % 50)},
-        10.0 + (cycle % 60), static_cast<double>((cycle * 37) % 360 - 180),
-        0);
-    scc.onAdmitted(r, ctx);
-    scc.onReleased(r, ctx);
-  }
-  EXPECT_EQ(scc.trackedCalls(), 0u);
-  for (const cellular::Cell& cell : net.cells()) {
-    for (const double d : scc.projectedDemand(cell.id)) {
-      EXPECT_EQ(d, 0.0) << "cell " << cell.id;
-    }
-  }
-}
-
-TEST(ShadowCluster, RebuildPreservesLiveShadows) {
-  // A rebuild must be invisible to decisions: accumulators recomputed from
-  // the live set match the incrementally-maintained ones to rounding
-  // noise, and keepers' demand survives the churn around them.
+  // Overlapping churn: calls are admitted three at a time and released in
+  // admission order, so each release subtracts its contribution from a sum
+  // that still holds the others. Re-associated float sums leave a residue
+  // that a lone admit/release pair (a - a == 0 exactly) never would. The
+  // rebuild runs at the first commit barrier after rebuild_every updates:
+  // until then both controllers hold the same residue bit for bit; the
+  // barrier then recomputes the rows from the now-empty shadow set —
+  // EXACTLY zero, where the controller that never rebuilds keeps it.
   const HexNetwork net{1};
   SccConfig with_rebuild;
-  with_rebuild.rebuild_every = 16;
-  SccConfig without_rebuild;
+  with_rebuild.rebuild_every = 64;
+  SccConfig without_rebuild = with_rebuild;
   without_rebuild.rebuild_every = 0;
   ShadowClusterController rebuilt{net, with_rebuild};
   ShadowClusterController incremental{net, without_rebuild};
   const AdmissionContext ctx{net.station(0), 0.0};
-
-  const auto keeper =
-      makeRequest(1000, ServiceClass::Video, {2.0, 0.0}, 60.0, 45.0, 0);
-  rebuilt.onAdmitted(keeper, ctx);
-  incremental.onAdmitted(keeper, ctx);
-  for (int cycle = 0; cycle < 40; ++cycle) {  // crosses several boundaries
-    const auto churn = makeRequest(1 + static_cast<cellular::CallId>(cycle),
-                                   ServiceClass::Voice, {1.0, 1.0}, 20.0,
-                                   0.0, 0);
-    rebuilt.onAdmitted(churn, ctx);
-    incremental.onAdmitted(churn, ctx);
-    rebuilt.onReleased(churn, ctx);
-    incremental.onReleased(churn, ctx);
+  for (ShadowClusterController* scc : {&rebuilt, &incremental}) {
+    for (int cycle = 0; cycle < 100; ++cycle) {  // 600 updates
+      std::vector<CallRequest> batch;
+      for (int j = 0; j < 3; ++j) {
+        const int n = 3 * cycle + j;
+        batch.push_back(makeRequest(
+            1 + static_cast<cellular::CallId>(n), ServiceClass::Video,
+            {0.5 + 0.01 * (n % 100), 1.0 - 0.02 * (n % 50)}, 10.0 + (n % 60),
+            static_cast<double>((n * 37) % 360 - 180), 0));
+      }
+      for (const CallRequest& r : batch) scc->onAdmitted(r, ctx);
+      for (const CallRequest& r : batch) scc->onReleased(r, ctx);
+    }
+    EXPECT_EQ(scc->trackedCalls(), 0u);
   }
-  EXPECT_EQ(rebuilt.trackedCalls(), 1u);
+
+  double residue = 0.0;
   for (const cellular::Cell& cell : net.cells()) {
     const DemandProfile a = rebuilt.projectedDemand(cell.id);
     const DemandProfile b = incremental.projectedDemand(cell.id);
-    ASSERT_EQ(a.size(), b.size());
     for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_NEAR(a[k], b[k], 1e-9) << "cell " << cell.id << " k " << k;
+      EXPECT_EQ(a[k], b[k]) << "rebuilt before a barrier: cell " << cell.id;
+      residue = std::max(residue, std::abs(b[k]));
+    }
+  }
+  ASSERT_GT(residue, 0.0) << "the churn left no residue to clear";
+
+  (void)rebuilt.onCommitBarrier(0.0);
+  (void)incremental.onCommitBarrier(0.0);
+  double kept = 0.0;
+  for (const cellular::Cell& cell : net.cells()) {
+    for (const double d : rebuilt.projectedDemand(cell.id)) {
+      EXPECT_EQ(d, 0.0) << "cell " << cell.id;
+    }
+    for (const double d : incremental.projectedDemand(cell.id)) {
+      kept = std::max(kept, std::abs(d));
+    }
+  }
+  EXPECT_EQ(kept, residue);
+}
+
+TEST(ShadowCluster, RebuildPreservesLiveShadows) {
+  // The exact rebuild (barrier context, per group) must be invisible to
+  // decisions, at one group as at several: a controller with aggressive
+  // rebuilds agrees with one that never rebuilds to rounding noise, and
+  // the keeper's demand survives the churn around it.
+  const HexNetwork net{2};
+  for (const int groups : {1, 3}) {
+    for (const int reach : {0, 1}) {
+      SccConfig with_rebuild;
+      with_rebuild.reach = reach;
+      with_rebuild.rebuild_every = 8;
+      SccConfig without_rebuild = with_rebuild;
+      without_rebuild.rebuild_every = 0;
+      ShadowClusterController rebuilt{net, with_rebuild};
+      ShadowClusterController incremental{net, without_rebuild};
+      const cellular::CellGroupPartition part{net, groups};
+      rebuilt.onPartitionChanged(part);
+      incremental.onPartitionChanged(part);
+
+      const auto keeper = makeRequest(1000, ServiceClass::Video,
+                                      net.cell(4).center, 50.0, 70.0, 4);
+      rebuilt.onAdmitted(keeper, AdmissionContext{net.station(4), 0.0});
+      incremental.onAdmitted(keeper, AdmissionContext{net.station(4), 0.0});
+      for (int cycle = 0; cycle < 30; ++cycle) {  // crosses several periods
+        const cellular::CellId anchor =
+            static_cast<cellular::CellId>(cycle % 19);
+        const auto churn = makeRequest(
+            1 + static_cast<cellular::CallId>(cycle), ServiceClass::Voice,
+            net.cell(anchor).center + Vec2{0.1, 0.1}, 20.0, 0.0, anchor);
+        const AdmissionContext ctx{net.station(anchor), 1.0 * cycle};
+        rebuilt.onAdmitted(churn, ctx);
+        incremental.onAdmitted(churn, ctx);
+        rebuilt.onReleased(churn, ctx);
+        incremental.onReleased(churn, ctx);
+        (void)rebuilt.onCommitBarrier(1.0 * cycle);
+        (void)incremental.onCommitBarrier(1.0 * cycle);
+      }
+      EXPECT_EQ(rebuilt.trackedCalls(), 1u);
+      for (const cellular::Cell& cell : net.cells()) {
+        const DemandProfile a = rebuilt.projectedDemand(cell.id);
+        const DemandProfile b = incremental.projectedDemand(cell.id);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t k = 0; k < a.size(); ++k) {
+          EXPECT_NEAR(a[k], b[k], 1e-9) << "groups " << groups << " reach "
+                                        << reach << " cell " << cell.id
+                                        << " k " << k;
+        }
+      }
     }
   }
 }
@@ -445,11 +492,11 @@ TEST(ShadowCluster, GroupLocalAtEveryReach) {
 }
 
 TEST(ShadowCluster, GroupedDemandMatchesUngroupedAfterTheBarrier) {
-  // Same shadows, two accounting modes: the grouped controller applies
-  // own-group rows live and folds cross-group rows at the barrier; once
-  // drained, its accumulators must agree with the ungrouped controller's
-  // (to float re-association noise — the fold changes the addition order,
-  // never the terms).
+  // Same shadows at three groups and at one: the grouped controller
+  // applies own-group rows live and folds cross-group rows at the barrier;
+  // once drained, its accumulators must agree with the one-group
+  // controller's, whose rows are all live (to float re-association noise —
+  // the fold changes the addition order, never the terms).
   const HexNetwork net{2};  // 19 cells
   // At reach 0 every footprint spans the disk, so every foreign row defers.
   for (const int reach : {0, 2}) {
@@ -582,51 +629,6 @@ TEST(ShadowCluster, RepartitionConservesDemandExactly) {
     }
   }
   EXPECT_EQ(scc.trackedCalls(), tracked);
-}
-
-TEST(ShadowCluster, GroupedRebuildPreservesLiveShadows) {
-  // The per-group exact rebuild (barrier context) must be invisible, like
-  // its ungrouped counterpart: a grouped controller with aggressive
-  // rebuilds agrees with one that never rebuilds, to rounding noise.
-  const HexNetwork net{2};
-  SccConfig with_rebuild;
-  with_rebuild.reach = 1;
-  with_rebuild.rebuild_every = 8;
-  SccConfig without_rebuild = with_rebuild;
-  without_rebuild.rebuild_every = 0;
-  ShadowClusterController rebuilt{net, with_rebuild};
-  ShadowClusterController incremental{net, without_rebuild};
-  const cellular::CellGroupPartition part{net, 3};
-  rebuilt.onPartitionChanged(part);
-  incremental.onPartitionChanged(part);
-
-  const auto keeper =
-      makeRequest(1000, ServiceClass::Video, net.cell(4).center, 50.0, 70.0,
-                  4);
-  rebuilt.onAdmitted(keeper, AdmissionContext{net.station(4), 0.0});
-  incremental.onAdmitted(keeper, AdmissionContext{net.station(4), 0.0});
-  for (int cycle = 0; cycle < 30; ++cycle) {
-    const cellular::CellId anchor = static_cast<cellular::CellId>(cycle % 19);
-    const auto churn = makeRequest(1 + static_cast<cellular::CallId>(cycle),
-                                   ServiceClass::Voice,
-                                   net.cell(anchor).center + Vec2{0.1, 0.1},
-                                   20.0, 0.0, anchor);
-    const AdmissionContext ctx{net.station(anchor), 1.0 * cycle};
-    rebuilt.onAdmitted(churn, ctx);
-    incremental.onAdmitted(churn, ctx);
-    rebuilt.onReleased(churn, ctx);
-    incremental.onReleased(churn, ctx);
-    (void)rebuilt.onCommitBarrier(1.0 * cycle);
-    (void)incremental.onCommitBarrier(1.0 * cycle);
-  }
-  EXPECT_EQ(rebuilt.trackedCalls(), 1u);
-  for (const cellular::Cell& cell : net.cells()) {
-    const DemandProfile a = rebuilt.projectedDemand(cell.id);
-    const DemandProfile b = incremental.projectedDemand(cell.id);
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_NEAR(a[k], b[k], 1e-9) << "cell " << cell.id << " k " << k;
-    }
-  }
 }
 
 TEST(ShadowCluster, AuditWorkloadFlagsAnUndersizedReach) {

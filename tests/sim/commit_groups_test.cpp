@@ -267,6 +267,56 @@ TEST(CommitGroups, GlobalScopePoliciesDegradeToOneLane) {
   expectBitIdentical(serial, grouped, "global-cs grouped vs serial");
 }
 
+/// GroupLocal complete sharing that counts the policy barriers it sees.
+class BarrierCounting final : public cellular::AdmissionController {
+ public:
+  explicit BarrierCounting(int* barriers) : barriers_{barriers} {}
+  [[nodiscard]] std::string name() const override { return "BarrierCounting"; }
+  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
+    return cellular::CommitScope::GroupLocal;
+  }
+  [[nodiscard]] cellular::AdmissionDecision decide(
+      const cellular::CallRequest& request,
+      const cellular::AdmissionContext& context) override {
+    const bool fits = context.station.canFit(request.demand_bu);
+    return {fits,
+            fits ? cellular::ReasonCode::Admitted
+                 : cellular::ReasonCode::NoCapacity,
+            fits ? 1.0 : -1.0, ""};
+  }
+  cellular::BarrierDrainStats onCommitBarrier(double /*now_s*/) override {
+    ++*barriers_;
+    return {};
+  }
+
+ private:
+  int* barriers_;
+};
+
+TEST(CommitGroups, PolicyBarrierRunsAtEveryGroupCount) {
+  // The barrier is one protocol whatever the lane count: a GroupLocal
+  // policy sees onCommitBarrier at one group too (SCC runs its periodic
+  // exact rebuild there), not only when lanes defer cross-group work.
+  for (const int groups : {1, 4}) {
+    int barriers = 0;
+    cellular::PolicyRuntime runtime;
+    runtime.registerExternal(
+        {"barrier-count", "test stub: counts policy barriers",
+         "barrier-count"},
+        [&barriers](const cellular::PolicySpec&) -> ControllerFactory {
+          return [&barriers](const cellular::HexNetwork&) {
+            return std::make_unique<BarrierCounting>(&barriers);
+          };
+        });
+    SimulationConfig cfg = contestedConfig();
+    cfg.commit_groups = groups;
+    const Metrics m =
+        SimulationBuilder{cfg}.runtime(runtime).policy("barrier-count").run();
+    EXPECT_EQ(m.commit_groups, groups);
+    EXPECT_GT(barriers, 1) << "groups " << groups;
+  }
+}
+
 // ------------------------------------------------ GroupLocal policy commits
 
 TEST(GroupLocalScc, CommitsFromAllLanesAndStaysDeterministic) {
@@ -296,10 +346,10 @@ TEST(GroupLocalScc, CommitsFromAllLanesAndStaysDeterministic) {
   }
 }
 
-TEST(GroupLocalScc, GroupsOneStaysOnTheLegacyPath) {
-  // At one group the per-group stores never engage: no deferred deltas, no
-  // migrations, no reservations — the exact single-map controller the
-  // pre-grouped engine ran, bit-identical at every shard count.
+TEST(GroupLocalScc, GroupsOneDefersNothing) {
+  // At one group SCC keeps a single store whose rows are all the lane's
+  // own: no deferred deltas, no migrations, no reservations, and
+  // bit-identical at every shard count.
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 1;
   cfg.shards = 1;
