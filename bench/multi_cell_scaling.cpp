@@ -5,7 +5,8 @@
 /// tick across 19 cells), plus the measured commit-phase share — the
 /// serial fraction that caps speedup (Amdahl). Also doubles as a
 /// determinism audit: every shard count must reproduce the serial run's
-/// metrics bit for bit — any divergence is reported and fails the process.
+/// metrics bit for bit (its whole Metrics::toJson() object) — any
+/// divergence is reported and fails the process.
 ///
 ///   multi_cell_scaling [--quick] [--requests N] [--shards LIST]
 ///                      [--groups LIST] [--policy SPEC] [--hotspot]
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
       // Determinism reference per (partition, group count): the same
       // mapping must give the same bits at every shard count (different
       // group counts — and different partitions — differ by design).
-      sim::Metrics reference;
+      std::string reference;
       for (std::size_t i = 0; i < shard_counts.size(); ++i) {
         cfg.shards = shard_counts[i];
         const auto t0 = std::chrono::steady_clock::now();
@@ -256,19 +257,14 @@ int main(int argc, char** argv) {
                                 .count();
 
         if (i == 0) {
-          reference = m;
+          reference = m.toJson();
           if (first_sample) {
             summary_reference = m;
             serial_s = secs;
             first_sample = false;
           }
-        } else if (m.new_accepted != reference.new_accepted ||
-                   m.handoff_dropped != reference.handoff_dropped ||
-                   m.busy_bu_seconds != reference.busy_bu_seconds ||
-                   m.engine_events != reference.engine_events ||
-                   m.reservations_posted != reference.reservations_posted ||
-                   m.lane_events != reference.lane_events ||
-                   m.repartitions != reference.repartitions) {
+        } else if (m.toJson() != reference) {
+          // Every deterministic field, not a hand-picked subset.
           deterministic = false;
         }
 

@@ -279,9 +279,10 @@ class AdmissionController {
   /// Optional request-time precomputation: the part of a decision that
   /// depends only on the user snapshot (for FACS, the FLC1 prediction), so
   /// it can run before the serialized decision instant. The simulator calls
-  /// this from its PARALLEL prepare phase — possibly from many threads at
-  /// once — so overrides must be thread-safe and must not touch mutable
-  /// controller state. The result is handed back verbatim through
+  /// this from its PARALLEL prepare and local phases — from many threads,
+  /// beside other groups' decide() and on*() calls — so overrides must be
+  /// thread-safe and must not touch mutable controller state. The result
+  /// is handed back verbatim through
   /// AdmissionContext::predicted when the same request reaches decide();
   /// the default (invalid) result makes decide() infer inline, with
   /// bit-identical outcomes either way.
@@ -307,7 +308,7 @@ class AdmissionController {
   virtual void onPartitionChanged(const CellGroupPartition& /*partition*/) {}
 
   /// Tick-window barrier hook, called single-threaded after every lane has
-  /// quiesced and the engine's own reservation mailboxes have drained.
+  /// quiesced and the engine's own reservation inboxes have drained.
   /// GroupLocal policies apply their deferred cross-group writes here (in
   /// canonical order — the drain must be a pure function of the committed
   /// event sequence) and report what moved; the default is a no-op.

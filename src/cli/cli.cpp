@@ -1,5 +1,7 @@
 #include "cli/cli.hpp"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "cellular/policy_registry.hpp"
@@ -9,25 +11,29 @@ namespace facs::sim {
 
 namespace {
 
+/// A finite number: std::stod also accepts "nan" and "inf", which would
+/// slip past every range check downstream.
 double parseDouble(const std::string& value, const std::string& flag) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
+    if (pos == value.size() && std::isfinite(v)) return v;
   } catch (const std::exception&) {
-    throw CliError("flag " + flag + ": expected a number, got '" + value + "'");
   }
+  throw CliError("flag " + flag + ": expected a finite number, got '" +
+                 value + "'");
 }
 
 int parseInt(const std::string& value, const std::string& flag) {
   const double v = parseDouble(value, flag);
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v) {
+  // Range first: casting a double outside int's range is undefined.
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()) ||
+      v != std::trunc(v)) {
     throw CliError("flag " + flag + ": expected an integer, got '" + value +
                    "'");
   }
-  return i;
+  return static_cast<int>(v);
 }
 
 /// "lo[:hi]" -> (lo, hi); a single value means lo == hi.

@@ -64,8 +64,8 @@ struct Metrics {
   /// Wall-clock seconds each commit lane spent running (its canonical
   /// replay plus its share of the parallel reservation drain). Size ==
   /// commit_groups. NOT deterministic and NOT in toJson() — this is the
-  /// measured twin of lane_events for bench output; commit_lane_s is its
-  /// max (the lane section's critical path).
+  /// measured twin of lane_events for bench output. commit_lane_s is not
+  /// its max: it is dispatch wall time, waits included, less local time.
   std::vector<double> lane_commit_s{};
 
   /// Weighted-partition epoch re-partitions that actually changed the
@@ -82,7 +82,7 @@ struct Metrics {
   int repartitions_skipped = 0;
 
   /// Cross-group handoff reservations (the inter-BS messages): claims
-  /// posted into foreign group mailboxes, and how they resolved at the
+  /// posted on foreign groups' cells, and how they resolved at the
   /// tick-window barrier. posted == admitted + dropped. Warmup-gated like
   /// every other counter; always 0 at commit_groups == 1 (every handoff
   /// commits inside its lane). Deterministic for fixed (config, seed,
@@ -135,19 +135,21 @@ struct Metrics {
 
   // Wall-clock profile of the engine's execution phases. NOT part of the
   // determinism contract (timings vary run to run even at a fixed seed) —
-  // bit-identity comparisons must skip these. The commit phase is the
-  // serialized section, so commitShare() is the measured serial fraction
-  // that caps sharded speedup (Amdahl). With commit_groups > 1 the
-  // per-group lane section runs concurrently and is accounted separately
-  // (commit_lane_s); commit_phase_s then covers only what stays serialized:
-  // draining reservations and policy residue at the barrier.
-  // At commit_groups == 1 the single lane IS the serialized commit, so its
-  // time stays in commit_phase_s and commit_lane_s is 0 — the baseline the
-  // grouped share is compared against.
+  // bit-identity comparisons must skip these. The four fields split the
+  // run without overlap. The commit phase is the serialized section, so
+  // commitShare() is the measured serial fraction that caps sharded
+  // speedup (Amdahl). One dispatch per window runs every group's local
+  // phase and then its lane; what is not local time is lane time. With
+  // commit_groups > 1 the lanes run concurrently and their time is
+  // commit_lane_s; commit_phase_s covers only what stays serialized:
+  // draining reservations and policy residue at the barrier. At
+  // commit_groups == 1 the single lane IS the serialized commit, so its
+  // time stays in commit_phase_s and commit_lane_s is 0.
   double prepare_phase_s = 0.0;  ///< Parallel: arrival draws, GPS tracking.
-  double local_phase_s = 0.0;    ///< Parallel: per-group queue draining.
+  /// Per window, the longest group local phase (heap drain, mover sweep).
+  double local_phase_s = 0.0;
   double commit_phase_s = 0.0;   ///< Serial: ledger/controller mutations.
-  double commit_lane_s = 0.0;    ///< Parallel: group commit lanes (groups>1).
+  double commit_lane_s = 0.0;    ///< Parallel: the rest of the dispatch.
 
   /// Fraction of engine wall time spent in the serialized commit section.
   [[nodiscard]] double commitShare() const noexcept {

@@ -8,21 +8,19 @@
 /// target group's ledger while that lane is still mutating it. Instead the
 /// source lane releases its half at the crossing instant and posts a
 /// Reservation — a bandwidth claim naming the call, the border it crossed
-/// and the demand — into the target group's mailbox. At the tick-window
-/// barrier, after every lane has quiesced, the mailboxes are drained in
-/// canonical order and each claim is validated against the live
+/// and the demand. At the tick-window barrier, after every lane has
+/// quiesced, each claim lands in its target group's inbox; the inboxes are
+/// drained in canonical order and each claim is validated against the live
 /// HexNetwork ledger (and whatever state the policy consults: SCC demand
 /// projections, guard bands, FLC2) before bandwidth is granted.
 ///
-/// Determinism: mailbox drain order is (time, call) — a total order, since
-/// a call crosses at most one border per tick window. Two groups claiming
-/// the last bandwidth unit of one cell therefore resolve the same way at
-/// every shard count and on every run: the earlier crossing wins, call id
+/// Determinism: drain order is (time, call) — a total order, since a call
+/// crosses at most one border per tick window. Two groups claiming the
+/// last bandwidth unit of one cell therefore resolve the same way at every
+/// shard count and on every run: the earlier crossing wins, call id
 /// breaking exact ties.
 
-#include <algorithm>
-#include <cstddef>
-#include <vector>
+#include <cstdint>
 
 #include "cellular/call.hpp"
 #include "cellular/traffic.hpp"
@@ -52,31 +50,6 @@ struct ReservationEarlier {
     if (a.time_s != b.time_s) return a.time_s < b.time_s;
     return a.call < b.call;
   }
-};
-
-/// A commit group's inbox of foreign bandwidth claims. Posting happens from
-/// the single-threaded barrier (lanes hand their outgoing claims over after
-/// quiescing), so no locking; drain() canonicalizes the order regardless of
-/// how posts interleaved.
-class ReservationMailbox {
- public:
-  void post(const Reservation& r) { pending_.push_back(r); }
-
-  [[nodiscard]] bool empty() const noexcept { return pending_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return pending_.size(); }
-
-  /// All pending claims in canonical (time, call) order; the mailbox is
-  /// left empty. Sorting here (not at post) keeps the canonical order a
-  /// property of the drain, independent of posting interleave.
-  [[nodiscard]] std::vector<Reservation> drain() {
-    std::vector<Reservation> out;
-    out.swap(pending_);
-    std::sort(out.begin(), out.end(), ReservationEarlier{});
-    return out;
-  }
-
- private:
-  std::vector<Reservation> pending_;
 };
 
 }  // namespace facs::sim

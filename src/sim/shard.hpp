@@ -14,7 +14,7 @@
 /// outside a lane is AdmissionController::precompute(), which is const and
 /// state-free by contract (it computes a pure function of a call-owned
 /// snapshot), so it is concurrency-safe and outcome-neutral by
-/// construction.
+/// construction, even beside another group's lane.
 
 #include <condition_variable>
 #include <cstdint>
@@ -71,9 +71,10 @@ struct CommitLater {
 /// A fixed-size pool of shard workers with a generation barrier: run(fn)
 /// executes fn(shard) once per shard concurrently and returns when every
 /// shard finished (rethrowing the first exception). Workers persist across
-/// run() calls, so per-tick phases cost two condvar hops instead of thread
-/// spawns. Shard 0 always runs on the calling thread — a pool of size 1 is
-/// the serial engine with zero thread traffic.
+/// run() calls, so a run() costs two condvar hops instead of thread
+/// spawns; a tick window makes at most three (prepare, the group dispatch,
+/// the reservation drain). Shard 0 always runs on the calling thread — a
+/// pool of size 1 is the serial engine with zero thread traffic.
 class ShardPool {
  public:
   explicit ShardPool(int shards) : shards_{shards} {

@@ -8,6 +8,7 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mobility/gps.hpp"
@@ -48,7 +49,7 @@ enum class CallPhase : std::uint8_t {
 /// lifetime. Prepare builds it on any worker; from then on only the group
 /// that owns the call's current cell writes it — that group's local phase
 /// and lane, or its reservation drain at the barrier. Other groups only
-/// read its phase and epoch, to discard stale event copies.
+/// read its group tag, to discard stale event copies.
 struct CallState {
   CallRequest request;  ///< target_cell kept current across handoffs.
   MotionState state;    ///< Ground truth.
@@ -65,6 +66,11 @@ struct CallState {
   /// schedule follow-up events carrying it (events are validated against
   /// the slot's occupant, the cross-lifetime staleness check).
   std::uint32_t slot = serve::kNoSlot;
+  /// The group whose queue holds the call's live events, set only outside
+  /// the group dispatch. A call that changed group leaves stale copies in
+  /// the old group's queue, which may read only this tag of the call while
+  /// the new group's lane writes the rest.
+  int group = 0;
   /// Snapshot-only policy work precomputed off the serialized commit path:
   /// set by the parallel prepare phase for the initial decision, re-run by
   /// the local phase whenever a mobility step produces the new snapshot a
@@ -230,8 +236,7 @@ class Engine {
         shard_count_{std::max(1, std::min(cfg.shards, kMaxShards))},
         pool_{shard_count_},
         queues_(static_cast<std::size_t>(partition_.groups())),
-        lanes_(static_cast<std::size_t>(partition_.groups())),
-        mailboxes_(static_cast<std::size_t>(partition_.groups())) {
+        lanes_(static_cast<std::size_t>(partition_.groups())) {
     if (!controller_) {
       throw std::invalid_argument("controller factory returned nullptr");
     }
@@ -356,26 +361,22 @@ class Engine {
       t1 = stamp();
       metrics_.prepare_phase_s += since(t0, t1);
 
-      runLocalPhase(window_end);
+      // One dispatch runs each group's local phase and then its lane, then
+      // the barrier drains cross-group reservations. The dispatch's local
+      // share is its slowest local phase; the rest is lane time, which at
+      // one lane IS the serialized commit (the pre-grouped accounting).
+      runGroups(window_end);
       const auto t2 = stamp();
-      metrics_.local_phase_s += since(t1, t2);
-
-      // Commit: replay each lane (concurrent when grouped; THE serialized
-      // commit when not), then drain cross-group reservations at the
-      // barrier. With one lane everything lands in commit_phase_s — the
-      // pre-grouped accounting; with several, the lane replay is no longer
-      // serialized and is reported separately.
-      runLanes(window_end);
-      const auto t3 = stamp();
       drainBarrier(window_end);
       releaseFreed();
-      const auto t4 = stamp();
-      if (grouped) {
-        metrics_.commit_phase_s += since(t3, t4);
-        metrics_.commit_lane_s += since(t2, t3);
-      } else {
-        metrics_.commit_phase_s += since(t2, t4);
+      double local_s = 0.0;
+      for (const GroupLane& lane : lanes_) {
+        local_s = std::max(local_s, lane.local_s);
       }
+      metrics_.local_phase_s += local_s;
+      (grouped ? metrics_.commit_lane_s : metrics_.commit_phase_s) +=
+          since(t1, t2) - local_s;
+      metrics_.commit_phase_s += since(t2, stamp());
 
       // Mutations due exactly at this barrier apply now, after every
       // commit of the window (events at the mutation instant itself
@@ -411,27 +412,6 @@ class Engine {
   }
 
  private:
-  /// A drop-path controller release deferred out of the parallel
-  /// reservation drain: onReleased() names the SOURCE cell's station,
-  /// which belongs to a foreign group, so running it inside a per-group
-  /// drain would be the one cross-group touch of the whole barrier. The
-  /// barrier concatenates the per-lane runs, sorts them once by the total
-  /// (time, call) key and replays the result serially.
-  struct DeferredRelease {
-    double time_s = 0.0;
-    CallId call = 0;
-    CallRequest request;  ///< The source half (pre-handoff target_cell).
-    CellId from_cell = 0;
-  };
-
-  struct DeferredReleaseEarlier {
-    bool operator()(const DeferredRelease& a,
-                    const DeferredRelease& b) const noexcept {
-      if (a.time_s != b.time_s) return a.time_s < b.time_s;
-      return a.call < b.call;
-    }
-  };
-
   /// One group's work for later windows. End and Decision events wait on a
   /// time-ordered heap. Mobility steps — one per active call per period,
   /// the bulk of all events — wait in a flat list instead: the local phase
@@ -448,18 +428,19 @@ class Engine {
   };
 
   /// One commit lane: the canonical-order replay queue of one cell group
-  /// plus everything the lane accumulates privately — outgoing reservation
-  /// claims, slots its commits finished (recycled at the barrier: lanes
+  /// plus everything the lane accumulates privately — reservation claims
+  /// out and in, slots its commits finished (recycled at the barrier: lanes
   /// run concurrently and must not touch the shared freelist), its group's
   /// slice of the occupancy integral and of the counters. Lanes never
   /// touch each other's state; the barrier folds them in group order.
   struct GroupLane {
     std::priority_queue<CommitEntry, std::vector<CommitEntry>, CommitLater>
         queue;
-    std::vector<Reservation> outgoing;
-    /// Drop-path controller releases this lane's reservation drain
-    /// deferred (already in canonical order — the drain order).
-    std::vector<DeferredRelease> releases;
+    std::vector<Reservation> outgoing;  ///< Posted on foreign cells.
+    std::vector<Reservation> inbox;     ///< Delivered by the barrier.
+    /// Claims the drain dropped: their source-cell release touches a
+    /// foreign group, so the barrier replays it serially.
+    std::vector<Reservation> releases;
     /// Pool slots of calls this lane finished this window; released by the
     /// single-threaded barrier in lane order (deterministic freelist).
     std::vector<std::uint32_t> freed;
@@ -484,6 +465,8 @@ class Engine {
     /// share of the parallel reservation drain (Metrics::lane_commit_s).
     /// Observational only — never an input to any outcome.
     double wall_s = 0.0;
+    /// Wall clock of this group's local phase in the latest window.
+    double local_s = 0.0;
   };
 
   [[nodiscard]] static std::vector<cellular::CellCapacityOverride>
@@ -636,7 +619,7 @@ class Engine {
   /// non-zero weight and all-silent epochs degrade to uniform) feed the
   /// weighted partition. Deterministic — the counts are pure functions of
   /// (config, seed), never wall time. Runs only in barrier context (lanes
-  /// quiesced, mailboxes drained), so remapping a cell can never strand an
+  /// quiesced, inboxes drained), so remapping a cell can never strand an
   /// in-flight claim; the per-group occupancy integrals are closed at
   /// \p at_s and re-based from the live ledgers under the new mapping, and
   /// the event queues and mover lists are re-homed to the new groups.
@@ -684,23 +667,23 @@ class Engine {
   }
 
   /// Moves every live queued event and mover into its call's group under
-  /// the current mapping and drops stale copies (the local phase would
-  /// discard them anyway). The queues are fresh, because schedule() refuses
-  /// a push earlier than a group's clock.
+  /// the current mapping, re-tagging the call, and drops stale copies (the
+  /// local phase would discard them anyway). Every live call has a live
+  /// event: its Decision while pending, its End while active. The queues
+  /// are fresh, because schedule() refuses a push earlier than a group's
+  /// clock.
   void rehomeQueues() {
     std::vector<GroupQueue> old(queues_.size());
     old.swap(queues_);
+    const auto rehome = [&](double time_s, const ShardEvent& ev) {
+      if (CallState* c = liveCall(ev)) {
+        c->group = laneOf(c->request.target_cell);
+        schedule(time_s, c->request.target_cell, ev);
+      }
+    };
     for (GroupQueue& q : old) {
-      while (const auto e = q.events.pop()) {
-        if (const CallState* c = liveCall(e->payload)) {
-          schedule(e->time_s, c->request.target_cell, e->payload);
-        }
-      }
-      for (const CommitEntry& m : q.movers) {
-        if (const CallState* c = liveCall(m.event)) {
-          schedule(m.time_s, c->request.target_cell, m.event);
-        }
-      }
+      while (const auto e = q.events.pop()) rehome(e->time_s, e->payload);
+      for (const CommitEntry& m : q.movers) rehome(m.time_s, m.event);
     }
   }
 
@@ -887,7 +870,8 @@ class Engine {
 
     for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
       const std::uint32_t slot = batch_slots_[i];
-      const CallState& c = call_pool_.at(slot);
+      CallState& c = call_pool_.at(slot);
+      c.group = laneOf(c.request.target_cell);
       schedule(batch_times_[i] + track, c.request.target_cell,
                ShardEvent{ShardEventKind::Decision, c.request.call, 0, slot});
     }
@@ -986,35 +970,48 @@ class Engine {
     c.predicted = controller_->precompute(req.snapshot);
   }
 
-  // ------------------------------------------------------------ local phase
+  // ------------------------------------------------------------ group phase
 
-  /// Each group drains its event heap up to the window end straight into
-  /// its commit lane, then sweeps its mover list once. Mobility steps run
-  /// here (call-local: per-call RNG and state); everything that needs the
-  /// shared ledgers/controller goes into the group's commit lane. Stale
-  /// events (recycled slots, superseded epochs, finished calls) die here.
-  /// Which order the group visits its due events in cannot matter: the
-  /// lane replays them in canonical order, and a step touches only its own
-  /// call.
-  void runLocalPhase(double window_end) {
+  /// The window's one group dispatch. Each group's task runs its local
+  /// phase — drain its event heap up to the window end into its lane, sweep
+  /// its mover list once (mobility steps are call-local: per-call RNG and
+  /// state), drop stale events — then replays its lane. No barrier is
+  /// needed between the halves: a local phase writes only its own calls
+  /// (of a foreign call it reads the group tag alone), a lane touches only
+  /// its own calls, ledgers and queue (foreign groups come from barrier
+  /// snapshots), and precompute() is const and state-free. The order a
+  /// group visits its due events in cannot matter: its lane replays them
+  /// in canonical order.
+  void runGroups(double window_end) {
     forEachGroup([&](int g) {
       GroupQueue& q = queues_[static_cast<std::size_t>(g)];
       GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
+      const auto t0 = std::chrono::steady_clock::now();
       while (const auto entry = q.events.popBefore(window_end)) {
         if (ownedCall(entry->payload, g)) {
           lane.queue.push(CommitEntry{entry->time_s, entry->payload});
         }
       }
       sweepMovers(g, q, lane, window_end);
+      lane.local_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+      runLane(g, window_end);
     });
   }
 
-  /// liveCall(), plus the check that a live call belongs to group \p g.
+  /// liveCall() for an event in group \p g's queue. A copy whose call
+  /// now belongs to another group is stale, and is dropped on the group tag
+  /// alone: that group's lane may be writing the call's other fields.
   [[nodiscard]] CallState* ownedCall(const ShardEvent& ev, int g) {
+    if (call_pool_.occupantOf(ev.slot) != ev.call ||
+        call_pool_.at(ev.slot).group != g) {
+      return nullptr;
+    }
     CallState* c = liveCall(ev);
     if (c && laneOf(c->request.target_cell) != g) {
-      // A live event in a foreign group's queue means a re-home was
-      // missed: this group's lane must never touch that call.
+      // A call tagged with this group but living outside it means a
+      // re-home was missed: this group's lane must never touch that call.
       throw std::logic_error("live event queued outside its call's group");
     }
     return c;
@@ -1073,18 +1070,13 @@ class Engine {
 
   // ----------------------------------------------------------- commit phase
 
-  /// Replays every lane to quiescence. One lane runs inline (it IS the
-  /// serialized commit phase of the pre-grouped engine). All of a call's
-  /// events of one window sit in one lane (pending calls do not move, and
-  /// active calls change cells only when that same lane — or the barrier —
-  /// commits the crossing), so lanes touch disjoint call and ledger state.
-  void runLanes(double window_end) {
-    forEachGroup([&](int g) { runLane(g, window_end); });
-  }
-
   /// Drains one lane's queue — plus any follow-up events commits push back
   /// inside the window — in canonical (time, kind, call) order, mutating
-  /// only this group's ledgers and the lane's private slice.
+  /// only this group's ledgers and the lane's private slice. All of a
+  /// call's events of one window sit in one lane (pending calls do not
+  /// move, and active calls change cells only when that same lane — or the
+  /// barrier — commits the crossing), so lanes touch disjoint call and
+  /// ledger state.
   void runLane(int g, double window_end) {
     GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
     const auto lane_t0 = std::chrono::steady_clock::now();
@@ -1139,8 +1131,8 @@ class Engine {
              ShardEvent{ShardEventKind::Move, id, c.epoch, c.slot});
   }
 
-  /// Marks a lane-context call finished: the slot joins the lane's freed
-  /// list and recycles at the barrier.
+  /// Marks a call finished in lane or drain context: the slot joins the
+  /// lane's freed list and recycles at the barrier.
   void finishInLane(GroupLane& lane, CallState& c) {
     c.phase = CallPhase::Done;
     lane.freed.push_back(c.slot);
@@ -1225,7 +1217,7 @@ class Engine {
     if (laneOf(*new_cell) != g) {
       // Cross-group handoff. The source half — the call leaving this
       // group's cell — commits here, at the crossing instant; the claim on
-      // the target cell travels to its group's mailbox. Bumping the epoch
+      // the target cell travels to its group's inbox. Bumping the epoch
       // supersedes every queued event copy while the claim is in flight,
       // so nothing can touch the call before the barrier resolves it.
       cellular::BaseStation& old_station =
@@ -1292,7 +1284,7 @@ class Engine {
   // --------------------------------------------------------------- barrier
 
   /// The tick-window barrier, after every lane has quiesced: cross-group
-  /// reservations are delivered to their target groups' mailboxes and
+  /// reservations are delivered to their target groups' inboxes and
   /// drained PER TARGET GROUP, concurrently — each drain validates its
   /// claims in canonical (time, call) order against ledgers, call state and
   /// the event queue only its own group owns. The one cross-group touch
@@ -1303,12 +1295,12 @@ class Engine {
     bool any = false;
     for (GroupLane& lane : lanes_) {
       for (const Reservation& r : lane.outgoing) {
-        mailboxes_[static_cast<std::size_t>(laneOf(r.to_cell))].post(r);
+        lanes_[static_cast<std::size_t>(laneOf(r.to_cell))].inbox.push_back(r);
         any = true;
       }
       lane.outgoing.clear();
     }
-    if (any) drainMailboxes(window_end);
+    if (any) drainInboxes(window_end);
     // GroupLocal policies drain their own cross-group residue now —
     // unconditionally: an in-lane commit whose write footprint crosses a
     // group boundary defers deltas even when no call crossed (no
@@ -1329,16 +1321,18 @@ class Engine {
   }
 
   /// Fans the reservation drain out over the groups (ledger-disjoint by
-  /// construction), then replays the deferred drop-path releases.
-  void drainMailboxes(double window_end) {
+  /// construction), each in canonical order whatever order its claims
+  /// arrived in, then replays the deferred drop-path releases.
+  void drainInboxes(double window_end) {
     forEachGroup([&](int g) {
-      auto& mailbox = mailboxes_[static_cast<std::size_t>(g)];
-      if (mailbox.empty()) return;
       GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
+      if (lane.inbox.empty()) return;
       const auto t0 = std::chrono::steady_clock::now();
-      for (const Reservation& r : mailbox.drain()) {
+      std::sort(lane.inbox.begin(), lane.inbox.end(), ReservationEarlier{});
+      for (const Reservation& r : lane.inbox) {
         commitReservation(lane, r, window_end);
       }
+      lane.inbox.clear();
       lane.wall_s += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -1346,22 +1340,23 @@ class Engine {
     runDeferredReleases();
   }
 
-  /// Concatenates the lanes' deferred drop-path releases in group order,
-  /// sorts them once by the total (time, call) key — a call crosses at most
-  /// one border per window — and replays them serially: the only stage
-  /// allowed to touch foreign groups' controller state.
+  /// Concatenates the lanes' dropped claims in group order, sorts them once
+  /// by the total (time, call) key — a call crosses at most one border per
+  /// window — and releases each source half serially: the only stage
+  /// allowed to touch foreign groups' controller state. A dropped call
+  /// still holds its pre-handoff request; releaseFreed() recycles it later.
   void runDeferredReleases() {
-    std::vector<DeferredRelease>& all = lanes_[0].releases;
+    std::vector<Reservation>& all = lanes_[0].releases;
     for (std::size_t g = 1; g < lanes_.size(); ++g) {
-      std::vector<DeferredRelease>& run = lanes_[g].releases;
+      std::vector<Reservation>& run = lanes_[g].releases;
       all.insert(all.end(), run.begin(), run.end());
       run.clear();
     }
-    std::sort(all.begin(), all.end(), DeferredReleaseEarlier{});
-    for (const DeferredRelease& d : all) {
+    std::sort(all.begin(), all.end(), ReservationEarlier{});
+    for (const Reservation& r : all) {
       controller_->onReleased(
-          d.request,
-          AdmissionContext{network_.station(d.from_cell), d.time_s});
+          call_pool_.at(r.slot).request,
+          AdmissionContext{network_.station(r.from_cell), r.time_s});
     }
     all.clear();
   }
@@ -1434,10 +1429,8 @@ class Engine {
       controller_->onRejected(req, ctx);
       // The source-cell release is the drop path's one foreign-group
       // touch: deferred for the barrier to replay serially.
-      lane.releases.push_back(
-          DeferredRelease{r.time_s, r.call, c.request, r.from_cell});
-      c.phase = CallPhase::Done;
-      lane.freed.push_back(r.slot);
+      lane.releases.push_back(r);
+      finishInLane(lane, c);
       return;
     }
 
@@ -1451,6 +1444,7 @@ class Engine {
     }
     controller_->onAdmitted(req, ctx);
     c.request = req;  // epoch was already bumped when the claim was posted
+    c.group = laneOf(r.to_cell);
 
     if (c.end_time_s < window_end) {
       // The departure instant passed while the claim was in flight: settle
@@ -1462,8 +1456,7 @@ class Engine {
       if (counted(c.end_time_s)) ++lane.partial.completed;
       controller_->onReleased(c.request,
                               AdmissionContext{new_station, window_end});
-      c.phase = CallPhase::Done;
-      lane.freed.push_back(r.slot);
+      finishInLane(lane, c);
       return;
     }
     schedule(c.end_time_s, r.to_cell,
@@ -1550,9 +1543,8 @@ class Engine {
   int shard_count_;
   ShardPool pool_;
 
-  std::vector<GroupQueue> queues_;            ///< One per group.
-  std::vector<GroupLane> lanes_;              ///< One per group.
-  std::vector<ReservationMailbox> mailboxes_; ///< One per group.
+  std::vector<GroupQueue> queues_;  ///< One per group.
+  std::vector<GroupLane> lanes_;    ///< One per group.
 
   /// Call storage proportional to CONCURRENT calls: slots recycle the
   /// moment a call finishes (the batch engine kept every call for the
@@ -1604,6 +1596,27 @@ class Engine {
 }  // namespace
 
 void validateConfig(const SimulationConfig& cfg) {
+  // NaN and infinity slip past every ordered comparison below.
+  const ScenarioParams& s = cfg.scenario;
+  const std::pair<double, const char*> numbers[] = {
+      {cfg.cell_radius_km, "cell radius"},
+      {cfg.arrival_window_s, "arrival window"},
+      {cfg.warmup_s, "warmup"},
+      {cfg.mobility_update_s, "mobility update period"},
+      {cfg.repartition_every_s, "repartition period"},
+      {s.speed_min_kmh, "speed"},      {s.speed_max_kmh, "speed"},
+      {s.angle_mean_deg, "angle"},     {s.angle_sigma_deg, "angle sigma"},
+      {s.distance_min_km, "distance"}, {s.distance_max_km, "distance"},
+      {s.tracking_window_s, "tracking window"},
+      {s.gps_fix_period_s, "GPS fix period"},
+      {s.gps_error_m.value_or(0.0), "GPS error"},
+      {s.turn.sigma_max_deg, "turn sigma"}, {s.turn.v_ref_kmh, "turn v_ref"},
+  };
+  for (const auto& [value, what] : numbers) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string{what} + " must be finite");
+    }
+  }
   // Geometry first (mirrors HexNetwork's own checks, so a bad scenario —
   // in code or from a file — fails at validate time with config
   // vocabulary, not mid-construction).
@@ -1637,10 +1650,8 @@ void validateConfig(const SimulationConfig& cfg) {
     throw std::invalid_argument("commit groups must be in [1, " +
                                 std::to_string(kMaxShards) + "]");
   }
-  if (!(cfg.repartition_every_s >= 0.0) ||
-      !std::isfinite(cfg.repartition_every_s)) {
-    throw std::invalid_argument(
-        "repartition period must be finite and >= 0");
+  if (cfg.repartition_every_s < 0.0) {
+    throw std::invalid_argument("repartition period must be >= 0");
   }
   if (cfg.repartition_every_s > 0.0 &&
       cfg.partition != PartitionStrategy::Weighted) {
@@ -1687,7 +1698,6 @@ void validateConfig(const SimulationConfig& cfg) {
                               cfg.arrivals == ArrivalProcess::Poisson);
     }
   }
-  const ScenarioParams& s = cfg.scenario;
   if (s.tracking_window_s < 0.0) {
     throw std::invalid_argument("tracking window must be >= 0");
   }

@@ -11,21 +11,22 @@
 /// carries, and a commit lane — like a base station that admits its own
 /// calls. The run advances in lock-stepped tick windows sized by the
 /// mobility update period (the minimum latency at which a call can cross
-/// cells). Within a window, each group does its call-local work (mobility
-/// integration, boundary detection), then its lane replays the window's
-/// admission decisions, releases and handoffs in canonical
-/// (time, kind, call) order. Groups run on SimulationConfig::shards worker
-/// threads (group g on worker g mod shards); request preparation (spawn
-/// draw, GPS tracking) fans out over the workers by call. All randomness
-/// is drawn from per-call SplitMix-derived streams, so runs are
-/// bit-identical for a fixed seed and group count at ANY shard count,
-/// including shards=1 (no worker threads).
+/// cells). Within a window, prepare fans new calls (spawn draw, GPS
+/// tracking) out over the workers by call; then one task per group does
+/// its call-local work (mobility integration, boundary detection) and
+/// replays its lane: the window's admission decisions, releases and
+/// handoffs in canonical (time, kind, call) order. Groups run on
+/// SimulationConfig::shards worker threads (group g on worker g mod
+/// shards), all in one dispatch. All randomness is drawn from per-call
+/// SplitMix-derived streams, so runs are bit-identical for a fixed seed
+/// and group count at ANY shard count, including shards=1 (no worker
+/// threads).
 ///
 /// Handoffs that cross a group border cannot commit inside either lane;
 /// the source lane releases its half at the crossing instant and posts a
-/// Reservation (the paper's inter-BS message, sim/reservation.hpp) into
-/// the target group's mailbox, drained in canonical order at the
-/// tick-window barrier with every capacity claim re-validated against the
+/// Reservation (the paper's inter-BS message, sim/reservation.hpp). The
+/// barrier delivers it to the target group's inbox and drains each inbox
+/// in canonical order, re-validating every capacity claim against the
 /// live ledger and policy state. Several groups require the policy to
 /// declare cellular::CommitScope::CellLocal or GroupLocal; Global-scope
 /// policies (external plugins, `rsv`) degrade to one group.

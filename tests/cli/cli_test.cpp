@@ -286,6 +286,22 @@ TEST(Cli, Errors) {
   EXPECT_THROW((void)parseCli({"--policy"}), CliError);          // missing value
 }
 
+TEST(Cli, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // std::stod accepts these; every one used to crash, hang or run on
+  // garbage downstream.
+  EXPECT_THROW((void)parseCli({"--window", "inf"}), CliError);
+  EXPECT_THROW((void)parseCli({"--tracking-window", "nan"}), CliError);
+  EXPECT_THROW((void)parseCli({"--warmup", "nan"}), CliError);
+  EXPECT_THROW((void)parseCli({"--cell-radius", "inf"}), CliError);
+  EXPECT_THROW((void)parseCli({"--speed", "nan"}), CliError);
+  EXPECT_THROW((void)parseCli({"--speed", "10:-inf"}), CliError);
+  EXPECT_THROW((void)parseCli({"--requests", "inf"}), CliError);
+  // Integers are range-checked before the cast, not after it.
+  EXPECT_THROW((void)parseCli({"--requests", "3e9"}), CliError);
+  EXPECT_THROW((void)parseCli({"--rings", "-3e9"}), CliError);
+  EXPECT_EQ(parseCli({"--window", "1e3"}).config.arrival_window_s, 1000.0);
+}
+
 TEST(Cli, FactoriesProduceWorkingControllers) {
   for (const std::string& name : cellular::PolicyRegistry::global().names()) {
     const CliOptions opt = parseCli({"--policy", name});

@@ -780,24 +780,20 @@ TEST(WeightedPartition, ConfigValidatesTheNewKnobs) {
 
 // ------------------------------------------------------------ reservations
 
-TEST(ReservationMailbox, DrainsInCanonicalTimeThenCallOrder) {
-  ReservationMailbox box;
-  // Posted out of order, including an exact time tie — the paper's "two
+TEST(ReservationEarlier, OrdersClaimsByTimeThenCall) {
+  // Delivered out of order, including an exact time tie — the paper's "two
   // BSs claim the last unit at once": the lower call id wins the earlier
   // slot, on every platform, at every shard count.
-  box.post(Reservation{30.0, 9, 1, 2, 5, true});
-  box.post(Reservation{10.0, 7, 3, 2, 5, true});
-  box.post(Reservation{30.0, 2, 4, 2, 5, true});
-  box.post(Reservation{20.0, 5, 5, 2, 5, true});
-  ASSERT_EQ(box.size(), 4u);
-  const auto drained = box.drain();
-  ASSERT_EQ(drained.size(), 4u);
-  EXPECT_EQ(drained[0].call, 7);
-  EXPECT_EQ(drained[1].call, 5);
-  EXPECT_EQ(drained[2].call, 2);  // tie at t=30: call 2 before call 9
-  EXPECT_EQ(drained[3].call, 9);
-  EXPECT_TRUE(box.empty());
-  EXPECT_TRUE(box.drain().empty());
+  std::vector<Reservation> inbox{Reservation{30.0, 9, 1, 2, 5, true},
+                                 Reservation{10.0, 7, 3, 2, 5, true},
+                                 Reservation{30.0, 2, 4, 2, 5, true},
+                                 Reservation{20.0, 5, 5, 2, 5, true}};
+  std::sort(inbox.begin(), inbox.end(), ReservationEarlier{});
+  ASSERT_EQ(inbox.size(), 4u);
+  EXPECT_EQ(inbox[0].call, 7);
+  EXPECT_EQ(inbox[1].call, 5);
+  EXPECT_EQ(inbox[2].call, 2);  // tie at t=30: call 2 before call 9
+  EXPECT_EQ(inbox[3].call, 9);
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "cellular/policy_registry.hpp"
 #include "core/facs.hpp"
@@ -230,15 +233,33 @@ TEST(PrecomputeEquivalence, PoliciesWithoutPrecomputeAreUnaffected) {
 TEST(ShardedEngine, PhaseProfileIsPopulated) {
   // The wall-clock phase profile feeds the serial-fraction benchmarks; it
   // is observational (not compared across runs) but must be present and
-  // consistent: some time in every phase the run actually exercised.
-  SimulationConfig cfg = contestedConfig();
-  cfg.shards = 2;
-  const Metrics m = SimulationBuilder{cfg}.policy("facs").run();
-  EXPECT_GT(m.prepare_phase_s, 0.0);
-  EXPECT_GT(m.local_phase_s, 0.0);
-  EXPECT_GT(m.commit_phase_s, 0.0);
-  EXPECT_GT(m.commitShare(), 0.0);
-  EXPECT_LT(m.commitShare(), 1.0);
+  // consistent: some time in every phase the run actually exercised. One
+  // dispatch runs a group's local phase and its lane, and its time is
+  // split between local_phase_s and the lane bucket — never counted twice,
+  // so the phases can only sum to less than the run's wall time.
+  for (const auto& [shards, groups] : {std::pair{1, 1}, std::pair{3, 4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards x " +
+                 std::to_string(groups) + " groups");
+    SimulationConfig cfg = contestedConfig();
+    cfg.shards = shards;
+    cfg.commit_groups = groups;
+    const auto t0 = std::chrono::steady_clock::now();
+    const Metrics m = SimulationBuilder{cfg}.policy("facs").run();
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    ASSERT_EQ(m.commit_groups, groups);
+    EXPECT_GT(m.prepare_phase_s, 0.0);
+    EXPECT_GT(m.local_phase_s, 0.0);
+    EXPECT_GT(m.commit_phase_s, 0.0);
+    EXPECT_GE(m.commit_lane_s, 0.0);
+    EXPECT_EQ(m.commit_lane_s > 0.0, groups > 1);
+    EXPECT_LE(m.prepare_phase_s + m.local_phase_s + m.commit_phase_s +
+                  m.commit_lane_s,
+              wall_s);
+    EXPECT_GT(m.commitShare(), 0.0);
+    EXPECT_LT(m.commitShare(), 1.0);
+  }
 }
 
 TEST(ShardedEngine, ShardCountIsValidated) {

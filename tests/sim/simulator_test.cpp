@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <tuple>
+
 #include "cac/baselines.hpp"
 #include "core/facs.hpp"
 #include "scc/shadow_cluster.hpp"
@@ -75,6 +81,81 @@ TEST(Simulator, ValidatesConfig) {
                           }),
       std::invalid_argument);
 }
+
+/// Every double of SimulationConfig and ScenarioParams, by name.
+struct DoubleField {
+  const char* name;
+  void (*set)(SimulationConfig&, double);
+};
+
+const DoubleField kDoubleFields[] = {
+    {"cell_radius_km",
+     [](SimulationConfig& c, double v) { c.cell_radius_km = v; }},
+    {"arrival_window_s",
+     [](SimulationConfig& c, double v) { c.arrival_window_s = v; }},
+    {"warmup_s", [](SimulationConfig& c, double v) { c.warmup_s = v; }},
+    {"mobility_update_s",
+     [](SimulationConfig& c, double v) { c.mobility_update_s = v; }},
+    {"repartition_every_s",
+     [](SimulationConfig& c, double v) { c.repartition_every_s = v; }},
+    {"speed_min_kmh",
+     [](SimulationConfig& c, double v) { c.scenario.speed_min_kmh = v; }},
+    {"speed_max_kmh",
+     [](SimulationConfig& c, double v) { c.scenario.speed_max_kmh = v; }},
+    {"angle_mean_deg",
+     [](SimulationConfig& c, double v) { c.scenario.angle_mean_deg = v; }},
+    {"angle_sigma_deg",
+     [](SimulationConfig& c, double v) { c.scenario.angle_sigma_deg = v; }},
+    {"distance_min_km",
+     [](SimulationConfig& c, double v) { c.scenario.distance_min_km = v; }},
+    {"distance_max_km",
+     [](SimulationConfig& c, double v) { c.scenario.distance_max_km = v; }},
+    {"tracking_window_s",
+     [](SimulationConfig& c, double v) { c.scenario.tracking_window_s = v; }},
+    {"gps_fix_period_s",
+     [](SimulationConfig& c, double v) { c.scenario.gps_fix_period_s = v; }},
+    {"gps_error_m",
+     [](SimulationConfig& c, double v) { c.scenario.gps_error_m = v; }},
+    {"turn_sigma_max_deg",
+     [](SimulationConfig& c, double v) { c.scenario.turn.sigma_max_deg = v; }},
+    {"turn_v_ref_kmh",
+     [](SimulationConfig& c, double v) { c.scenario.turn.v_ref_kmh = v; }},
+};
+
+/// A tracked multi-cell run with handoffs, so every field above is live.
+SimulationConfig finiteBaseConfig() {
+  SimulationConfig cfg;
+  cfg.rings = 1;
+  cfg.total_requests = 5;
+  cfg.enable_handoffs = true;
+  return cfg;
+}
+
+class NonFiniteConfig
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+TEST_P(NonFiniteConfig, FailsValidationInsteadOfRunning) {
+  const auto [field, value] = GetParam();
+  SimulationConfig cfg = finiteBaseConfig();
+  ASSERT_NO_THROW(validateConfig(cfg));
+  kDoubleFields[field].set(cfg, value);
+  EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
+  EXPECT_THROW((void)runSimulation(cfg, completeSharing()),
+               std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDouble, NonFiniteConfig,
+    ::testing::Combine(
+        ::testing::Range<std::size_t>(0, std::size(kDoubleFields)),
+        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity())),
+    [](const ::testing::TestParamInfo<NonFiniteConfig::ParamType>& info) {
+      const double v = std::get<1>(info.param);
+      return std::string{kDoubleFields[std::get<0>(info.param)].name} +
+             (std::isnan(v) ? "_nan" : v > 0.0 ? "_inf" : "_neg_inf");
+    });
 
 TEST(Simulator, ZeroRequestsIsAnEmptyRun) {
   const Metrics m = runSimulation(lightConfig(0), completeSharing());
