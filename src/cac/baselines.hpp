@@ -20,12 +20,6 @@ class CompleteSharingController final : public cellular::AdmissionController {
  public:
   [[nodiscard]] std::string name() const override { return "CS"; }
 
-  /// Pure function of (request, target ledger): group lanes may commit
-  /// decisions for disjoint cells concurrently.
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::CellLocal;
-  }
-
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override;
@@ -39,11 +33,6 @@ class GuardChannelController final : public cellular::AdmissionController {
   explicit GuardChannelController(cellular::BandwidthUnits guard_bu);
 
   [[nodiscard]] std::string name() const override { return "GuardChannel"; }
-
-  /// Reads only the target cell's ledger plus the immutable guard band.
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::CellLocal;
-  }
 
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
@@ -70,11 +59,6 @@ class MultiThresholdController final : public cellular::AdmissionController {
           thresholds_bu);
 
   [[nodiscard]] std::string name() const override { return "MultiThreshold"; }
-
-  /// Reads only the target cell's ledger plus the immutable thresholds.
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::CellLocal;
-  }
 
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,

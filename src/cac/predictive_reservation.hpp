@@ -7,8 +7,15 @@
 /// are admitted only if they fit alongside the cell's outstanding
 /// reservations; handoffs may consume the reservations (that is what they
 /// are for).
+///
+/// Like SCC's shadow stores, a call's record lives in its serving cell's
+/// commit group, and a write to another group's cell waits in the acting
+/// group's buffer until onCommitBarrier(). decide() reads only the target
+/// cell, which the acting group owns, so every read is live.
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "cellular/admission.hpp"
 #include "cellular/network.hpp"
@@ -46,8 +53,20 @@ class PredictiveReservationController final
   void onReleased(const cellular::CallRequest& request,
                   const cellular::AdmissionContext& context) override;
 
-  /// Outstanding reserved bandwidth in a cell (fractional BUs).
-  [[nodiscard]] double reservedBu(cellular::CellId cell) const;
+  /// Re-keys the per-group stores by each record's serving-cell group.
+  void onPartitionChanged(const cellular::CellGroupPartition& p) override;
+
+  /// Releases the records cross-group handoffs left behind, then folds
+  /// the deferred cross-group writes (groups ascending, append order
+  /// within). Barrier context.
+  [[nodiscard]] cellular::BarrierDrainStats onCommitBarrier(
+      double now_s) override;
+
+  /// Outstanding reserved bandwidth in a cell (fractional BUs), up to the
+  /// last barrier for writes from other groups.
+  [[nodiscard]] double reservedBu(cellular::CellId cell) const {
+    return reserved_.at(static_cast<std::size_t>(cell));
+  }
 
   /// The cell a mobile with this snapshot is predicted to enter next
   /// (straight-line extrapolation), if any and different from the serving
@@ -57,15 +76,37 @@ class PredictiveReservationController final
       cellular::CellId serving_cell) const;
 
  private:
-  const cellular::HexNetwork& network_;
-  PredictiveReservationConfig config_;
-  /// Per admitted call: where its reservation lives (if any) and how much.
+  /// Per admitted call: its serving cell, and where its reservation lives
+  /// and how much.
   struct Reservation {
+    cellular::CellId anchor = cellular::kInvalidCell;
     cellular::CellId cell = cellular::kInvalidCell;
     double bu = 0.0;
   };
-  std::unordered_map<cellular::CallId, Reservation> reservations_;
-  std::unordered_map<cellular::CellId, double> reserved_per_cell_;
+
+  /// One commit group's records, the (cell, +/-bu) writes it owes other
+  /// groups' cells, and the calls whose old record a cross-group handoff
+  /// left in a foreign store. Only the acting group touches its store
+  /// between barriers.
+  struct GroupStore {
+    std::unordered_map<cellular::CallId, Reservation> records;
+    std::vector<std::pair<cellular::CellId, double>> deltas;
+    std::vector<cellular::CallId> migrations;
+  };
+
+  /// Adds \p bu to a cell's reservation, or releases -bu of it (floored at
+  /// zero): live when group \p g owns the cell, else deferred.
+  void write(int g, cellular::CellId cell, double bu);
+  void apply(cellular::CellId cell, double bu);
+  /// Releases \p call's record from group \p g's store, if it is there.
+  bool release(int g, cellular::CallId call);
+
+  const cellular::HexNetwork& network_;
+  PredictiveReservationConfig config_;
+  /// Copy of the engine's cell-to-group mapping; one group until adopted.
+  cellular::CellGroupPartition partition_;
+  std::vector<double> reserved_;    ///< Indexed by cell.
+  std::vector<GroupStore> stores_;  ///< Indexed by commit group.
 };
 
 }  // namespace facs::cac

@@ -24,7 +24,7 @@ AdmissionDecision SirController::decide(const CallRequest& request,
   if (!grouped()) {
     sinr_db = radio_.sinrDb(request.snapshot.position, serving);
   } else {
-    // GroupLocal read discipline: own-group utilizations live (this lane
+    // Grouped read discipline: own-group utilizations live (this lane
     // owns their ledgers for the window), foreign groups from the barrier
     // snapshot. Same interferer walk and arithmetic as sinrDb().
     const int my_group = group_of_[serving];

@@ -7,9 +7,8 @@
 /// downlink SINR clears a per-class threshold and (b) the bandwidth fits.
 ///
 /// decide() sums the interference of every other station in the network —
-/// the exact whole-network sum — and the controller is
-/// `CommitScope::GroupLocal`: a barrier snapshot confines what a lane reads
-/// outside its own group. Interferers in the acting cell's own commit group
+/// the exact whole-network sum — and a barrier snapshot confines what a
+/// lane reads outside its own commit group. Interferers in the acting cell's own commit group
 /// are read live in-lane (they cannot change under the lane that owns
 /// them); interferers in other groups are read from a per-cell utilization
 /// snapshot refreshed single-threaded at every tick-window barrier
@@ -46,12 +45,6 @@ class SirController final : public cellular::AdmissionController {
                          SirThresholds thresholds = {});
 
   [[nodiscard]] std::string name() const override { return "SIR"; }
-
-  /// GroupLocal: see the file comment for the live/snapshot read
-  /// discipline that makes the promise hold.
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::GroupLocal;
-  }
 
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,

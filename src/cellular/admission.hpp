@@ -202,41 +202,7 @@ struct AdmissionDecision {
 static_assert(std::is_trivially_copyable_v<AdmissionDecision>,
               "decide() returns by value on the hot path; keep it memcpy-able");
 
-/// How much shared state, beyond the immutable configuration, one
-/// decide()/onAdmitted()/onReleased()/onRejected() call may read or write.
-/// The sharded simulator consults this to decide whether decisions for
-/// disjoint cell groups may commit concurrently (two-level commit lanes).
-enum class CommitScope : std::uint8_t {
-  /// The call touches only the target cell's ledger (context.station) and
-  /// controller state that is immutable or per-thread. Decisions for
-  /// different cells are then independent, and the engine may commit them
-  /// from concurrent per-group lanes. Declaring CellLocal is a PROMISE:
-  /// concurrent calls for different cells must be data-race free and must
-  /// produce the same bits regardless of which thread runs them.
-  CellLocal,
-  /// Partition-aware middle ground: the call may touch per-cell state of
-  /// ANY cell in the target cell's commit group (per-group shadow stores,
-  /// neighbourhood accumulators), provided the controller learned the
-  /// engine's partition through onPartitionChanged(). Writes that would
-  /// cross a group boundary must be deferred internally and drained when
-  /// the engine calls onCommitBarrier() — single-threaded, at the
-  /// tick-window barrier, alongside the reservation drain — and reads of
-  /// another group's state must come from a copy refreshed there (SIR's
-  /// utilization snapshot, SCC's demand snapshot). Declaring
-  /// GroupLocal is the same promise as CellLocal, widened from one cell to
-  /// one group: concurrent calls for different GROUPS must be data-race
-  /// free and deterministic. The engine runs GroupLocal policies at the
-  /// full configured lane count.
-  GroupLocal,
-  /// The call may consult or mutate state spanning arbitrary cells with no
-  /// partition discipline. The engine serializes every commit —
-  /// commit_groups degrades to one lane. The safe default for a policy
-  /// that declares nothing: external policies, and `rsv`, whose
-  /// predicted-handoff reservations write into arbitrary cells.
-  Global,
-};
-
-/// What a GroupLocal policy drained at one tick-window barrier — folded
+/// What a policy drained at one tick-window barrier — folded
 /// into Metrics (demand_deltas, shadow_migrations) so cross-group policy
 /// traffic is as observable as the engine's own reservations.
 struct BarrierDrainStats {
@@ -259,19 +225,21 @@ struct WorkloadEnvelope {
 ///   onAdmitted()  — called after the simulator allocates bandwidth;
 ///   onReleased()  — called after a call ends or leaves the cell;
 ///   onRejected()  — called when a request is denied (blocked/dropped).
+///
+/// Commit groups (CellGroupPartition): at commit_groups > 1 the engine calls
+/// decide() and the on*() hooks for different groups CONCURRENTLY; calls
+/// for one group stay serial, in canonical order. Without a lock a call may
+/// touch only immutable or per-thread state and cells of the target cell's
+/// group. A policy whose state spans cells must defer each write to another
+/// group's cell into a buffer of the acting group, apply the buffers in
+/// onCommitBarrier() and read other groups' state only from a copy
+/// refreshed there — or be run at one group. Results must be the same bits
+/// at any worker count.
 class AdmissionController {
  public:
   virtual ~AdmissionController() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Which shared state the decision protocol reaches — see CommitScope.
-  /// Policies whose decisions are a pure function of the request and the
-  /// target cell's ledger should override this to CellLocal so the sharded
-  /// engine can commit cell groups in parallel.
-  [[nodiscard]] virtual CommitScope commitScope() const noexcept {
-    return CommitScope::Global;
-  }
 
   [[nodiscard]] virtual AdmissionDecision decide(
       const CallRequest& request, const AdmissionContext& context) = 0;
@@ -301,17 +269,17 @@ class AdmissionController {
   /// The engine's cell-to-group mapping changed: once at startup (before
   /// any decision) and again at every adopted repartition epoch — always
   /// from barrier context (single-threaded, no lane running, no claim in
-  /// flight, no deferred policy work pending). GroupLocal policies re-key
-  /// their per-group state here, deterministically (canonical record
-  /// order); everyone else ignores it. The partition reference is only
-  /// valid for the duration of the call — copy what you keep.
+  /// flight, no deferred policy work pending). Policies with per-group
+  /// state re-key it here, deterministically; everyone else ignores it.
+  /// The partition reference is only valid for the duration of the call —
+  /// copy what you keep.
   virtual void onPartitionChanged(const CellGroupPartition& /*partition*/) {}
 
   /// Tick-window barrier hook, called single-threaded after every lane has
   /// quiesced and the engine's own reservation inboxes have drained.
-  /// GroupLocal policies apply their deferred cross-group writes here (in
-  /// canonical order — the drain must be a pure function of the committed
-  /// event sequence) and report what moved; the default is a no-op.
+  /// Policies apply their deferred cross-group writes here (in canonical
+  /// order — the drain must be a pure function of the committed event
+  /// sequence) and report what moved; the default is a no-op.
   /// Called at every barrier, whatever the commit-group count.
   virtual BarrierDrainStats onCommitBarrier(double /*now_s*/) { return {}; }
 

@@ -112,8 +112,6 @@ CellGroupPartition::CellGroupPartition(const HexNetwork& network, int groups) {
     group_of_[c] = static_cast<int>((c * static_cast<std::size_t>(groups_)) /
                                     cells);
   }
-
-  computeInterior(network);
 }
 
 CellGroupPartition::CellGroupPartition(const HexNetwork& network, int groups,
@@ -163,23 +161,6 @@ CellGroupPartition::CellGroupPartition(const HexNetwork& network, int groups,
       ++g;
       acc = 0.0;
     }
-  }
-
-  computeInterior(network);
-}
-
-void CellGroupPartition::computeInterior(const HexNetwork& network) {
-  interior_.assign(group_of_.size(), true);
-  boundary_cells_ = 0;
-  for (const Cell& cell : network.cells()) {
-    const std::size_t i = static_cast<std::size_t>(cell.id);
-    for (const CellId n : network.neighbors(cell.id)) {
-      if (group_of_[static_cast<std::size_t>(n)] != group_of_[i]) {
-        interior_[i] = false;
-        break;
-      }
-    }
-    if (!interior_[i]) ++boundary_cells_;
   }
 }
 

@@ -134,27 +134,9 @@ class CellGroupPartition {
     return group_of_.at(static_cast<std::size_t>(cell));
   }
 
-  /// True iff the cell and every in-network neighbour share one group —
-  /// i.e. any handoff out of this cell commits without a cross-group
-  /// reservation.
-  [[nodiscard]] bool interior(CellId cell) const {
-    return interior_.at(static_cast<std::size_t>(cell));
-  }
-
-  /// Cells with at least one neighbour in another group (the inter-BS
-  /// boundary where reservations happen).
-  [[nodiscard]] std::size_t boundaryCells() const noexcept {
-    return boundary_cells_;
-  }
-
  private:
-  /// Marks boundary/interior cells from the finished group_of_ mapping.
-  void computeInterior(const HexNetwork& network);
-
   int groups_;
   std::vector<int> group_of_;
-  std::vector<bool> interior_;
-  std::size_t boundary_cells_ = 0;
 };
 
 }  // namespace facs::cellular

@@ -96,7 +96,7 @@ class RadioModel {
 
   /// As sinrDb(), but reading each interferer's utilization through
   /// \p util (CellId -> utilization in [0, 1]) instead of the live station
-  /// ledgers. This is the partition-aware hook: a GroupLocal policy passes
+  /// ledgers. This is the partition-aware hook: a grouped policy passes
   /// a functor that reads own-group cells live and foreign cells from its
   /// barrier snapshot. The interferer set, walk order and arithmetic are
   /// identical to sinrDb() — only the utilization values differ, so a

@@ -297,11 +297,10 @@ run:
                         any shard count
   --commit-groups N     cell groups, each owning its event queue, local
                         mobility phase and commit lane (default 1 = one
-                        serialized commit; N>1 needs a cell- or
-                        group-local policy — every built-in but rsv —
-                        and changes cross-group visibility — see README
-                        "Commit groups & reservations"; deterministic at
-                        any shard count)
+                        serialized commit; N>1 runs every policy's
+                        groups concurrently and changes cross-group
+                        visibility — see README "Commit groups &
+                        reservations"; deterministic at any shard count)
   --partition NAME      cell-to-lane mapping for commit groups:
                         'contiguous' (default; near-equal-size id ranges,
                         bit-identical to the historical engine) or

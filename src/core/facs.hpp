@@ -66,14 +66,6 @@ class FacsController final : public cellular::AdmissionController {
 
   [[nodiscard]] std::string name() const override { return "FACS"; }
 
-  /// Decisions read only the request (Cv, demand) and the target cell's
-  /// counter state; the engines are immutable once sealed and inference
-  /// scratch is per-thread. Group commit lanes may therefore run FLC2 for
-  /// disjoint cells concurrently, bit-identically.
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::CellLocal;
-  }
-
   /// Full two-stage evaluation from raw measurements. \p occupied_bu is the
   /// counter state Cs of the target base station.
   [[nodiscard]] FacsEvaluation evaluate(const cellular::UserSnapshot& user,

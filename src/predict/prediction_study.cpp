@@ -51,7 +51,7 @@ TrackedUser track(const sim::ScenarioParams& scenario, sim::Rng& rng) {
   if (window > 0.0) {
     const mobility::GpsSampler sampler{scenario.gps_error_m.value_or(0.0)};
     const double period = scenario.gps_fix_period_s;
-    const int fixes = static_cast<int>(window / period) + 1;
+    const int fixes = sim::gpsFixCount(scenario);
     mobility::GpsEstimator estimator{
         static_cast<std::size_t>(std::max(2, fixes))};
     estimator.addFix(sampler.sample(0.0, user.truth.position_km, rng));

@@ -305,7 +305,7 @@ void ShadowClusterController::onAdmitted(const CallRequest& request,
     // new shadow now; leave a migration record so the barrier retracts and
     // erases the old one (demand_ conserved — its contribution stays
     // folded in until exactly then).
-    migrations_[static_cast<std::size_t>(g)].push_back({request.call, g});
+    migrations_[static_cast<std::size_t>(g)].push_back(request.call);
   }
   applyShadow(shadow, +1.0);
 }
@@ -393,15 +393,15 @@ cellular::BarrierDrainStats ShadowClusterController::drainBarrierWork() {
   stats.deltas_applied = all.size();
   all.clear();
   // Re-home boundary-crossing handoff refreshes: the fresh shadow already
-  // sits in stores_[to_group]; the stale record under the old anchor still
+  // sits in stores_[g]; the stale record under the old anchor still
   // holds its contribution in a foreign store. Serial context — retract
   // those rows live and erase it (groups ascending, append order within).
-  for (std::vector<Migration>& moves : migrations_) {
-    for (const Migration& move : moves) {
+  for (std::size_t g = 0; g < migrations_.size(); ++g) {
+    for (const cellular::CallId call : migrations_[g]) {
       for (std::size_t s = 0; s < stores_.size(); ++s) {
-        if (static_cast<int>(s) == move.to_group) continue;
+        if (s == g) continue;
         GroupStore& store = stores_[s];
-        const auto it = store.shadows.find(move.call);
+        const auto it = store.shadows.find(call);
         if (it == store.shadows.end()) continue;
         for (const cellular::CellId cell : footprint(it->second.anchor)) {
           for (int k = 0; k < config_.intervals; ++k) {
@@ -415,7 +415,7 @@ cellular::BarrierDrainStats ShadowClusterController::drainBarrierWork() {
         break;
       }
     }
-    moves.clear();
+    migrations_[g].clear();
   }
   return stats;
 }

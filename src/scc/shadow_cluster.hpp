@@ -71,8 +71,8 @@ struct SccConfig {
   /// O(cells x intervals) per update. A positive reach bounds each update
   /// (and the periodic rebuild) to the cells within that many hops, so the
   /// cost becomes flat in the network size. Reach does not gate parallel
-  /// commits: the controller is GroupLocal at every setting, and rows
-  /// outside the acting group defer to the barrier either way.
+  /// commits: rows outside the acting group defer to the barrier at every
+  /// setting.
   ///
   /// Size it to the projection horizon, not to the Gaussian spread: the
   /// footprint is anchored at the LAST-REPORT cell, but contribution()
@@ -114,15 +114,6 @@ class ShadowClusterController final : public cellular::AdmissionController {
                           SccConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "SCC"; }
-
-  /// GroupLocal at every reach: the controller keeps per-group shadow
-  /// stores keyed by the engine's partition and commits from concurrent
-  /// group lanes. In-group footprint rows update live; rows crossing a
-  /// group boundary (at reach = 0, every foreign row) defer into
-  /// demand-delta records drained (sorted once) at onCommitBarrier().
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::GroupLocal;
-  }
 
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
@@ -225,15 +216,6 @@ class ShadowClusterController final : public cellular::AdmissionController {
     }
   };
 
-  /// A handoff refresh that crossed a group boundary: the new shadow is
-  /// already cast in stores_[to_group], but the stale record under the old
-  /// anchor lives in a foreign store the acting drain must not touch. The
-  /// barrier retracts and erases it (canonical order).
-  struct Migration {
-    cellular::CallId call = 0;
-    int to_group = 0;
-  };
-
   /// Probability-weighted demand contribution of one shadow to one cell at
   /// interval k, anchored at the shadow's capture instant.
   [[nodiscard]] double contribution(const Shadow& shadow,
@@ -304,11 +286,14 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// window (each row has exactly one live writer: its owner group).
   /// Refreshed at every onCommitBarrier().
   std::vector<double> snapshot_;
-  /// Per-acting-group deferred cross-group writes and boundary-crossing
-  /// handoff re-homes. Exactly one writer per phase (the group's lane, its
-  /// reservation drain, or the serial barrier), drained every barrier.
+  /// Per-acting-group deferred cross-group writes, and the calls whose
+  /// handoff refresh crossed into the group: the new shadow is already in
+  /// stores_[g], but the stale record lives in a foreign store the acting
+  /// drain must not touch, so the barrier retracts and erases it. Exactly
+  /// one writer per phase (the group's lane, its reservation drain, or the
+  /// serial barrier), drained every barrier.
   std::vector<std::vector<DemandDelta>> deferred_;
-  std::vector<std::vector<Migration>> migrations_;
+  std::vector<std::vector<cellular::CallId>> migrations_;
 };
 
 /// Reconstructs a mobile's motion state from an admission snapshot taken

@@ -48,9 +48,8 @@ struct Metrics {
   std::uint64_t engine_events = 0;
 
   /// Commit lanes the run actually used: SimulationConfig::commit_groups
-  /// clamped to the cell count, degraded to 1 when the policy declares a
-  /// Global commit scope (cellular::CommitScope). Deterministic — part of
-  /// the JSON so grouped runs are self-describing.
+  /// clamped to the cell count. Deterministic — part of the JSON so
+  /// grouped runs are self-describing.
   int commit_groups = 1;
 
   /// Committed events per commit lane (size == commit_groups, lane order).
@@ -77,7 +76,7 @@ struct Metrics {
   /// Epoch re-draws that produced a different mapping but were skipped by
   /// the boundary hysteresis: the projected max/mean imbalance improvement
   /// was below the adoption threshold, so moving cells (and migrating
-  /// GroupLocal policy state) would have been churn, not balance.
+  /// per-group policy state) would have been churn, not balance.
   /// Deterministic for the same reason repartitions is.
   int repartitions_skipped = 0;
 
@@ -91,14 +90,14 @@ struct Metrics {
   std::uint64_t reservations_admitted = 0;
   std::uint64_t reservations_dropped = 0;
 
-  /// GroupLocal policy traffic drained at tick-window barriers
+  /// Policy traffic drained at tick-window barriers
   /// (cellular::BarrierDrainStats, summed over the run): cross-group
   /// demand-delta records a policy deferred out of its lanes and applied
   /// at the barrier, and per-group records re-homed across a group
   /// boundary (handoff refreshes whose old anchor lives in a foreign
-  /// store, plus repartition migrations). Always 0 for CellLocal/Global
-  /// policies and at commit_groups == 1. Deterministic for fixed (config,
-  /// seed, commit_groups) at any shard count.
+  /// store, plus repartition migrations). Always 0 for policies without
+  /// cross-cell state and at commit_groups == 1. Deterministic for fixed
+  /// (config, seed, commit_groups) at any shard count.
   std::uint64_t demand_deltas = 0;
   std::uint64_t shadow_migrations = 0;
 

@@ -141,8 +141,7 @@ class SimulationBuilder {
   /// any value — shards only change how much local work runs concurrently).
   SimulationBuilder& shards(int n);
   /// Commit lanes for the two-level commit scheme (1 = the serialized
-  /// commit phase; N > 1 needs a CommitScope::CellLocal or GroupLocal
-  /// policy — see SimulationConfig::commit_groups).
+  /// commit phase; see SimulationConfig::commit_groups).
   SimulationBuilder& commitGroups(int n);
   /// How cells map onto commit lanes (contiguous by id, or weighted by
   /// expected spawn load — see SimulationConfig::partition).

@@ -88,17 +88,6 @@ struct CallState {
 // that or less, the >10x per-call memory cut serve mode relies on.
 static_assert(sizeof(CallState) <= 256, "CallState regrew past 256 bytes");
 
-/// How many commit lanes a run gets: the configured group count when the
-/// policy promises cell-local or group-local commits, one serialized lane
-/// for Global scope (the partition further clamps to the cell count).
-/// GroupLocal policies learn the mapping through onPartitionChanged() and
-/// drain their cross-group residue at onCommitBarrier().
-[[nodiscard]] int requestedLanes(const SimulationConfig& cfg,
-                                 const cellular::AdmissionController& c) {
-  if (c.commitScope() == cellular::CommitScope::Global) return 1;
-  return std::max(1, cfg.commit_groups);
-}
-
 /// Static spawn weights for the weighted partition: each cell weighs its
 /// arrival_scale (default 1) times the mean bandwidth demand of the mix its
 /// spawns draw from — the expected BU/arrival load the cell feeds its lane.
@@ -118,12 +107,12 @@ static_assert(sizeof(CallState) <= 256, "CallState regrew past 256 bytes");
 
 /// The run's initial cell-to-lane mapping.
 [[nodiscard]] cellular::CellGroupPartition makePartition(
-    const SimulationConfig& cfg, const HexNetwork& network, int lanes) {
+    const SimulationConfig& cfg, const HexNetwork& network) {
   if (cfg.partition == PartitionStrategy::Weighted) {
-    return cellular::CellGroupPartition{network, lanes,
+    return cellular::CellGroupPartition{network, cfg.commit_groups,
                                         spawnWeightsOf(cfg, network)};
   }
-  return cellular::CellGroupPartition{network, lanes};
+  return cellular::CellGroupPartition{network, cfg.commit_groups};
 }
 
 /// Arrival-instant source. The batch engine drew every instant up front;
@@ -231,8 +220,7 @@ class Engine {
         network_{cfg.rings, cfg.cell_radius_km, cfg.capacity_bu,
                  capacityOverrides(cfg)},
         controller_{make_controller(network_)},
-        partition_{makePartition(
-            cfg, network_, controller_ ? requestedLanes(cfg, *controller_) : 1)},
+        partition_{makePartition(cfg, network_)},
         shard_count_{std::max(1, std::min(cfg.shards, kMaxShards))},
         pool_{shard_count_},
         queues_(static_cast<std::size_t>(partition_.groups())),
@@ -256,8 +244,7 @@ class Engine {
     if (cfg_.repartition_every_s > 0.0 && partition_.groups() > 1) {
       // Observed-load epochs: per-cell committed-event counts feed the
       // epoch re-partitions. Only maintained when they can matter (a
-      // single lane never re-partitions, and a degraded Global-scope run
-      // is a single lane).
+      // single lane never re-partitions).
       cell_events_.assign(network_.cellCount(), 0);
       next_epoch_s_ = cfg_.repartition_every_s;
     }
@@ -273,10 +260,7 @@ class Engine {
       // Per-shard scratch estimators: call preparation reuses them instead
       // of constructing one per call, so the steady-state prepare path
       // never touches the allocator.
-      const int fix_count =
-          static_cast<int>(cfg_.scenario.tracking_window_s /
-                           cfg_.scenario.gps_fix_period_s) +
-          1;
+      const int fix_count = gpsFixCount(cfg_.scenario);
       scratch_est_.reserve(static_cast<std::size_t>(shard_count_));
       for (int s = 0; s < shard_count_; ++s) {
         scratch_est_.emplace_back(
@@ -643,8 +627,8 @@ class Engine {
 
     // Boundary hysteresis: a re-draw that barely improves the projected
     // max/mean imbalance is flapping, not balancing — moving cells costs
-    // GroupLocal policies a store migration and the occupancy integrals a
-    // re-base, for noise-level gain on a near-balanced disk. Skip unless
+    // policies a store migration and the occupancy integrals a re-base,
+    // for noise-level gain on a near-balanced disk. Skip unless
     // the new mapping beats the old by the adoption threshold (on THIS
     // epoch's observed weights; deterministic either way).
     if (weightImbalance(partition_) - weightImbalance(next) <
@@ -932,7 +916,7 @@ class Engine {
       const mobility::GpsSampler sampler{
           cfg_.scenario.gps_error_m.value_or(0.0)};
       const double period = cfg_.scenario.gps_fix_period_s;
-      const int fix_count = static_cast<int>(window / period) + 1;
+      const int fix_count = gpsFixCount(cfg_.scenario);
       mobility::GpsEstimator& estimator =
           scratch_est_[static_cast<std::size_t>(shard)];
       estimator.reset();
@@ -1301,14 +1285,13 @@ class Engine {
       lane.outgoing.clear();
     }
     if (any) drainInboxes(window_end);
-    // GroupLocal policies drain their own cross-group residue now —
-    // unconditionally: an in-lane commit whose write footprint crosses a
-    // group boundary defers deltas even when no call crossed (no
-    // reservation posted).
+    // Policies drain their own cross-group residue now — unconditionally:
+    // an in-lane commit whose write footprint crosses a group boundary
+    // defers deltas even when no call crossed (no reservation posted).
     policyBarrier(window_end);
   }
 
-  /// Lets a GroupLocal policy apply its deferred cross-group writes (and
+  /// Lets the policy apply its deferred cross-group writes (and
   /// re-home migrated records) in barrier context, folding what it drained
   /// into the run's metrics — at every group count. Nothing defers at one
   /// lane (every row is the lane's own), but the barrier is still where
@@ -1707,6 +1690,7 @@ void validateConfig(const SimulationConfig& cfg) {
     throw std::invalid_argument(
         "GPS fix period must be in (0, tracking_window]");
   }
+  if (s.tracking_window_s > 0.0) (void)gpsFixCount(s);
 }
 
 Metrics runSimulation(const SimulationConfig& config,

@@ -27,9 +27,10 @@
 /// Reservation (the paper's inter-BS message, sim/reservation.hpp). The
 /// barrier delivers it to the target group's inbox and drains each inbox
 /// in canonical order, re-validating every capacity claim against the
-/// live ledger and policy state. Several groups require the policy to
-/// declare cellular::CommitScope::CellLocal or GroupLocal; Global-scope
-/// policies (external plugins, `rsv`) degrade to one group.
+/// live ledger and policy state. At several groups the engine calls the
+/// policy's hooks for different groups concurrently; a policy whose state
+/// spans cells defers cross-group writes to onCommitBarrier() (see
+/// cellular::AdmissionController) or is run at one group.
 /// commit_groups == 1 is the single serialized commit; commit_groups > 1
 /// changes cross-group visibility (see README "Commit groups &
 /// reservations") but stays deterministic.
@@ -143,10 +144,10 @@ struct SimulationConfig {
   /// shard count. N > 1 partitions cells into N contiguous groups, each
   /// owning its event queue, local mobility phase and commit lane; the
   /// groups run concurrently and exchange cross-group handoffs as
-  /// Reservations at the tick-window barrier. Requires a policy with
-  /// cellular::CommitScope::CellLocal or GroupLocal (every built-in but
-  /// `rsv`) — Global-scope policies silently degrade to one lane
-  /// (Metrics::commit_groups reports the effective count). Deterministic
+  /// Reservations at the tick-window barrier. Every built-in policy keeps
+  /// its per-group state apart and defers cross-group writes to the
+  /// barrier; an external policy must do the same or be run at one group
+  /// (cellular::AdmissionController). Deterministic
   /// for fixed (config, seed): the same groups give the same bits at any
   /// shard count, but different group counts are different (documented)
   /// visibility semantics, not reorderings of one truth. Must be in

@@ -2,11 +2,23 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace facs::sim {
 
 using cellular::normalizeAngleDeg;
 using cellular::Vec2;
+
+int gpsFixCount(const ScenarioParams& scenario) {
+  const double periods =
+      scenario.tracking_window_s / scenario.gps_fix_period_s;
+  if (!(periods < kMaxGpsFixes)) {
+    throw std::invalid_argument(
+        "GPS fix count (tracking window / fix period + 1) must be at most " +
+        std::to_string(kMaxGpsFixes));
+  }
+  return static_cast<int>(periods) + 1;
+}
 
 RequestPlan drawRequest(const ScenarioParams& scenario, Vec2 station_center,
                         cellular::CellId target_cell, Rng& rng) {

@@ -44,6 +44,16 @@ struct ScenarioParams {
   std::optional<double> gps_error_m = 10.0;
 };
 
+/// Upper bound on the GPS fixes one tracked request collects — a sanity cap
+/// (an hour of 1 s fixes fits) so an absurd tracking window / fix period
+/// ratio is rejected instead of overflowing an int or stalling every call.
+inline constexpr int kMaxGpsFixes = 10'000;
+
+/// GPS fixes one tracked request collects (tracking_window_s > 0): one at
+/// arrival plus one per whole fix period in the window.
+/// \throws std::invalid_argument above kMaxGpsFixes (or for a NaN ratio).
+[[nodiscard]] int gpsFixCount(const ScenarioParams& scenario);
+
 /// One sampled request (before tracking / admission).
 struct RequestPlan {
   mobility::MotionState initial;

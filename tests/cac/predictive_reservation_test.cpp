@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace facs::cac {
 namespace {
 
@@ -149,6 +154,111 @@ TEST(PredictiveReservation, ZeroFractionDegeneratesToCompleteSharing) {
   EXPECT_TRUE(
       ctl.decide(request(2, ServiceClass::Video, {1.0, 0.0}, 4.0, 0.0, 0), ctx)
           .accept);
+}
+
+TEST(PredictiveReservation, GroupedBooksMatchOneGroupAtEveryBarrier) {
+  // The engine's hook protocol at four groups and at one: new admissions,
+  // in-group and cross-group handoffs (the latter with no release of the
+  // old cell — the record is left behind in a foreign store), dropped
+  // handoffs and departures. After every barrier the grouped controller
+  // must hold the same reservations as the one-group controller, and none
+  // once every call is gone.
+  const HexNetwork net{2, 10.0};
+  const cellular::CellGroupPartition four{net, 4};
+  PredictiveReservationController grouped{net};
+  grouped.onPartitionChanged(four);
+  PredictiveReservationController serial{net};
+  serial.onPartitionChanged(cellular::CellGroupPartition{net, 1});
+
+  std::mt19937 gen{20240917};
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  const auto snapshotIn = [&](CellId cell) {
+    cellular::UserSnapshot snap;
+    snap.position = net.cell(cell).center +
+                    Vec2{8.0 * unit(gen) - 4.0, 8.0 * unit(gen) - 4.0};
+    snap.speed_kmh = 20.0 + 80.0 * unit(gen);
+    snap.angle_deg = 360.0 * unit(gen) - 180.0;
+    return snap;
+  };
+  const auto both = [&](auto&& hook) {
+    hook(grouped);
+    hook(serial);
+  };
+
+  std::vector<CallRequest> live;
+  cellular::CallId next_id = 1;
+  int cross_group_handoffs = 0;
+  std::uint64_t migrated = 0;
+  std::uint64_t deltas = 0;
+  const auto barrier = [&](double now) {
+    const cellular::BarrierDrainStats stats = grouped.onCommitBarrier(now);
+    migrated += stats.shadows_migrated;
+    deltas += stats.deltas_applied;
+    (void)serial.onCommitBarrier(now);
+    for (CellId c = 0; c < net.cellCount(); ++c) {
+      ASSERT_NEAR(grouped.reservedBu(c), serial.reservedBu(c), 1e-9)
+          << "cell " << c << " at t=" << now;
+    }
+  };
+
+  for (int window = 0; window < 40; ++window) {
+    for (int k = 0; k < 6; ++k) {
+      const auto cell = static_cast<CellId>(gen() % net.cellCount());
+      CallRequest r;
+      r.call = next_id++;
+      r.service = unit(gen) < 0.5 ? ServiceClass::Voice : ServiceClass::Video;
+      r.demand_bu = cellular::profileFor(r.service).demand_bu;
+      r.snapshot = snapshotIn(cell);
+      r.target_cell = cell;
+      both([&](auto& ctl) { ctl.onAdmitted(r, {net.station(cell), 0.0}); });
+      live.push_back(r);
+    }
+    // Each live call moves at most once per window, as in the engine.
+    for (std::size_t i = 0; i < live.size();) {
+      CallRequest& r = live[i];
+      const double roll = unit(gen);
+      if (roll < 0.15) {  // departs from its cell
+        both([&](auto& ctl) {
+          ctl.onReleased(r, {net.station(r.target_cell), 0.0});
+        });
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
+      if (roll < 0.55) {  // hands off to a neighbour
+        const auto& around = net.neighbors(r.target_cell);
+        const CellId to = around[gen() % around.size()];
+        if (unit(gen) < 0.2) {  // dropped: the old cell releases it
+          both([&](auto& ctl) {
+            ctl.onReleased(r, {net.station(r.target_cell), 0.0});
+          });
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+          continue;
+        }
+        if (four.groupOf(to) != four.groupOf(r.target_cell)) {
+          ++cross_group_handoffs;
+        }
+        r.is_handoff = true;
+        r.target_cell = to;
+        r.snapshot = snapshotIn(to);
+        both([&](auto& ctl) { ctl.onAdmitted(r, {net.station(to), 0.0}); });
+      }
+      ++i;
+    }
+    barrier(window + 1.0);
+  }
+  EXPECT_GT(cross_group_handoffs, 0);
+  EXPECT_GT(migrated, 0u);
+  EXPECT_GT(deltas, 0u);
+
+  for (const CallRequest& r : live) {
+    both([&](auto& ctl) {
+      ctl.onReleased(r, {net.station(r.target_cell), 0.0});
+    });
+  }
+  barrier(100.0);
+  for (CellId c = 0; c < net.cellCount(); ++c) {
+    EXPECT_NEAR(grouped.reservedBu(c), 0.0, 1e-9) << "cell " << c;
+  }
 }
 
 TEST(PredictiveReservation, Name) {

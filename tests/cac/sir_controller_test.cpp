@@ -92,21 +92,6 @@ TEST(SirController, CustomThresholds) {
 
 // ---------------------------------------------------- barrier snapshot --
 
-TEST(SirController, GroupLocalAtEverySetting) {
-  // The barrier snapshot, not a bounded footprint, confines the read set:
-  // the exact whole-network sum is GroupLocal with or without custom
-  // thresholds and before or after a partition is adopted.
-  const HexNetwork net{1};
-  SirController sir{net};
-  EXPECT_EQ(sir.commitScope(), cellular::CommitScope::GroupLocal);
-  sir.onPartitionChanged(cellular::CellGroupPartition{net, 4});
-  EXPECT_EQ(sir.commitScope(), cellular::CommitScope::GroupLocal);
-  SirThresholds strict;
-  strict.min_sinr_db = {60.0, 60.0, 60.0};
-  EXPECT_EQ((SirController{net, strict}.commitScope()),
-            cellular::CommitScope::GroupLocal);
-}
-
 TEST(SirController, SnapshotReadsMatchLiveAtAQuiescentBarrier) {
   // Right after the barrier primes the snapshot, grouped decisions must be
   // bit-identical to an ungrouped live-read controller: snapshot == live
@@ -166,17 +151,13 @@ TEST(SirController, UngroupedControllerIgnoresTheBarrierProtocol) {
   EXPECT_TRUE(sir.auditWorkload({120.0, 10.0}).empty());
 }
 
-TEST(SirController, RegistryBuiltSirIsGroupLocalAndRejectsRadius) {
+TEST(SirController, RegistryBuiltSirTakesThresholdsAndRejectsRadius) {
   const HexNetwork net{1};
   auto& runtime = cellular::PolicyRuntime::defaultRuntime();
-  const std::unique_ptr<cellular::AdmissionController> plain =
-      runtime.makeController("sir", net);
-  EXPECT_EQ(plain->commitScope(), cellular::CommitScope::GroupLocal);
 
   // Thresholds reach the controller: nothing clears 60 dB.
   const std::unique_ptr<cellular::AdmissionController> strict =
       runtime.makeController("sir:60,60,60", net);
-  EXPECT_EQ(strict->commitScope(), cellular::CommitScope::GroupLocal);
   const AdmissionContext ctx{net.station(0), 0.0};
   EXPECT_FALSE(
       strict->decide(request(ServiceClass::Text, {1.0, 0.0}), ctx).accept);

@@ -185,23 +185,5 @@ TEST(CellGroupPartition, ClampsToCellCountAndRejectsNonsense) {
   EXPECT_THROW(CellGroupPartition(net, 0), std::invalid_argument);
 }
 
-TEST(CellGroupPartition, InteriorCellsHaveNoForeignNeighbours) {
-  const HexNetwork net{2};
-  const CellGroupPartition part{net, 3};
-  std::size_t boundary = 0;
-  for (CellId c = 0; c < net.cellCount(); ++c) {
-    bool local = true;
-    for (const CellId n : net.neighbors(c)) {
-      if (part.groupOf(n) != part.groupOf(c)) local = false;
-    }
-    EXPECT_EQ(part.interior(c), local) << "cell " << c;
-    if (!local) ++boundary;
-  }
-  EXPECT_EQ(part.boundaryCells(), boundary);
-  // One group = no borders at all.
-  const CellGroupPartition whole{net, 1};
-  EXPECT_EQ(whole.boundaryCells(), 0u);
-}
-
 }  // namespace
 }  // namespace facs::cellular

@@ -467,29 +467,9 @@ TEST(ShadowCluster, ReachSpanningTheDiskMatchesUnbounded) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupLocal protocol: per-group stores, deferred cross-group deltas, the
+// Grouped protocol: per-group stores, deferred cross-group deltas, the
 // barrier drain, repartition re-keying and the reach-sizing audit.
 // ---------------------------------------------------------------------------
-
-TEST(ShadowCluster, GroupLocalAtEveryReach) {
-  // Foreign rows defer to the barrier at any reach (at reach 0 every
-  // foreign row does), so no setting needs the Global serialization.
-  const HexNetwork net{1};
-  for (const int reach : {0, 1, 2}) {
-    SccConfig cfg;
-    cfg.reach = reach;
-    EXPECT_EQ(ShadowClusterController(net, cfg).commitScope(),
-              cellular::CommitScope::GroupLocal)
-        << "reach=" << reach;
-  }
-  const auto& runtime = cellular::PolicyRuntime::defaultRuntime();
-  for (const char* spec : {"scc", "scc:reach=2",
-                           "scc:theta=0.85,sigma=8,growth=0,intervals=3"}) {
-    EXPECT_EQ(runtime.makeController(spec, net)->commitScope(),
-              cellular::CommitScope::GroupLocal)
-        << spec;
-  }
-}
 
 TEST(ShadowCluster, GroupedDemandMatchesUngroupedAfterTheBarrier) {
   // Same shadows at three groups and at one: the grouped controller

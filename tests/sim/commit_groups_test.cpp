@@ -12,12 +12,12 @@
 ///  * Cross-group handoffs flow through reservations, and contended claims
 ///    (several groups after the last bandwidth units of one cell) resolve
 ///    deterministically in canonical (time, call) order.
-///  * Policies with a Global commit scope degrade to one lane; GroupLocal
-///    policies (SCC and SIR, at every setting) keep the full lane count,
-///    read foreign groups from a barrier snapshot, defer cross-group
-///    writes through the barrier drain, and stay bit-identical
-///    across shard counts — including under epoch re-partitioning, where
-///    their per-group stores re-key deterministically.
+///  * Every policy runs at the configured lane count. Policies with
+///    cross-cell state (SCC, SIR, `rsv`) read foreign groups from a
+///    barrier snapshot or not at all, defer cross-group writes through the
+///    barrier drain, and stay bit-identical across shard counts —
+///    including under epoch re-partitioning, where their per-group stores
+///    re-key deterministically.
 ///  * The load-aware (weighted) partition is deterministic too — seed-
 ///    stable and shard-invariant at every group count — and on a skewed
 ///    hotspot its per-lane committed-event split is measurably flatter
@@ -86,7 +86,7 @@ void expectBitIdentical(const Metrics& a, const Metrics& b,
   EXPECT_EQ(a.reservations_posted, b.reservations_posted) << label;
   EXPECT_EQ(a.reservations_admitted, b.reservations_admitted) << label;
   EXPECT_EQ(a.reservations_dropped, b.reservations_dropped) << label;
-  // The per-lane event split, the repartition counts and the GroupLocal
+  // The per-lane event split, the repartition counts and the policy
   // barrier traffic are part of the deterministic surface: identical bits
   // at every shard count.
   EXPECT_EQ(a.lane_events, b.lane_events) << label;
@@ -147,7 +147,7 @@ TEST(CommitGroups, GroupsOneIsBitIdenticalAcrossShardCounts) {
 }
 
 TEST(CommitGroups, GroupedRunsAreShardInvariantAndSeedStable) {
-  for (const char* policy : {"guard:8", "facs"}) {
+  for (const char* policy : {"guard:8", "facs", "rsv"}) {
     for (const int groups : {2, 4}) {
       SimulationConfig cfg = contestedConfig();
       cfg.commit_groups = groups;
@@ -220,61 +220,29 @@ TEST(CommitGroups, ContendedLastUnitsResolveDeterministically) {
   expectBitIdentical(first, again, "contended repeat");
 }
 
-/// Test-only policy that declares no commit scope and so keeps the
-/// AdmissionController default, Global: complete sharing through the
-/// policy interface. It pins the engine's degrade-to-one-lane path
-/// whichever built-in policies declare a wider scope.
-class GlobalScopeSharing final : public cellular::AdmissionController {
- public:
-  [[nodiscard]] std::string name() const override {
-    return "GlobalScopeSharing";
-  }
-  [[nodiscard]] cellular::AdmissionDecision decide(
-      const cellular::CallRequest& request,
-      const cellular::AdmissionContext& context) override {
-    const bool fits = context.station.canFit(request.demand_bu);
-    return {fits,
-            fits ? cellular::ReasonCode::Admitted
-                 : cellular::ReasonCode::NoCapacity,
-            fits ? 1.0 : -1.0, ""};
-  }
-};
-
-TEST(CommitGroups, GlobalScopePoliciesDegradeToOneLane) {
-  // A Global policy may touch any cell's state, so a grouped config must
-  // serialize (and report that it did), with results identical to an
-  // explicit groups=1 run.
-  ASSERT_EQ(GlobalScopeSharing{}.commitScope(), cellular::CommitScope::Global);
-  cellular::PolicyRuntime runtime;
-  runtime.registerExternal(
-      {"global-cs", "test stub: complete sharing at Global scope",
-       "global-cs"},
-      [](const cellular::PolicySpec&) -> ControllerFactory {
-        return [](const cellular::HexNetwork&) {
-          return std::make_unique<GlobalScopeSharing>();
-        };
-      });
+TEST(CommitGroups, GroupedRsvRunsEveryLaneAndBalancesItsBooks) {
+  // Predictive reservation writes into each mobile's predicted next cell,
+  // which may belong to another group: those writes wait for the barrier,
+  // so `rsv` keeps every configured lane and posts cross-group claims like
+  // any other policy.
   SimulationConfig cfg = contestedConfig();
+  cfg.warmup_s = 0.0;
   cfg.commit_groups = 4;
-  const Metrics grouped =
-      SimulationBuilder{cfg}.runtime(runtime).policy("global-cs").run();
-  EXPECT_EQ(grouped.commit_groups, 1);
-  EXPECT_EQ(grouped.reservations_posted, 0u);
-  EXPECT_GT(grouped.new_accepted, 0);
-  cfg.commit_groups = 1;
-  const Metrics serial =
-      SimulationBuilder{cfg}.runtime(runtime).policy("global-cs").run();
-  expectBitIdentical(serial, grouped, "global-cs grouped vs serial");
+  const Metrics m = SimulationBuilder{cfg}.policy("rsv").run();
+  EXPECT_EQ(m.commit_groups, 4);
+  EXPECT_GT(m.reservations_posted, 0u);
+  EXPECT_GT(m.new_accepted, 0);
+  EXPECT_EQ(m.new_requests, m.new_accepted + m.new_blocked);
+  EXPECT_EQ(m.reservations_posted,
+            m.reservations_admitted + m.reservations_dropped);
+  EXPECT_EQ(m.handoff_requests, m.handoff_accepted + m.handoff_dropped);
 }
 
-/// GroupLocal complete sharing that counts the policy barriers it sees.
+/// Complete sharing that counts the policy barriers it sees.
 class BarrierCounting final : public cellular::AdmissionController {
  public:
   explicit BarrierCounting(int* barriers) : barriers_{barriers} {}
   [[nodiscard]] std::string name() const override { return "BarrierCounting"; }
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return cellular::CommitScope::GroupLocal;
-  }
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override {
@@ -294,8 +262,8 @@ class BarrierCounting final : public cellular::AdmissionController {
 };
 
 TEST(CommitGroups, PolicyBarrierRunsAtEveryGroupCount) {
-  // The barrier is one protocol whatever the lane count: a GroupLocal
-  // policy sees onCommitBarrier at one group too (SCC runs its periodic
+  // The barrier is one protocol whatever the lane count: a policy sees
+  // onCommitBarrier at one group too (SCC runs its periodic
   // exact rebuild there), not only when lanes defer cross-group work.
   for (const int groups : {1, 4}) {
     int barriers = 0;
@@ -317,11 +285,11 @@ TEST(CommitGroups, PolicyBarrierRunsAtEveryGroupCount) {
   }
 }
 
-// ------------------------------------------------ GroupLocal policy commits
+// ------------------------------------------------ grouped policy commits
 
 TEST(GroupLocalScc, CommitsFromAllLanesAndStaysDeterministic) {
-  // The tentpole contract: a bounded reach makes SCC GroupLocal, so the
-  // engine keeps the full configured lane count (no degrade), cross-group
+  // The grouped SCC contract: the engine keeps the full configured lane
+  // count, cross-group
   // shadow rows flow through the deferred-delta drain (observable as
   // demand_deltas), and the run stays a pure function of (config, seed) —
   // bit-identical at every shard count and on repeats.
@@ -454,11 +422,11 @@ TEST(GroupLocalScc, RepartitionHysteresisSkipsLowGainEpochs) {
   expectBitIdentical(first, m, "hysteresis shards=4");
 }
 
-// -------------------------------------------------- GroupLocal SIR commits
+// -------------------------------------------------- grouped SIR commits
 
 TEST(GroupLocalSir, CommitsFromAllLanesAndStaysDeterministic) {
-  // The grouped SIR contract: `sir` is GroupLocal, so the engine keeps
-  // the full configured lane count (no Global degrade), the
+  // The grouped SIR contract: the engine keeps the full configured lane
+  // count, the
   // barrier-refreshed utilization snapshot shows up as demand_deltas,
   // and the run is a pure function of (config, seed) — bit-identical at
   // every shard count and on repeats.
@@ -524,11 +492,15 @@ TEST(GroupLocalSir, GroupsOneReadsEverythingLive) {
   expectBitIdentical(serial, sharded, "sir groups=1 shards=4");
 }
 
-TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
-  // Grouped SIR + weighted partition + epoch re-partitioning + a hotspot
-  // that MOVES: boundary re-draws re-key the group map mid-run and re-prime
-  // the utilization snapshot. The books must still balance and the whole
-  // run must stay bit-identical across shard counts and repeats.
+class MigratingHotspot : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MigratingHotspot, SurvivesTheRepartitions) {
+  // A grouped policy + weighted partition + epoch re-partitioning + a
+  // hotspot that MOVES: boundary re-draws re-key the group map mid-run
+  // (SIR re-primes its utilization snapshot, `rsv` re-keys its stores).
+  // The books must still balance and the whole run must stay bit-identical
+  // across shard counts and repeats.
+  const std::string policy = GetParam();
   SimulationConfig cfg = hotspotConfig();
   cfg.commit_groups = 4;
   cfg.partition = PartitionStrategy::Weighted;
@@ -546,11 +518,11 @@ TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
   cfg.mutations.push_back(cool);
   cfg.mutations.push_back(heat);
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("sir").run();
+  const Metrics first = SimulationBuilder{cfg}.policy(policy).run();
   EXPECT_EQ(first.commit_groups, 4);
   EXPECT_GT(first.repartitions, 0)
       << "a migrating hotspot must trigger at least one boundary re-draw";
-  EXPECT_GT(first.demand_deltas, 0u);
+  EXPECT_GT(first.demand_deltas, 0u) << policy;
   EXPECT_EQ(first.mutations_applied, 2);
   EXPECT_EQ(first.reservations_posted,
             first.reservations_admitted + first.reservations_dropped);
@@ -558,14 +530,17 @@ TEST(GroupLocalSir, SurvivesAMigratingHotspotRepartition) {
             first.handoff_accepted + first.handoff_dropped);
   for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("sir").run();
+    const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
     expectBitIdentical(first, m,
-                       "sir migrating shards=" + std::to_string(shards));
+                       policy + " migrating shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("sir").run();
-  expectBitIdentical(first, again, "sir migrating repeat");
+  const Metrics again = SimulationBuilder{cfg}.policy(policy).run();
+  expectBitIdentical(first, again, policy + " migrating repeat");
 }
+
+INSTANTIATE_TEST_SUITE_P(GroupedPolicies, MigratingHotspot,
+                         ::testing::Values("sir", "rsv"));
 
 TEST(CommitGroups, GroupCountClampsToCellCount) {
   // 7 cells, 64 requested lanes: the partition clamps, the run reports

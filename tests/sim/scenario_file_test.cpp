@@ -300,6 +300,22 @@ TEST(ScenarioFile, InvalidConfigsFailAtParseTime) {
               "rings");
 }
 
+TEST(ScenarioFile, OversizedGpsFixCountFailsAtLoad) {
+  // 1e9 s of tracking at one fix per 1e-9 s: the fix count is capped at
+  // validate time, before it could overflow an int or stall every call.
+  try {
+    (void)loadScenarioFile(
+        std::string{FACS_TEST_DATA_DIR} + "/oversized-gps-fix-count.scenario",
+        runtime());
+    FAIL() << "expected ScenarioFileError";
+  } catch (const ScenarioFileError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("oversized-gps-fix-count.scenario"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("GPS fix count"), std::string::npos) << what;
+  }
+}
+
 TEST(ScenarioFile, LineBreaksInStringsRoundTrip) {
   ScenarioSpec spec;
   spec.name = "multiline";

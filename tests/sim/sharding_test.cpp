@@ -137,9 +137,6 @@ class InlineFlc1Facs final : public cellular::AdmissionController {
   static inline std::atomic<int> with_predicted{0};
 
   [[nodiscard]] std::string name() const override { return "FACS-inline"; }
-  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
-    return facs_.commitScope();
-  }
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override {

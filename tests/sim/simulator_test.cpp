@@ -73,6 +73,19 @@ TEST(Simulator, ValidatesConfig) {
   bad.scenario.gps_fix_period_s = 0.0;
   EXPECT_THROW((void)runSimulation(bad, completeSharing()),
                std::invalid_argument);
+  // GPS fix counts: the cap itself passes, one more fix fails, and a ratio
+  // far past int range fails instead of reaching the int cast.
+  bad = lightConfig(5);
+  bad.scenario.tracking_window_s = 2.0 * (kMaxGpsFixes - 1);
+  bad.scenario.gps_fix_period_s = 2.0;
+  EXPECT_EQ(gpsFixCount(bad.scenario), kMaxGpsFixes);
+  EXPECT_NO_THROW(validateConfig(bad));
+  bad.scenario.tracking_window_s = 2.0 * kMaxGpsFixes;
+  EXPECT_THROW(validateConfig(bad), std::invalid_argument);
+  bad.scenario.tracking_window_s = 1e9;
+  bad.scenario.gps_fix_period_s = 1e-9;
+  EXPECT_THROW((void)runSimulation(bad, completeSharing()),
+               std::invalid_argument);
   EXPECT_THROW(
       (void)runSimulation(lightConfig(1),
                           [](const cellular::HexNetwork&)

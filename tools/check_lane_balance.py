@@ -59,8 +59,8 @@ def main():
     if not report.get("hotspot", False):
         fail("report was not generated with --hotspot (the audit gates the "
              "skewed scenario; a uniform load proves nothing)")
-    # The gate runs per policy now that GroupLocal policies (grouped SCC)
-    # commit from the full lane count too: name the policy in every line
+    # The gate runs per policy (every policy commits from the full lane
+    # count): name the policy in every line
     # so a violation in one policy's artifact reads unambiguously.
     policy = report.get("policy", "?")
 
