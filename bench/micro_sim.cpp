@@ -1,36 +1,17 @@
 /// \file micro_sim.cpp
-/// Microbenchmarks of the simulation substrate: event-queue throughput,
-/// whole-run latency per policy, the per-decision cost of the opt-in
-/// rationale API, and SCC's decision cost as the number of tracked shadows
-/// grows. All controllers come from the policy registry.
+/// Microbenchmarks of the simulation substrate: whole-run latency per
+/// policy (the engine's per-group event heaps included), the per-decision
+/// cost of the opt-in rationale API, and SCC's decision cost as the number
+/// of tracked shadows grows. All controllers come from the policy registry.
 
 #include <benchmark/benchmark.h>
 
 #include "figure_common.hpp"
-#include "sim/event_queue.hpp"
 
 namespace {
 
 using namespace facs;
 using bench::policy;
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  sim::EventQueue<int> q;
-  sim::Rng rng = sim::makeRng(1);
-  double clock = 0.0;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      q.push(clock + sim::sampleUniform(rng, 0.0, 100.0), i);
-    }
-    for (int i = 0; i < 64; ++i) {
-      auto e = q.pop();
-      clock = e->time_s;
-      benchmark::DoNotOptimize(e);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
-}
-BENCHMARK(BM_EventQueuePushPop);
 
 sim::SimulationConfig benchConfig(int requests) {
   sim::SimulationConfig cfg;

@@ -295,8 +295,8 @@ run:
                         groups fan out over the workers (group g on
                         worker g mod N); results are bit-identical at
                         any shard count
-  --commit-groups N     cell groups, each owning its event queue, local
-                        mobility phase and commit lane (default 1 = one
+  --commit-groups N     cell groups, each owning its event heap, mover
+                        sweep and commit lane (default 1 = one
                         serialized commit; N>1 runs every policy's
                         groups concurrently and changes cross-group
                         visibility — see README "Commit groups &

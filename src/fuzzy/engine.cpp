@@ -85,6 +85,10 @@ MamdaniEngine::MamdaniEngine(std::string name, EngineConfig config)
   if (config_.resolution < 2) {
     throw std::invalid_argument("engine resolution must be >= 2");
   }
+  if (config_.resolution > kMaxResolution) {
+    throw std::invalid_argument("engine resolution must be <= " +
+                                std::to_string(kMaxResolution));
+  }
 }
 
 std::size_t MamdaniEngine::addInput(LinguisticVariable variable) {

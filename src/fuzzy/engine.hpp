@@ -14,6 +14,10 @@
 
 namespace facs::fuzzy {
 
+/// Largest accepted EngineConfig::resolution: far above any grid in use
+/// (the finest samples 4001 points), small enough to bound a grid's memory.
+inline constexpr int kMaxResolution = 1'000'000;
+
 /// Operator configuration of a Mamdani controller.
 struct EngineConfig {
   TNorm conjunction = TNorm::Minimum;    ///< Combines antecedent degrees.
@@ -21,7 +25,7 @@ struct EngineConfig {
   SNorm aggregation = SNorm::Maximum;    ///< Merges rule outputs.
   Defuzzifier defuzzifier = Defuzzifier::Centroid;
   /// Output-universe samples for defuzzification. Only engines that sample
-  /// use it; see MamdaniEngine::piecewiseLinear().
+  /// use it; see MamdaniEngine::piecewiseLinear(). In [2, kMaxResolution].
   int resolution = 1001;
 };
 

@@ -1,5 +1,7 @@
 #include "fuzzy/fdl.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <optional>
 #include <sstream>
@@ -33,15 +35,31 @@ std::vector<std::string> tokenize(std::string_view line) {
   return tokens;
 }
 
+/// Finite only: std::stod accepts "nan" and "inf", but no FDL field means
+/// anything non-finite — a NaN universe would infer NaN outputs.
 double parseNumber(const std::string& token, int line) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
+    if (pos != token.size() || !std::isfinite(v)) {
+      throw std::invalid_argument(token);
+    }
     return v;
   } catch (const std::exception&) {
-    throw FdlError(line, "expected a number, got '" + token + "'");
+    throw FdlError(line, "expected a finite number, got '" + token + "'");
   }
+}
+
+int parseResolution(const std::string& token, int line) {
+  int v = 0;
+  const auto res = std::from_chars(token.data(), token.data() + token.size(), v);
+  if (res.ec != std::errc{} || res.ptr != token.data() + token.size() ||
+      v < 2 || v > kMaxResolution) {
+    throw FdlError(line, "resolution expects an integer in [2, " +
+                             std::to_string(kMaxResolution) + "], got '" +
+                             token + "'");
+  }
+  return v;
 }
 
 TNorm parseTNorm(const std::string& token, int line) {
@@ -79,6 +97,7 @@ struct Builder {
     std::vector<std::string> antecedent;
     std::string consequent;
     double weight = 1.0;
+    int line = 0;  ///< Where the rule was written, for build errors.
   };
   std::vector<PendingRule> rules;
 };
@@ -137,6 +156,7 @@ void handleTerm(Builder& b, const std::vector<std::string>& tok, int line) {
 
 void handleRule(Builder& b, const std::vector<std::string>& tok, int line) {
   Builder::PendingRule r;
+  r.line = line;
   std::size_t i = 1;
   for (; i < tok.size() && tok[i] != "=>"; ++i) r.antecedent.push_back(tok[i]);
   if (i >= tok.size()) throw FdlError(line, "rule: missing '=>'");
@@ -189,7 +209,7 @@ MamdaniEngine parseFdl(std::string_view text) {
       b.config.defuzzifier = parseDefuzzifier(tok[1], line_no);
     } else if (kw == "resolution") {
       if (tok.size() != 2) throw FdlError(line_no, "resolution: expected an int");
-      b.config.resolution = static_cast<int>(parseNumber(tok[1], line_no));
+      b.config.resolution = parseResolution(tok[1], line_no);
     } else if (kw == "input" || kw == "output") {
       if (tok.size() != 4) {
         throw FdlError(line_no, kw + ": expected <name> <lo> <hi>");
@@ -228,7 +248,7 @@ MamdaniEngine parseFdl(std::string_view text) {
     try {
       engine.addRule(r.antecedent, r.consequent, r.weight);
     } catch (const std::exception& e) {
-      throw FdlError(1, std::string{"while adding rule: "} + e.what());
+      throw FdlError(r.line, std::string{"while adding rule: "} + e.what());
     }
   }
   engine.checkValid();

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <iomanip>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +12,8 @@
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include "sim/shard.hpp"
 
 namespace facs::sim {
 
@@ -90,8 +90,8 @@ SweepResult runSweep(const cellular::PolicyRuntime& runtime,
   }
 
   // Every (curve, x, replication) combination is an independent simulation:
-  // the seed scheme above makes the runs order-free, so they fan out over a
-  // small thread pool. Determinism is preserved by writing each run's
+  // the seed scheme above makes the runs order-free, so they fan out over
+  // the engine's worker pool. Determinism is preserved by writing each run's
   // extracted measure into its own slot and folding the Welford accumulator
   // serially, in replication order, after all runs finish — the parallel
   // path is bit-identical to the serial one.
@@ -124,36 +124,27 @@ SweepResult runSweep(const cellular::PolicyRuntime& runtime,
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   const unsigned auto_workers =
       std::max(1u, hardware / static_cast<unsigned>(max_shards));
-  const std::size_t workers =
-      std::min(total, static_cast<std::size_t>(
-                          sweep.threads > 0 ? sweep.threads : auto_workers));
-  if (workers <= 1) {
-    for (std::size_t task = 0; task < total; ++task) runTask(task);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
-          if (task >= total) return;
-          try {
-            runTask(task);
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock{error_mutex};
-            if (!first_error) first_error = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
+  const std::size_t workers = std::min<std::size_t>(
+      std::max<std::size_t>(total, 1),
+      sweep.threads > 0 ? static_cast<unsigned>(sweep.threads) : auto_workers);
+
+  // Each shard pulls tasks off one shared counter; the first throw stops
+  // the others, and the pool rethrows it. A one-shard pool runs inline.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  ShardPool pool{static_cast<int>(workers)};
+  pool.run([&](int) {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
+      if (task >= total) return;
+      try {
+        runTask(task);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
     }
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  });
 
   SweepResult result;
   result.spec = sweep;

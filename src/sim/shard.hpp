@@ -1,11 +1,11 @@
 #pragma once
 /// \file shard.hpp
 /// Worker substrate for the simulator: a persistent pool of worker threads
-/// that advance in lock-stepped phases, and the event types each commit
-/// group's queue and lane carry.
+/// that advance in lock-stepped phases (also the pool runSweep fans its
+/// runs over), and the event types each commit group's heap carries.
 ///
 /// Determinism contract: a worker only ever touches state owned by the
-/// commit groups it runs (their event queues, lanes, ledgers, and the
+/// commit groups it runs (their event heaps, lanes, ledgers, and the
 /// motion state and RNG streams of the calls they carry) or, in the
 /// prepare phase, the calls it was handed. Every lane replays its events in
 /// a canonical (time, kind, call) order, and cross-group work waits for the
@@ -37,13 +37,13 @@ enum class ShardEventKind : std::uint8_t {
   Move = 2,      ///< A mobility step detected a cell crossing / coverage exit.
 };
 
-/// One entry of a group's event queue or commit lane.
+/// One event of a group's heap or mover list.
 struct ShardEvent {
   ShardEventKind kind = ShardEventKind::Move;
   cellular::CallId call = 0;
   /// Ownership generation of the call when the event was scheduled. A call
   /// that changes cell (handoff) bumps its epoch; stale copies left in the
-  /// old group's queue fail the epoch check and are dropped.
+  /// old group's heap fail the epoch check and are dropped.
   std::uint32_t epoch = 0;
   /// Call-pool slot the call occupied when the event was scheduled. The
   /// pool recycles slots of finished calls, so an event is only live when
@@ -52,9 +52,10 @@ struct ShardEvent {
   std::uint32_t slot = 0;
 };
 
-/// Canonical commit order: time, then kind rank, then call id. Independent
-/// of the worker count and of queue insertion order, which is what makes
-/// multi-worker runs bit-identical to serial ones.
+/// Canonical commit order: time, then kind rank, then call id — the only
+/// order a group's heap keeps its events in, and the order its lane pops
+/// them. Independent of the worker count and of insertion order, which is
+/// what makes multi-worker runs bit-identical to serial ones.
 struct CommitEntry {
   double time_s = 0.0;
   ShardEvent event;
@@ -73,8 +74,10 @@ struct CommitLater {
 /// shard finished (rethrowing the first exception). Workers persist across
 /// run() calls, so a run() costs two condvar hops instead of thread
 /// spawns; a tick window makes at most three (prepare, the group dispatch,
-/// the reservation drain). Shard 0 always runs on the calling thread — a
-/// pool of size 1 is the serial engine with zero thread traffic.
+/// the reservation drain). runSweep also runs on one: its shards pull
+/// whole simulations off a shared counter. Shard 0 always runs on the
+/// calling thread — a pool of size 1 is the serial engine (or a serial
+/// sweep) with zero thread traffic.
 class ShardPool {
  public:
   explicit ShardPool(int shards) : shards_{shards} {

@@ -13,7 +13,6 @@
 
 #include "mobility/gps.hpp"
 #include "serve/call_pool.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/reservation.hpp"
 #include "sim/shard.hpp"
 
@@ -328,7 +327,8 @@ class Engine {
         // Step times are running sums of the period; with an inexact period
         // (0.7 s) a sum can land on or just past the product (k + 1) * window
         // while the quotient still floors to k. That window would hold no
-        // event (popBefore is strict) and the run would spin on it forever.
+        // event (the lane pops strictly before window_end) and the run would
+        // spin on it forever.
         while (!(window_end > *next)) {
           k += 1.0;
           window_end = (k + 1.0) * window_s;
@@ -364,8 +364,9 @@ class Engine {
 
       // Mutations due exactly at this barrier apply now, after every
       // commit of the window (events at the mutation instant itself
-      // belong to the NEXT window — popBefore is strict). The explicit
-      // cursor check matters: at an unbounded window both sides are +inf.
+      // belong to the NEXT window — the lane pops strictly before
+      // window_end). The explicit cursor check matters: at an unbounded
+      // window both sides are +inf.
       while (next_mutation_ < mutation_order_.size() &&
              nextMutationTime() <= window_end) {
         applyNextMutation();
@@ -396,30 +397,32 @@ class Engine {
   }
 
  private:
-  /// One group's work for later windows. End and Decision events wait on a
-  /// time-ordered heap. Mobility steps — one per active call per period,
-  /// the bulk of all events — wait in a flat list instead: the local phase
-  /// sweeps it once per window, which costs no heap push and pop per step.
+  /// One group's pending work. End and Decision events, and the crossings
+  /// the mover sweep hands over, wait on one heap in canonical commit order,
+  /// which the group's lane pops directly. Mobility steps — one per active
+  /// call per period, the bulk of all events — wait in a flat list instead:
+  /// the mover sweep visits it once per window, which costs no heap push
+  /// and pop per step.
   struct GroupQueue {
-    EventQueue<ShardEvent> events;
+    std::priority_queue<CommitEntry, std::vector<CommitEntry>, CommitLater>
+        events;
+    /// Time of the last event the lane popped: the heap's clock.
+    double now_s = 0.0;
     /// Pending mobility steps, at most one live per call; unordered.
     std::vector<CommitEntry> movers;
     /// Minimum time over `movers`, stale entries included (+inf if empty).
     double next_mover_s = std::numeric_limits<double>::infinity();
-    /// Latest step time the local phase has reached: the mover list's half
-    /// of the group's clock (events.now() is the other).
+    /// Latest step time the mover sweep has reached: the mover list's clock.
     double movers_now_s = 0.0;
   };
 
-  /// One commit lane: the canonical-order replay queue of one cell group
-  /// plus everything the lane accumulates privately — reservation claims
-  /// out and in, slots its commits finished (recycled at the barrier: lanes
-  /// run concurrently and must not touch the shared freelist), its group's
-  /// slice of the occupancy integral and of the counters. Lanes never
-  /// touch each other's state; the barrier folds them in group order.
+  /// One commit lane: everything one cell group's replay accumulates
+  /// privately — reservation claims out and in, slots its commits finished
+  /// (recycled at the barrier: lanes run concurrently and must not touch
+  /// the shared freelist), its group's slice of the occupancy integral and
+  /// of the counters. Lanes never touch each other's state; the barrier
+  /// folds them in group order.
   struct GroupLane {
-    std::priority_queue<CommitEntry, std::vector<CommitEntry>, CommitLater>
-        queue;
     std::vector<Reservation> outgoing;  ///< Posted on foreign cells.
     std::vector<Reservation> inbox;     ///< Delivered by the barrier.
     /// Claims the drain dropped: their source-cell release touches a
@@ -514,16 +517,20 @@ class Engine {
   /// Schedules \p ev into \p cell's group: a mobility step onto its mover
   /// list, anything else onto its event heap. Only that group's lane or
   /// reservation drain ever calls this for its own cells, so each group has
-  /// one writer per phase.
-  /// \throws std::invalid_argument if \p time_s precedes the group's clock.
+  /// one writer per phase. A heap push is checked against the lane's clock
+  /// alone: within a window the mover sweep runs ahead of the lane, so an
+  /// End a commit pushes may fall before the sweep's clock.
+  /// \throws std::invalid_argument if \p time_s precedes the clock of the
+  ///         structure it joins.
   void schedule(double time_s, CellId cell, const ShardEvent& ev) {
     GroupQueue& q = queues_[static_cast<std::size_t>(laneOf(cell))];
-    if (!(time_s >= std::max(q.events.now(), q.movers_now_s))) {
+    const bool move = ev.kind == ShardEventKind::Move;
+    if (!(time_s >= (move ? q.movers_now_s : q.now_s))) {
       throw std::invalid_argument(
           "event scheduled in the past (time must be >= current clock)");
     }
-    if (ev.kind != ShardEventKind::Move) {
-      q.events.push(time_s, ev);
+    if (!move) {
+      q.events.push(CommitEntry{time_s, ev});
       return;
     }
     q.movers.push_back(CommitEntry{time_s, ev});
@@ -566,8 +573,9 @@ class Engine {
   [[nodiscard]] std::optional<double> nextEventTime() const {
     std::optional<double> best;
     for (const GroupQueue& q : queues_) {
-      const auto t = q.events.peekTime();
-      if (t && (!best || *t < *best)) best = t;
+      if (!q.events.empty() && (!best || q.events.top().time_s < *best)) {
+        best = q.events.top().time_s;
+      }
       if (!q.movers.empty() && (!best || q.next_mover_s < *best)) {
         best = q.next_mover_s;
       }
@@ -606,7 +614,7 @@ class Engine {
   /// quiesced, inboxes drained), so remapping a cell can never strand an
   /// in-flight claim; the per-group occupancy integrals are closed at
   /// \p at_s and re-based from the live ledgers under the new mapping, and
-  /// the event queues and mover lists are re-homed to the new groups.
+  /// the event heaps and mover lists are re-homed to the new groups.
   void repartitionEpoch(double at_s) {
     next_epoch_s_ += cfg_.repartition_every_s;
     epoch_weights_.resize(cell_events_.size());
@@ -652,10 +660,10 @@ class Engine {
 
   /// Moves every live queued event and mover into its call's group under
   /// the current mapping, re-tagging the call, and drops stale copies (the
-  /// local phase would discard them anyway). Every live call has a live
-  /// event: its Decision while pending, its End while active. The queues
-  /// are fresh, because schedule() refuses a push earlier than a group's
-  /// clock.
+  /// lane and the mover sweep would discard them anyway). Every live call
+  /// has a live event: its Decision while pending, its End while active.
+  /// The queues are fresh, because schedule() refuses a push earlier than a
+  /// group's clock.
   void rehomeQueues() {
     std::vector<GroupQueue> old(queues_.size());
     old.swap(queues_);
@@ -666,7 +674,9 @@ class Engine {
       }
     };
     for (GroupQueue& q : old) {
-      while (const auto e = q.events.pop()) rehome(e->time_s, e->payload);
+      for (; !q.events.empty(); q.events.pop()) {
+        rehome(q.events.top().time_s, q.events.top().event);
+      }
       for (const CommitEntry& m : q.movers) rehome(m.time_s, m.event);
     }
   }
@@ -957,25 +967,19 @@ class Engine {
   // ------------------------------------------------------------ group phase
 
   /// The window's one group dispatch. Each group's task runs its local
-  /// phase — drain its event heap up to the window end into its lane, sweep
-  /// its mover list once (mobility steps are call-local: per-call RNG and
-  /// state), drop stale events — then replays its lane. No barrier is
-  /// needed between the halves: a local phase writes only its own calls
-  /// (of a foreign call it reads the group tag alone), a lane touches only
-  /// its own calls, ledgers and queue (foreign groups come from barrier
-  /// snapshots), and precompute() is const and state-free. The order a
-  /// group visits its due events in cannot matter: its lane replays them
-  /// in canonical order.
+  /// phase — one sweep of its mover list (mobility steps are call-local:
+  /// per-call RNG and state), which pushes detected crossings onto the
+  /// group's heap — then its lane. No barrier is needed between the halves:
+  /// a local phase writes only its own calls (of a foreign call it reads the
+  /// group tag alone), a lane touches only its own calls, ledgers and heap
+  /// (foreign groups come from barrier snapshots), and precompute() is
+  /// const and state-free. The order the sweep visits its movers in cannot
+  /// matter: the lane pops the heap in canonical order.
   void runGroups(double window_end) {
     forEachGroup([&](int g) {
       GroupQueue& q = queues_[static_cast<std::size_t>(g)];
       GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
       const auto t0 = std::chrono::steady_clock::now();
-      while (const auto entry = q.events.popBefore(window_end)) {
-        if (ownedCall(entry->payload, g)) {
-          lane.queue.push(CommitEntry{entry->time_s, entry->payload});
-        }
-      }
       sweepMovers(g, q, lane, window_end);
       lane.local_s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
@@ -984,9 +988,10 @@ class Engine {
     });
   }
 
-  /// liveCall() for an event in group \p g's queue. A copy whose call
-  /// now belongs to another group is stale, and is dropped on the group tag
-  /// alone: that group's lane may be writing the call's other fields.
+  /// liveCall() for an event in group \p g's heap or mover list. A copy
+  /// whose call now belongs to another group is stale, and is dropped on
+  /// the group tag alone: that group's lane may be writing the call's other
+  /// fields.
   [[nodiscard]] CallState* ownedCall(const ShardEvent& ev, int g) {
     if (call_pool_.occupantOf(ev.slot) != ev.call ||
         call_pool_.at(ev.slot).group != g) {
@@ -1019,7 +1024,7 @@ class Engine {
   /// Runs mover \p m's steps due before \p window_end. A step that stays
   /// home advances the entry one period, and the next step runs too if it
   /// still falls inside the window. Returns false once the entry leaves the
-  /// list: stale when due, or handed to the lane by a crossing.
+  /// list: stale when due, or pushed onto the group's heap by a crossing.
   bool runDueSteps(int g, GroupQueue& q, GroupLane& lane, CommitEntry& m,
                    double window_end) {
     while (m.time_s < window_end) {
@@ -1046,7 +1051,7 @@ class Engine {
         c.predicted = controller_->precompute(mobility::snapshotFromTruth(
             c.state, network_.cell(*now_cell).center));
       }
-      lane.queue.push(m);
+      q.events.push(m);
       return false;
     }
     return true;
@@ -1054,21 +1059,23 @@ class Engine {
 
   // ----------------------------------------------------------- commit phase
 
-  /// Drains one lane's queue — plus any follow-up events commits push back
-  /// inside the window — in canonical (time, kind, call) order, mutating
-  /// only this group's ledgers and the lane's private slice. All of a
-  /// call's events of one window sit in one lane (pending calls do not
-  /// move, and active calls change cells only when that same lane — or the
-  /// barrier — commits the crossing), so lanes touch disjoint call and
-  /// ledger state.
+  /// Pops group \p g's heap up to \p window_end — follow-up events its
+  /// commits push inside the window included — in canonical (time, kind,
+  /// call) order, mutating only this group's ledgers and the lane's private
+  /// slice. All of a call's events of one window sit in one group (pending
+  /// calls do not move, and active calls change cells only when that same
+  /// lane — or the barrier — commits the crossing), so lanes touch disjoint
+  /// call and ledger state.
   void runLane(int g, double window_end) {
+    GroupQueue& q = queues_[static_cast<std::size_t>(g)];
     GroupLane& lane = lanes_[static_cast<std::size_t>(g)];
     const auto lane_t0 = std::chrono::steady_clock::now();
-    while (!lane.queue.empty()) {
-      const CommitEntry e = lane.queue.top();
-      lane.queue.pop();
+    while (!q.events.empty() && q.events.top().time_s < window_end) {
+      const CommitEntry e = q.events.top();
+      q.events.pop();
       const double now = e.time_s;
-      CallState* cp = liveCall(e.event);
+      q.now_s = now;
+      CallState* cp = ownedCall(e.event, g);
       // Only events that execute count toward engine_events; stale entries
       // superseded by an in-window handoff or drop are bookkeeping noise.
       if (!cp) continue;
@@ -1077,32 +1084,19 @@ class Engine {
       noteCellLoad(c.request.target_cell);
       switch (e.event.kind) {
         case ShardEventKind::Decision:
-          commitDecision(lane, c, now, window_end);
+          commitDecision(lane, c, now);
           break;
         case ShardEventKind::End:
           commitEnd(lane, c, now);
           break;
         case ShardEventKind::Move:
-          commitCrossing(g, lane, c, now, window_end);
+          commitCrossing(g, lane, c, now);
           break;
       }
     }
     lane.wall_s += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - lane_t0)
                        .count();
-  }
-
-  /// Schedules an admitted call's departure: into the lane's own queue when
-  /// it still falls inside this window (the call's cell stays in this
-  /// group), else into the group's event queue for a later window.
-  void scheduleEnd(GroupLane& lane, const CallState& c, CallId id,
-                   double window_end) {
-    const ShardEvent ev{ShardEventKind::End, id, c.epoch, c.slot};
-    if (c.end_time_s < window_end) {
-      lane.queue.push(CommitEntry{c.end_time_s, ev});
-    } else {
-      schedule(c.end_time_s, c.request.target_cell, ev);
-    }
   }
 
   /// First mobility step after \p now: the next multiple of the update
@@ -1122,8 +1116,7 @@ class Engine {
     lane.freed.push_back(c.slot);
   }
 
-  void commitDecision(GroupLane& lane, CallState& c, double now,
-                      double window_end) {
+  void commitDecision(GroupLane& lane, CallState& c, double now) {
     const CallRequest& req = c.request;
     cellular::BaseStation& station = network_.station(req.target_cell);
     // The prepare phase already ran the snapshot-only stage; decide() now
@@ -1170,7 +1163,8 @@ class Engine {
     c.end_time_s = now + sampleExponential(
                              c.rng,
                              cellular::profileFor(req.service).mean_holding_s);
-    scheduleEnd(lane, c, req.call, window_end);
+    schedule(c.end_time_s, req.target_cell,
+             ShardEvent{ShardEventKind::End, req.call, c.epoch, c.slot});
     scheduleFirstMove(c, req.call, now);
   }
 
@@ -1189,8 +1183,7 @@ class Engine {
   /// departure, or — across a group border — release the source half and
   /// post a Reservation for the barrier to validate (the inter-BS
   /// message).
-  void commitCrossing(int g, GroupLane& lane, CallState& c, double now,
-                      double window_end) {
+  void commitCrossing(int g, GroupLane& lane, CallState& c, double now) {
     const auto new_cell = network_.cellAt(c.state.position_km);
     if (!new_cell) {
       // Left coverage entirely: account as a completed departure.
@@ -1254,7 +1247,8 @@ class Engine {
       // under the old epoch, then reschedule its departure and next step
       // with the new one.
       ++c.epoch;
-      scheduleEnd(lane, c, req.call, window_end);
+      schedule(c.end_time_s, *new_cell,
+               ShardEvent{ShardEventKind::End, req.call, c.epoch, c.slot});
       schedule(now + cfg_.mobility_update_s, *new_cell,
                ShardEvent{ShardEventKind::Move, req.call, c.epoch, c.slot});
     } else {
@@ -1271,7 +1265,7 @@ class Engine {
   /// reservations are delivered to their target groups' inboxes and
   /// drained PER TARGET GROUP, concurrently — each drain validates its
   /// claims in canonical (time, call) order against ledgers, call state and
-  /// the event queue only its own group owns. The one cross-group touch
+  /// the event heap only its own group owns. The one cross-group touch
   /// (the drop path's source-cell controller release) is deferred into
   /// per-lane runs that the barrier sorts once and replays serially; pool
   /// recycling rides the lanes' freed lists.
@@ -1367,7 +1361,7 @@ class Engine {
   /// is owned by \p lane's group (the target station and ledger slice, the
   /// call — a call crosses at most one border per window, so exactly one
   /// drain sees it, and its epoch bump keeps every other event copy
-  /// stale), its group's event queue, or a lane-private buffer (counters
+  /// stale), its group's event heap, or a lane-private buffer (counters
   /// in lane.partial, slot recycling in lane.freed, the drop path's
   /// foreign-station release in lane.releases).
   void commitReservation(GroupLane& lane, const Reservation& r,

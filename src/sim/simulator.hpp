@@ -7,15 +7,16 @@
 ///
 /// Execution model: cells are partitioned into commit groups
 /// (cellular::CellGroupPartition), and each group owns its cells end to
-/// end — one event queue, the local mobility phase of the calls it
-/// carries, and a commit lane — like a base station that admits its own
-/// calls. The run advances in lock-stepped tick windows sized by the
-/// mobility update period (the minimum latency at which a call can cross
-/// cells). Within a window, prepare fans new calls (spawn draw, GPS
-/// tracking) out over the workers by call; then one task per group does
-/// its call-local work (mobility integration, boundary detection) and
-/// replays its lane: the window's admission decisions, releases and
-/// handoffs in canonical (time, kind, call) order. Groups run on
+/// end — one event heap in canonical (time, kind, call) order, a flat
+/// list of mobility steps, and a commit lane — like a base station that
+/// admits its own calls. The run advances in lock-stepped tick windows
+/// sized by the mobility update period (the minimum latency at which a
+/// call can cross cells). Within a window, prepare fans new calls (spawn
+/// draw, GPS tracking) out over the workers by call; then one task per
+/// group sweeps its mover list (mobility integration, boundary detection;
+/// crossings join the heap) and runs its lane, which pops the heap up to
+/// the window end: the window's admission decisions, releases and
+/// handoffs in canonical order. Groups run on
 /// SimulationConfig::shards worker threads (group g on worker g mod
 /// shards), all in one dispatch. All randomness is drawn from per-call
 /// SplitMix-derived streams, so runs are bit-identical for a fixed seed
@@ -140,9 +141,9 @@ struct SimulationConfig {
   int shards = 1;
 
   /// The cell partition. 1 (default) = one group holding every cell: one
-  /// event queue and one serialized commit lane, bit-identical at any
+  /// event heap and one serialized commit lane, bit-identical at any
   /// shard count. N > 1 partitions cells into N contiguous groups, each
-  /// owning its event queue, local mobility phase and commit lane; the
+  /// owning its event heap, mover sweep and commit lane; the
   /// groups run concurrently and exchange cross-group handoffs as
   /// Reservations at the tick-window barrier. Every built-in policy keeps
   /// its per-group state apart and defers cross-group writes to the

@@ -43,6 +43,11 @@ TEST(Engine, ConstructionValidation) {
   EngineConfig bad;
   bad.resolution = 1;
   EXPECT_THROW(MamdaniEngine("x", bad), std::invalid_argument);
+  bad.resolution = kMaxResolution + 1;
+  EXPECT_THROW(MamdaniEngine("x", bad), std::invalid_argument);
+  EngineConfig finest;
+  finest.resolution = kMaxResolution;
+  EXPECT_NO_THROW(MamdaniEngine("x", finest));
 }
 
 TEST(Engine, CheckValidCatchesMissingPieces) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 namespace facs::fuzzy {
 namespace {
@@ -126,7 +128,21 @@ INSTANTIATE_TEST_SUITE_P(
                "b tri 0 0 1\nrule a b\n",
                6},
         BadDoc{"unknown_tnorm", "conjunction nope\n", 1},
-        BadDoc{"unknown_defuzz", "defuzzifier nope\n", 1}),
+        BadDoc{"unknown_defuzz", "defuzzifier nope\n", 1},
+        BadDoc{"nan_universe", "engine e\ninput x nan 1\n", 2},
+        BadDoc{"nan_term_parameter",
+               "engine e\ninput x 0 1\nterm a tri nan 0 1\n", 3},
+        BadDoc{"inf_rule_weight",
+               "engine e\ninput x 0 1\nterm a tri 0 0 1\noutput y 0 1\nterm "
+               "b tri 0 0 1\nrule a => b weight inf\n",
+               6},
+        BadDoc{"resolution_nan", "engine e\nresolution nan\n", 2},
+        BadDoc{"resolution_inf", "engine e\nresolution inf\n", 2},
+        BadDoc{"resolution_1e10", "engine e\nresolution 1e10\n", 2},
+        BadDoc{"resolution_overflows_int", "engine e\nresolution 99999999999\n",
+               2},
+        BadDoc{"resolution_above_max", "engine e\nresolution 1000001\n", 2},
+        BadDoc{"resolution_below_two", "engine e\nresolution 1\n", 2}),
     [](const auto& param_info) { return std::string{param_info.param.name}; });
 
 TEST(Fdl, MissingEngineOrOutputFails) {
@@ -145,6 +161,50 @@ output y 0 1
 rule nope => lo
 )"),
                FdlError);
+}
+
+/// A malformed file under tests/data (the CI smoke runs `facs_fdl check`
+/// on the same files) and the line its error must name.
+struct BadFile {
+  const char* name;
+  const char* file;
+  int expected_line;
+};
+
+class FdlFileErrors : public ::testing::TestWithParam<BadFile> {};
+
+TEST_P(FdlFileErrors, ReportsLineNumber) {
+  std::ifstream in{std::string{FACS_TEST_DATA_DIR} + "/" + GetParam().file};
+  ASSERT_TRUE(in) << GetParam().file;
+  try {
+    (void)parseFdl(in);
+    FAIL() << "expected FdlError for " << GetParam().file;
+  } catch (const FdlError& e) {
+    EXPECT_EQ(e.line(), GetParam().expected_line) << e.what();
+  }
+}
+
+// A non-finite universe used to parse and then infer NaN outputs; a
+// fractional resolution was truncated silently; rule errors, raised when
+// the engine is built after the whole document is read, named line 1.
+INSTANTIATE_TEST_SUITE_P(
+    All, FdlFileErrors,
+    ::testing::Values(
+        BadFile{"nonfinite_universe", "fdl-nonfinite-universe.fdl", 7},
+        BadFile{"fractional_resolution", "fdl-fractional-resolution.fdl", 3},
+        BadFile{"unknown_rule_term", "fdl-unknown-rule-term.fdl", 11}),
+    [](const auto& param_info) { return std::string{param_info.param.name}; });
+
+TEST(Fdl, ResolutionBoundsAreInclusive) {
+  const std::string tail =
+      "input x 0 1\nterm lo tri 0 0 1\noutput y 0 1\nterm lo tri 0 0 "
+      "1\nrule lo => lo\n";
+  EXPECT_EQ(parseFdl("engine e\nresolution 2\n" + tail).config().resolution,
+            2);
+  EXPECT_EQ(parseFdl("engine e\nresolution 1000000\n" + tail)
+                .config()
+                .resolution,
+            kMaxResolution);
 }
 
 TEST(Fdl, SmoothShapesParseAndRoundTrip) {

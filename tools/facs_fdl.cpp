@@ -7,8 +7,10 @@
 ///   facs_fdl infer <file> x1 x2 ...    run one inference, show the trace
 ///   facs_fdl facs-flc1|facs-flc2       dump the built-in FACS engines
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "core/flc1.hpp"
@@ -48,6 +50,17 @@ int check(const std::string& path) {
   return 0;
 }
 
+/// One crisp input: a finite number with nothing trailing.
+std::optional<double> parseInput(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(text, &pos);
+    if (pos == text.size() && std::isfinite(v)) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
 int infer(const std::string& path, const std::vector<std::string>& values) {
   const fuzzy::MamdaniEngine engine = load(path);
   if (values.size() != engine.inputCount()) {
@@ -57,7 +70,15 @@ int infer(const std::string& path, const std::vector<std::string>& values) {
   }
   std::vector<double> inputs;
   inputs.reserve(values.size());
-  for (const std::string& v : values) inputs.push_back(std::stod(v));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::optional<double> v = parseInput(values[i]);
+    if (!v) {
+      std::cerr << "facs_fdl: infer: input '" << engine.input(i).name()
+                << "' expects a finite number, got '" << values[i] << "'\n";
+      return 2;
+    }
+    inputs.push_back(*v);
+  }
 
   const fuzzy::InferenceTrace trace = engine.inferTraced(inputs);
   for (std::size_t v = 0; v < engine.inputCount(); ++v) {
