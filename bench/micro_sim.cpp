@@ -1,8 +1,9 @@
 /// \file micro_sim.cpp
 /// Microbenchmarks of the simulation substrate: whole-run latency per
 /// policy (the engine's per-group event heaps included), the per-decision
-/// cost of the opt-in rationale API, and SCC's decision cost as the number
-/// of tracked shadows grows. All controllers come from the policy registry.
+/// cost of the opt-in rationale API, SCC's decision cost as the number of
+/// tracked shadows grows, and the cost of one SCC admit/release pair. All
+/// controllers come from the policy registry.
 
 #include <benchmark/benchmark.h>
 
@@ -197,6 +198,32 @@ void BM_SccDecideVsTrackedCalls(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SccDecideVsTrackedCalls)->Arg(8)->Arg(64)->Arg(256)->Arg(2048);
+
+/// The other half of SCC's kernel: one onAdmitted + onReleased pair, each
+/// casting or retracting a shadow over its footprint for every interval.
+/// Anchored at a corner cell of the 19-cell disk, so reach=0 touches all
+/// 19 cells and reach=2 only those within two hops of the corner.
+void BM_SccAdmitRelease(benchmark::State& state) {
+  const cellular::HexNetwork net{2};
+  const auto scc =
+      policy("scc:reach=" + std::to_string(state.range(0)))(net);
+  const cellular::CellId corner = 7;  // hexDisk order: ring 2 starts at 7
+  cellular::CallRequest r;
+  r.call = 1;
+  r.service = cellular::ServiceClass::Video;
+  r.demand_bu = 10;
+  r.snapshot.position = net.cell(corner).center + cellular::Vec2{0.4, -0.3};
+  r.snapshot.speed_kmh = 40.0;
+  r.snapshot.angle_deg = 30.0;
+  r.target_cell = corner;
+  const cellular::AdmissionContext ctx{net.station(corner), 0.0};
+  for (auto _ : state) {
+    scc->onAdmitted(r, ctx);
+    scc->onReleased(r, ctx);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SccAdmitRelease)->Arg(0)->Arg(2);
 
 /// Whole sharded runs on a multi-cell scenario (the wall-clock scaling
 /// study lives in multi_cell_scaling; this pins the per-event overhead of

@@ -66,9 +66,9 @@ HexCoord pointToHex(Vec2 p, double cell_radius_km) noexcept {
   const double sf = -qf - rf;
 
   // Cube rounding.
-  double q = std::round(qf);
-  double r = std::round(rf);
-  double s = std::round(sf);
+  double q = roundHalfAway(qf);
+  double r = roundHalfAway(rf);
+  double s = roundHalfAway(sf);
   const double dq = std::abs(q - qf);
   const double dr = std::abs(r - rf);
   const double ds = std::abs(s - sf);

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace facs::cellular {
@@ -74,6 +75,18 @@ struct HexCoord {
 
 /// Centre of a pointy-top hex with circumradius \p cell_radius_km.
 [[nodiscard]] Vec2 hexCenter(HexCoord h, double cell_radius_km) noexcept;
+
+/// std::round without the libm call: the nearest integer, half-way cases
+/// away from zero (zero's sign aside). A truncating cast, then a one-step
+/// fix-up; x - trunc(x) is exact in double, so ties are decided exactly.
+/// \p x must be finite with |x| < 2^63.
+[[nodiscard]] constexpr double roundHalfAway(double x) noexcept {
+  const double t = static_cast<double>(static_cast<std::int64_t>(x));
+  const double frac = x - t;
+  if (frac >= 0.5) return t + 1.0;
+  if (frac <= -0.5) return t - 1.0;
+  return t;
+}
 
 /// Hex containing a planar point (inverse of hexCenter, with rounding).
 /// \p p must be finite and its axial coordinates must fit an int;

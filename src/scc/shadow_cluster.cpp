@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cellular/policy_registry.hpp"
@@ -33,11 +34,16 @@ mobility::MotionState motionFromSnapshot(
 namespace {
 
 void validateConfig(const SccConfig& config) {
-  if (config.intervals < 1) {
-    throw std::invalid_argument("SCC horizon must span >= 1 interval");
+  if (config.intervals < 1 || config.intervals > kMaxIntervals) {
+    throw std::invalid_argument("SCC horizon must span 1.." +
+                                std::to_string(kMaxIntervals) + " intervals");
   }
   if (!(config.interval_s > 0.0)) {
     throw std::invalid_argument("SCC interval length must be positive");
+  }
+  if (!std::isfinite(config.intervals * config.interval_s)) {
+    throw std::invalid_argument("SCC horizon (intervals x interval-s) must "
+                                "be finite");
   }
   if (!(config.threshold > 0.0)) {
     throw std::invalid_argument("SCC survivability threshold must be positive");
@@ -66,6 +72,15 @@ ShadowClusterController::ShadowClusterController(
     const cellular::HexNetwork& network, SccConfig config)
     : network_{network}, config_{config}, partition_{network, 1} {
   validateConfig(config_);
+  horizon_.resize(static_cast<std::size_t>(config_.intervals));
+  for (int k = 0; k < config_.intervals; ++k) {
+    Horizon& h = horizon_[static_cast<std::size_t>(k)];
+    h.mid_s = (k + 0.5) * config_.interval_s;
+    h.p_active = std::exp(-h.mid_s / config_.mean_holding_s);
+    const double sigma_km =
+        config_.sigma_base_km + config_.sigma_growth_km * k;
+    h.two_sigma_sq = 2.0 * sigma_km * sigma_km;
+  }
   demand_.assign(network_.cellCount() *
                      static_cast<std::size_t>(config_.intervals),
                  0.0);
@@ -107,29 +122,34 @@ const std::vector<cellular::CellId>& ShadowClusterController::footprint(
   return footprints_[static_cast<std::size_t>(anchor)];
 }
 
+ShadowClusterController::Shadow ShadowClusterController::shadowOf(
+    const CallRequest& request, CellId center) const {
+  Shadow shadow;
+  shadow.state =
+      motionFromSnapshot(request.snapshot, network_.cell(center).center);
+  shadow.heading = cellular::headingVector(shadow.state.heading_deg);
+  shadow.demand_bu = static_cast<double>(request.demand_bu);
+  shadow.anchor = center;
+  return shadow;
+}
+
 double ShadowClusterController::contribution(const Shadow& shadow, CellId cell,
                                              int k) const {
   // Position is projected from the shadow's last report (admission or
   // handoff — when the original scheme's inter-BS messages refresh it);
   // activity decay is memoryless, so it only depends on how far into the
-  // future we look.
-  const double mid_of_interval_s = (k + 0.5) * config_.interval_s;
-  const double p_active = std::exp(-mid_of_interval_s / config_.mean_holding_s);
-
+  // future we look. Only the distance depends on the cell.
+  const Horizon& h = horizon_[static_cast<std::size_t>(k)];
   const Vec2 predicted =
       shadow.state.position_km +
-      cellular::headingVector(shadow.state.heading_deg) *
-          (shadow.state.speed_kmh / 3600.0 * mid_of_interval_s);
-
-  const double sigma_km =
-      config_.sigma_base_km + config_.sigma_growth_km * k;
+      shadow.heading * (shadow.state.speed_kmh / 3600.0 * h.mid_s);
   const double d_km = predicted.distanceTo(network_.cell(cell).center);
   // Unnormalized Gaussian kernel: each BS accumulates the probability that
   // the mobile shows up in *its* cell independently, which (like the
   // original scheme's per-BS bookkeeping) deliberately over-reserves when
   // a mobile threatens several cells at once.
-  const double spatial = std::exp(-(d_km * d_km) / (2.0 * sigma_km * sigma_km));
-  return shadow.demand_bu * p_active * spatial;
+  const double spatial = std::exp(-(d_km * d_km) / h.two_sigma_sq);
+  return shadow.demand_bu * h.p_active * spatial;
 }
 
 void ShadowClusterController::applyShadow(const Shadow& shadow, double sign) {
@@ -217,20 +237,15 @@ AdmissionDecision ShadowClusterController::decide(
     center = found.value_or(context.station.cell());
   }
 
-  Shadow tentative;
-  tentative.state =
-      motionFromSnapshot(request.snapshot, network_.cell(center).center);
-  tentative.demand_bu = static_cast<double>(request.demand_bu);
+  const Shadow tentative = shadowOf(request, center);
 
   // A shadow cluster can only guarantee QoS inside the network: a mobile
   // predicted to exit coverage within the horizon is denied outright.
   if (config_.require_coverage) {
-    for (int k = 0; k < config_.intervals; ++k) {
-      const double tau_s = (k + 0.5) * config_.interval_s;
+    for (const Horizon& h : horizon_) {
       const Vec2 predicted =
           tentative.state.position_km +
-          cellular::headingVector(tentative.state.heading_deg) *
-              (tentative.state.speed_kmh / 3600.0 * tau_s);
+          tentative.heading * (tentative.state.speed_kmh / 3600.0 * h.mid_s);
       if (!network_.cellAt(predicted)) {
         AdmissionDecision denial;
         denial.accept = false;
@@ -286,11 +301,7 @@ void ShadowClusterController::onAdmitted(const CallRequest& request,
                                          const AdmissionContext& context) {
   CellId center = request.target_cell;
   if (center == cellular::kInvalidCell) center = context.station.cell();
-  Shadow shadow;
-  shadow.state =
-      motionFromSnapshot(request.snapshot, network_.cell(center).center);
-  shadow.demand_bu = static_cast<double>(request.demand_bu);
-  shadow.anchor = center;
+  const Shadow shadow = shadowOf(request, center);
   const int g = partition_.groupOf(center);
   GroupStore& store = stores_[static_cast<std::size_t>(g)];
   const auto [it, inserted] = store.shadows.try_emplace(request.call, shadow);

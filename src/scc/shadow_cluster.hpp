@@ -26,10 +26,16 @@
 
 namespace facs::scc {
 
+/// Upper bound on SccConfig::intervals. The demand cache holds cells x
+/// intervals doubles (twice, with the barrier snapshot), so an unbounded
+/// count is an allocation failure, not a longer horizon.
+inline constexpr int kMaxIntervals = 1000;
+
 /// Tunables of the shadow-cluster algorithm.
 struct SccConfig {
   /// Number of future intervals projected (the horizon is
-  /// intervals * interval_s seconds).
+  /// intervals * interval_s seconds, which must be finite). In
+  /// [1, kMaxIntervals].
   int intervals = 3;
   /// Interval length in seconds.
   double interval_s = 30.0;
@@ -175,11 +181,23 @@ class ShadowClusterController final : public cellular::AdmissionController {
  private:
   /// Per-call shadow source: last reported kinematics + demand, anchored
   /// at the cell of the last report (admission or handoff refresh) — the
-  /// centre of its accounting footprint when reach bounds it.
+  /// centre of its accounting footprint when reach bounds it. `heading` is
+  /// headingVector(state.heading_deg), computed once by shadowOf() rather
+  /// than once per (cell, interval) the shadow touches.
   struct Shadow {
     mobility::MotionState state;
+    cellular::Vec2 heading;
     double demand_bu = 0.0;
     cellular::CellId anchor = 0;
+  };
+
+  /// The cell-independent terms of interval k's kernel, fixed by the
+  /// config: the interval midpoint, the activity decay exp(-mid / holding)
+  /// and the Gaussian's 2 sigma^2.
+  struct Horizon {
+    double mid_s = 0.0;
+    double p_active = 0.0;
+    double two_sigma_sq = 0.0;
   };
 
   /// One commit group's slice of the shadow map: every shadow whose
@@ -215,6 +233,11 @@ class ShadowClusterController final : public cellular::AdmissionController {
       return a.seq < b.seq;
     }
   };
+
+  /// The shadow \p request casts from \p center, the cell its snapshot
+  /// is taken against and the shadow's anchor.
+  [[nodiscard]] Shadow shadowOf(const cellular::CallRequest& request,
+                                cellular::CellId center) const;
 
   /// Probability-weighted demand contribution of one shadow to one cell at
   /// interval k, anchored at the shadow's capture instant.
@@ -264,6 +287,8 @@ class ShadowClusterController final : public cellular::AdmissionController {
 
   const cellular::HexNetwork& network_;
   SccConfig config_;
+  /// One entry per interval k, built by the constructor.
+  std::vector<Horizon> horizon_;
   /// Running per-(cell, interval) demand sums over all tracked shadows —
   /// what each BS would hold after accumulating every mobile's probability
   /// vector. Row-major: cell * intervals + k.

@@ -103,6 +103,28 @@ TEST(Hex, PointToHexAssignsNearbyPoints) {
   EXPECT_EQ(pointToHex(center + Vec2{0.0, 4.0}, radius), (HexCoord{1, -1}));
 }
 
+TEST(Hex, RoundHalfAwayMatchesStdRound) {
+  // pointToHex rounds with roundHalfAway instead of libm; it must agree
+  // with std::round on every tie, on the largest double below one half,
+  // and on the neighbours of each half-integer out past the axial range
+  // cellAt lets through (2 * rings + 2 radii; a large disk here).
+  const auto check = [](double x) {
+    EXPECT_EQ(roundHalfAway(x), std::round(x)) << std::hexfloat << x;
+  };
+  for (const double x : {0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+                         -0.49999999999999994, 0.0, -0.0, 1e-300, -1e-300,
+                         4503599627370495.5, -4503599627370495.5,
+                         4503599627370497.0, 9007199254740993.0}) {
+    check(x);
+  }
+  const double extent = 4.0 * (2.0 * 1000 + 2.0);
+  for (double half = -extent; half <= extent; half += 0.5) {
+    check(half);
+    check(std::nextafter(half, -INFINITY));
+    check(std::nextafter(half, INFINITY));
+  }
+}
+
 TEST(Hex, DiskSizes) {
   EXPECT_EQ(hexDisk(-1).size(), 0u);
   EXPECT_EQ(hexDisk(0).size(), 1u);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cellular/network.hpp"
+#include "scc/shadow_cluster.hpp"
 #include "sim/scenario_catalog.hpp"
 
 namespace facs::cellular {
@@ -206,6 +207,23 @@ TEST(PolicyRegistry, BadSpecsThrow) {
   EXPECT_THROW((void)reg.makeFactory("rsv:1.5"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("rsv:minspeed=-1"), PolicySpecError);
   EXPECT_THROW((void)reg.info("nope"), PolicySpecError);
+}
+
+TEST(PolicyRegistry, SccIntervalsBoundedAndHorizonFinite) {
+  // The demand cache is cells x intervals doubles: the count is capped at
+  // kMaxIntervals at parse time, before anything is allocated, and a
+  // horizon that overflows to inf is refused rather than run.
+  const PolicyRegistry& reg = PolicyRegistry::global();
+  const HexNetwork net{0};
+  const std::string at_bound =
+      "scc:intervals=" + std::to_string(scc::kMaxIntervals);
+  EXPECT_NE(reg.makeController(at_bound, net), nullptr);
+  EXPECT_THROW((void)reg.makeFactory("scc:intervals=" +
+                                     std::to_string(scc::kMaxIntervals + 1)),
+               PolicySpecError);
+  EXPECT_THROW((void)reg.makeFactory("scc:intervals=2000000000"),
+               PolicySpecError);
+  EXPECT_THROW((void)reg.makeFactory("scc:interval-s=1e308"), PolicySpecError);
 }
 
 TEST(PolicyRegistry, DuplicateRegistrationThrows) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -56,8 +58,15 @@ TEST(ShadowCluster, ConfigValidation) {
   SccConfig bad;
   bad.intervals = 0;
   EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
+  bad.intervals = kMaxIntervals + 1;  // the demand cache is cells x intervals
+  EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
+  bad.intervals = kMaxIntervals;
+  EXPECT_EQ(ShadowClusterController(net, bad).projectedDemand(0).size(),
+            static_cast<std::size_t>(kMaxIntervals));
   bad = {};
   bad.interval_s = 0.0;
+  EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
+  bad.interval_s = 1e308;  // 3 intervals: the horizon overflows to inf
   EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
   bad = {};
   bad.threshold = 0.0;
@@ -462,6 +471,127 @@ TEST(ShadowCluster, ReachSpanningTheDiskMatchesUnbounded) {
     const DemandProfile b = unbounded.projectedDemand(c);
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a[k], b[k]) << "cell " << c << " interval " << k;
+    }
+  }
+}
+
+/// The shadow kernel as a per-call formula: heading, activity decay and
+/// 2 sigma^2 recomputed on every (cell, interval). The controller hoists
+/// everything but the distance out of that loop; its sums must not move.
+double referenceContribution(const SccConfig& cfg, const HexNetwork& net,
+                             const mobility::MotionState& state,
+                             double demand_bu, cellular::CellId cell, int k) {
+  const double mid_of_interval_s = (k + 0.5) * cfg.interval_s;
+  const double p_active = std::exp(-mid_of_interval_s / cfg.mean_holding_s);
+  const Vec2 predicted =
+      state.position_km + cellular::headingVector(state.heading_deg) *
+                              (state.speed_kmh / 3600.0 * mid_of_interval_s);
+  const double sigma_km = cfg.sigma_base_km + cfg.sigma_growth_km * k;
+  const double d_km = predicted.distanceTo(net.cell(cell).center);
+  const double spatial =
+      std::exp(-(d_km * d_km) / (2.0 * sigma_km * sigma_km));
+  return demand_bu * p_active * spatial;
+}
+
+TEST(ShadowCluster, KernelIsBitIdenticalToThePerCallFormula) {
+  // A scripted admit / same-group handoff refresh / release sequence, a
+  // barrier after each step. Every row then holds the reference terms
+  // summed in step order (a retract before its re-cast), whether the row
+  // was written live or deferred and folded at the barrier.
+  const HexNetwork net{2};
+  struct Step {
+    cellular::CallId call;
+    cellular::CellId cell;
+    double speed_kmh;
+    double angle_deg;
+    enum { Admit, Refresh, Release } kind;
+  };
+  const std::vector<Step> script{
+      {1, 0, 45.0, 30.0, Step::Admit},     {2, 4, 80.0, -100.0, Step::Admit},
+      {3, 11, 15.0, 170.0, Step::Admit},   {4, 17, 60.0, 75.0, Step::Admit},
+      {2, 4, 90.0, -60.0, Step::Refresh},  {1, 0, 45.0, 30.0, Step::Release},
+      {5, 8, 120.0, 10.0, Step::Admit},    {4, 17, 20.0, -5.0, Step::Refresh},
+      {3, 11, 15.0, 170.0, Step::Release},
+  };
+  for (const int reach : {0, 2}) {
+    for (const int groups : {1, 2}) {
+      SccConfig cfg;
+      cfg.reach = reach;
+      ShadowClusterController scc{net, cfg};
+      scc.onPartitionChanged(cellular::CellGroupPartition{net, groups});
+      std::vector<double> expected(net.cellCount() * 3, 0.0);
+      std::map<cellular::CallId, CallRequest> live;
+      const auto apply = [&](const CallRequest& r, double sign) {
+        const mobility::MotionState state =
+            motionFromSnapshot(r.snapshot, net.cell(r.target_cell).center);
+        for (const cellular::CellId cell : scc.footprint(r.target_cell)) {
+          for (int k = 0; k < 3; ++k) {
+            expected[static_cast<std::size_t>(cell) * 3 + k] +=
+                sign * referenceContribution(
+                           cfg, net, state,
+                           static_cast<double>(r.demand_bu), cell, k);
+          }
+        }
+      };
+      for (const Step& step : script) {
+        CallRequest r = makeRequest(
+            step.call, ServiceClass::Video,
+            net.cell(step.cell).center + Vec2{0.35, -0.2}, step.speed_kmh,
+            step.angle_deg, step.cell);
+        const AdmissionContext ctx{net.station(step.cell), 0.0};
+        if (step.kind == Step::Release) {
+          scc.onReleased(r, ctx);
+          apply(live.at(step.call), -1.0);
+          live.erase(step.call);
+        } else {
+          r.is_handoff = step.kind == Step::Refresh;
+          scc.onAdmitted(r, ctx);
+          if (r.is_handoff) apply(live.at(step.call), -1.0);
+          apply(r, +1.0);
+          live[step.call] = r;
+        }
+        (void)scc.onCommitBarrier(0.0);
+      }
+      for (const cellular::Cell& cell : net.cells()) {
+        const DemandProfile got = scc.projectedDemand(cell.id);
+        for (int k = 0; k < 3; ++k) {
+          EXPECT_EQ(got[static_cast<std::size_t>(k)],
+                    expected[static_cast<std::size_t>(cell.id) * 3 + k])
+              << "reach " << reach << " groups " << groups << " cell "
+              << cell.id << " k " << k;
+        }
+      }
+
+      // decide(): the worst headroom over the probe's cluster, from the
+      // same rows plus the probe's own reference shadow.
+      const CallRequest probe = makeRequest(
+          99, ServiceClass::Video, net.cell(0).center + Vec2{-0.5, 0.25},
+          35.0, 60.0, 0);
+      const mobility::MotionState state =
+          motionFromSnapshot(probe.snapshot, net.cell(0).center);
+      double worst = std::numeric_limits<double>::infinity();
+      for (const cellular::Cell& cell : net.cells()) {
+        if (cellular::hexDistance(cell.coord, net.cell(0).coord) >
+            cfg.cluster_radius) {
+          continue;
+        }
+        const double budget =
+            cfg.threshold *
+            static_cast<double>(net.station(cell.id).capacityBu());
+        for (int k = 0; k < 3; ++k) {
+          const double projected =
+              expected[static_cast<std::size_t>(cell.id) * 3 + k] +
+              referenceContribution(cfg, net, state,
+                                    static_cast<double>(probe.demand_bu),
+                                    cell.id, k);
+          worst = std::min(worst, budget - projected);
+        }
+      }
+      const double budget =
+          cfg.threshold * static_cast<double>(net.station(0).capacityBu());
+      const auto d = scc.decide(probe, AdmissionContext{net.station(0), 0.0});
+      EXPECT_EQ(d.score, std::clamp(worst / budget, -1.0, 1.0))
+          << "reach " << reach << " groups " << groups;
     }
   }
 }

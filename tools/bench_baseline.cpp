@@ -40,6 +40,7 @@
 #include "cellular/radio.hpp"
 #include "core/facs.hpp"
 #include "core/flc2.hpp"
+#include "scc/shadow_cluster.hpp"
 #include "serve/service.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -391,6 +392,71 @@ int benchMicro(const std::string& path) {
     return 1;
   }
 
+  // The SCC kernel on the same network: a fixed admit / handoff-refresh /
+  // release script at the default config, then the det_ checksum sums
+  // projectedDemand over every (cell, interval) plus decide()'s score over
+  // a probe grid. Any change to the shadow kernel's arithmetic moves it.
+  scc::ShadowClusterController scc_ctl{net};
+  for (const cellular::Cell& c : net.cells()) {
+    cellular::CallRequest r;
+    r.call = 1000 + static_cast<cellular::CallId>(c.id);
+    r.service = c.id % 3 == 0 ? cellular::ServiceClass::Video
+                              : cellular::ServiceClass::Voice;
+    r.demand_bu = c.id % 3 == 0 ? 10 : 2;
+    r.target_cell = c.id;
+    r.snapshot.position = {c.center.x + 0.2, c.center.y - 0.35};
+    r.snapshot.speed_kmh = 10.0 + static_cast<double>(c.id * 13 % 70);
+    r.snapshot.angle_deg = static_cast<double>(c.id * 47 % 360) - 180.0;
+    const cellular::AdmissionContext ctx{net.station(c.id), 0.0};
+    scc_ctl.onAdmitted(r, ctx);
+    if (c.id % 4 == 1) {  // handoff refresh in the same cell
+      r.is_handoff = true;
+      r.snapshot.angle_deg = -r.snapshot.angle_deg;
+      scc_ctl.onAdmitted(r, ctx);
+    } else if (c.id % 5 == 2) {
+      scc_ctl.onReleased(r, ctx);
+    }
+  }
+  (void)scc_ctl.onCommitBarrier(0.0);
+  double scc_checksum = 0.0;
+  for (const cellular::Cell& c : net.cells()) {
+    for (const double d : scc_ctl.projectedDemand(c.id)) scc_checksum += d;
+  }
+  cellular::CallRequest scc_request;
+  scc_request.call = 5000;
+  scc_request.service = cellular::ServiceClass::Video;
+  scc_request.demand_bu = 10;
+  scc_request.snapshot.speed_kmh = 25.0;
+  std::vector<cellular::CallRequest> scc_probes;
+  for (const cellular::Cell& c : net.cells()) {
+    for (const double angle : {-120.0, 0.0, 90.0}) {
+      scc_request.target_cell = c.id;
+      scc_request.snapshot.position = {c.center.x - 0.3, c.center.y + 0.4};
+      scc_request.snapshot.angle_deg = angle;
+      scc_probes.push_back(scc_request);
+    }
+  }
+  for (const cellular::CallRequest& probe : scc_probes) {
+    scc_checksum +=
+        scc_ctl.decide(probe, {net.station(probe.target_cell), 0.0}).score;
+  }
+  constexpr int kSccDecides = 100000;
+  double scc_score_sink = 0.0;
+  const auto t3 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kSccDecides; ++i) {
+    const cellular::CallRequest& probe =
+        scc_probes[static_cast<std::size_t>(i) % scc_probes.size()];
+    scc_score_sink +=
+        scc_ctl.decide(probe, {net.station(probe.target_cell), 0.0}).score;
+  }
+  const double scc_decide_ns =
+      secondsSince(t3) * 1e9 / static_cast<double>(kSccDecides);
+  if (!std::isfinite(scc_score_sink)) {
+    std::cerr << "bench_baseline: SCC decide sweep produced a non-finite "
+              << "score sum\n";
+    return 1;
+  }
+
   FlatJson json;
   json.add("tolerance", 3.0);
   json.add("det_entries", static_cast<std::uint64_t>(entries));
@@ -399,13 +465,16 @@ int benchMicro(const std::string& path) {
   json.add("perf_flc2_infer_ns", infer_ns);
   json.add("perf_facs_decide_ns", decide_ns);
   json.add("perf_sir_decide_ns", sir_decide_ns);
+  json.add("det_scc_checksum", scc_checksum);
+  json.add("perf_scc_decide_ns", scc_decide_ns);
   if (!json.writeTo(path)) {
     std::cerr << "bench_baseline: cannot write " << path << "\n";
     return 1;
   }
   std::cout << "wrote " << path << " (" << entries << " entries, "
             << "infer " << infer_ns << " ns, decide " << decide_ns
-            << " ns, sir decide " << sir_decide_ns << " ns)\n";
+            << " ns, sir decide " << sir_decide_ns << " ns, scc decide "
+            << scc_decide_ns << " ns)\n";
   return 0;
 }
 
