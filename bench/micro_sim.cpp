@@ -32,7 +32,7 @@ void BM_SimulationRunFacs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(state.range(0)));
 }
-BENCHMARK(BM_SimulationRunFacs)->Arg(25)->Arg(100);
+BENCHMARK(BM_SimulationRunFacs)->Arg(1)->Arg(25)->Arg(100);
 
 void BM_SimulationRunCs(benchmark::State& state) {
   const auto cfg = benchConfig(static_cast<int>(state.range(0)));
@@ -43,7 +43,7 @@ void BM_SimulationRunCs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(state.range(0)));
 }
-BENCHMARK(BM_SimulationRunCs)->Arg(25)->Arg(100);
+BENCHMARK(BM_SimulationRunCs)->Arg(1)->Arg(25)->Arg(100);
 
 void BM_SimulationWithGpsTracking(benchmark::State& state) {
   sim::SimulationConfig cfg = benchConfig(50);

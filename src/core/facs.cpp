@@ -26,18 +26,18 @@ std::string_view toString(SoftDecision d) noexcept {
 
 FacsController::FacsController(FacsConfig config)
     : config_{config},
-      flc1_{buildFlc1(config.flc1)},
-      flc2_{buildFlc2(config.flc2)} {}
+      engines_{std::make_shared<const Engines>(
+          Engines{buildFlc1(config.flc1), buildFlc2(config.flc2)})} {}
 
 double FacsController::predictCv(const cellular::UserSnapshot& user) const {
   const std::array<double, 3> inputs{user.speed_kmh, user.angle_deg,
                                      user.distance_km};
-  return flc1_.infer(inputs);
+  return flc1().infer(inputs);
 }
 
 SoftDecision FacsController::classify(double ar) const {
   // Term order in FLC2's output variable matches the SoftDecision values.
-  return static_cast<SoftDecision>(flc2_.output().winningTerm(ar));
+  return static_cast<SoftDecision>(flc2().output().winningTerm(ar));
 }
 
 cellular::PredictedCv FacsController::precompute(
@@ -51,7 +51,7 @@ FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
   const std::array<double, 3> inputs{predicted_cv, demand_bu, occupied_bu};
   FacsEvaluation eval;
   eval.cv = predicted_cv;
-  eval.ar = flc2_.infer(inputs);
+  eval.ar = flc2().infer(inputs);
   eval.soft = classify(eval.ar);
 
   double threshold = config_.accept_threshold;
@@ -162,8 +162,11 @@ const PolicyRegistrar register_facs{
         cfg.flc1.defuzzifier = d;
         cfg.flc2.defuzzifier = d;
       }
-      return [cfg](const cellular::HexNetwork&) {
-        return std::make_unique<FacsController>(cfg);
+      // FLC1/FLC2 are built and sealed here, once per spec; every
+      // controller the factory makes is a copy sharing them.
+      auto prototype = std::make_shared<const FacsController>(cfg);
+      return [prototype](const cellular::HexNetwork&) {
+        return std::make_unique<FacsController>(*prototype);
       };
     }};
 

@@ -6,6 +6,7 @@
 /// counters, which the base-station ledger maintains).
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "cellular/admission.hpp"
@@ -60,6 +61,10 @@ struct FacsEvaluation {
 
 /// The complete admission system. Stateless between calls apart from the
 /// immutable engines, so one instance may serve many cells concurrently.
+///
+/// Construction builds and seals both engines; a copy shares them (they are
+/// immutable, and inference scratch is per-thread), so the registry builds
+/// one prototype per policy spec and hands out copies.
 class FacsController final : public cellular::AdmissionController {
  public:
   explicit FacsController(FacsConfig config = {});
@@ -102,17 +107,21 @@ class FacsController final : public cellular::AdmissionController {
   [[nodiscard]] SoftDecision classify(double ar) const;
 
   [[nodiscard]] const fuzzy::MamdaniEngine& flc1() const noexcept {
-    return flc1_;
+    return engines_->flc1;
   }
   [[nodiscard]] const fuzzy::MamdaniEngine& flc2() const noexcept {
-    return flc2_;
+    return engines_->flc2;
   }
   [[nodiscard]] const FacsConfig& config() const noexcept { return config_; }
 
  private:
+  struct Engines {
+    fuzzy::MamdaniEngine flc1;
+    fuzzy::MamdaniEngine flc2;
+  };
+
   FacsConfig config_;
-  fuzzy::MamdaniEngine flc1_;
-  fuzzy::MamdaniEngine flc2_;
+  std::shared_ptr<const Engines> engines_;
 };
 
 }  // namespace facs::core

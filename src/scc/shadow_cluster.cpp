@@ -41,9 +41,10 @@ void validateConfig(const SccConfig& config) {
   if (!(config.interval_s > 0.0)) {
     throw std::invalid_argument("SCC interval length must be positive");
   }
-  if (!std::isfinite(config.intervals * config.interval_s)) {
-    throw std::invalid_argument("SCC horizon (intervals x interval-s) must "
-                                "be finite");
+  if (!(config.intervals * config.interval_s <= kMaxHorizonS)) {
+    throw std::invalid_argument(
+        "SCC horizon (intervals x interval-s) must not exceed " +
+        std::to_string(static_cast<long>(kMaxHorizonS)) + " s");
   }
   if (!(config.threshold > 0.0)) {
     throw std::invalid_argument("SCC survivability threshold must be positive");

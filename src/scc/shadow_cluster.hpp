@@ -31,10 +31,17 @@ namespace facs::scc {
 /// count is an allocation failure, not a longer horizon.
 inline constexpr int kMaxIntervals = 1000;
 
+/// Upper bound, in seconds, on the projection horizon intervals *
+/// interval_s: one day. A shadow projected past the end of coverage blocks
+/// its call, so a horizon far beyond any call's lifetime (a typo such as
+/// interval-s=1e308) would silently turn SCC into "block everything"
+/// instead of failing.
+inline constexpr double kMaxHorizonS = 86'400.0;
+
 /// Tunables of the shadow-cluster algorithm.
 struct SccConfig {
   /// Number of future intervals projected (the horizon is
-  /// intervals * interval_s seconds, which must be finite). In
+  /// intervals * interval_s seconds, at most kMaxHorizonS). In
   /// [1, kMaxIntervals].
   int intervals = 3;
   /// Interval length in seconds.

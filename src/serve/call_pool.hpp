@@ -11,6 +11,13 @@
 /// workload's high-water mark — after warmup, growEvents() stays flat,
 /// which is exactly what the serve-mode CI smoke asserts.
 ///
+/// Lazy slots: a slab is raw storage. A slot is constructed the first time
+/// it is handed out (a bump index over the slabs); the freelist holds only
+/// released slots, and acquire() takes from it first (LIFO) before bumping.
+/// That is the order an eagerly threaded slab hands out, so slot indices
+/// are unchanged, but a run with a handful of calls no longer zeroes a
+/// whole slab (~270 KB of CallStates) before it simulates anything.
+///
 /// Staleness: events in flight name (slot, call id). A recycled slot
 /// carries a different occupant id, so occupantOf(slot) != event.call
 /// identifies stale events cheaply — the generation check that replaces
@@ -25,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -51,17 +59,26 @@ class CallPool {
   CallPool() = default;
   CallPool(const CallPool&) = delete;
   CallPool& operator=(const CallPool&) = delete;
+  ~CallPool() {
+    for (std::uint32_t i = 0; i < constructed_; ++i) slot(i).~Slot();
+  }
 
-  /// Takes a free slot (LIFO recycle order — deterministic given a
-  /// deterministic release order) and constructs the value in place.
-  /// Grows by one fixed-size slab when the freelist is empty.
+  /// Takes the most recently released slot (LIFO recycle order —
+  /// deterministic given a deterministic release order), else constructs
+  /// the next never-used one, growing by one fixed-size slab when none is
+  /// left; then constructs the value in place.
   template <typename... Args>
   [[nodiscard]] std::uint32_t acquire(cellular::CallId occupant,
                                       Args&&... args) {
-    if (free_head_ == kNoSlot) grow();
-    const std::uint32_t index = free_head_;
+    std::uint32_t index = free_head_;
+    if (index != kNoSlot) {
+      free_head_ = slot(index).next_free;
+    } else {
+      if (constructed_ == slabs_.size() * kSlabSize) grow();
+      index = constructed_++;
+      ::new (static_cast<void*>(&storage(index))) Slot{};
+    }
     Slot& s = slot(index);
-    free_head_ = s.next_free;
     s.value.emplace(std::forward<Args>(args)...);
     s.occupant = occupant;
     ++live_;
@@ -95,6 +112,12 @@ class CallPool {
 
   [[nodiscard]] std::uint64_t live() const noexcept { return live_; }
 
+  /// Slots constructed so far: every slot ever handed out. The rest of
+  /// capacity is raw storage that nothing has written.
+  [[nodiscard]] std::uint64_t constructed() const noexcept {
+    return constructed_;
+  }
+
   [[nodiscard]] Stats stats() const noexcept {
     Stats s;
     s.capacity = static_cast<std::uint64_t>(slabs_.size()) * kSlabSize;
@@ -110,15 +133,9 @@ class CallPool {
   /// \p fn receives (slot index, occupant id, T&).
   template <typename Fn>
   void forEachLive(Fn&& fn) {
-    for (std::size_t si = 0; si < slabs_.size(); ++si) {
-      Slot* slab = slabs_[si].get();
-      for (std::size_t i = 0; i < kSlabSize; ++i) {
-        Slot& s = slab[i];
-        if (s.occupant != 0) {
-          fn(static_cast<std::uint32_t>(si * kSlabSize + i), s.occupant,
-             *s.value);
-        }
-      }
+    for (std::uint32_t i = 0; i < constructed_; ++i) {
+      Slot& s = slot(i);
+      if (s.occupant != 0) fn(i, s.occupant, *s.value);
     }
   }
 
@@ -132,31 +149,33 @@ class CallPool {
   struct Slot {
     std::optional<T> value;
     cellular::CallId occupant = 0;
-    std::uint32_t next_free = kNoSlot;
+    std::uint32_t next_free = kNoSlot;  ///< Freelist link while released.
+  };
+  /// Uninitialised room for one Slot; acquire() constructs it in place.
+  struct alignas(Slot) SlotStorage {
+    std::byte bytes[sizeof(Slot)];
   };
 
-  [[nodiscard]] Slot& slot(std::uint32_t index) {
+  [[nodiscard]] SlotStorage& storage(std::uint32_t index) const {
     return slabs_[index / kSlabSize][index % kSlabSize];
+  }
+  /// Only for index < constructed_.
+  [[nodiscard]] Slot& slot(std::uint32_t index) {
+    return *std::launder(reinterpret_cast<Slot*>(&storage(index)));
   }
   [[nodiscard]] const Slot& slot(std::uint32_t index) const {
-    return slabs_[index / kSlabSize][index % kSlabSize];
+    return *std::launder(reinterpret_cast<const Slot*>(&storage(index)));
   }
 
+  /// Adds one slab of raw storage; nothing in it is written.
   void grow() {
-    const std::size_t base = slabs_.size() * kSlabSize;
-    slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
-    // Thread the new slab onto the freelist back to front, so slots hand
-    // out in ascending index order within a slab.
-    Slot* slab = slabs_.back().get();
-    for (std::size_t i = kSlabSize; i-- > 0;) {
-      slab[i].next_free = free_head_;
-      free_head_ = static_cast<std::uint32_t>(base + i);
-    }
+    slabs_.push_back(std::make_unique_for_overwrite<SlotStorage[]>(kSlabSize));
     ++grow_events_;
   }
 
-  std::vector<std::unique_ptr<Slot[]>> slabs_;
-  std::uint32_t free_head_ = kNoSlot;
+  std::vector<std::unique_ptr<SlotStorage[]>> slabs_;
+  std::uint32_t constructed_ = 0;  ///< Slots [0, constructed_) are Slots.
+  std::uint32_t free_head_ = kNoSlot;  ///< Released slots only.
   std::uint64_t live_ = 0;
   std::uint64_t high_water_ = 0;
   std::uint64_t acquired_ = 0;

@@ -212,7 +212,8 @@ TEST(PolicyRegistry, BadSpecsThrow) {
 TEST(PolicyRegistry, SccIntervalsBoundedAndHorizonFinite) {
   // The demand cache is cells x intervals doubles: the count is capped at
   // kMaxIntervals at parse time, before anything is allocated, and a
-  // horizon that overflows to inf is refused rather than run.
+  // horizon past kMaxHorizonS (or one that overflows to inf) is refused
+  // rather than run.
   const PolicyRegistry& reg = PolicyRegistry::global();
   const HexNetwork net{0};
   const std::string at_bound =
@@ -224,6 +225,24 @@ TEST(PolicyRegistry, SccIntervalsBoundedAndHorizonFinite) {
   EXPECT_THROW((void)reg.makeFactory("scc:intervals=2000000000"),
                PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("scc:interval-s=1e308"), PolicySpecError);
+  // A finite horizon past kMaxHorizonS is refused at parse time too, and
+  // the error names the keys that set it.
+  const auto horizon = [](int intervals, double interval_s) {
+    return "scc:intervals=" + std::to_string(intervals) +
+           ",interval-s=" + std::to_string(interval_s);
+  };
+  EXPECT_NO_THROW((void)reg.makeFactory(horizon(1, scc::kMaxHorizonS)));
+  EXPECT_NO_THROW((void)reg.makeFactory(horizon(4, scc::kMaxHorizonS / 4)));
+  try {
+    (void)reg.makeFactory(horizon(1, scc::kMaxHorizonS + 1));
+    ADD_FAILURE() << "a horizon past kMaxHorizonS was accepted";
+  } catch (const PolicySpecError& e) {
+    EXPECT_NE(std::string{e.what()}.find("interval-s"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(
+      (void)reg.makeFactory("scc:intervals=1,interval-s=1e308"),
+      PolicySpecError);
 }
 
 TEST(PolicyRegistry, DuplicateRegistrationThrows) {

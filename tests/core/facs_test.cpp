@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <string>
+
+#include "cellular/network.hpp"
+#include "cellular/policy_registry.hpp"
 
 namespace facs::core {
 namespace {
@@ -311,6 +317,62 @@ TEST(FacsController, NameAndAccessors) {
   EXPECT_EQ(facs.flc1().name(), "FLC1");
   EXPECT_EQ(facs.flc2().name(), "FLC2");
   EXPECT_DOUBLE_EQ(facs.config().accept_threshold, 0.0);
+}
+
+TEST(FacsController, FactoryControllersShareOneSealedBuild) {
+  // The registry builds and seals FLC1/FLC2 once per spec; every controller
+  // from that factory shares them, and decides exactly as a controller that
+  // built its own engines from the same config.
+  const cellular::HexNetwork net{0};
+  for (const char* spec : {"facs", "facs:ops=prod", "facs:defuzz=bisector"}) {
+    SCOPED_TRACE(spec);
+    const cellular::ControllerFactory factory =
+        cellular::PolicyRuntime::defaultRuntime().makeFactory(spec);
+    const std::unique_ptr<cellular::AdmissionController> a_owner =
+        factory(net);
+    const std::unique_ptr<cellular::AdmissionController> b_owner =
+        factory(net);
+    auto* a = dynamic_cast<FacsController*>(a_owner.get());
+    auto* b = dynamic_cast<FacsController*>(b_owner.get());
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(&a->flc1(), &b->flc1());
+    EXPECT_EQ(&a->flc2(), &b->flc2());
+    EXPECT_TRUE(a->flc1().sealed());
+    EXPECT_TRUE(a->flc2().sealed());
+
+    FacsController direct{a->config()};
+    EXPECT_NE(&direct.flc1(), &a->flc1());
+    for (int occupied : {0, 13, 27, 38}) {
+      BaseStation bs{0, 40};
+      if (occupied > 0) bs.allocate(99, occupied, true);
+      for (int i = 0; i < 60; ++i) {
+        UserSnapshot u;
+        u.speed_kmh = std::fmod(i * 7.3, 125.0);
+        u.angle_deg = std::fmod(i * 37.0, 180.0);
+        u.distance_km = std::fmod(i * 0.61, 10.0);
+        u.position = {u.distance_km, 0.0};
+        const ServiceClass service =
+            i % 3 == 0 ? ServiceClass::Video
+                       : (i % 3 == 1 ? ServiceClass::Voice : ServiceClass::Text);
+        const CallRequest req = makeRequest(u, service, i % 4 == 0);
+        AdmissionContext ctx{bs, 0.0};
+        ctx.predicted = direct.precompute(u);
+        for (FacsController* shared : {a, b}) {
+          const cellular::PredictedCv p = shared->precompute(u);
+          EXPECT_EQ(p.valid, ctx.predicted.valid);
+          EXPECT_EQ(p.cv, ctx.predicted.cv);  // bit-identical, not close
+        }
+        const auto want = direct.decide(req, ctx);
+        for (FacsController* shared : {a, b}) {
+          const auto got = shared->decide(req, ctx);
+          EXPECT_EQ(got.accept, want.accept);
+          EXPECT_EQ(got.reason, want.reason);
+          EXPECT_EQ(got.score, want.score);
+        }
+      }
+    }
+  }
 }
 
 /// The acceptance region grows as occupancy falls, for every service class

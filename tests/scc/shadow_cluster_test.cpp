@@ -68,6 +68,18 @@ TEST(ShadowCluster, ConfigValidation) {
   EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
   bad.interval_s = 1e308;  // 3 intervals: the horizon overflows to inf
   EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
+  // A finite horizon is capped too: past kMaxHorizonS every projection
+  // leaves coverage and SCC would block every call.
+  bad.intervals = 1;
+  bad.interval_s = kMaxHorizonS;
+  EXPECT_NO_THROW(ShadowClusterController(net, bad));
+  bad.interval_s = std::nextafter(kMaxHorizonS, 2 * kMaxHorizonS);
+  EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
+  bad.intervals = 4;
+  bad.interval_s = kMaxHorizonS / 4;
+  EXPECT_NO_THROW(ShadowClusterController(net, bad));
+  bad.interval_s = 1e308;
+  EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
   bad = {};
   bad.threshold = 0.0;
   EXPECT_THROW(ShadowClusterController(net, bad), std::invalid_argument);
