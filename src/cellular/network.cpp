@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
 #include <stdexcept>
 
 namespace facs::cellular {
@@ -85,6 +87,20 @@ std::optional<CellId> HexNetwork::cellAt(Vec2 position) const {
     return std::nullopt;
   }
   return cellOf(pointToHex(position, cell_radius_km_));
+}
+
+std::uint32_t HexNetwork::movesInside(CellId id, Vec2 position,
+                                      double step_km) const {
+  constexpr double kEps = 1e-9;
+  const double inscribed = cell_radius_km_ * (std::numbers::sqrt3 / 2.0);
+  const Vec2 d = position - cell(id).center;
+  const double room =
+      inscribed * (1.0 - kEps) - std::sqrt(d.x * d.x + d.y * d.y);
+  const double moves =
+      std::floor(room / (step_km * (1.0 + kEps) + kEps * inscribed));
+  if (!(moves > 0.0)) return 0;
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  return moves < kMax ? static_cast<std::uint32_t>(moves) : kMax;
 }
 
 BandwidthUnits HexNetwork::totalOccupiedBu() const noexcept {

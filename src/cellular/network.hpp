@@ -2,6 +2,7 @@
 /// \file network.hpp
 /// A hexagonal cellular layout: cells, their base stations and adjacency.
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -57,6 +58,16 @@ class HexNetwork {
   /// one axial rounding and one lookup in a dense index. Non-finite points
   /// are outside every cell.
   [[nodiscard]] std::optional<CellId> cellAt(Vec2 position) const;
+
+  /// How many further moves, each at most \p step_km long in any direction,
+  /// provably keep a point now at \p position inside cell \p id: the moves
+  /// that cannot leave the cell's inscribed circle (radius R * sqrt(3) / 2),
+  /// so cellAt() answers \p id after every one of them. Margins of 1e-9 on
+  /// the radius and the step, plus 1e-9 radii per move, absorb the rounding
+  /// of the distance and of each position update. 0 when the point is not
+  /// inside the circle; finite for a parked user (about 1e9 at the centre).
+  [[nodiscard]] std::uint32_t movesInside(CellId id, Vec2 position,
+                                          double step_km) const;
 
   /// Ids of in-network neighbours of a cell (up to 6).
   [[nodiscard]] const std::vector<CellId>& neighbors(CellId id) const {

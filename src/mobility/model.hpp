@@ -9,6 +9,7 @@
 /// RandomWaypoint and GaussMarkov are provided as standard alternatives for
 /// sensitivity experiments.
 
+#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -56,11 +57,23 @@ struct SpeedDependentTurnParams {
 
 /// The paper's mobility premise: heading performs a random walk whose
 /// standard deviation decays exponentially with speed. Speed is constant.
+///
+/// The simulator relies on that constancy: every step of a call covers the
+/// same distance, stepKm(), so a call that provably cannot reach its cell's
+/// border within k steps owes those steps instead of running them (see the
+/// mover sweep in sim/simulator.cpp). A model whose speed varies would
+/// break that bound.
 class SpeedDependentTurn final : public MobilityModel {
  public:
   explicit SpeedDependentTurn(SpeedDependentTurnParams params = {});
 
   void step(MotionState& state, double dt_s, sim::Rng& rng) override;
+
+  /// Distance (km) every step of \p dt_s moves a user in \p state.
+  [[nodiscard]] static double stepKm(const MotionState& state,
+                                     double dt_s) noexcept {
+    return std::abs(state.speed_kmh) / 3600.0 * dt_s;
+  }
 
   /// Heading standard deviation (deg per sqrt-second) at a given speed.
   [[nodiscard]] double sigmaDeg(double speed_kmh) const noexcept;

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/shard.hpp"
@@ -157,9 +158,9 @@ SweepResult runSweep(const cellular::PolicyRuntime& runtime,
       PointResult point;
       point.runs.reserve(reps);
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        const Metrics& m = values[c * per_curve + xi * reps + rep];
+        Metrics& m = values[c * per_curve + xi * reps + rep];
         stat.add(extract(m, measure));
-        point.runs.push_back(m);
+        point.runs.push_back(std::move(m));  // values dies with the fold
       }
       point.x = sweep.xs[xi];
       point.mean = stat.mean();

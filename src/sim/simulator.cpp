@@ -70,6 +70,15 @@ struct CallState {
   /// the old group's queue, which may read only this tag of the call while
   /// the new group's lane writes the rest.
   int group = 0;
+  /// The mover sweep's safe-step horizon: mover visits left that provably
+  /// stay in the home cell, so they only count and advance the clock. Set
+  /// after each home step; 0 until then, which a recycled slot gets for
+  /// free because acquire() constructs a fresh CallState.
+  std::uint32_t safe = 0;
+  /// Steps those visits skipped, in order: replayed on the call's own
+  /// stream before its next real step, and never computed if the call
+  /// ends or is dropped first (nothing but a crossing reads its motion).
+  std::uint32_t owed = 0;
   /// Snapshot-only policy work precomputed off the serialized commit path:
   /// set by the parallel prepare phase for the initial decision, re-run by
   /// the local phase whenever a mobility step produces the new snapshot a
@@ -1025,20 +1034,43 @@ class Engine {
   /// home advances the entry one period, and the next step runs too if it
   /// still falls inside the window. Returns false once the entry leaves the
   /// list: stale when due, or pushed onto the group's heap by a crossing.
+  ///
+  /// Steps inside the call's safe-step horizon are owed, not run: a home
+  /// step at distance d from the cell centre leaves room for
+  /// HexNetwork::movesInside() more steps of the model's constant length
+  /// inside the inscribed circle, so cellAt() must answer home for each.
+  /// Deferring them keeps every bit: the call draws only from its own
+  /// stream, in the same order; until it crosses, nothing reads its motion
+  /// state or stream (policies read the request's snapshot; ends, outages
+  /// and re-homes read only the target cell); its holding time was drawn
+  /// before the first step; and each visit still counts one local event in
+  /// the same window.
   bool runDueSteps(int g, GroupQueue& q, GroupLane& lane, CommitEntry& m,
                    double window_end) {
+    const double period = cfg_.mobility_update_s;
     while (m.time_s < window_end) {
       q.movers_now_s = std::max(q.movers_now_s, m.time_s);
       CallState* cp = ownedCall(m.event, g);
       if (!cp) return false;
       CallState& c = *cp;
-      c.model.step(c.state, cfg_.mobility_update_s, c.rng);
+      if (c.safe > 0) {
+        --c.safe;
+        ++c.owed;
+        ++lane.local_events;
+        m.time_s += period;
+        continue;
+      }
+      for (; c.owed > 0; --c.owed) c.model.step(c.state, period, c.rng);
+      c.model.step(c.state, period, c.rng);
       const auto now_cell = network_.cellAt(c.state.position_km);
       if (now_cell && *now_cell == c.request.target_cell) {
         // Still home: the step stays entirely group-local. Only these
         // count here — crossings count when their commit executes.
         ++lane.local_events;
-        m.time_s += cfg_.mobility_update_s;
+        c.safe = network_.movesInside(
+            *now_cell, c.state.position_km,
+            mobility::SpeedDependentTurn::stepKm(c.state, period));
+        m.time_s += period;
         continue;
       }
       // Crossed a border or left coverage: cross-cell, so the lane
