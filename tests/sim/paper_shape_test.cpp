@@ -153,8 +153,9 @@ SweepResult fig10Sweep() {
 }
 
 /// Fig. 10: FACS accepts more than SCC at light load and less at heavy
-/// load, and first falls below it between 20 and 60 connections (the paper
-/// puts the crossover near 50).
+/// load, and first falls below it between 30 and 50 connections (the paper
+/// puts the crossover near 50). Base seeds 1-40 and 42 all cross at 30,
+/// 40 or 50; seed 42 crosses at 40.
 TEST(PaperShapeSweeps, Fig10CrossoverInBand) {
   const SweepResult r = fig10Sweep();
   ASSERT_EQ(r.curves.size(), 2u);
@@ -174,8 +175,8 @@ TEST(PaperShapeSweeps, Fig10CrossoverInBand) {
       break;
     }
   }
-  EXPECT_GE(crossover, 20);
-  EXPECT_LE(crossover, 60);
+  EXPECT_GE(crossover, 30);
+  EXPECT_LE(crossover, 50);
   RecordProperty("crossover_x", crossover);
 }
 
