@@ -434,23 +434,54 @@ cellular::BarrierDrainStats ShadowClusterController::drainBarrierWork() {
 
 std::string ShadowClusterController::auditWorkload(
     const cellular::WorkloadEnvelope& envelope) const {
-  if (config_.reach <= 0) return {};  // unbounded accounting: nothing to cut
-  if (!(envelope.v_max_kmh > 0.0) || !(envelope.cell_radius_km > 0.0)) {
-    return {};  // envelope unknown: no basis to audit against
+  std::ostringstream os;
+  const auto warn = [&os]() -> std::ostringstream& {
+    if (os.tellp() > 0) os << "; ";
+    return os;
+  };
+  const double horizon_s = config_.intervals * config_.interval_s;
+  // Activity decays as exp(-t / holding): a horizon many holding times
+  // long projects shadows of calls that have almost surely ended.
+  if (horizon_s > kHorizonAuditFactor * config_.mean_holding_s) {
+    warn() << "SCC horizon " << horizon_s << " s is over "
+           << kHorizonAuditFactor << "x the mean holding time ("
+           << config_.mean_holding_s
+           << " s): its later intervals project calls that have ended";
   }
+  if (!(envelope.v_max_kmh > 0.0) || !(envelope.cell_radius_km > 0.0)) {
+    return os.str();  // envelope unknown: no basis for the rest
+  }
+  // The fastest mobile crosses the whole coverage (its diameter) in
+  // crossing_s; a horizon far past that projects every fast shadow out of
+  // coverage, which blocks its call (require_coverage) or drops its demand.
+  double coverage_km = 0.0;
+  for (const cellular::Cell& cell : network_.cells()) {
+    coverage_km = std::max(coverage_km, cell.center.norm());
+  }
+  coverage_km += envelope.cell_radius_km;
+  const double crossing_s = 2.0 * coverage_km / (envelope.v_max_kmh / 3600.0);
+  if (horizon_s > kHorizonAuditFactor * crossing_s) {
+    warn() << "SCC horizon " << horizon_s << " s is over "
+           << kHorizonAuditFactor << "x the " << crossing_s << " s a v_max="
+           << envelope.v_max_kmh
+           << " km/h mobile takes to cross the coverage: fast mobiles are "
+              "projected out of coverage";
+  }
+  if (config_.reach <= 0) return os.str();  // unbounded accounting
   // One hex hop between cell centres is sqrt(3) x circumradius; the
   // fastest mobile travels v_max x horizon within the projection window.
   const double pitch_km = std::sqrt(3.0) * envelope.cell_radius_km;
-  const double horizon_s = config_.intervals * config_.interval_s;
   const double travel_km = envelope.v_max_kmh / 3600.0 * horizon_s;
   const int needed = static_cast<int>(std::ceil(travel_km / pitch_km)) + 1;
-  if (config_.reach >= needed) return {};
-  std::ostringstream os;
-  os << "SCC reach=" << config_.reach
-     << " is smaller than the projection horizon needs (reach >= " << needed
-     << " for v_max=" << envelope.v_max_kmh << " km/h over " << horizon_s
-     << " s): predicted cells of fast mobiles fall outside the accounting "
-        "footprint, silently disabling their predictive reservations";
+  if (config_.reach < needed) {
+    warn() << "SCC reach=" << config_.reach
+           << " is smaller than the projection horizon needs (reach >= "
+           << needed << " for v_max=" << envelope.v_max_kmh << " km/h over "
+           << horizon_s
+           << " s): predicted cells of fast mobiles fall outside the "
+              "accounting footprint, silently disabling their predictive "
+              "reservations";
+  }
   return os.str();
 }
 

@@ -38,6 +38,12 @@ inline constexpr int kMaxIntervals = 1000;
 /// instead of failing.
 inline constexpr double kMaxHorizonS = 86'400.0;
 
+/// auditWorkload() warns when the projection horizon exceeds this many
+/// mean holding times, or this many times the time the fastest mobile
+/// takes to cross the coverage. Either way the later intervals project
+/// nothing useful, and past coverage they block calls.
+inline constexpr double kHorizonAuditFactor = 4.0;
+
 /// Tunables of the shadow-cluster algorithm.
 struct SccConfig {
   /// Number of future intervals projected (the horizon is
@@ -161,6 +167,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// PREDICTED position — an undersized reach cuts off the cells the
   /// mobile is headed for, silently disabling predictive reservation for
   /// fast traffic (the SccConfig::reach footgun, now audited).
+  /// Also warns when the horizon is more than kHorizonAuditFactor mean
+  /// holding times, or coverage crossings of a v_max mobile, long. Several
+  /// warnings share the one line, separated by "; ".
   [[nodiscard]] std::string auditWorkload(
       const cellular::WorkloadEnvelope& envelope) const override;
 

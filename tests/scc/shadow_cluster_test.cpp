@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "cellular/policy_registry.hpp"
+#include "sim/scenario_catalog.hpp"
+#include "sim/simulator.hpp"
 
 namespace facs::scc {
 namespace {
@@ -776,6 +778,64 @@ TEST(ShadowCluster, AuditWorkloadFlagsAnUndersizedReach) {
   EXPECT_TRUE(ShadowClusterController(net, small)
                   .auditWorkload(cellular::WorkloadEnvelope{})
                   .empty());
+}
+
+/// A horizon far past the calls' lifetime, or past the time the fastest
+/// mobile stays in coverage, is flagged; the defaults are not.
+TEST(ShadowCluster, AuditWorkloadFlagsAHorizonPastHoldingOrCoverage) {
+  const HexNetwork net{1, 2.0};
+  cellular::WorkloadEnvelope highway;
+  highway.v_max_kmh = 130.0;
+  highway.cell_radius_km = 2.0;
+  EXPECT_TRUE(ShadowClusterController(net).auditWorkload(highway).empty());
+
+  // A day-long horizon: both checks fire, on one line.
+  SccConfig day;
+  day.intervals = 1;
+  day.interval_s = 86'400.0;
+  const std::string both =
+      ShadowClusterController(net, day).auditWorkload(highway);
+  EXPECT_NE(both.find("mean holding time"), std::string::npos) << both;
+  EXPECT_NE(both.find("cross the coverage"), std::string::npos) << both;
+  EXPECT_EQ(both.find('\n'), std::string::npos) << both;
+
+  // Past 4 holding times but well inside one coverage crossing: the
+  // 7-cell coverage is ~10.9 km across, 302 s at 130 km/h.
+  SccConfig long_lived;
+  long_lived.intervals = 5;
+  long_lived.interval_s = 30.0;
+  long_lived.mean_holding_s = 30.0;
+  const std::string holding =
+      ShadowClusterController(net, long_lived).auditWorkload(highway);
+  EXPECT_NE(holding.find("mean holding time"), std::string::npos) << holding;
+  EXPECT_EQ(holding.find("cross the coverage"), std::string::npos) << holding;
+  // The holding check needs no envelope.
+  EXPECT_FALSE(ShadowClusterController(net, long_lived)
+                   .auditWorkload(cellular::WorkloadEnvelope{})
+                   .empty());
+
+  // Inside the holding bound, past 4 crossings (1211 s).
+  SccConfig far;
+  far.intervals = 10;
+  far.interval_s = 125.0;
+  far.mean_holding_s = 1000.0;
+  const std::string coverage =
+      ShadowClusterController(net, far).auditWorkload(highway);
+  EXPECT_EQ(coverage.find("mean holding time"), std::string::npos)
+      << coverage;
+  EXPECT_NE(coverage.find("cross the coverage"), std::string::npos)
+      << coverage;
+  far.interval_s = 120.0;  // 1200 s: just inside
+  EXPECT_TRUE(ShadowClusterController(net, far).auditWorkload(highway).empty());
+}
+
+/// The engine counts the audit into policy_warnings, which toJson prints.
+TEST(ShadowCluster, DayLongHorizonCountsAPolicyWarning) {
+  sim::SimulationBuilder b = sim::SimulationBuilder::scenario("highway");
+  b.policy("scc:intervals=1,interval-s=86400");
+  const sim::Metrics m = b.run();
+  EXPECT_EQ(m.policy_warnings, 1);
+  EXPECT_NE(m.toJson().find("\"policy_warnings\": 1"), std::string::npos);
 }
 
 TEST(ShadowCluster, ReachSpecKeyAndValidation) {
