@@ -40,10 +40,13 @@
 #include "cellular/radio.hpp"
 #include "core/facs.hpp"
 #include "core/flc2.hpp"
+#include "mobility/gps.hpp"
+#include "mobility/model.hpp"
 #include "scc/shadow_cluster.hpp"
 #include "serve/service.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/workload.hpp"
 
 namespace {
 
@@ -457,6 +460,54 @@ int benchMicro(const std::string& path) {
     return 1;
   }
 
+  // The random-number kernel: one standard normal per call, the draw the
+  // GPS walk makes twice per fix and once per turn step.
+  constexpr int kNormals = 4'000'000;
+  sim::Rng normal_rng = sim::makeRng(2024, 1);
+  double normal_sink = 0.0;
+  const auto t4 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kNormals; ++i) normal_sink += normal_rng.standardNormal();
+  const double normal_ns = secondsSince(t4) * 1e9 / kNormals;
+  if (!std::isfinite(normal_sink)) {
+    std::cerr << "bench_baseline: normal draws produced a non-finite sum\n";
+    return 1;
+  }
+
+  // The GPS tracking stage of call preparation, as the engine runs it at the
+  // scaling workload's settings (30 s window, 2 s fixes: a 16-fix walk of
+  // speed-dependent turns), for calls drawn around cell 0. The det_
+  // checksum sums each snapshot's speed, angle and distance, so it pins
+  // the normal draws, sincos, atan2 and hypot of the walk.
+  const sim::ScenarioParams track_sc = scalingConfig().scenario;
+  const int fix_count = sim::gpsFixCount(track_sc);
+  constexpr int kTracks = 20000;
+  std::vector<sim::RequestPlan> plans;
+  plans.reserve(kTracks);
+  sim::Rng plan_rng = sim::makeRng(2024, 2);
+  for (int i = 0; i < kTracks; ++i) {
+    plans.push_back(
+        sim::drawRequest(track_sc, net.cell(0).center, 0, plan_rng));
+  }
+  const mobility::GpsSampler sampler{track_sc.gps_error_m.value_or(0.0)};
+  mobility::GpsEstimator estimator{static_cast<std::size_t>(fix_count)};
+  mobility::SpeedDependentTurn stepper{track_sc.turn};
+  sim::Rng walk_rng = sim::makeRng(2024, 3);
+  double track_checksum = 0.0;
+  const auto t5 = std::chrono::steady_clock::now();
+  for (const sim::RequestPlan& plan : plans) {
+    mobility::MotionState state = plan.initial;
+    estimator.reset();
+    estimator.addFix(sampler.sample(0.0, state.position_km, walk_rng));
+    for (int k = 1; k < fix_count; ++k) {
+      stepper.step(state, track_sc.gps_fix_period_s, walk_rng);
+      estimator.addFix(sampler.sample(k * track_sc.gps_fix_period_s,
+                                      state.position_km, walk_rng));
+    }
+    const cellular::UserSnapshot snap = estimator.snapshot(net.cell(0).center);
+    track_checksum += snap.speed_kmh + snap.angle_deg + snap.distance_km;
+  }
+  const double track_ns = secondsSince(t5) * 1e9 / kTracks;
+
   FlatJson json;
   json.add("tolerance", 3.0);
   json.add("det_entries", static_cast<std::uint64_t>(entries));
@@ -467,6 +518,9 @@ int benchMicro(const std::string& path) {
   json.add("perf_sir_decide_ns", sir_decide_ns);
   json.add("det_scc_checksum", scc_checksum);
   json.add("perf_scc_decide_ns", scc_decide_ns);
+  json.add("perf_normal_ns", normal_ns);
+  json.add("det_track_checksum", track_checksum);
+  json.add("perf_stage_track_ns_per_call", track_ns);
   if (!json.writeTo(path)) {
     std::cerr << "bench_baseline: cannot write " << path << "\n";
     return 1;
@@ -474,7 +528,8 @@ int benchMicro(const std::string& path) {
   std::cout << "wrote " << path << " (" << entries << " entries, "
             << "infer " << infer_ns << " ns, decide " << decide_ns
             << " ns, sir decide " << sir_decide_ns << " ns, scc decide "
-            << scc_decide_ns << " ns)\n";
+            << scc_decide_ns << " ns, normal " << normal_ns << " ns, "
+            << fix_count << "-fix track " << track_ns << " ns)\n";
   return 0;
 }
 
