@@ -6,24 +6,24 @@
 namespace facs::cellular {
 
 double normalizeAngleDeg(double deg) noexcept {
-  // In range already (most headings after a small turn): fmod is exact and
-  // would return deg unchanged, so the result is the same without it.
-  if (deg > -180.0 && deg <= 180.0) return deg;
-  double a = std::fmod(deg, 360.0);
+  if (deg > -180.0 && deg <= 180.0) return deg;  // most headings
+  // deg - 360 q for the q nearest deg / 360 is exact (Sterbenz), as is
+  // the one fix-up below, so this is fmod's exact remainder, folded.
+  double a = deg - 360.0 * roundHalfAway(deg * (1.0 / 360.0));
   if (a <= -180.0) a += 360.0;
   if (a > 180.0) a -= 360.0;
   return a;
 }
 
 Vec2 headingVector(double heading_deg) noexcept {
-  const double rad = degToRad(heading_deg);
-  return {std::cos(rad), std::sin(rad)};
+  const detmath::SinCos sc = detmath::sincosDeg(heading_deg);
+  return {sc.cos, sc.sin};
 }
 
 double bearingDeg(Vec2 from, Vec2 to) noexcept {
   const Vec2 d = to - from;
   if (d.x == 0.0 && d.y == 0.0) return 0.0;
-  return radToDeg(std::atan2(d.y, d.x));
+  return radToDeg(detmath::atan2(d.y, d.x));
 }
 
 double headingDeviationDeg(double heading_deg, Vec2 from,

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/detmath.hpp"
+
 namespace facs::cellular {
 
 inline constexpr double kPi = 3.14159265358979323846;
@@ -39,7 +41,9 @@ struct Vec2 {
   constexpr Vec2 operator*(double s) const noexcept { return {x * s, y * s}; }
   friend constexpr bool operator==(const Vec2&, const Vec2&) = default;
 
-  [[nodiscard]] double norm() const noexcept { return std::hypot(x, y); }
+  [[nodiscard]] double norm() const noexcept {
+    return detmath::hypot(x, y);
+  }
   [[nodiscard]] double distanceTo(Vec2 o) const noexcept {
     return (*this - o).norm();
   }

@@ -5,8 +5,10 @@
 
 namespace facs::cellular {
 
-double dbToLinear(double db) noexcept { return std::pow(10.0, db / 10.0); }
-double linearToDb(double linear) noexcept { return 10.0 * std::log10(linear); }
+double dbToLinear(double db) noexcept { return detmath::exp10(db / 10.0); }
+double linearToDb(double linear) noexcept {
+  return 10.0 * detmath::log10(linear);
+}
 double dbmToMw(double dbm) noexcept { return dbToLinear(dbm); }
 double mwToDbm(double mw) noexcept { return linearToDb(mw); }
 
@@ -17,7 +19,7 @@ double pathLossDb(const PathLossParams& params, double d_km) {
   const double d = std::max(d_km, params.min_distance_km);
   return params.reference_loss_db +
          10.0 * params.exponent *
-             std::log10(d / params.reference_distance_km);
+             detmath::log10(d / params.reference_distance_km);
 }
 
 double shadowedPathLossDb(const PathLossParams& params, double d_km,
@@ -49,7 +51,7 @@ void RadioModel::buildTables() {
   // - 10 n log10(d), so in linear mW: rx = C * d^-n with the constant below.
   gain_const_mw_ =
       dbmToMw(config_.tx_power_dbm - pl.reference_loss_db +
-              10.0 * pl.exponent * std::log10(pl.reference_distance_km));
+              10.0 * pl.exponent * detmath::log10(pl.reference_distance_km));
   neg_half_exponent_ = -0.5 * pl.exponent;
   min_distance_sq_ = pl.min_distance_km * pl.min_distance_km;
   noise_mw_ = dbmToMw(config_.noise_floor_dbm);
@@ -80,7 +82,7 @@ double RadioModel::linkPowerMw(Vec2 position, CellId cell,
   const double dx = position.x - network_.cell(cell).center.x;
   const double dy = position.y - network_.cell(cell).center.y;
   const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
-  const double base = gain_const_mw_ * std::pow(d2, neg_half_exponent_);
+  const double base = gain_const_mw_ * detmath::pow(d2, neg_half_exponent_);
   return extra_loss_db == 0.0 ? base : base * dbToLinear(-extra_loss_db);
 }
 
@@ -116,7 +118,7 @@ double RadioModel::shadowedSinrDb(Vec2 position, CellId serving_cell,
     const double dx = position.x - station_x_[k];
     const double dy = position.y - station_y_[k];
     const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
-    double link_mw = gain_const_mw_ * std::pow(d2, neg_half_exponent_);
+    double link_mw = gain_const_mw_ * detmath::pow(d2, neg_half_exponent_);
     if (extra != 0.0) link_mw *= dbToLinear(-extra);
     interference_mw += activity * link_mw;
   }

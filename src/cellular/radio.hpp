@@ -32,6 +32,7 @@
 
 #include "cellular/geometry.hpp"
 #include "cellular/network.hpp"
+#include "sim/detmath.hpp"
 #include "sim/rng.hpp"
 
 namespace facs::cellular {
@@ -116,7 +117,7 @@ class RadioModel {
       const double dy = position.y - station_y_[k];
       const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
       interference_mw +=
-          activity * gain_const_mw_ * std::pow(d2, neg_half_exponent_);
+          activity * gain_const_mw_ * detmath::pow(d2, neg_half_exponent_);
     }
     return linearToDbFast(signal_mw / interference_mw);
   }
@@ -134,7 +135,7 @@ class RadioModel {
   /// linearToDb without the function-call indirection (kept private so the
   /// public helper below stays the single documented entry point).
   [[nodiscard]] static double linearToDbFast(double linear) noexcept {
-    return 10.0 * std::log10(linear);
+    return 10.0 * detmath::log10(linear);
   }
   void buildTables();
 

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/detmath.hpp"
+
 namespace facs::fuzzy {
 
 namespace {
@@ -26,7 +28,7 @@ Gaussian::Gaussian(double mean, double sigma) : mean_{mean}, sigma_{sigma} {
 
 double Gaussian::degree(double x) const noexcept {
   const double z = (x - mean_) / sigma_;
-  return std::exp(-0.5 * z * z);
+  return detmath::exp(-0.5 * z * z);
 }
 
 Interval Gaussian::support() const noexcept {
@@ -58,12 +60,12 @@ GeneralizedBell::GeneralizedBell(double center, double width, double slope)
 
 double GeneralizedBell::degree(double x) const noexcept {
   const double z = std::abs((x - center_) / width_);
-  return 1.0 / (1.0 + std::pow(z, 2.0 * slope_));
+  return 1.0 / (1.0 + detmath::pow(z, 2.0 * slope_));
 }
 
 Interval GeneralizedBell::support() const noexcept {
   // Degree drops below ~1e-4 at |z| = 10^(4 / (2 slope)).
-  const double reach = width_ * std::pow(10.0, 2.0 / slope_);
+  const double reach = width_ * detmath::exp10(2.0 / slope_);
   return {center_ - reach, center_ + reach};
 }
 
@@ -87,7 +89,7 @@ Sigmoid::Sigmoid(double inflection, double slope)
 }
 
 double Sigmoid::degree(double x) const noexcept {
-  return 1.0 / (1.0 + std::exp(-slope_ * (x - inflection_)));
+  return 1.0 / (1.0 + detmath::exp(-slope_ * (x - inflection_)));
 }
 
 Interval Sigmoid::support() const noexcept {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/detmath.hpp"
+
 namespace facs::mobility {
 
 using cellular::headingVector;
@@ -45,7 +47,7 @@ SpeedDependentTurn::SpeedDependentTurn(SpeedDependentTurnParams params)
 
 double SpeedDependentTurn::sigmaDeg(double speed_kmh) const noexcept {
   const double v = speed_kmh < 0.0 ? 0.0 : speed_kmh;
-  return params_.sigma_max_deg * std::exp(-v / params_.v_ref_kmh);
+  return params_.sigma_max_deg * detmath::exp(-v / params_.v_ref_kmh);
 }
 
 void SpeedDependentTurn::step(MotionState& state, double dt_s,
@@ -84,7 +86,7 @@ void GaussMarkov::step(MotionState& state, double dt_s, sim::Rng& rng) {
   }
   // Normalize memory to the reference period so behaviour is dt-invariant.
   const double steps = dt_s / params_.reference_dt_s;
-  const double a = std::pow(params_.alpha, steps);
+  const double a = detmath::pow(params_.alpha, steps);
   const double noise_scale = std::sqrt(1.0 - a * a);
 
   state.speed_kmh =
@@ -116,8 +118,7 @@ void RandomWaypoint::pickWaypoint(const MotionState& /*state*/,
                                   sim::Rng& rng) {
   // Uniform over the disc (sqrt radius transform).
   const double r = area_radius_km_ * std::sqrt(rng.uniform01());
-  const double theta = 2.0 * cellular::kPi * rng.uniform01();
-  waypoint_ = {r * std::cos(theta), r * std::sin(theta)};
+  waypoint_ = headingVector(360.0 * rng.uniform01()) * r;
   has_waypoint_ = true;
 }
 

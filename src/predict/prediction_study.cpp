@@ -6,6 +6,7 @@
 
 #include "core/facs.hpp"
 #include "mobility/gps.hpp"
+#include "sim/detmath.hpp"
 
 namespace facs::predict {
 
@@ -97,8 +98,7 @@ StudyResult runPredictionStudy(const PredictionConfig& config) {
     // Dead reckoning: the stated velocity carries the user toward the BS
     // when the measured angle is small — exactly what a shadow-cluster
     // projection assumes.
-    const double straight =
-        std::cos(cellular::degToRad(user.snapshot.angle_deg));
+    const double straight = detmath::sincosDeg(user.snapshot.angle_deg).cos;
     const double proximity = -user.snapshot.distance_km;
 
     // Ground truth: roll the real mobility forward.

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cellular/policy_registry.hpp"
+#include "sim/detmath.hpp"
 
 namespace facs::scc {
 
@@ -77,7 +78,7 @@ ShadowClusterController::ShadowClusterController(
   for (int k = 0; k < config_.intervals; ++k) {
     Horizon& h = horizon_[static_cast<std::size_t>(k)];
     h.mid_s = (k + 0.5) * config_.interval_s;
-    h.p_active = std::exp(-h.mid_s / config_.mean_holding_s);
+    h.p_active = detmath::exp(-h.mid_s / config_.mean_holding_s);
     const double sigma_km =
         config_.sigma_base_km + config_.sigma_growth_km * k;
     h.two_sigma_sq = 2.0 * sigma_km * sigma_km;
@@ -144,12 +145,13 @@ double ShadowClusterController::contribution(const Shadow& shadow, CellId cell,
   const Vec2 predicted =
       shadow.state.position_km +
       shadow.heading * (shadow.state.speed_kmh / 3600.0 * h.mid_s);
-  const double d_km = predicted.distanceTo(network_.cell(cell).center);
+  const Vec2 d = predicted - network_.cell(cell).center;
   // Unnormalized Gaussian kernel: each BS accumulates the probability that
   // the mobile shows up in *its* cell independently, which (like the
   // original scheme's per-BS bookkeeping) deliberately over-reserves when
   // a mobile threatens several cells at once.
-  const double spatial = std::exp(-(d_km * d_km) / h.two_sigma_sq);
+  const double spatial =
+      detmath::exp(-(d.x * d.x + d.y * d.y) / h.two_sigma_sq);
   return shadow.demand_bu * h.p_active * spatial;
 }
 

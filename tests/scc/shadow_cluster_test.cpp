@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cellular/policy_registry.hpp"
+#include "sim/detmath.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "sim/simulator.hpp"
 
@@ -496,14 +497,15 @@ double referenceContribution(const SccConfig& cfg, const HexNetwork& net,
                              const mobility::MotionState& state,
                              double demand_bu, cellular::CellId cell, int k) {
   const double mid_of_interval_s = (k + 0.5) * cfg.interval_s;
-  const double p_active = std::exp(-mid_of_interval_s / cfg.mean_holding_s);
+  const double p_active =
+      detmath::exp(-mid_of_interval_s / cfg.mean_holding_s);
   const Vec2 predicted =
       state.position_km + cellular::headingVector(state.heading_deg) *
                               (state.speed_kmh / 3600.0 * mid_of_interval_s);
   const double sigma_km = cfg.sigma_base_km + cfg.sigma_growth_km * k;
-  const double d_km = predicted.distanceTo(net.cell(cell).center);
+  const Vec2 d = predicted - net.cell(cell).center;
   const double spatial =
-      std::exp(-(d_km * d_km) / (2.0 * sigma_km * sigma_km));
+      detmath::exp(-(d.x * d.x + d.y * d.y) / (2.0 * sigma_km * sigma_km));
   return demand_bu * p_active * spatial;
 }
 

@@ -12,10 +12,11 @@
 ///  * weighted repartition epochs every 60 s (also off the grid) re-home
 ///    the event heaps and mover lists.
 ///
-/// The expected values were recorded from the engine that kept mobility
-/// steps on the event heap, given the same window-end rule. Any change to
-/// window boundaries, step order or re-homing that moves an outcome shows
-/// up here.
+/// The expected values were recorded when the ziggurat normal and
+/// sim/detmath.hpp replaced the polar normal and every libm call; before
+/// that they matched the engine that kept mobility steps on the event
+/// heap, given the same window-end rule. Any change to window boundaries,
+/// step order or re-homing that moves an outcome shows up here.
 
 #include <gtest/gtest.h>
 
@@ -56,24 +57,24 @@ PinnedRun runPinned(int commit_groups, int shards) {
 
 TEST(PinnedWindows, OneGroupMatchesTheRecordedRun) {
   const PinnedRun run = runPinned(1, 1);
-  EXPECT_EQ(run.windows, 1135u);
-  EXPECT_EQ(run.engine_events, 45701u);
+  EXPECT_EQ(run.windows, 1519u);
+  EXPECT_EQ(run.engine_events, 49924u);
   EXPECT_EQ(run.json, R"({
   "new_requests": 555,
-  "new_accepted": 485,
-  "new_blocked": 70,
-  "handoff_requests": 493,
-  "handoff_accepted": 472,
-  "handoff_dropped": 21,
-  "completed": 498,
+  "new_accepted": 477,
+  "new_blocked": 78,
+  "handoff_requests": 544,
+  "handoff_accepted": 533,
+  "handoff_dropped": 11,
+  "completed": 499,
   "class_requests": [337, 162, 56],
-  "class_accepted": [304, 139, 42],
-  "busy_bu_seconds": 102500.4000407314,
-  "observed_span_s": 767.9278454847106,
+  "class_accepted": [304, 134, 39],
+  "busy_bu_seconds": 108488.50040413906,
+  "observed_span_s": 1037.70000000003,
   "total_capacity_bu": 760,
-  "engine_events": 45701,
+  "engine_events": 49924,
   "commit_groups": 1,
-  "lane_events": [1604],
+  "lane_events": [1655],
   "repartitions": 0,
   "repartitions_skipped": 0,
   "reservations_posted": 0,
@@ -83,53 +84,53 @@ TEST(PinnedWindows, OneGroupMatchesTheRecordedRun) {
   "shadow_migrations": 0,
   "policy_warnings": 0,
   "mutations_applied": 2,
-  "outage_forced_drops": 2,
-  "peak_concurrent_calls": 122,
+  "outage_forced_drops": 5,
+  "peak_concurrent_calls": 129,
   "truncated_rationales": 0,
-  "percent_accepted": 87.38738738738739,
-  "blocking_probability": 0.12612612612612611,
-  "dropping_probability": 0.04259634888438134,
-  "mean_utilization": 0.17562710899861522
+  "percent_accepted": 85.94594594594595,
+  "blocking_probability": 0.14054054054054055,
+  "dropping_probability": 0.02022058823529412,
+  "mean_utilization": 0.13756194164743882
 })");
 }
 
 TEST(PinnedWindows, FourGroupsMatchTheRecordedRunAtAnyShardCount) {
   for (const int shards : {1, 3}) {
     const PinnedRun run = runPinned(4, shards);
-    EXPECT_EQ(run.windows, 1132u) << shards << " shards";
-    EXPECT_EQ(run.engine_events, 46129u) << shards << " shards";
+    EXPECT_EQ(run.windows, 1519u) << shards << " shards";
+    EXPECT_EQ(run.engine_events, 51172u) << shards << " shards";
     EXPECT_EQ(run.json, R"({
   "new_requests": 555,
   "new_accepted": 485,
   "new_blocked": 70,
-  "handoff_requests": 493,
-  "handoff_accepted": 473,
-  "handoff_dropped": 20,
-  "completed": 499,
+  "handoff_requests": 556,
+  "handoff_accepted": 542,
+  "handoff_dropped": 14,
+  "completed": 504,
   "class_requests": [337, 162, 56],
-  "class_accepted": [305, 137, 43],
-  "busy_bu_seconds": 103474.21867765147,
-  "observed_span_s": 767.9278454847106,
+  "class_accepted": [311, 135, 39],
+  "busy_bu_seconds": 107651.31263235971,
+  "observed_span_s": 1060,
   "total_capacity_bu": 760,
-  "engine_events": 46129,
+  "engine_events": 51172,
   "commit_groups": 4,
-  "lane_events": [522, 498, 492, 399],
-  "repartitions": 3,
-  "repartitions_skipped": 6,
-  "reservations_posted": 306,
-  "reservations_admitted": 292,
-  "reservations_dropped": 14,
+  "lane_events": [534, 556, 519, 420],
+  "repartitions": 5,
+  "repartitions_skipped": 10,
+  "reservations_posted": 353,
+  "reservations_admitted": 343,
+  "reservations_dropped": 10,
   "demand_deltas": 0,
   "shadow_migrations": 0,
   "policy_warnings": 0,
   "mutations_applied": 2,
-  "outage_forced_drops": 2,
-  "peak_concurrent_calls": 123,
+  "outage_forced_drops": 5,
+  "peak_concurrent_calls": 134,
   "truncated_rationales": 0,
   "percent_accepted": 87.38738738738739,
   "blocking_probability": 0.12612612612612611,
-  "dropping_probability": 0.04056795131845842,
-  "mean_utilization": 0.1772956776268672
+  "dropping_probability": 0.025179856115107913,
+  "mean_utilization": 0.13362873961315752
 })") << shards << " shards";
   }
 }
