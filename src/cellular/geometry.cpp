@@ -2,14 +2,37 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 
 namespace facs::cellular {
 
+namespace {
+
+/// deg minus a multiple of 360, exactly, in [-360, 360]; NaN if deg is
+/// not finite.
+double reduce360(double deg) noexcept {
+  if (deg > -0x1p52 && deg < 0x1p52) {
+    // deg - 360 q for the q nearest deg / 360 is exact (Sterbenz).
+    return deg - 360.0 * roundHalfAway(deg * (1.0 / 360.0));
+  }
+  if (!(deg - deg == 0.0)) return deg - deg;  // inf or NaN: NaN
+  // |deg| >= 2^52 is the integer m 2^e (m < 2^53, e >= 0): reduce it
+  // modulo 360 in integer arithmetic.
+  const auto bits = std::bit_cast<std::uint64_t>(deg);
+  const int e = static_cast<int>((bits >> 52) & 0x7FF) - 1075;
+  std::uint64_t r = ((bits & 0x000FFFFFFFFFFFFFULL) | (1ULL << 52)) % 360;
+  for (int i = 0; i < e; ++i) r = 2 * r % 360;
+  return deg < 0.0 ? -static_cast<double>(r) : static_cast<double>(r);
+}
+
+}  // namespace
+
 double normalizeAngleDeg(double deg) noexcept {
   if (deg > -180.0 && deg <= 180.0) return deg;  // most headings
-  // deg - 360 q for the q nearest deg / 360 is exact (Sterbenz), as is
-  // the one fix-up below, so this is fmod's exact remainder, folded.
-  double a = deg - 360.0 * roundHalfAway(deg * (1.0 / 360.0));
+  // The reduction and the one fix-up below are exact, so this is fmod's
+  // exact remainder, folded into (-180, 180].
+  double a = reduce360(deg);
   if (a <= -180.0) a += 360.0;
   if (a > 180.0) a -= 360.0;
   return a;

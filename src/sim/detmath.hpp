@@ -214,8 +214,7 @@ inline constexpr std::array<LogEntry, 128> kLogTable = buildLogTable();
 
 // ---------------------------------------------------------------- exp --
 
-inline constexpr double kLn2Dd[2] = {0x1.62e42fefa39efp-1,
-                                     0x1.abc9e3b39803fp-56};
+inline constexpr DD kLn2{0x1.62e42fefa39efp-1, 0x1.abc9e3b39803fp-56};
 inline constexpr double k128OverLn2 = 0x1.71547652b82fep+7;
 // ln2 / 128 split so that k * kLn2Over128Hi is exact for |k| < 2^18.
 inline constexpr double kLn2Over128Hi = 0x1.62e42fefcp-8;
@@ -240,7 +239,7 @@ inline constexpr double kRoundShift = 0x1.8p52;
   std::array<DD, 128> t{};
   for (int j = 0; j < 128; ++j) {
     t[static_cast<std::size_t>(j)] =
-        expTaylor(mul({kLn2Dd[0], kLn2Dd[1]}, {j / 128.0, 0.0}));
+        expTaylor(mul(kLn2, {j / 128.0, 0.0}));
   }
   return t;
 }

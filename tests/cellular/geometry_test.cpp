@@ -18,6 +18,24 @@ TEST(Angles, NormalizeIntoHalfOpenRange) {
   EXPECT_DOUBLE_EQ(normalizeAngleDeg(-3600.0 - 90.0), -90.0);
 }
 
+/// The remainder is fmod's, exactly, folded into (-180, 180], for every
+/// finite angle: configured angles are only required to be finite.
+TEST(Angles, NormalizeMatchesFmodExactlyAtAnyMagnitude) {
+  const auto folded = [](double deg) {
+    double a = std::fmod(deg, 360.0);
+    if (a <= -180.0) a += 360.0;
+    if (a > 180.0) a -= 360.0;
+    return a;
+  };
+  for (const double deg :
+       {540.0, -540.0, 181.25, -179.75, 1e6 + 0.1, -123456.789, 0x1p51 + 0.5,
+        0x1p52, -0x1p52 - 2.0, 0x1p53 + 2.0, 1e17, -3e20, 1e300, -1.7e308}) {
+    EXPECT_EQ(normalizeAngleDeg(deg), folded(deg)) << deg;
+  }
+  EXPECT_TRUE(std::isnan(normalizeAngleDeg(INFINITY)));
+  EXPECT_TRUE(std::isnan(normalizeAngleDeg(NAN)));
+}
+
 TEST(Angles, DegreesRadiansRoundTrip) {
   for (double d = -180.0; d <= 180.0; d += 15.0) {
     EXPECT_NEAR(radToDeg(degToRad(d)), d, 1e-12);
