@@ -13,7 +13,7 @@
 /// Method. Each function reduces its argument exactly, or into a
 /// double-double (hi + lo), and evaluates a short polynomial:
 ///   log     x = 2^k z, z in [0.6875, 1.375); c = 1/z rounded at the
-///           centre of z's 1/128-wide subinterval; log x = k ln2 - log c +
+///           centre of z's subinterval (one of 128); log x = k ln2 - log c +
 ///           log1p(zc - 1), 1/c and -log c from a 128-entry double-double
 ///           table, log1p by its Taylor sum (|zc - 1| < 2^-8).
 ///   exp     x = k ln2/128 + r, |r| <= ln2/256; 2^(j/128) from a
