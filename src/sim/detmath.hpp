@@ -122,19 +122,28 @@ struct DD {
 inline constexpr double kLn2Hi = 0x1.62e42feep-1;
 inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
 
-/// log c for a double c in [1/2, 2], as hi + lo, by the series
-/// log c = 2 atanh u = 2 (u + u^3/3 + u^5/5 + ...), u = (c - 1) / (c + 1)
-/// (table building only).
+/// 1 / (2j + 1) for j in [0, 25), as hi + lo (table building only).
+[[nodiscard]] constexpr std::array<DD, 25> buildOddReciprocals() noexcept {
+  std::array<DD, 25> t{};
+  for (std::size_t j = 0; j < t.size(); ++j) {
+    t[j] = div({1.0, 0.0}, {2.0 * static_cast<double>(j) + 1.0, 0.0});
+  }
+  return t;
+}
+
+/// log c for a double c in [0.72, 1.46], as hi + lo, by the series
+/// log c = 2 atanh u = 2 (u + u^3/3 + u^5/5 + ...), u = (c - 1) / (c + 1),
+/// |u| < 0.19, to u^49 (table building only).
 [[nodiscard]] constexpr DD logSeries(double c) noexcept {
+  constexpr std::array<DD, 25> kOdd = buildOddReciprocals();
   const DD u = div({c - 1.0, 0.0}, twoSum(c, 1.0));  // c - 1 is exact
   const DD u2 = mul(u, u);
-  DD power = u;
-  DD sum = u;
-  for (int j = 1; j <= 40; ++j) {
-    power = mul(power, u2);
-    sum = add(sum, div(power, {2.0 * j + 1.0, 0.0}));
+  DD sum = kOdd.back();
+  for (std::size_t j = kOdd.size() - 1; j-- > 0;) {
+    sum = add(kOdd[j], mul(u2, sum));
   }
-  return add(sum, sum);
+  const DD half = mul(u, sum);
+  return add(half, half);
 }
 
 /// Subinterval i of [0.6875, 1.375) (2^-8 wide below 1, 2^-7 above): c
@@ -223,24 +232,25 @@ inline constexpr double kLn2Over128Lo = -0x1.c610ca86c3899p-44;
 // mantissa bits.
 inline constexpr double kRoundShift = 0x1.8p52;
 
-/// exp(x) of a double-double by its Taylor sum (table building only).
+/// exp(x) of a double-double, |x| < 2^-7, by its Taylor sum (table
+/// building only).
 [[nodiscard]] constexpr DD expTaylor(DD x) noexcept {
   DD sum{1.0, 0.0};
   DD term{1.0, 0.0};
-  for (int n = 1; n <= 40; ++n) {
+  for (int n = 1; n <= 16; ++n) {
     term = div(mul(term, x), {static_cast<double>(n), 0.0});
     sum = add(sum, term);
   }
   return sum;
 }
 
-/// 2^(j/128), j in [0, 128), as hi + lo.
+/// 2^(j/128), j in [0, 128), as hi + lo: powers of 2^(1/128), each
+/// product within 2^-104, so every entry is within 2^-96.
 [[nodiscard]] constexpr std::array<DD, 128> buildExp2Table() noexcept {
+  const DD step = expTaylor(mul(kLn2, {1.0 / 128.0, 0.0}));
   std::array<DD, 128> t{};
-  for (int j = 0; j < 128; ++j) {
-    t[static_cast<std::size_t>(j)] =
-        expTaylor(mul(kLn2, {j / 128.0, 0.0}));
-  }
+  t[0] = {1.0, 0.0};
+  for (std::size_t j = 1; j < t.size(); ++j) t[j] = mul(t[j - 1], step);
   return t;
 }
 
@@ -334,7 +344,7 @@ inline constexpr DD kPiOver4{0x1.921fb54442d18p-1, 0x1.1a62633145c07p-55};
     const DD y = div({sq, 0.0}, {64.0 + sq, 0.0});  // x^2 / (1 + x^2)
     DD term = div({8.0 * i, 0.0}, {64.0 + sq, 0.0});  // x / (1 + x^2)
     DD sum = term;
-    for (int n = 1; n <= 200; ++n) {
+    for (int n = 1; n <= 120; ++n) {  // each term at most half the last
       term = div(mul(mul(term, y), {2.0 * n, 0.0}), {2.0 * n + 1.0, 0.0});
       sum = add(sum, term);
     }
