@@ -8,6 +8,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "cellular/policy_registry.hpp"
 #include "sim/scenario_catalog.hpp"
 
 int main() {
@@ -31,11 +32,12 @@ int main() {
   std::cout << std::left << std::setw(20) << "policy" << std::setw(10)
             << "accept%" << std::setw(12) << "handoffs" << std::setw(10)
             << "drop-p" << "util" << "\n";
+  const cellular::PolicyRuntime runtime;
+  sim::SimulationConfig cfg =
+      sim::ScenarioCatalog::builtins().at("highway").config;
+  cfg.seed = 7;
   for (const Policy& p : policies) {
-    const sim::Metrics m = sim::SimulationBuilder::scenario("highway")
-                               .seed(7)
-                               .policy(p.spec)
-                               .run();
+    const sim::Metrics m = sim::runSimulation(cfg, runtime.makeFactory(p.spec));
     std::cout << std::left << std::setw(20) << p.label << std::fixed
               << std::setprecision(1) << std::setw(10) << m.percentAccepted()
               << std::setw(12) << m.handoff_requests << std::setprecision(3)

@@ -78,13 +78,15 @@ int main() {
 
   // 4. A complete simulated experiment: the paper's single 40 BU cell
   //    offered 60 mixed connections, users tracked by (synthetic) GPS
-  //    before each decision — one fluent chain over the scenario catalog.
+  //    before each decision. A catalog entry is plain data: copy its
+  //    config, set what this run changes, and run it under a policy from
+  //    the runtime above.
+  sim::SimulationConfig cfg =
+      sim::ScenarioCatalog::builtins().at("paper-single-cell").config;
+  cfg.total_requests = 60;
+  cfg.seed = 2026;
   const sim::Metrics metrics =
-      sim::SimulationBuilder::scenario("paper-single-cell")
-          .requests(60)
-          .seed(2026)
-          .policy("facs")
-          .run();
+      sim::runSimulation(cfg, runtime.makeFactory("facs"));
   std::cout << "\nSimulation: " << metrics.summary() << "\n";
   std::cout << "Percent accepted: " << metrics.percentAccepted() << "%\n";
   return 0;

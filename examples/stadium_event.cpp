@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "cellular/policy_registry.hpp"
 #include "sim/erlang.hpp"
 #include "sim/scenario_catalog.hpp"
 
@@ -18,8 +19,10 @@ int main() {
 
   std::cout << "Stadium event: saturated single cell, steady-state view\n\n";
 
-  const sim::SimulationConfig cfg =
+  sim::SimulationConfig cfg =
       sim::ScenarioCatalog::builtins().at("stadium-burst").config;
+  cfg.seed = 42;
+  const cellular::PolicyRuntime runtime;
 
   struct Policy {
     const char* label;
@@ -35,8 +38,7 @@ int main() {
             << "accept%" << std::setw(10) << "block-p" << std::setw(10)
             << "util" << std::setw(10) << "video%" << "text%" << "\n";
   for (const Policy& p : policies) {
-    const sim::Metrics m =
-        sim::SimulationBuilder{cfg}.seed(42).policy(p.spec).run();
+    const sim::Metrics m = sim::runSimulation(cfg, runtime.makeFactory(p.spec));
     std::cout << std::left << std::setw(16) << p.label << std::fixed
               << std::setprecision(1) << std::setw(10) << m.percentAccepted()
               << std::setprecision(3) << std::setw(10)

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "cellular/policy_registry.hpp"
 #include "sim/scenario_catalog.hpp"
 
 int main() {
@@ -23,13 +24,15 @@ int main() {
             << "text%" << std::setw(10) << "voice%" << std::setw(10)
             << "video%" << "util" << "\n";
 
+  const cellular::PolicyRuntime runtime;
+  sim::SimulationConfig cfg =
+      sim::ScenarioCatalog::builtins().at("urban-walkers").config;
+  cfg.seed = 99;
   for (const int load : {20, 60, 120}) {
+    cfg.total_requests = load;
     for (const char* policy : {"facs", "cs"}) {
-      const sim::Metrics m = sim::SimulationBuilder::scenario("urban-walkers")
-                                 .requests(load)
-                                 .seed(99)
-                                 .policy(policy)
-                                 .run();
+      const sim::Metrics m =
+          sim::runSimulation(cfg, runtime.makeFactory(policy));
       std::cout << std::left << std::setw(8) << load << std::setw(10)
                 << (std::string{policy} == "facs" ? "FACS" : "CS")
                 << std::fixed << std::setprecision(1) << std::setw(10)

@@ -37,7 +37,7 @@ GuardChannelController::GuardChannelController(BandwidthUnits guard_bu)
 
 AdmissionDecision GuardChannelController::decide(
     const CallRequest& request, const AdmissionContext& context) {
-  const bool privileged = request.is_handoff || request.priority > 0;
+  const bool privileged = request.is_handoff;
   const BandwidthUnits usable =
       privileged ? context.station.freeBu()
                  : context.station.freeBu() - guard_bu_;
@@ -113,8 +113,7 @@ const PolicyRegistrar register_cs{
 
 const PolicyRegistrar register_guard{
     {"guard",
-     "Guard Channel: reserve G BUs that only handoffs/priority calls may "
-     "use.",
+     "Guard Channel: reserve G BUs that only handoffs may use.",
      "guard[:G]  (reserved BUs, default 8)"},
     [](const PolicySpec& spec) -> cellular::ControllerFactory {
       spec.expectOnly(1, {"g"});

@@ -26,7 +26,7 @@ class CompleteSharingController final : public cellular::AdmissionController {
 };
 
 /// Guard Channel: new calls may only use capacity - guard_bu units;
-/// handoffs (and requests with priority > 0) may use everything.
+/// handoffs may use everything.
 class GuardChannelController final : public cellular::AdmissionController {
  public:
   /// \throws std::invalid_argument if guard_bu is negative.

@@ -48,7 +48,6 @@ struct CallRequest {
   UserSnapshot snapshot{};
   CellId target_cell = kInvalidCell;
   bool is_handoff = false;  ///< Handoffs are dropping- not blocking-events.
-  int priority = 0;         ///< Paper future-work hook; 0 = none.
 };
 
 }  // namespace facs::cellular

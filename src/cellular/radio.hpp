@@ -1,7 +1,7 @@
 #pragma once
 /// \file radio.hpp
-/// A simple radio layer for the cellular substrate: log-distance path loss
-/// with log-normal shadowing and downlink SIR estimation across co-channel
+/// A simple radio layer for the cellular substrate: deterministic
+/// log-distance path loss and downlink SIR estimation across co-channel
 /// cells. This backs the SIR-based admission baseline (`cac::SirController`)
 /// — the interference/power-control CAC family the paper's Section 1 cites
 /// ([2] Wang et al., [6] Xiao et al.) — and gives examples a physically
@@ -33,31 +33,25 @@
 #include "cellular/geometry.hpp"
 #include "cellular/network.hpp"
 #include "sim/detmath.hpp"
-#include "sim/rng.hpp"
 
 namespace facs::cellular {
 
-/// Log-distance path-loss model: PL(d) = PL0 + 10 n log10(d / d0), with
-/// optional log-normal shadowing sigma. Defaults describe the rural/
-/// suburban macro deployment the paper's 10 km cells imply (a 2 GHz urban
-/// profile would leave the edge of such a cell noise-limited and dead):
+/// Log-distance path-loss model: PL(d) = PL0 + 10 n log10(d / d0), without
+/// shadowing. Defaults describe the rural/suburban macro deployment the
+/// paper's 10 km cells imply (a 2 GHz urban profile would leave the edge of
+/// such a cell noise-limited and dead):
 /// PL0 = 100 dB at 1 km, exponent 3.5, so a 43 dBm site still delivers
 /// ~12 dB SNR at the 10 km edge and co-channel neighbours dominate noise.
 struct PathLossParams {
   double reference_loss_db = 100.0;  ///< PL0 at d0 (rural macro, sub-GHz-ish).
   double reference_distance_km = 1.0;
   double exponent = 3.5;             ///< n; free space = 2, dense urban ~4.
-  double shadowing_sigma_db = 8.0;   ///< 0 disables shadowing.
   double min_distance_km = 0.01;     ///< Clamp to avoid the d -> 0 pole.
 };
 
 /// Deterministic part of the path loss at distance \p d_km.
 /// \throws std::invalid_argument for negative distance.
 [[nodiscard]] double pathLossDb(const PathLossParams& params, double d_km);
-
-/// Path loss with one shadowing realization drawn from \p rng.
-[[nodiscard]] double shadowedPathLossDb(const PathLossParams& params,
-                                        double d_km, sim::Rng& rng);
 
 /// Configuration of the downlink radio model.
 struct RadioConfig {
@@ -86,10 +80,6 @@ class RadioModel {
   /// \throws std::invalid_argument on nonsensical config.
   RadioModel(const HexNetwork& network, Config config = {});
 
-  /// Received power (dBm) at \p position from \p cell with deterministic
-  /// path loss (no shadowing).
-  [[nodiscard]] double receivedPowerDbm(Vec2 position, CellId cell) const;
-
   /// Downlink SINR (dB) at \p position served by \p serving_cell.
   /// Interference from every other cell is weighted by that cell's current
   /// utilization (an idle cell does not interfere).
@@ -105,7 +95,7 @@ class RadioModel {
   template <class UtilFn>
   [[nodiscard]] double sinrDbWith(Vec2 position, CellId serving_cell,
                                   UtilFn&& util) const {
-    const double signal_mw = linkPowerMw(position, serving_cell, 0.0);
+    const double signal_mw = linkPowerMw(position, serving_cell);
     double interference_mw = noise_mw_;
     const std::uint32_t begin = interferer_offsets_[serving_cell];
     const std::uint32_t end = interferer_offsets_[serving_cell + 1];
@@ -122,16 +112,11 @@ class RadioModel {
     return linearToDbFast(signal_mw / interference_mw);
   }
 
-  /// As sinrDb(), with per-link shadowing drawn from \p rng.
-  [[nodiscard]] double shadowedSinrDb(Vec2 position, CellId serving_cell,
-                                      sim::Rng& rng) const;
-
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] const HexNetwork& network() const noexcept { return network_; }
 
  private:
-  [[nodiscard]] double linkPowerMw(Vec2 position, CellId cell,
-                                   double extra_loss_db) const;
+  [[nodiscard]] double linkPowerMw(Vec2 position, CellId cell) const;
   /// linearToDb without the function-call indirection (kept private so the
   /// public helper below stays the single documented entry point).
   [[nodiscard]] static double linearToDbFast(double linear) noexcept {
@@ -162,6 +147,5 @@ class RadioModel {
 [[nodiscard]] double dbToLinear(double db) noexcept;
 [[nodiscard]] double linearToDb(double linear) noexcept;
 [[nodiscard]] double dbmToMw(double dbm) noexcept;
-[[nodiscard]] double mwToDbm(double mw) noexcept;
 
 }  // namespace facs::cellular

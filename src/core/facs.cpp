@@ -46,8 +46,8 @@ cellular::PredictedCv FacsController::precompute(
 }
 
 FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
-                                        double occupied_bu, bool is_handoff,
-                                        int priority) const {
+                                        double occupied_bu,
+                                        bool is_handoff) const {
   const std::array<double, 3> inputs{predicted_cv, demand_bu, occupied_bu};
   FacsEvaluation eval;
   eval.cv = predicted_cv;
@@ -55,7 +55,6 @@ FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
   eval.soft = classify(eval.ar);
 
   double threshold = config_.accept_threshold;
-  threshold -= config_.priority_bias * priority;
   if (is_handoff) threshold -= config_.handoff_bias;
   // Ties reject: a defuzzified A/R within numerical noise of the threshold
   // (e.g. a pure "not reject not accept" outcome against tau = 0) must not
@@ -67,9 +66,8 @@ FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
 
 FacsEvaluation FacsController::evaluate(const cellular::UserSnapshot& user,
                                         double demand_bu, double occupied_bu,
-                                        bool is_handoff, int priority) const {
-  return evaluate(predictCv(user), demand_bu, occupied_bu, is_handoff,
-                  priority);
+                                        bool is_handoff) const {
+  return evaluate(predictCv(user), demand_bu, occupied_bu, is_handoff);
 }
 
 cellular::AdmissionDecision FacsController::decide(
@@ -83,7 +81,7 @@ cellular::AdmissionDecision FacsController::decide(
   const FacsEvaluation eval =
       evaluate(cv, static_cast<double>(request.demand_bu),
                static_cast<double>(context.station.occupiedBu()),
-               request.is_handoff, request.priority);
+               request.is_handoff);
 
   // The fuzzy stages never see the hard ledger; enforce the capacity
   // invariant here so an "accept" is always allocatable.
@@ -147,14 +145,13 @@ const PolicyRegistrar register_facs{
     {"facs",
      "The paper's Fuzzy Admission Control System (FLC1 prediction cascaded "
      "into FLC2 admission).",
-     "facs[:TAU][,tau=T,handoff=H,priority=P,ops=minmax|prod|luk,"
+     "facs[:TAU][,tau=T,handoff=H,ops=minmax|prod|luk,"
      "defuzz=centroid|bisector|mom|som|lom]"},
     [](const PolicySpec& spec) -> cellular::ControllerFactory {
-      spec.expectOnly(1, {"tau", "handoff", "priority", "ops", "defuzz"});
+      spec.expectOnly(1, {"tau", "handoff", "ops", "defuzz"});
       FacsConfig cfg;
       cfg.accept_threshold = spec.numberFor("tau", spec.numberAt(0, 0.0));
       cfg.handoff_bias = spec.numberFor("handoff", cfg.handoff_bias);
-      cfg.priority_bias = spec.numberFor("priority", cfg.priority_bias);
       applyOperatorFamily(cfg, spec.keywordFor("ops", "minmax"));
       if (spec.hasKey("defuzz")) {
         const fuzzy::Defuzzifier d =

@@ -38,12 +38,6 @@ struct FacsConfig {
   /// "not reject not accept" term); swept by bench/ablation_design.
   double accept_threshold = 0.0;
 
-  /// Future-work hook (paper Section 5: call priorities). The effective
-  /// threshold is lowered by priority_bias * request.priority, so positive
-  /// priorities make admission easier. Requests default to priority 0, so
-  /// this has no effect unless a workload assigns priorities.
-  double priority_bias = 0.1;
-
   /// Handoff prioritisation: lower the threshold for handoff requests by
   /// this amount (users are "much more sensitive to call dropping than to
   /// call blocking", Section 1). Disabled (0) by default to match the
@@ -75,16 +69,14 @@ class FacsController final : public cellular::AdmissionController {
   /// counter state Cs of the target base station.
   [[nodiscard]] FacsEvaluation evaluate(const cellular::UserSnapshot& user,
                                         double demand_bu, double occupied_bu,
-                                        bool is_handoff = false,
-                                        int priority = 0) const;
+                                        bool is_handoff = false) const;
 
   /// Admission stage only, from an already-predicted Cv — the FLC2 path
   /// every decide() runs. Bit-identical to the snapshot overload fed the
   /// same Cv.
   [[nodiscard]] FacsEvaluation evaluate(double predicted_cv, double demand_bu,
                                         double occupied_bu,
-                                        bool is_handoff = false,
-                                        int priority = 0) const;
+                                        bool is_handoff = false) const;
 
   /// Prediction stage only: Cv from (S, A, D).
   [[nodiscard]] double predictCv(const cellular::UserSnapshot& user) const;

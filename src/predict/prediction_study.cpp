@@ -39,14 +39,14 @@ namespace {
 struct TrackedUser {
   cellular::UserSnapshot snapshot;
   mobility::MotionState truth;
-  std::shared_ptr<mobility::SpeedDependentTurn> model;
+  mobility::SpeedDependentTurn model;
 };
 
 TrackedUser track(const sim::ScenarioParams& scenario, sim::Rng& rng) {
   TrackedUser user;
   const sim::RequestPlan plan = sim::drawRequest(scenario, {0.0, 0.0}, 0, rng);
   user.truth = plan.initial;
-  user.model = std::make_shared<mobility::SpeedDependentTurn>(scenario.turn);
+  user.model = mobility::SpeedDependentTurn{scenario.turn};
 
   const double window = scenario.tracking_window_s;
   if (window > 0.0) {
@@ -57,7 +57,7 @@ TrackedUser track(const sim::ScenarioParams& scenario, sim::Rng& rng) {
         static_cast<std::size_t>(std::max(2, fixes))};
     estimator.addFix(sampler.sample(0.0, user.truth.position_km, rng));
     for (int i = 1; i < fixes; ++i) {
-      user.model->step(user.truth, period, rng);
+      user.model.step(user.truth, period, rng);
       estimator.addFix(sampler.sample(i * period, user.truth.position_km, rng));
     }
     user.snapshot = estimator.snapshot({0.0, 0.0});
@@ -105,7 +105,7 @@ StudyResult runPredictionStudy(const PredictionConfig& config) {
     const double start_distance = user.truth.position_km.norm();
     mobility::MotionState state = user.truth;
     for (double t = 0.0; t < config.horizon_s; t += config.step_s) {
-      user.model->step(state, config.step_s, rng);
+      user.model.step(state, config.step_s, rng);
     }
     const bool approached = state.position_km.norm() < start_distance;
 

@@ -19,39 +19,4 @@ double erlangB(int servers, double offered_erlangs) {
   return b;
 }
 
-int dimensionServers(double offered_erlangs, double target_blocking) {
-  if (target_blocking < 0.0 || target_blocking >= 1.0) {
-    throw std::invalid_argument("target blocking must be in [0, 1)");
-  }
-  if (offered_erlangs < 0.0) {
-    throw std::invalid_argument("offered load must be >= 0");
-  }
-  if (offered_erlangs == 0.0) return 0;  // no traffic, no servers needed
-  int c = 0;
-  double b = 1.0;
-  while (b > target_blocking) {
-    ++c;
-    b = offered_erlangs * b / (c + offered_erlangs * b);
-    if (c > 1000000) {
-      throw std::logic_error("Erlang-B dimensioning did not converge");
-    }
-  }
-  return c;
-}
-
-double erlangC(int servers, double offered_erlangs) {
-  if (servers <= 0) {
-    throw std::invalid_argument("Erlang C needs >= 1 server");
-  }
-  if (offered_erlangs < 0.0) {
-    throw std::invalid_argument("offered load must be >= 0");
-  }
-  if (offered_erlangs >= servers) {
-    throw std::invalid_argument("Erlang C requires offered load < servers");
-  }
-  const double b = erlangB(servers, offered_erlangs);
-  const double rho = offered_erlangs / servers;
-  return b / (1.0 - rho + rho * b);
-}
-
 }  // namespace facs::sim

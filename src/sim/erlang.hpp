@@ -1,9 +1,10 @@
 #pragma once
 /// \file erlang.hpp
-/// Classical teletraffic formulas used to validate the simulator: an
-/// M/M/c/c system's blocking probability (Erlang B) is exact for
-/// single-class Poisson traffic under Complete Sharing, so the simulator
-/// must converge to it (tests/sim/erlang_test.cpp checks that it does).
+/// The Erlang B formula, used to validate the simulator: an M/M/c/c
+/// system's blocking probability is exact for single-class Poisson traffic
+/// under Complete Sharing, so the simulator must converge to it
+/// (tests/sim/erlang_test.cpp checks that it does). The stadium example
+/// prints it as the theory anchor of its measured blocking.
 
 namespace facs::sim {
 
@@ -12,18 +13,5 @@ namespace facs::sim {
 /// recurrence B(0) = 1, B(k) = a B(k-1) / (k + a B(k-1)).
 /// \throws std::invalid_argument if servers < 0 or offered load < 0.
 [[nodiscard]] double erlangB(int servers, double offered_erlangs);
-
-/// Smallest number of servers keeping Erlang-B blocking at or below
-/// \p target_blocking (in [0, 1)) for the given offered load.
-/// \throws std::invalid_argument on a target outside [0, 1).
-[[nodiscard]] int dimensionServers(double offered_erlangs,
-                                   double target_blocking);
-
-/// Erlang C probability of queueing (M/M/c with infinite queue); provided
-/// for completeness of the teletraffic toolkit (delay-tolerant text
-/// traffic analysis).
-/// \throws std::invalid_argument if offered load >= servers (unstable) or
-///         arguments are negative.
-[[nodiscard]] double erlangC(int servers, double offered_erlangs);
 
 }  // namespace facs::sim

@@ -176,192 +176,4 @@ std::string ScenarioCatalog::describeAll() const {
   return os.str();
 }
 
-SimulationBuilder SimulationBuilder::scenario(std::string_view name) {
-  return scenario(name, ScenarioCatalog::builtins());
-}
-
-SimulationBuilder SimulationBuilder::scenario(std::string_view name,
-                                              const ScenarioCatalog& catalog) {
-  return SimulationBuilder{catalog.at(name)};
-}
-
-SimulationBuilder& SimulationBuilder::runtime(const cellular::PolicyRuntime& rt) {
-  runtime_ = &rt;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::requests(int n) {
-  config_.total_requests = n;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::arrivalWindow(double seconds) {
-  config_.arrival_window_s = seconds;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::poissonArrivals(bool on) {
-  config_.arrivals = on ? ArrivalProcess::Poisson : ArrivalProcess::UniformBurst;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::warmup(double seconds) {
-  config_.warmup_s = seconds;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::seed(std::uint64_t seed) {
-  config_.seed = seed;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::rings(int rings) {
-  config_.rings = rings;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::cellRadiusKm(double km) {
-  config_.cell_radius_km = km;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::capacityBu(cellular::BandwidthUnits bu) {
-  config_.capacity_bu = bu;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::handoffs(bool on) {
-  config_.enable_handoffs = on;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::mobilityUpdate(double seconds) {
-  config_.mobility_update_s = seconds;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::shards(int n) {
-  config_.shards = n;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::commitGroups(int n) {
-  config_.commit_groups = n;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::partition(PartitionStrategy strategy) {
-  config_.partition = strategy;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::repartitionEvery(double seconds) {
-  config_.repartition_every_s = seconds;
-  return *this;
-}
-
-/// Finds or creates the single override entry for \p cell, keeping the
-/// one-entry-per-cell invariant validateConfig() enforces regardless of
-/// which setters ran first.
-CellOverride& SimulationBuilder::overrideFor(cellular::CellId cell) {
-  for (CellOverride& o : config_.cell_overrides) {
-    if (o.cell == cell) return o;
-  }
-  config_.cell_overrides.push_back(CellOverride{cell, {}, {}, {}});
-  return config_.cell_overrides.back();
-}
-
-SimulationBuilder& SimulationBuilder::cellCapacityBu(cellular::CellId cell,
-                                                     cellular::BandwidthUnits bu) {
-  overrideFor(cell).capacity_bu = bu;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::cellArrivalScale(cellular::CellId cell,
-                                                       double scale) {
-  overrideFor(cell).arrival_scale = scale;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::cellTrafficMix(
-    cellular::CellId cell, const cellular::TrafficMix& mix) {
-  overrideFor(cell).mix = mix;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::explain(bool on) {
-  config_.explain = on;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::speedKmh(double lo, double hi) {
-  config_.scenario.speed_min_kmh = lo;
-  config_.scenario.speed_max_kmh = hi;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::angleDeg(double mean, double sigma) {
-  config_.scenario.angle_mean_deg = mean;
-  config_.scenario.angle_sigma_deg = sigma;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::distanceKm(double lo, double hi) {
-  config_.scenario.distance_min_km = lo;
-  config_.scenario.distance_max_km = hi;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::trackingWindow(double seconds) {
-  config_.scenario.tracking_window_s = seconds;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::gpsErrorM(double metres) {
-  config_.scenario.gps_error_m = metres;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::noGps() {
-  config_.scenario.gps_error_m.reset();
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::trafficMix(
-    const cellular::TrafficMix& mix) {
-  config_.scenario.mix = mix;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::scenarioParams(
-    const ScenarioParams& params) {
-  config_.scenario = params;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::policy(std::string_view spec) {
-  // Parse eagerly so typos surface where the spec is written, not when the
-  // run starts.
-  (void)runtimeOrDefault().makeFactory(spec);
-  policy_spec_ = std::string{spec};
-  return *this;
-}
-
-const cellular::PolicyRuntime& SimulationBuilder::runtimeOrDefault() const {
-  return runtime_ ? *runtime_ : cellular::PolicyRuntime::defaultRuntime();
-}
-
-SimulationConfig SimulationBuilder::build() const {
-  validateConfig(config_);
-  return config_;
-}
-
-ControllerFactory SimulationBuilder::factory() const {
-  return runtimeOrDefault().makeFactory(policy_spec_);
-}
-
-Metrics SimulationBuilder::run() const {
-  return runSimulation(build(), factory());
-}
-
 }  // namespace facs::sim

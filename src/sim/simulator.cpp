@@ -92,7 +92,7 @@ struct CallState {
 };
 
 // Every live call holds one pool slot. With a 2504-byte Mersenne Twister as
-// its stream a slot took over 2.5 KB; the 48-byte Rng keeps it a tenth of
+// its stream a slot took over 2.5 KB; the 32-byte Rng keeps it a tenth of
 // that or less, the >10x per-call memory cut serve mode relies on.
 static_assert(sizeof(CallState) <= 256, "CallState regrew past 256 bytes");
 

@@ -10,14 +10,12 @@ using cellular::BaseStation;
 using cellular::CallRequest;
 using cellular::ServiceClass;
 
-CallRequest request(ServiceClass service, bool handoff = false,
-                    int priority = 0) {
+CallRequest request(ServiceClass service, bool handoff = false) {
   CallRequest r;
   r.call = 1;
   r.service = service;
   r.demand_bu = cellular::profileFor(service).demand_bu;
   r.is_handoff = handoff;
-  r.priority = priority;
   return r;
 }
 
@@ -62,16 +60,6 @@ TEST(GuardChannel, HandoffsUseTheGuard) {
   const AdmissionContext ctx{bs, 0.0};
   EXPECT_TRUE(gc.decide(request(ServiceClass::Video, /*handoff=*/true), ctx)
                   .accept);  // 10 <= 15
-}
-
-TEST(GuardChannel, PriorityCallsUseTheGuard) {
-  GuardChannelController gc{8};
-  BaseStation bs{0, 40};
-  bs.allocate(99, 25, true);
-  const AdmissionContext ctx{bs, 0.0};
-  EXPECT_TRUE(
-      gc.decide(request(ServiceClass::Video, false, /*priority=*/1), ctx)
-          .accept);
 }
 
 TEST(GuardChannel, ZeroGuardEqualsCompleteSharing) {

@@ -148,7 +148,7 @@ TEST(PolicyRegistry, NumericArgumentsRejectNonFiniteValues) {
   // the value), so a new policy cannot skip the check.
   const std::map<std::string, std::vector<std::string>> numeric_args{
       {"cs", {}},  // takes no arguments at all
-      {"facs", {"facs:#", "facs:tau=#", "facs:handoff=#", "facs:priority=#"}},
+      {"facs", {"facs:#", "facs:tau=#", "facs:handoff=#"}},
       {"guard", {"guard:#", "guard:g=#"}},
       {"rsv", {"rsv:#", "rsv:frac=#", "rsv:minspeed=#"}},
       {"scc",
@@ -199,6 +199,7 @@ TEST(PolicyRegistry, BadSpecsThrow) {
   EXPECT_THROW((void)reg.makeFactory("threshold:1,2"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("threshold:-5,1,1"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("facs:tua=0.2"), PolicySpecError);
+  EXPECT_THROW((void)reg.makeFactory("facs:priority=1"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("facs:ops=max"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("facs:defuzz=median"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("facs:res=1"), PolicySpecError);

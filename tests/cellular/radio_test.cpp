@@ -14,7 +14,7 @@ TEST(DbHelpers, RoundTrips) {
   EXPECT_NEAR(linearToDb(100.0), 20.0, 1e-12);
   for (double db = -120.0; db <= 50.0; db += 10.0) {
     EXPECT_NEAR(linearToDb(dbToLinear(db)), db, 1e-9);
-    EXPECT_NEAR(mwToDbm(dbmToMw(db)), db, 1e-9);
+    EXPECT_NEAR(linearToDb(dbmToMw(db)), db, 1e-9);
   }
 }
 
@@ -41,21 +41,6 @@ TEST(PathLoss, ClampsNearFieldAndRejectsNegative) {
   EXPECT_THROW((void)pathLossDb(p, -1.0), std::invalid_argument);
 }
 
-TEST(PathLoss, ShadowingIsZeroMeanAndDisablable) {
-  PathLossParams p;
-  p.shadowing_sigma_db = 8.0;
-  sim::Rng rng = sim::makeRng(1);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    sum += shadowedPathLossDb(p, 2.0, rng) - pathLossDb(p, 2.0);
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.2);
-
-  p.shadowing_sigma_db = 0.0;
-  EXPECT_DOUBLE_EQ(shadowedPathLossDb(p, 2.0, rng), pathLossDb(p, 2.0));
-}
-
 TEST(RadioModel, ValidatesConfig) {
   const HexNetwork net{0};
   RadioConfig bad;
@@ -69,26 +54,26 @@ TEST(RadioModel, ValidatesConfig) {
   EXPECT_THROW(RadioModel(net, bad), std::invalid_argument);
 }
 
-TEST(RadioModel, ReceivedPowerFallsWithDistance) {
+TEST(RadioModel, LinkBudgetFallsWithDistance) {
+  // A lone idle cell: SINR is the SNR, Prx - noise floor.
   const HexNetwork net{0};
   const RadioModel radio{net};
-  const double near = radio.receivedPowerDbm({0.5, 0.0}, 0);
-  const double far = radio.receivedPowerDbm({8.0, 0.0}, 0);
-  EXPECT_GT(near, far);
+  EXPECT_GT(radio.sinrDb({0.5, 0.0}, 0), radio.sinrDb({8.0, 0.0}, 0));
   // Sanity: 43 dBm through the default 100 dB reference loss at 1 km.
-  EXPECT_NEAR(radio.receivedPowerDbm({1.0, 0.0}, 0), 43.0 - 100.0, 1e-9);
+  EXPECT_NEAR(radio.sinrDb({1.0, 0.0}, 0),
+              43.0 - 100.0 - radio.config().noise_floor_dbm, 1e-9);
   // The 10 km cell edge keeps a usable noise-limited link budget.
-  EXPECT_GT(radio.receivedPowerDbm({10.0, 0.0}, 0),
-            radio.config().noise_floor_dbm + 10.0);
+  EXPECT_GT(radio.sinrDb({10.0, 0.0}, 0), 10.0);
 }
 
 TEST(RadioModel, IdleNetworkIsNoiseLimited) {
   const HexNetwork net{1};
   const RadioModel radio{net};
-  // No cell carries traffic: SINR = SNR = Prx - noise floor.
+  // No cell carries traffic: SINR = SNR = tx - PL(d) - noise floor.
+  const RadioConfig& rc = radio.config();
   const double sinr = radio.sinrDb({1.0, 0.0}, 0);
-  const double snr = radio.receivedPowerDbm({1.0, 0.0}, 0) -
-                     radio.config().noise_floor_dbm;
+  const double snr = rc.tx_power_dbm - pathLossDb(rc.path_loss, 1.0) -
+                     rc.noise_floor_dbm;
   EXPECT_NEAR(sinr, snr, 1e-9);
 }
 
@@ -123,28 +108,6 @@ TEST(RadioModel, CellEdgeIsWorseThanCellCentre) {
   for (CellId id = 1; id < 7; ++id) net.station(id).allocate(id, 20, true);
   const RadioModel radio{net};
   EXPECT_GT(radio.sinrDb({0.5, 0.0}, 0), radio.sinrDb({8.0, 0.0}, 0));
-}
-
-TEST(RadioModel, ShadowedSinrVariesAroundDeterministic) {
-  HexNetwork net{1};
-  net.station(3).allocate(1, 40, true);
-  const RadioModel radio{net};
-  sim::Rng rng = sim::makeRng(3);
-  const Vec2 user{4.0, 0.0};
-  const double det = radio.sinrDb(user, 0);
-  double sum = 0.0;
-  double min = 1e9;
-  double max = -1e9;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    const double s = radio.shadowedSinrDb(user, 0, rng);
-    sum += s;
-    min = std::min(min, s);
-    max = std::max(max, s);
-  }
-  EXPECT_GT(max, det + 4.0);  // 8 dB shadowing spreads wide
-  EXPECT_LT(min, det - 4.0);
-  EXPECT_NEAR(sum / n, det, 3.0);  // roughly centred (log-domain skew allowed)
 }
 
 // ---------------------------------------------- gain tables & footprint --

@@ -123,19 +123,6 @@ TEST(FacsController, ThresholdIsConfigurable) {
   EXPECT_FALSE(eval.accept);
 }
 
-TEST(FacsController, PriorityBiasLowersThreshold) {
-  FacsConfig cfg;
-  cfg.accept_threshold = 0.6;
-  cfg.priority_bias = 0.2;
-  const FacsController facs{cfg};
-  const FacsEvaluation plain = facs.evaluate(erraticUser(), 10.0, 0.0);
-  const FacsEvaluation prio =
-      facs.evaluate(erraticUser(), 10.0, 0.0, /*is_handoff=*/false,
-                    /*priority=*/2);
-  EXPECT_FALSE(plain.accept);
-  EXPECT_TRUE(prio.accept);  // threshold 0.6 - 0.4 = 0.2 < weak accept
-}
-
 TEST(FacsController, HandoffBiasPrioritizesOngoingCalls) {
   FacsConfig cfg;
   cfg.handoff_bias = 0.3;
@@ -243,8 +230,8 @@ TEST(FacsController, StalePrecomputedCvIsHonoured) {
 
 TEST(FacsController, DecideMatchesEvaluateAcrossLedgerStates) {
   // decide() is evaluate() on (Cv, R, Cs) plus the capacity check. Walk a
-  // spread of Cv, demand, occupancy, handoff and priority combinations —
-  // ledger states that differ per decision, as in a commit window.
+  // spread of Cv, demand, occupancy and handoff combinations — ledger
+  // states that differ per decision, as in a commit window.
   FacsController facs;
   for (int occupied : {0, 15, 30, 40}) {
     BaseStation bs{0, 40};
@@ -253,13 +240,11 @@ TEST(FacsController, DecideMatchesEvaluateAcrossLedgerStates) {
       CallRequest req = makeRequest(
           idealUser(), occupied < 20 ? ServiceClass::Video : ServiceClass::Voice,
           /*handoff=*/cv > 0.5);
-      req.priority = cv > 0.9 ? 1 : 0;
       AdmissionContext ctx{bs, 0.0};
       ctx.predicted = {cv, true};
       const auto d = facs.decide(req, ctx);
       const FacsEvaluation solo =
-          facs.evaluate(cv, req.demand_bu, occupied, req.is_handoff,
-                        req.priority);
+          facs.evaluate(cv, req.demand_bu, occupied, req.is_handoff);
       EXPECT_EQ(d.score, solo.ar);  // bit-identical, not just close
       EXPECT_EQ(d.accept, solo.accept && bs.canFit(req.demand_bu));
     }

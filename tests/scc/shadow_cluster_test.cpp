@@ -833,9 +833,10 @@ TEST(ShadowCluster, AuditWorkloadFlagsAHorizonPastHoldingOrCoverage) {
 
 /// The engine counts the audit into policy_warnings, which toJson prints.
 TEST(ShadowCluster, DayLongHorizonCountsAPolicyWarning) {
-  sim::SimulationBuilder b = sim::SimulationBuilder::scenario("highway");
-  b.policy("scc:intervals=1,interval-s=86400");
-  const sim::Metrics m = b.run();
+  const sim::Metrics m = sim::runSimulation(
+      sim::ScenarioCatalog::builtins().at("highway").config,
+      cellular::PolicyRuntime::defaultRuntime().makeFactory(
+          "scc:intervals=1,interval-s=86400"));
   EXPECT_EQ(m.policy_warnings, 1);
   EXPECT_NE(m.toJson().find("\"policy_warnings\": 1"), std::string::npos);
 }

@@ -40,7 +40,7 @@
 #include "cellular/policy_registry.hpp"
 #include "serve/mutation.hpp"
 #include "sim/reservation.hpp"
-#include "sim/scenario_catalog.hpp"
+#include "run_policy.hpp"
 #include "sim/simulator.hpp"
 
 namespace facs::sim {
@@ -130,19 +130,19 @@ TEST(CommitGroups, GroupsOneIsBitIdenticalAcrossShardCounts) {
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 1;
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics serial = runPolicy(cfg, "guard:8");
   EXPECT_EQ(serial.commit_groups, 1);
   EXPECT_EQ(serial.reservations_posted, 0u);
   for (const int shards : {4}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+    const Metrics m = runPolicy(cfg, "guard:8");
     expectBitIdentical(serial, m,
                        "groups=1 shards=" + std::to_string(shards));
   }
   // Not setting commit_groups at all IS groups=1 — the default engine.
   SimulationConfig untouched = contestedConfig();
   untouched.shards = 4;
-  const Metrics d = SimulationBuilder{untouched}.policy("guard:8").run();
+  const Metrics d = runPolicy(untouched, "guard:8");
   expectBitIdentical(serial, d, "default config vs explicit groups=1");
 }
 
@@ -152,13 +152,13 @@ TEST(CommitGroups, GroupedRunsAreShardInvariantAndSeedStable) {
       SimulationConfig cfg = contestedConfig();
       cfg.commit_groups = groups;
       cfg.shards = 1;
-      const Metrics first = SimulationBuilder{cfg}.policy(policy).run();
+      const Metrics first = runPolicy(cfg, policy);
       EXPECT_EQ(first.commit_groups, groups) << policy;
       // 3 does not divide the group count and 8 exceeds it: workers that
       // own two groups, and workers that own none.
       for (const int shards : {2, 3, 4, 8}) {
         cfg.shards = shards;
-        const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
+        const Metrics m = runPolicy(cfg, policy);
         expectBitIdentical(first, m,
                            std::string{policy} + " groups=" +
                                std::to_string(groups) + " shards=" +
@@ -166,7 +166,7 @@ TEST(CommitGroups, GroupedRunsAreShardInvariantAndSeedStable) {
       }
       // Seed stability: a second identical run reproduces the bits.
       cfg.shards = 1;
-      const Metrics again = SimulationBuilder{cfg}.policy(policy).run();
+      const Metrics again = runPolicy(cfg, policy);
       expectBitIdentical(first, again,
                          std::string{policy} + " repeated groups=" +
                              std::to_string(groups));
@@ -182,7 +182,7 @@ TEST(CommitGroups, CrossGroupHandoffsFlowThroughReservations) {
   SimulationConfig cfg = contestedConfig();
   cfg.warmup_s = 0.0;  // counters and reservation gates see everything
   cfg.commit_groups = 7;
-  const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics m = runPolicy(cfg, "guard:8");
   EXPECT_EQ(m.commit_groups, 7);
   ASSERT_GT(m.handoff_requests, 0);
   EXPECT_GT(m.reservations_posted, 0u);
@@ -205,18 +205,18 @@ TEST(CommitGroups, ContendedLastUnitsResolveDeterministically) {
   cfg.commit_groups = 7;
   cfg.scenario.mix = cellular::TrafficMix{0.0, 1.0, 0.0};  // 5 BU voice
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("cs").run();
+  const Metrics first = runPolicy(cfg, "cs");
   ASSERT_GT(first.reservations_posted, 0u);
   ASSERT_GT(first.reservations_dropped, 0u)
       << "scenario too roomy to contend the last units";
   for (const int shards : {2, 4}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("cs").run();
+    const Metrics m = runPolicy(cfg, "cs");
     expectBitIdentical(first, m,
                        "contended shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("cs").run();
+  const Metrics again = runPolicy(cfg, "cs");
   expectBitIdentical(first, again, "contended repeat");
 }
 
@@ -228,7 +228,7 @@ TEST(CommitGroups, GroupedRsvRunsEveryLaneAndBalancesItsBooks) {
   SimulationConfig cfg = contestedConfig();
   cfg.warmup_s = 0.0;
   cfg.commit_groups = 4;
-  const Metrics m = SimulationBuilder{cfg}.policy("rsv").run();
+  const Metrics m = runPolicy(cfg, "rsv");
   EXPECT_EQ(m.commit_groups, 4);
   EXPECT_GT(m.reservations_posted, 0u);
   EXPECT_GT(m.new_accepted, 0);
@@ -278,8 +278,7 @@ TEST(CommitGroups, PolicyBarrierRunsAtEveryGroupCount) {
         });
     SimulationConfig cfg = contestedConfig();
     cfg.commit_groups = groups;
-    const Metrics m =
-        SimulationBuilder{cfg}.runtime(runtime).policy("barrier-count").run();
+    const Metrics m = runPolicy(cfg, "barrier-count", runtime);
     EXPECT_EQ(m.commit_groups, groups);
     EXPECT_GT(barriers, 1) << "groups " << groups;
   }
@@ -297,18 +296,18 @@ TEST(GroupLocalScc, CommitsFromAllLanesAndStaysDeterministic) {
     SimulationConfig cfg = contestedConfig();
     cfg.commit_groups = groups;
     cfg.shards = 1;
-    const Metrics first = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+    const Metrics first = runPolicy(cfg, "scc:reach=2");
     EXPECT_EQ(first.commit_groups, groups);
     EXPECT_GT(first.demand_deltas, 0u)
         << "a reach-2 footprint on a 7-cell disk must cross group borders";
     for (const int shards : {2, 4}) {
       cfg.shards = shards;
-      const Metrics m = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+      const Metrics m = runPolicy(cfg, "scc:reach=2");
       expectBitIdentical(first, m, "scc groups=" + std::to_string(groups) +
                                        " shards=" + std::to_string(shards));
     }
     cfg.shards = 1;
-    const Metrics again = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+    const Metrics again = runPolicy(cfg, "scc:reach=2");
     expectBitIdentical(first, again,
                        "scc repeated groups=" + std::to_string(groups));
   }
@@ -321,13 +320,13 @@ TEST(GroupLocalScc, GroupsOneDefersNothing) {
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 1;
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+  const Metrics serial = runPolicy(cfg, "scc:reach=2");
   EXPECT_EQ(serial.commit_groups, 1);
   EXPECT_EQ(serial.reservations_posted, 0u);
   EXPECT_EQ(serial.demand_deltas, 0u);
   EXPECT_EQ(serial.shadow_migrations, 0u);
   cfg.shards = 4;
-  const Metrics sharded = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+  const Metrics sharded = runPolicy(cfg, "scc:reach=2");
   expectBitIdentical(serial, sharded, "scc:reach=2 groups=1 shards=4");
 }
 
@@ -343,7 +342,7 @@ TEST(GroupLocalScc, ContendedCrossGroupClaimsResolveDeterministically) {
   cfg.commit_groups = 7;
   cfg.scenario.mix = cellular::TrafficMix{0.0, 1.0, 0.0};  // 5 BU voice
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("scc:reach=1").run();
+  const Metrics first = runPolicy(cfg, "scc:reach=1");
   EXPECT_EQ(first.commit_groups, 7);
   ASSERT_GT(first.reservations_posted, 0u);
   ASSERT_GT(first.demand_deltas, 0u);
@@ -351,12 +350,12 @@ TEST(GroupLocalScc, ContendedCrossGroupClaimsResolveDeterministically) {
             first.reservations_admitted + first.reservations_dropped);
   for (const int shards : {2, 4}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("scc:reach=1").run();
+    const Metrics m = runPolicy(cfg, "scc:reach=1");
     expectBitIdentical(first, m,
                        "scc contended shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("scc:reach=1").run();
+  const Metrics again = runPolicy(cfg, "scc:reach=1");
   expectBitIdentical(first, again, "scc contended repeat");
 }
 
@@ -383,7 +382,7 @@ TEST(GroupLocalScc, SurvivesAMigratingHotspotRepartition) {
   cfg.mutations.push_back(cool);
   cfg.mutations.push_back(heat);
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+  const Metrics first = runPolicy(cfg, "scc:reach=2");
   EXPECT_EQ(first.commit_groups, 4);
   EXPECT_GT(first.repartitions, 0)
       << "a migrating hotspot must trigger at least one boundary re-draw";
@@ -395,12 +394,12 @@ TEST(GroupLocalScc, SurvivesAMigratingHotspotRepartition) {
             first.handoff_accepted + first.handoff_dropped);
   for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+    const Metrics m = runPolicy(cfg, "scc:reach=2");
     expectBitIdentical(first, m,
                        "scc migrating shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("scc:reach=2").run();
+  const Metrics again = runPolicy(cfg, "scc:reach=2");
   expectBitIdentical(first, again, "scc migrating repeat");
 }
 
@@ -414,11 +413,11 @@ TEST(GroupLocalScc, RepartitionHysteresisSkipsLowGainEpochs) {
   cfg.partition = PartitionStrategy::Weighted;
   cfg.repartition_every_s = 40.0;
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics first = runPolicy(cfg, "guard:8");
   EXPECT_GT(first.repartitions_skipped, 0)
       << "a steady hotspot must not clear the hysteresis bar every epoch";
   cfg.shards = 4;
-  const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics m = runPolicy(cfg, "guard:8");
   expectBitIdentical(first, m, "hysteresis shards=4");
 }
 
@@ -434,19 +433,19 @@ TEST(GroupLocalSir, CommitsFromAllLanesAndStaysDeterministic) {
     SimulationConfig cfg = contestedConfig();
     cfg.commit_groups = groups;
     cfg.shards = 1;
-    const Metrics first = SimulationBuilder{cfg}.policy("sir").run();
+    const Metrics first = runPolicy(cfg, "sir");
     EXPECT_EQ(first.commit_groups, groups);
     EXPECT_GT(first.demand_deltas, 0u)
         << "utilizations move every window: the snapshot refresh must "
            "report changed cells";
     for (const int shards : {2, 4}) {
       cfg.shards = shards;
-      const Metrics m = SimulationBuilder{cfg}.policy("sir").run();
+      const Metrics m = runPolicy(cfg, "sir");
       expectBitIdentical(first, m, "sir groups=" + std::to_string(groups) +
                                        " shards=" + std::to_string(shards));
     }
     cfg.shards = 1;
-    const Metrics again = SimulationBuilder{cfg}.policy("sir").run();
+    const Metrics again = runPolicy(cfg, "sir");
     expectBitIdentical(first, again,
                        "sir repeated groups=" + std::to_string(groups));
   }
@@ -461,17 +460,17 @@ TEST(GroupLocalSir, ExactSirAndUnboundedSccKeepEveryLane) {
     SimulationConfig cfg = contestedConfig();
     cfg.commit_groups = 4;
     cfg.shards = 1;
-    const Metrics first = SimulationBuilder{cfg}.policy(policy).run();
+    const Metrics first = runPolicy(cfg, policy);
     EXPECT_EQ(first.commit_groups, 4) << policy;
     EXPECT_GT(first.demand_deltas, 0u) << policy;
     for (const int shards : {3, 4, 8}) {
       cfg.shards = shards;
-      const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
+      const Metrics m = runPolicy(cfg, policy);
       expectBitIdentical(first, m, std::string{policy} + " groups=4 shards=" +
                                        std::to_string(shards));
     }
     cfg.shards = 1;
-    const Metrics again = SimulationBuilder{cfg}.policy(policy).run();
+    const Metrics again = runPolicy(cfg, policy);
     expectBitIdentical(first, again, std::string{policy} + " repeat");
   }
 }
@@ -483,12 +482,12 @@ TEST(GroupLocalSir, GroupsOneReadsEverythingLive) {
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 1;
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("sir").run();
+  const Metrics serial = runPolicy(cfg, "sir");
   EXPECT_EQ(serial.commit_groups, 1);
   EXPECT_EQ(serial.demand_deltas, 0u);
   EXPECT_EQ(serial.reservations_posted, 0u);
   cfg.shards = 4;
-  const Metrics sharded = SimulationBuilder{cfg}.policy("sir").run();
+  const Metrics sharded = runPolicy(cfg, "sir");
   expectBitIdentical(serial, sharded, "sir groups=1 shards=4");
 }
 
@@ -518,7 +517,7 @@ TEST_P(MigratingHotspot, SurvivesTheRepartitions) {
   cfg.mutations.push_back(cool);
   cfg.mutations.push_back(heat);
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy(policy).run();
+  const Metrics first = runPolicy(cfg, policy);
   EXPECT_EQ(first.commit_groups, 4);
   EXPECT_GT(first.repartitions, 0)
       << "a migrating hotspot must trigger at least one boundary re-draw";
@@ -530,12 +529,12 @@ TEST_P(MigratingHotspot, SurvivesTheRepartitions) {
             first.handoff_accepted + first.handoff_dropped);
   for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
+    const Metrics m = runPolicy(cfg, policy);
     expectBitIdentical(first, m,
                        policy + " migrating shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy(policy).run();
+  const Metrics again = runPolicy(cfg, policy);
   expectBitIdentical(first, again, policy + " migrating repeat");
 }
 
@@ -547,28 +546,28 @@ TEST(CommitGroups, GroupCountClampsToCellCount) {
   // the effective count, and the result is exactly the 7-lane run.
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 64;
-  const Metrics wide = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics wide = runPolicy(cfg, "guard:8");
   EXPECT_EQ(wide.commit_groups, 7);
   cfg.commit_groups = 7;
-  const Metrics exact = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics exact = runPolicy(cfg, "guard:8");
   expectBitIdentical(exact, wide, "groups=64 over 7 cells");
 }
 
-TEST(CommitGroups, ConfigValidatesAndBuilderSurfacesTheKnob) {
+TEST(CommitGroups, ConfigValidatesTheKnob) {
   SimulationConfig cfg;
   cfg.commit_groups = 0;
   EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
   cfg.commit_groups = kMaxShards + 1;
   EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
-  const SimulationConfig built = SimulationBuilder{}.commitGroups(6).build();
-  EXPECT_EQ(built.commit_groups, 6);
+  cfg.commit_groups = 6;
+  EXPECT_NO_THROW(validateConfig(cfg));
 }
 
 TEST(CommitGroups, MetricsJsonCarriesTheGroupFields) {
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 7;
   cfg.warmup_s = 0.0;
-  const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics m = runPolicy(cfg, "guard:8");
   const std::string json = m.toJson();
   EXPECT_NE(json.find("\"commit_groups\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"reservations_posted\": "), std::string::npos);
@@ -634,17 +633,17 @@ TEST(WeightedPartition, EngineRunsAreShardInvariantAndSeedStable) {
   cfg.partition = PartitionStrategy::Weighted;
   cfg.repartition_every_s = 60.0;
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics first = runPolicy(cfg, "guard:8");
   EXPECT_EQ(first.commit_groups, 4);
   ASSERT_EQ(first.lane_events.size(), 4u);
   for (const int shards : {2, 4}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+    const Metrics m = runPolicy(cfg, "guard:8");
     expectBitIdentical(first, m,
                        "weighted shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics again = runPolicy(cfg, "guard:8");
   expectBitIdentical(first, again, "weighted repeat");
 }
 
@@ -656,9 +655,9 @@ TEST(WeightedPartition, FlattensTheHotspotLaneSplit) {
   SimulationConfig cfg = hotspotConfig();
   cfg.commit_groups = 4;
   cfg.partition = PartitionStrategy::Contiguous;
-  const Metrics contiguous = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics contiguous = runPolicy(cfg, "guard:8");
   cfg.partition = PartitionStrategy::Weighted;
-  const Metrics weighted = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics weighted = runPolicy(cfg, "guard:8");
   ASSERT_EQ(contiguous.lane_events.size(), 4u);
   ASSERT_EQ(weighted.lane_events.size(), 4u);
   const double before = eventImbalance(contiguous);
@@ -692,7 +691,7 @@ TEST(WeightedPartition, EpochRepartitioningFollowsAMigratingHotspot) {
   cfg.mutations.push_back(cool);
   cfg.mutations.push_back(heat);
   cfg.shards = 1;
-  const Metrics first = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics first = runPolicy(cfg, "guard:8");
   EXPECT_GT(first.repartitions, 0)
       << "a migrating hotspot must trigger at least one boundary re-draw";
   EXPECT_EQ(first.mutations_applied, 2);
@@ -704,12 +703,12 @@ TEST(WeightedPartition, EpochRepartitioningFollowsAMigratingHotspot) {
             first.handoff_accepted + first.handoff_dropped);
   for (const int shards : {2, 3, 4, 8}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+    const Metrics m = runPolicy(cfg, "guard:8");
     expectBitIdentical(first, m,
                        "migrating shards=" + std::to_string(shards));
   }
   cfg.shards = 1;
-  const Metrics again = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics again = runPolicy(cfg, "guard:8");
   expectBitIdentical(first, again, "migrating repeat");
 }
 
@@ -720,7 +719,7 @@ TEST(WeightedPartition, LaneEventsCoverTheCommittedStream) {
   SimulationConfig cfg = hotspotConfig();
   cfg.commit_groups = 4;
   cfg.partition = PartitionStrategy::Weighted;
-  const Metrics m = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics m = runPolicy(cfg, "guard:8");
   ASSERT_EQ(m.lane_events.size(), 4u);
   for (std::size_t g = 0; g < m.lane_events.size(); ++g) {
     EXPECT_GT(m.lane_events[g], 0u) << "idle lane " << g;
@@ -744,13 +743,6 @@ TEST(WeightedPartition, ConfigValidatesTheNewKnobs) {
   EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
   cfg.partition = PartitionStrategy::Weighted;
   EXPECT_NO_THROW(validateConfig(cfg));
-  const SimulationConfig built = SimulationBuilder{}
-                                     .commitGroups(4)
-                                     .partition(PartitionStrategy::Weighted)
-                                     .repartitionEvery(30.0)
-                                     .build();
-  EXPECT_EQ(built.partition, PartitionStrategy::Weighted);
-  EXPECT_EQ(built.repartition_every_s, 30.0);
 }
 
 // ------------------------------------------------------------ reservations

@@ -33,25 +33,6 @@ TEST(ErlangB, MonotoneInServersAndLoad) {
   }
 }
 
-TEST(DimensionServers, InvertsErlangB) {
-  const int c = dimensionServers(30.0, 0.02);
-  EXPECT_LE(erlangB(c, 30.0), 0.02);
-  EXPECT_GT(erlangB(c - 1, 30.0), 0.02);
-  EXPECT_EQ(dimensionServers(0.0, 0.5), 0);
-  EXPECT_THROW((void)dimensionServers(1.0, 1.0), std::invalid_argument);
-}
-
-TEST(ErlangC, KnownValuesAndValidation) {
-  // M/M/c queueing probability exceeds the loss probability.
-  EXPECT_GT(erlangC(10, 7.0), erlangB(10, 7.0));
-  EXPECT_NEAR(erlangC(1, 0.5), 0.5, 1e-12);  // M/M/1: P(wait) = rho
-  EXPECT_THROW((void)erlangC(5, 5.0), std::invalid_argument);
-  EXPECT_THROW((void)erlangC(0, 0.5), std::invalid_argument);
-}
-
-/// Simulator validation: single-class Poisson traffic under Complete
-/// Sharing is an M/M/c/c system, so the measured blocking must converge to
-/// Erlang B. This pins the whole arrival/holding/ledger pipeline to theory.
 TEST(SimulatorValidation, ConvergesToErlangB) {
   SimulationConfig cfg;
   cfg.capacity_bu = 10;       // c = 10 servers (1 BU calls)

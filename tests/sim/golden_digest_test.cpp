@@ -24,6 +24,7 @@
 #include <string_view>
 
 #include "cellular/policy_registry.hpp"
+#include "run_policy.hpp"
 #include "serve/service.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_catalog.hpp"
@@ -78,13 +79,14 @@ constexpr GoldenCase kCases[] = {
 };
 
 [[nodiscard]] std::uint64_t digestOf(const GoldenCase& c, bool grouped) {
-  SimulationBuilder b = SimulationBuilder::scenario(c.scenario);
-  b.policy(c.policy);
+  SimulationConfig cfg = ScenarioCatalog::builtins().at(c.scenario).config;
   if (grouped) {
-    b.shards(4).commitGroups(4).partition(PartitionStrategy::Weighted)
-        .repartitionEvery(60.0);
+    cfg.shards = 4;
+    cfg.commit_groups = 4;
+    cfg.partition = PartitionStrategy::Weighted;
+    cfg.repartition_every_s = 60.0;
   }
-  return fnv1a(b.run().toJson());
+  return fnv1a(runPolicy(cfg, c.policy).toJson());
 }
 
 TEST(GoldenDigests, BuiltinScenariosAtOneGroup) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cellular/policy_registry.hpp"
+#include "run_policy.hpp"
 
 namespace facs::sim {
 namespace {
@@ -40,68 +41,24 @@ TEST(ScenarioCatalog, PaperScenarioMatchesPaperDefaults) {
 
 TEST(ScenarioCatalog, UnknownScenarioThrows) {
   EXPECT_THROW((void)ScenarioCatalog::builtins().at("mars-base"), ScenarioError);
-  EXPECT_THROW((void)SimulationBuilder::scenario("mars-base"), ScenarioError);
 }
 
-TEST(SimulationBuilder, OverridesComposeOnScenarioBase) {
-  const SimulationConfig cfg = SimulationBuilder::scenario("highway")
-                                   .requests(42)
-                                   .seed(9)
-                                   .capacityBu(64)
-                                   .speedKmh(80.0, 90.0)
-                                   .trackingWindow(5.0)
-                                   .gpsErrorM(25.0)
-                                   .build();
-  // Overrides applied...
-  EXPECT_EQ(cfg.total_requests, 42);
-  EXPECT_EQ(cfg.seed, 9u);
-  EXPECT_EQ(cfg.capacity_bu, 64);
-  EXPECT_DOUBLE_EQ(cfg.scenario.speed_min_kmh, 80.0);
-  EXPECT_DOUBLE_EQ(cfg.scenario.tracking_window_s, 5.0);
-  ASSERT_TRUE(cfg.scenario.gps_error_m.has_value());
-  EXPECT_DOUBLE_EQ(*cfg.scenario.gps_error_m, 25.0);
-  // ...while the scenario base shows through everywhere else.
-  EXPECT_EQ(cfg.rings, 1);
-  EXPECT_TRUE(cfg.enable_handoffs);
-  EXPECT_DOUBLE_EQ(cfg.cell_radius_km, 2.0);
+/// The paper's single cell with tracking off: a run of a few ms.
+SimulationConfig quickConfig(int requests) {
+  SimulationConfig cfg;
+  cfg.total_requests = requests;
+  cfg.scenario.tracking_window_s = 0.0;
+  cfg.scenario.gps_error_m.reset();
+  return cfg;
 }
 
-TEST(SimulationBuilder, BuildValidates) {
-  EXPECT_THROW((void)SimulationBuilder{}.requests(-1).build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)SimulationBuilder{}.arrivalWindow(0.0).build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)SimulationBuilder{}.trackingWindow(-1.0).build(),
-               std::invalid_argument);
-}
-
-TEST(SimulationBuilder, PolicySpecValidatedEagerly) {
-  EXPECT_THROW((void)SimulationBuilder{}.policy("nope"),
-               cellular::PolicySpecError);
-  EXPECT_THROW((void)SimulationBuilder{}.policy("guard:-3"),
-               cellular::PolicySpecError);
-  EXPECT_NO_THROW((void)SimulationBuilder{}.policy("guard:8"));
-}
-
-TEST(SimulationBuilder, RunExecutesTheComposedSimulation) {
-  const Metrics m = SimulationBuilder{}
-                        .requests(30)
-                        .trackingWindow(0.0)
-                        .noGps()
-                        .seed(3)
-                        .policy("cs")
-                        .run();
-  EXPECT_EQ(m.new_requests, 30);
-}
-
-TEST(SimulationBuilder, RunIsDeterministicPerSeed) {
+TEST(ScenarioRun, RunIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
-    return SimulationBuilder::scenario("urban-walkers")
-        .requests(40)
-        .seed(seed)
-        .policy("facs")
-        .run()
-        .percentAccepted();
+    SimulationConfig cfg =
+        ScenarioCatalog::builtins().at("urban-walkers").config;
+    cfg.total_requests = 40;
+    cfg.seed = seed;
+    return runPolicy(cfg, "facs").percentAccepted();
   };
   EXPECT_DOUBLE_EQ(run(5), run(5));
 }
@@ -119,45 +76,28 @@ TEST(ScenarioCatalog, AddExtendsOnlyThisInstance) {
   EXPECT_THROW(mine.add(spec), ScenarioError);  // unnamed
 }
 
-TEST(SimulationBuilder, SpecConstructorAdoptsThePolicy) {
-  ScenarioSpec spec = ScenarioCatalog::builtins().at("paper-single-cell");
-  spec.policy = "guard:8";
-  const SimulationBuilder builder{spec};
-  EXPECT_EQ(builder.policySpec(), "guard:8");
-  // .policy() still overrides the scenario default.
-  EXPECT_EQ(SimulationBuilder{spec}.policy("cs").policySpec(), "cs");
-}
-
-TEST(SimulationBuilder, CustomRuntimeResolvesExternalPolicies) {
+TEST(ScenarioRun, CustomRuntimeResolvesExternalPolicies) {
   cellular::PolicyRuntime extended;
   extended.registerExternal(
-      {"builder-plugin", "test stub", "builder-plugin"},
+      {"plugin-stub", "test stub", "plugin-stub"},
       [](const cellular::PolicySpec&) -> ControllerFactory {
         return cellular::PolicyRuntime::defaultRuntime().makeFactory("cs");
       });
-  const Metrics m = SimulationBuilder{}
-                        .runtime(extended)
-                        .requests(10)
-                        .trackingWindow(0.0)
-                        .noGps()
-                        .policy("builder-plugin")
-                        .run();
+  const Metrics m = runPolicy(quickConfig(10), "plugin-stub", extended);
   EXPECT_EQ(m.new_requests, 10);
   // Without the runtime, the spec is unknown — no bleed into the default.
-  EXPECT_THROW((void)SimulationBuilder{}.policy("builder-plugin"),
-               cellular::PolicySpecError);
+  EXPECT_THROW(
+      (void)cellular::PolicyRuntime::defaultRuntime().makeFactory(
+          "plugin-stub"),
+      cellular::PolicySpecError);
 }
 
-TEST(SimulationBuilder, ExplainTogglesRationalesWithoutChangingDecisions) {
+TEST(ScenarioRun, ExplainTogglesRationalesWithoutChangingDecisions) {
   const auto run = [](bool explain) {
-    return SimulationBuilder{}
-        .requests(30)
-        .trackingWindow(0.0)
-        .noGps()
-        .seed(11)
-        .explain(explain)
-        .policy("facs")
-        .run();
+    SimulationConfig cfg = quickConfig(30);
+    cfg.seed = 11;
+    cfg.explain = explain;
+    return runPolicy(cfg, "facs");
   };
   const Metrics quiet = run(false);
   const Metrics verbose = run(true);
@@ -168,49 +108,33 @@ TEST(SimulationBuilder, ExplainTogglesRationalesWithoutChangingDecisions) {
   EXPECT_EQ(verbose.truncated_rationales, 0);
 }
 
-TEST(SimulationBuilder, CellCapacityOverridesValidateAndApply) {
+TEST(ScenarioRun, CellCapacityOverridesValidateAndApply) {
   // cell 0 starved to 5 BU: the run sees the reduced total capacity.
-  const Metrics m = SimulationBuilder{}
-                        .requests(20)
-                        .trackingWindow(0.0)
-                        .noGps()
-                        .cellCapacityBu(0, 5)
-                        .policy("cs")
-                        .run();
+  SimulationConfig cfg = quickConfig(20);
+  cfg.cell_overrides.push_back(CellOverride{0, 5, {}, {}});
+  const Metrics m = runPolicy(cfg, "cs");
   EXPECT_EQ(m.total_capacity_bu, 5);
-  // Out-of-disk and non-positive overrides fail at build() time.
-  EXPECT_THROW((void)SimulationBuilder{}.cellCapacityBu(7, 5).build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)SimulationBuilder{}.cellCapacityBu(0, 0).build(),
-               std::invalid_argument);
-  // Repeating a setter updates the cell's single override entry (last
-  // wins), so capacity/arrival/mix setters for one cell always compose
-  // into the one-entry-per-cell shape validateConfig() demands.
-  const SimulationConfig merged = SimulationBuilder{}
-                                      .cellCapacityBu(0, 5)
-                                      .cellCapacityBu(0, 9)
-                                      .cellArrivalScale(0, 2.0)
-                                      .build();
-  ASSERT_EQ(merged.cell_overrides.size(), 1u);
-  EXPECT_EQ(merged.cell_overrides[0].capacity_bu, 9);
-  EXPECT_EQ(merged.cell_overrides[0].arrival_scale, 2.0);
+  // Out-of-disk and non-positive overrides fail validation.
+  cfg.cell_overrides = {CellOverride{7, 5, {}, {}}};
+  EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
+  cfg.cell_overrides = {CellOverride{0, 0, {}, {}}};
+  EXPECT_THROW(validateConfig(cfg), std::invalid_argument);
 }
 
-TEST(SimulationBuilder, CatalogEntriesRunUnderEveryPolicy) {
+TEST(ScenarioRun, CatalogEntriesRunUnderEveryPolicy) {
   // Smoke: the whole catalog x a few registry specs. Scale the heavier
   // scenarios down so this stays a unit test.
   for (const std::string& scenario : ScenarioCatalog::builtins().names()) {
+    SimulationConfig cfg = ScenarioCatalog::builtins().at(scenario).config;
+    cfg.total_requests = 20;
+    cfg.arrival_window_s = 120.0;
+    cfg.warmup_s = 0.0;
+    cfg.scenario.tracking_window_s = 0.0;
+    cfg.scenario.gps_error_m.reset();
+    cfg.seed = 1;
     for (const char* policy : {"facs", "cs", "guard:8"}) {
-      const Metrics m = SimulationBuilder::scenario(scenario)
-                            .requests(20)
-                            .arrivalWindow(120.0)
-                            .warmup(0.0)
-                            .trackingWindow(0.0)
-                            .noGps()
-                            .seed(1)
-                            .policy(policy)
-                            .run();
-      EXPECT_EQ(m.new_requests, 20) << scenario << "/" << policy;
+      EXPECT_EQ(runPolicy(cfg, policy).new_requests, 20)
+          << scenario << "/" << policy;
     }
   }
 }

@@ -381,13 +381,13 @@ TEST(ScenarioCatalogFiles, AddFileCataloguesAndRejectsDuplicates) {
   EXPECT_TRUE(catalog.contains("highway-prime"));
   EXPECT_FALSE(ScenarioCatalog::builtins().contains("highway-prime"));
 
-  // File-loaded entries drive the builder exactly like built-ins.
+  // File-loaded entries run exactly like built-ins.
+  SimulationConfig cfg = added.config;
+  cfg.total_requests = 25;
+  cfg.scenario.tracking_window_s = 0.0;
+  cfg.scenario.gps_error_m.reset();
   const Metrics from_catalog =
-      SimulationBuilder::scenario("highway-prime", catalog)
-          .requests(25)
-          .trackingWindow(0.0)
-          .noGps()
-          .run();
+      runSimulation(cfg, runtime().makeFactory(added.policy));
   EXPECT_EQ(from_catalog.new_requests, 25);
 }
 

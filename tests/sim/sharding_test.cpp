@@ -16,6 +16,7 @@
 
 #include "cellular/policy_registry.hpp"
 #include "core/facs.hpp"
+#include "run_policy.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "sim/simulator.hpp"
 
@@ -66,12 +67,12 @@ void expectBitIdentical(const Metrics& a, const Metrics& b,
 TEST(ShardedEngine, BitIdenticalAcrossShardCountsFacs) {
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics serial = runPolicy(cfg, "facs");
   ASSERT_GT(serial.handoff_requests, 0);  // the scenario must exercise shards
   ASSERT_GT(serial.engine_events, 0u);
   for (const int shards : {2, 4}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("facs").run();
+    const Metrics m = runPolicy(cfg, "facs");
     expectBitIdentical(serial, m, "facs shards=" + std::to_string(shards));
   }
 }
@@ -81,10 +82,10 @@ TEST(ShardedEngine, BitIdenticalAcrossShardCountsScc) {
   // accumulators), so any commit reordering would change decisions.
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("scc").run();
+  const Metrics serial = runPolicy(cfg, "scc");
   for (const int shards : {2, 4}) {
     cfg.shards = shards;
-    const Metrics m = SimulationBuilder{cfg}.policy("scc").run();
+    const Metrics m = runPolicy(cfg, "scc");
     expectBitIdentical(serial, m, "scc shards=" + std::to_string(shards));
   }
 }
@@ -92,8 +93,8 @@ TEST(ShardedEngine, BitIdenticalAcrossShardCountsScc) {
 TEST(ShardedEngine, RepeatedShardedRunsAreSeedStable) {
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 4;
-  const Metrics a = SimulationBuilder{cfg}.policy("facs").run();
-  const Metrics b = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics a = runPolicy(cfg, "facs");
+  const Metrics b = runPolicy(cfg, "facs");
   expectBitIdentical(a, b, "two shards=4 runs");
 }
 
@@ -101,9 +102,9 @@ TEST(ShardedEngine, MoreShardsThanCellsStillIdentical) {
   // Extra shards own no cells but still take part in per-call preparation.
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics serial = runPolicy(cfg, "guard:8");
   cfg.shards = 16;  // 7 cells only
-  const Metrics wide = SimulationBuilder{cfg}.policy("guard:8").run();
+  const Metrics wide = runPolicy(cfg, "guard:8");
   expectBitIdentical(serial, wide, "shards=16 over 7 cells");
 }
 
@@ -114,9 +115,9 @@ TEST(ShardedEngine, SingleCellRunsShardToo) {
   cfg.total_requests = 80;
   cfg.seed = 9;
   cfg.shards = 1;
-  const Metrics serial = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics serial = runPolicy(cfg, "facs");
   cfg.shards = 4;
-  const Metrics sharded = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics sharded = runPolicy(cfg, "facs");
   expectBitIdentical(serial, sharded, "single cell shards=4");
 }
 
@@ -167,10 +168,7 @@ const cellular::PolicyRuntime& inlineRuntime() {
 }
 
 Metrics runInlineFlc1(const SimulationConfig& cfg) {
-  return SimulationBuilder{cfg}
-      .runtime(inlineRuntime())
-      .policy("facs-inline")
-      .run();
+  return runPolicy(cfg, "facs-inline", inlineRuntime());
 }
 
 TEST(PrecomputeEquivalence, BitIdenticalOnVsOffAcrossShardCounts) {
@@ -183,7 +181,7 @@ TEST(PrecomputeEquivalence, BitIdenticalOnVsOffAcrossShardCounts) {
   ASSERT_GT(inline_flc1.handoff_requests, 0);
   for (const int shards : {1, 2, 4}) {
     cfg.shards = shards;
-    const Metrics hoisted = SimulationBuilder{cfg}.policy("facs").run();
+    const Metrics hoisted = runPolicy(cfg, "facs");
     expectBitIdentical(inline_flc1, hoisted,
                        "precompute on, shards=" + std::to_string(shards));
   }
@@ -205,7 +203,7 @@ TEST(PrecomputeEquivalence, MobilityInvalidatedCvRecomputesBeforeCommit) {
   ASSERT_GT(inline_flc1.handoff_requests, inline_flc1.new_requests / 2);
   for (const int shards : {1, 4}) {
     cfg.shards = shards;
-    const Metrics hoisted = SimulationBuilder{cfg}.policy("facs").run();
+    const Metrics hoisted = runPolicy(cfg, "facs");
     expectBitIdentical(inline_flc1, hoisted,
                        "handoff-heavy precompute, shards=" +
                            std::to_string(shards));
@@ -241,7 +239,7 @@ TEST(ShardedEngine, PhaseProfileIsPopulated) {
     cfg.shards = shards;
     cfg.commit_groups = groups;
     const auto t0 = std::chrono::steady_clock::now();
-    const Metrics m = SimulationBuilder{cfg}.policy("facs").run();
+    const Metrics m = runPolicy(cfg, "facs");
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -263,25 +261,22 @@ TEST(ShardedEngine, ShardCountIsValidated) {
   SimulationConfig cfg;
   cfg.total_requests = 1;
   cfg.shards = 0;
-  EXPECT_THROW((void)SimulationBuilder{cfg}.policy("cs").run(),
+  EXPECT_THROW((void)runPolicy(cfg, "cs"),
                std::invalid_argument);
   cfg.shards = -3;
-  EXPECT_THROW((void)SimulationBuilder{cfg}.policy("cs").run(),
+  EXPECT_THROW((void)runPolicy(cfg, "cs"),
                std::invalid_argument);
   cfg.shards = kMaxShards + 1;
-  EXPECT_THROW((void)SimulationBuilder{cfg}.policy("cs").run(),
+  EXPECT_THROW((void)runPolicy(cfg, "cs"),
                std::invalid_argument);
   cfg.shards = 1;
-  EXPECT_NO_THROW((void)SimulationBuilder{cfg}.policy("cs").run());
+  EXPECT_NO_THROW((void)runPolicy(cfg, "cs"));
 }
 
-TEST(ShardedEngine, BuilderSurfacesShards) {
-  const SimulationConfig cfg =
-      SimulationBuilder::scenario("stadium-burst").shards(2).build();
-  EXPECT_EQ(cfg.shards, 2);
-  // Catalog defaults show through when not overridden.
-  EXPECT_EQ(SimulationBuilder::scenario("stadium-burst").build().shards, 4);
-  EXPECT_EQ(SimulationBuilder::scenario("paper-single-cell").build().shards, 1);
+TEST(ShardedEngine, CatalogEntriesCarryTheirShardCount) {
+  const ScenarioCatalog& catalog = ScenarioCatalog::builtins();
+  EXPECT_EQ(catalog.at("stadium-burst").config.shards, 4);
+  EXPECT_EQ(catalog.at("paper-single-cell").config.shards, 1);
 }
 
 }  // namespace

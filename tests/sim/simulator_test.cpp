@@ -12,7 +12,7 @@
 #include "core/facs.hpp"
 #include "scc/shadow_cluster.hpp"
 #include "serve/mutation.hpp"
-#include "sim/scenario_catalog.hpp"
+#include "run_policy.hpp"
 
 namespace facs::sim {
 namespace {
@@ -66,6 +66,10 @@ TEST(Simulator, ValidatesConfig) {
                std::invalid_argument);
   bad = lightConfig(5);
   bad.arrival_window_s = 0.0;
+  EXPECT_THROW((void)runSimulation(bad, completeSharing()),
+               std::invalid_argument);
+  bad = lightConfig(5);
+  bad.scenario.tracking_window_s = -1.0;
   EXPECT_THROW((void)runSimulation(bad, completeSharing()),
                std::invalid_argument);
   bad = lightConfig(5);
@@ -470,7 +474,7 @@ TEST(EdgeConfig, ZeroTrackingWindowConservesRequestsAcrossGroups) {
   cfg.commit_groups = 4;
   for (const char* policy : {"facs", "sir", "scc"}) {
     cfg.shards = 1;
-    const Metrics m = SimulationBuilder{cfg}.policy(policy).run();
+    const Metrics m = runPolicy(cfg, policy);
     EXPECT_EQ(m.commit_groups, 4) << policy;
     EXPECT_EQ(m.new_requests, 150) << policy;
     EXPECT_EQ(m.new_requests, m.new_accepted + m.new_blocked) << policy;
@@ -478,7 +482,7 @@ TEST(EdgeConfig, ZeroTrackingWindowConservesRequestsAcrossGroups) {
     EXPECT_EQ(m.handoff_requests, m.handoff_accepted + m.handoff_dropped)
         << policy;
     cfg.shards = 3;
-    EXPECT_EQ(SimulationBuilder{cfg}.policy(policy).run().toJson(),
+    EXPECT_EQ(runPolicy(cfg, policy).toJson(),
               m.toJson())
         << policy << " shards 1 vs 3";
   }
