@@ -6,10 +6,6 @@
 namespace facs::cellular {
 
 double dbToLinear(double db) noexcept { return detmath::exp10(db / 10.0); }
-double linearToDb(double linear) noexcept {
-  return 10.0 * detmath::log10(linear);
-}
-double dbmToMw(double dbm) noexcept { return dbToLinear(dbm); }
 
 double pathLossDb(const PathLossParams& params, double d_km) {
   if (d_km < 0.0) {
@@ -40,11 +36,11 @@ void RadioModel::buildTables() {
   // PL(d) = PL0 + 10 n log10(d/d0)  =>  rx_dbm = tx - PL0 + 10 n log10(d0)
   // - 10 n log10(d), so in linear mW: rx = C * d^-n with the constant below.
   gain_const_mw_ =
-      dbmToMw(config_.tx_power_dbm - pl.reference_loss_db +
-              10.0 * pl.exponent * detmath::log10(pl.reference_distance_km));
+      dbToLinear(config_.tx_power_dbm - pl.reference_loss_db +
+                 10.0 * pl.exponent * detmath::log10(pl.reference_distance_km));
   neg_half_exponent_ = -0.5 * pl.exponent;
   min_distance_sq_ = pl.min_distance_km * pl.min_distance_km;
-  noise_mw_ = dbmToMw(config_.noise_floor_dbm);
+  noise_mw_ = dbToLinear(config_.noise_floor_dbm);
 
   const std::size_t cells = network_.cellCount();
   interferer_offsets_.assign(cells + 1, 0);

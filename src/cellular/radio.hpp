@@ -12,9 +12,9 @@
 /// only on its immutable RadioConfig at construction:
 ///
 ///  * **Gain constant.** The log-distance chain
-///    `dbmToMw(tx − PL0 − 10·n·log10(d/d0))` factors into `C · d^−n` with
-///    `C = dbmToMw(tx − PL0 + 10·n·log10(d0))` — one `pow` per interferer
-///    instead of a `log10` + `pow` round trip, and `d^−n = (d²)^(−n/2)`
+///    `dbToLinear(tx − PL0 − 10·n·log10(d/d0))` factors into `C · d^−n`
+///    with `C = dbToLinear(tx − PL0 + 10·n·log10(d0))` — one `pow` per
+///    interferer instead of a `log10` + `pow` round trip, and `d^−n = (d²)^(−n/2)`
 ///    drops the `hypot`/`sqrt` too. Tx power and path loss are network-wide
 ///    here (reuse-1, uniform sites), so C is a single scalar rather than
 ///    the per-cell table a heterogeneous deployment would need.
@@ -35,6 +35,12 @@
 #include "sim/detmath.hpp"
 
 namespace facs::cellular {
+
+/// dB <-> linear helpers (dBm <-> mW alike).
+[[nodiscard]] double dbToLinear(double db) noexcept;
+[[nodiscard]] inline double linearToDb(double linear) noexcept {
+  return 10.0 * detmath::log10(linear);
+}
 
 /// Log-distance path-loss model: PL(d) = PL0 + 10 n log10(d / d0), without
 /// shadowing. Defaults describe the rural/suburban macro deployment the
@@ -109,7 +115,7 @@ class RadioModel {
       interference_mw +=
           activity * gain_const_mw_ * detmath::pow(d2, neg_half_exponent_);
     }
-    return linearToDbFast(signal_mw / interference_mw);
+    return linearToDb(signal_mw / interference_mw);
   }
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
@@ -117,11 +123,6 @@ class RadioModel {
 
  private:
   [[nodiscard]] double linkPowerMw(Vec2 position, CellId cell) const;
-  /// linearToDb without the function-call indirection (kept private so the
-  /// public helper below stays the single documented entry point).
-  [[nodiscard]] static double linearToDbFast(double linear) noexcept {
-    return 10.0 * detmath::log10(linear);
-  }
   void buildTables();
 
   const HexNetwork& network_;
@@ -131,7 +132,7 @@ class RadioModel {
   double gain_const_mw_ = 0.0;      ///< C in power_mw = C * d^-n.
   double neg_half_exponent_ = 0.0;  ///< -n/2, for (d^2)^(-n/2).
   double min_distance_sq_ = 0.0;    ///< Clamp for the d -> 0 pole, squared.
-  double noise_mw_ = 0.0;           ///< dbmToMw(noise_floor_dbm).
+  double noise_mw_ = 0.0;           ///< dbToLinear(noise_floor_dbm).
 
   // Flat per-serving-cell interferer tables: for serving cell s, entries
   // [interferer_offsets_[s], interferer_offsets_[s+1]) of interferer_ids_
@@ -142,10 +143,5 @@ class RadioModel {
   std::vector<double> station_x_;
   std::vector<double> station_y_;
 };
-
-/// dB <-> linear helpers.
-[[nodiscard]] double dbToLinear(double db) noexcept;
-[[nodiscard]] double linearToDb(double linear) noexcept;
-[[nodiscard]] double dbmToMw(double dbm) noexcept;
 
 }  // namespace facs::cellular

@@ -80,7 +80,7 @@ MamdaniEngine buildFlc1(fuzzy::EngineConfig config) {
   for (const Frb1Row& row : frb1Table()) {
     engine.addRule({row.s, row.a, row.d}, row.cv);
   }
-  engine.seal();  // validate once; every inference skips the re-check
+  engine.seal();  // validate once; only sealed engines infer
   return engine;
 }
 

@@ -67,7 +67,7 @@ MamdaniEngine buildFlc2(fuzzy::EngineConfig config) {
   for (const Frb2Row& row : frb2Table()) {
     engine.addRule({row.cv, row.r, row.cs}, row.ar);
   }
-  engine.seal();  // validate once; every inference skips the re-check
+  engine.seal();  // validate once; only sealed engines infer
   return engine;
 }
 

@@ -393,36 +393,6 @@ void fillTrapezoidWeights(std::span<const double> x,
   }
 }
 
-double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
-                 Interval universe, int resolution, DefuzzScratch& scratch) {
-  if (resolution < 2) {
-    throw std::invalid_argument("defuzzification resolution must be >= 2");
-  }
-  if (!(universe.lo < universe.hi)) {
-    throw std::invalid_argument("defuzzification universe is empty");
-  }
-  const auto n = static_cast<std::size_t>(resolution);
-  scratch.x.resize(n);
-  scratch.mu.resize(n);
-  const double step = universe.width() / (resolution - 1);
-  for (int i = 0; i < resolution; ++i) {
-    const double x = universe.lo + step * i;
-    scratch.x[static_cast<std::size_t>(i)] = x;
-    scratch.mu[static_cast<std::size_t>(i)] = curve(x);
-  }
-  fillTrapezoidWeights(scratch.x, scratch.weights);
-  return dispatch(method, scratch.x, scratch.mu, scratch.weights,
-                  scratch.cumulative);
-}
-
-double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
-                 Interval universe, int resolution) {
-  // Shared per thread: repeated callable defuzzification (the unsealed
-  // engine path, tests, examples) stays allocation-free after warmup.
-  static thread_local DefuzzScratch scratch;
-  return defuzzify(method, curve, universe, resolution, scratch);
-}
-
 double defuzzifySampled(Defuzzifier method, std::span<const double> x,
                         std::span<const double> mu,
                         std::span<const double> half_dx,

@@ -2,7 +2,6 @@
 /// \file defuzzify.hpp
 /// Defuzzification of an aggregated output fuzzy set into a crisp value.
 
-#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -22,44 +21,22 @@ enum class Defuzzifier {
   LargestOfMax,   ///< Rightmost maximizing point.
 };
 
-/// A sampled view of the aggregated output membership curve.
-using AggregatedCurve = std::function<double(double)>;
-
-/// Reusable working buffers for the allocation-free defuzzification path.
-/// `x`/`mu`/`weights` hold the sampled curve when defuzzifying a callable;
-/// `cumulative` is the bisector's running-area buffer. One scratch serves
-/// any resolution (each call resizes to its own shape), so a warm scratch
-/// keeps repeated defuzzification free of heap traffic.
+/// Reusable working buffer of the bisector's running area. One scratch
+/// serves any resolution (each call resizes it), so a warm scratch keeps
+/// repeated defuzzification free of heap traffic.
 struct DefuzzScratch {
-  std::vector<double> x;
-  std::vector<double> mu;
-  std::vector<double> weights;
   std::vector<double> cumulative;
 };
 
-/// Defuzzifies \p curve over \p universe using \p resolution uniform samples.
-///
-/// If the curve is identically zero over the universe (no rule fired), the
-/// universe midpoint is returned — a neutral value by construction of the
-/// FACS output variables (A/R = 0 is "not reject, not accept").
-///
-/// \throws std::invalid_argument if resolution < 2 or the universe is empty.
-[[nodiscard]] double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
-                               Interval universe, int resolution = 1001);
-
-/// As above, reusing \p scratch for the sample buffers — allocation-free
-/// once the scratch has warmed up, and bit-identical to the plain overload
-/// (same grid, same arithmetic in the same order).
-[[nodiscard]] double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
-                               Interval universe, int resolution,
-                               DefuzzScratch& scratch);
-
-/// Defuzzifies an already-sampled curve: \p x is the sample grid, \p mu the
+/// Defuzzifies a sampled curve: \p x is the sample grid, \p mu the
 /// membership at each sample, \p half_dx the trapezoid weights
-/// (0.5 * (x[i+1] - x[i]) per segment, so |half_dx| == |x| - 1). This is
-/// the sealed-engine fast path — the grid and weights are precomputed once
-/// at seal() and every inference only fills \p mu. Bit-identical to
-/// sampling the equivalent callable at the same points.
+/// (0.5 * (x[i+1] - x[i]) per segment, so |half_dx| == |x| - 1). Sampling
+/// engines precompute the grid and weights once at seal() and every
+/// inference only fills \p mu.
+///
+/// If the curve is identically zero (no rule fired), the grid's midpoint is
+/// returned — a neutral value by construction of the FACS output variables
+/// (A/R = 0 is "not reject, not accept").
 ///
 /// \throws std::invalid_argument on mismatched spans or fewer than 2 samples.
 [[nodiscard]] double defuzzifySampled(Defuzzifier method,
@@ -119,8 +96,7 @@ class PiecewiseEnvelope {
 };
 
 /// Fills \p weights with the trapezoid integration weights of grid \p x:
-/// weights[i] = 0.5 * (x[i+1] - x[i]). The one formula both the sealed
-/// tables and the sampling path use, so their integrals share every bit.
+/// weights[i] = 0.5 * (x[i+1] - x[i]).
 void fillTrapezoidWeights(std::span<const double> x,
                           std::vector<double>& weights);
 

@@ -9,10 +9,10 @@ namespace facs::fuzzy {
 
 namespace {
 
-/// The aggregation inner loop of the sealed path, specialized per operator
+/// The aggregation inner loop of the sampled path, specialized per operator
 /// pair so the per-sample work is branch-light and autovectorizable. Each
 /// functor mirrors apply() in norms.cpp exactly — same primitive ops, so
-/// the specialized loops share every bit with the generic path.
+/// the specialized loops share every bit with apply().
 template <typename ImplOp, typename AggOp>
 void accumulateRow(double activation, const double* term_mu, double* mu,
                    std::size_t n, ImplOp impl, AggOp agg) {
@@ -157,15 +157,9 @@ void MamdaniEngine::checkValid() const {
   // FACS controllers assert completeness separately in their tests.
 }
 
-bool MamdaniEngine::piecewiseLinear() const {
-  if (config_.implication != TNorm::Minimum ||
-      config_.aggregation != SNorm::Maximum) {
-    return false;
-  }
-  const std::vector<Term>& terms = output().terms();
-  return std::all_of(terms.begin(), terms.end(), [](const Term& t) {
-    return !t.mf().vertices().empty();
-  });
+bool MamdaniEngine::piecewiseLinear() const noexcept {
+  return config_.implication == TNorm::Minimum &&
+         config_.aggregation == SNorm::Maximum;
 }
 
 void MamdaniEngine::seal() {
@@ -174,11 +168,9 @@ void MamdaniEngine::seal() {
   sealed_ = true;
   if (piecewise_) return;
 
-  // Precompute the defuzzification tables on the fixed sample grid. The
-  // grid formula is exactly the sampling loop in defuzzify(): x = lo +
-  // step * i with step = width / (resolution - 1) — a pure function of
-  // (universe, resolution) — so sealed lookups reproduce the unsealed
-  // path's samples bit for bit.
+  // Tabulate the output terms on the fixed sample grid x = lo + step * i,
+  // step = width / (resolution - 1): a pure function of (universe,
+  // resolution), so every inference folds the same samples.
   const LinguisticVariable& out = output();
   const Interval u = out.universe();
   const auto n = static_cast<std::size_t>(config_.resolution);
@@ -200,8 +192,17 @@ void MamdaniEngine::unseal() {
   tables_ = OutputTables{};
 }
 
-void MamdaniEngine::ensureValid() const {
-  if (!sealed_) checkValid();
+void MamdaniEngine::checkCall(std::span<const double> crisp_inputs) const {
+  if (!sealed_) {
+    throw std::logic_error("engine '" + name_ +
+                           "' is not sealed; call seal() before inference");
+  }
+  if (crisp_inputs.size() != inputs_.size()) {
+    std::ostringstream os;
+    os << "engine '" << name_ << "' expects " << inputs_.size()
+       << " inputs, got " << crisp_inputs.size();
+    throw std::invalid_argument(os.str());
+  }
 }
 
 void MamdaniEngine::fireInto(const std::vector<FuzzyVector>& fuzzified,
@@ -236,7 +237,7 @@ double MamdaniEngine::aggregateAndDefuzzify(
         apply(config_.aggregation, term_activation[t], strengths[i]);
   }
 
-  if (sealed_ ? piecewise_ : piecewiseLinear()) {
+  if (piecewise_) {
     PiecewiseEnvelope& envelope = scratch.piecewise;
     envelope.clear();
     for (std::size_t t = 0; t < term_activation.size(); ++t) {
@@ -246,38 +247,19 @@ double MamdaniEngine::aggregateAndDefuzzify(
     return envelope.defuzzify(config_.defuzzifier, out.universe());
   }
 
-  if (sealed_) {
-    // Sealed fast path: fold each active term's precomputed sample row into
-    // the aggregated curve. Term-outer / sample-inner reorders only the
-    // loop nest, not the arithmetic — per sample the same apply() chain
-    // runs in the same ascending-term order as the curve lambda below, so
-    // the result is bit-identical while the inner loop walks contiguous
-    // doubles.
-    const std::size_t n = tables_.x.size();
-    scratch.curve_mu.assign(n, 0.0);
-    for (std::size_t t = 0; t < term_activation.size(); ++t) {
-      if (term_activation[t] <= 0.0) continue;
-      accumulateTerm(config_.implication, config_.aggregation,
-                     term_activation[t], tables_.term_mu.data() + t * n,
-                     scratch.curve_mu.data(), n);
-    }
-    return defuzzifySampled(config_.defuzzifier, tables_.x, scratch.curve_mu,
-                            tables_.half_dx, scratch.defuzz);
+  // Fold each active term's sample row into the aggregated curve, in
+  // ascending term order per sample; the inner loop walks contiguous
+  // doubles.
+  const std::size_t n = tables_.x.size();
+  scratch.curve_mu.assign(n, 0.0);
+  for (std::size_t t = 0; t < term_activation.size(); ++t) {
+    if (term_activation[t] <= 0.0) continue;
+    accumulateTerm(config_.implication, config_.aggregation,
+                   term_activation[t], tables_.term_mu.data() + t * n,
+                   scratch.curve_mu.data(), n);
   }
-
-  const auto curve = [&](double x) {
-    double mu = 0.0;
-    for (std::size_t t = 0; t < term_activation.size(); ++t) {
-      if (term_activation[t] <= 0.0) continue;
-      const double clipped = apply(config_.implication, term_activation[t],
-                                   out.term(t).degree(x));
-      mu = apply(config_.aggregation, mu, clipped);
-    }
-    return mu;
-  };
-
-  return defuzzify(config_.defuzzifier, curve, out.universe(),
-                   config_.resolution, scratch.defuzz);
+  return defuzzifySampled(config_.defuzzifier, tables_.x, scratch.curve_mu,
+                          tables_.half_dx, scratch.defuzz);
 }
 
 double MamdaniEngine::infer(std::span<const double> crisp_inputs) const {
@@ -294,13 +276,7 @@ double MamdaniEngine::infer(std::span<const double> crisp_inputs,
 
 double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
                                 InferenceScratch& scratch) const {
-  ensureValid();
-  if (crisp_inputs.size() != inputs_.size()) {
-    std::ostringstream os;
-    os << "engine '" << name_ << "' expects " << inputs_.size()
-       << " inputs, got " << crisp_inputs.size();
-    throw std::invalid_argument(os.str());
-  }
+  checkCall(crisp_inputs);
 
   scratch.fuzzified.resize(inputs_.size());
   for (std::size_t v = 0; v < inputs_.size(); ++v) {
@@ -312,13 +288,7 @@ double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
 
 InferenceTrace MamdaniEngine::inferTraced(
     std::span<const double> crisp_inputs) const {
-  ensureValid();
-  if (crisp_inputs.size() != inputs_.size()) {
-    std::ostringstream os;
-    os << "engine '" << name_ << "' expects " << inputs_.size()
-       << " inputs, got " << crisp_inputs.size();
-    throw std::invalid_argument(os.str());
-  }
+  checkCall(crisp_inputs);
 
   InferenceTrace trace;
   trace.inputs.reserve(inputs_.size());

@@ -61,11 +61,9 @@ struct InferenceTrace {
 /// A complete single-output Mamdani controller.
 ///
 /// Construction order: add input variables, set the output variable, add
-/// rules, then call `seal()` once — it validates the structure and lets
-/// every subsequent inference skip the re-check (unsealed engines validate
-/// on each inference instead). The engine is immutable during inference and
-/// therefore safe to share across threads for concurrent `infer()` calls;
-/// seal before sharing.
+/// rules, then call `seal()` once — it validates the structure, and only a
+/// sealed engine infers. The engine is immutable during inference and
+/// therefore safe to share across threads for concurrent `infer()` calls.
 class MamdaniEngine {
  public:
   explicit MamdaniEngine(std::string name, EngineConfig config = {});
@@ -102,32 +100,27 @@ class MamdaniEngine {
   /// \throws std::logic_error describing the first defect found.
   void checkValid() const;
 
-  /// Validates once and caches the result: sealed engines skip the
-  /// per-inference checkValid() (an O(rules^2 + term-product) scan that
-  /// otherwise dominates small rule bases), and remember piecewiseLinear().
-  /// An engine that samples (piecewiseLinear() false) also gets its
-  /// OutputTables here, so its aggregated curve is flat loops over
-  /// contiguous doubles instead of a per-sample lambda with nested apply()
-  /// dispatch; the tables reproduce degree() bit-exactly. Either way sealed
-  /// inference is bit-identical to the unsealed path. Any mutation
-  /// (addInput, setOutput, addRule) unseals and drops the tables. Seal
-  /// before sharing the engine across threads; the sealed state is written
-  /// here only.
+  /// Validates once (checkValid(), an O(rules^2 + term-product) scan) and
+  /// makes the engine ready to infer: it remembers piecewiseLinear(), and an
+  /// engine that samples (piecewiseLinear() false) gets its OutputTables,
+  /// the output terms tabulated on the `resolution`-point grid. Any
+  /// mutation (addInput, setOutput, addRule) unseals and drops the tables.
+  /// The sealed state is written here only.
   /// \throws std::logic_error when the engine is structurally invalid.
   void seal();
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
 
   /// True when the aggregated output curve is piecewise linear — Min
-  /// implication, Max aggregation and every output term reporting its
-  /// vertices (Triangular, Trapezoidal) — so inference defuzzifies it in
-  /// closed form over its breakpoints (PiecewiseEnvelope) and ignores
-  /// `resolution`. Any other engine samples the curve on `resolution`
-  /// points: Prod or Lukasiewicz implication, probabilistic or bounded-sum
-  /// aggregation, or a smooth output term (shapes.hpp).
-  [[nodiscard]] bool piecewiseLinear() const;
+  /// implication and Max aggregation of the piecewise-linear terms — so
+  /// inference defuzzifies it in closed form over its breakpoints
+  /// (PiecewiseEnvelope) and ignores `resolution`. Any other engine (Prod
+  /// or Lukasiewicz implication, probabilistic or bounded-sum aggregation)
+  /// samples the curve on `resolution` points.
+  [[nodiscard]] bool piecewiseLinear() const noexcept;
 
   /// Runs one inference; \p crisp_inputs are clamped to each variable's
-  /// universe. \throws std::invalid_argument on arity mismatch.
+  /// universe. \throws std::logic_error when the engine is not sealed,
+  /// std::invalid_argument on arity mismatch.
   [[nodiscard]] double infer(std::span<const double> crisp_inputs) const;
 
   /// As infer(), reusing \p scratch for every intermediate buffer: no
@@ -150,27 +143,27 @@ class MamdaniEngine {
   /// Per-term aggregation of \p strengths into scratch.term_activation
   /// (resized and zeroed here) followed by defuzzification of the
   /// aggregated curve — the shared back half of every inference.
-  /// Piecewise-linear engines, sealed or not, run the closed-form kernel.
-  /// Sampling engines iterate the precomputed sample-grid tables when
-  /// sealed and evaluate the curve through the term objects otherwise; same
-  /// grid, same apply() order, so the two are bit-identical.
+  /// Piecewise-linear engines run the closed-form kernel; sampling engines
+  /// fold the sealed sample-grid tables.
   [[nodiscard]] double aggregateAndDefuzzify(
       const std::vector<double>& strengths, InferenceScratch& scratch) const;
 
-  /// checkValid() unless a prior seal() vouches for the current structure.
-  void ensureValid() const;
+  /// The entry check of every inference.
+  /// \throws std::logic_error when the engine is not sealed,
+  ///         std::invalid_argument when \p crisp_inputs has the wrong arity.
+  void checkCall(std::span<const double> crisp_inputs) const;
 
   /// Drops the cached validation and the precomputed tables — every
   /// mutating entry point funnels through here.
   void unseal();
 
-  /// Arity check + defuzzified output via the scratch buffers (shared core
+  /// Entry check + defuzzified output via the scratch buffers (shared core
   /// of both infer() overloads).
   [[nodiscard]] double inferInto(std::span<const double> crisp_inputs,
                                  InferenceScratch& scratch) const;
 
-  /// Precomputed sample-grid tables of a sealed engine that samples (empty
-  /// while unsealed and for piecewise-linear engines, which never sample).
+  /// Sample-grid tables of a sealed engine that samples (empty while
+  /// unsealed and for piecewise-linear engines, which never sample).
   /// The grid and weights depend only on (universe, resolution); term_mu is
   /// term-major — term t's row is [t * x.size(), (t+1) * x.size()) — so
   /// the aggregation inner loop walks contiguous doubles.

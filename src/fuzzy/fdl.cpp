@@ -7,8 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "fuzzy/shapes.hpp"
-
 namespace facs::fuzzy {
 
 FdlError::FdlError(int line, const std::string& message)
@@ -91,6 +89,8 @@ struct Builder {
   EngineConfig config;
   std::vector<LinguisticVariable> inputs;
   std::optional<LinguisticVariable> output;
+  std::vector<int> input_lines;  ///< Where each input was declared.
+  int output_line = 0;
   // Terms attach to the variable declared last.
   enum class Attach { None, Input, Output } attach = Attach::None;
   struct PendingRule {
@@ -124,23 +124,8 @@ void handleTerm(Builder& b, const std::vector<std::string>& tok, int line) {
       }
       mf = makeTrapezoid(parseNumber(tok[3], line), parseNumber(tok[4], line),
                          parseNumber(tok[5], line), parseNumber(tok[6], line));
-    } else if (shape == "gauss") {
-      if (tok.size() != 5) throw FdlError(line, "gauss needs: mean sigma");
-      mf = makeGaussian(parseNumber(tok[3], line), parseNumber(tok[4], line));
-    } else if (shape == "bell") {
-      if (tok.size() != 6) {
-        throw FdlError(line, "bell needs: center width slope");
-      }
-      mf = makeBell(parseNumber(tok[3], line), parseNumber(tok[4], line),
-                    parseNumber(tok[5], line));
-    } else if (shape == "sigmoid") {
-      if (tok.size() != 5) {
-        throw FdlError(line, "sigmoid needs: inflection slope");
-      }
-      mf = makeSigmoid(parseNumber(tok[3], line), parseNumber(tok[4], line));
     } else {
-      throw FdlError(line, "unknown shape '" + shape +
-                               "' (tri|trap|gauss|bell|sigmoid)");
+      throw FdlError(line, "unknown shape '" + shape + "' (tri|trap)");
     }
     if (b.attach == Builder::Attach::Input) {
       b.inputs.back().addTerm(name, std::move(mf));
@@ -172,6 +157,25 @@ void handleRule(Builder& b, const std::vector<std::string>& tok, int line) {
   }
   if (i != tok.size()) throw FdlError(line, "rule: trailing tokens");
   b.rules.push_back(std::move(r));
+}
+
+/// The line of the first structural defect seal() reports, checked in
+/// checkValid()'s order: an input or the output without terms names its
+/// declaration, conflicting rules the later one; a missing piece, line 1.
+int defectLine(const Builder& b, const MamdaniEngine& engine) {
+  if (engine.inputCount() == 0) return 1;
+  for (std::size_t v = 0; v < engine.inputCount(); ++v) {
+    if (engine.input(v).termCount() == 0) return b.input_lines[v];
+  }
+  if (engine.output().termCount() == 0) return b.output_line;
+  if (!engine.rules().empty()) {
+    const RuleBaseReport report =
+        engine.rules().validate(engine.inputs(), engine.output());
+    if (!report.conflicts.empty()) {
+      return b.rules[report.conflicts.front().second].line;
+    }
+  }
+  return 1;
 }
 
 }  // namespace
@@ -219,9 +223,11 @@ MamdaniEngine parseFdl(std::string_view text) {
                                               parseNumber(tok[3], line_no)}};
         if (kw == "input") {
           b.inputs.push_back(std::move(v));
+          b.input_lines.push_back(line_no);
           b.attach = Builder::Attach::Input;
         } else {
           b.output = std::move(v);
+          b.output_line = line_no;
           b.attach = Builder::Attach::Output;
         }
       } catch (const FdlError&) {
@@ -251,7 +257,11 @@ MamdaniEngine parseFdl(std::string_view text) {
       throw FdlError(r.line, std::string{"while adding rule: "} + e.what());
     }
   }
-  engine.checkValid();
+  try {
+    engine.seal();
+  } catch (const std::logic_error& e) {
+    throw FdlError(defectLine(b, engine), e.what());
+  }
   return engine;
 }
 
@@ -263,25 +273,21 @@ MamdaniEngine parseFdl(std::istream& in) {
 
 namespace {
 
+/// Shortest text that parses back to the same double (std::to_chars), so
+/// a round trip keeps every parameter bit for bit.
+std::string num(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
 void writeMf(std::ostream& os, const MembershipFunction& mf) {
-  // describe() already emits the FDL shape syntax modulo punctuation, but
-  // writing parameters explicitly keeps the round-trip exact.
   if (const auto* tri = dynamic_cast<const Triangular*>(&mf)) {
-    os << "tri " << tri->center() << " " << tri->leftWidth() << " "
-       << tri->rightWidth();
+    os << "tri " << num(tri->center()) << " " << num(tri->leftWidth()) << " "
+       << num(tri->rightWidth());
   } else if (const auto* trap = dynamic_cast<const Trapezoidal*>(&mf)) {
-    os << "trap " << trap->plateauLo() << " " << trap->plateauHi() << " "
-       << trap->leftWidth() << " " << trap->rightWidth();
-  } else if (const auto* gauss = dynamic_cast<const Gaussian*>(&mf)) {
-    os << "gauss " << gauss->mean() << " " << gauss->sigma();
-  } else if (dynamic_cast<const GeneralizedBell*>(&mf) != nullptr ||
-             dynamic_cast<const Sigmoid*>(&mf) != nullptr) {
-    // bell(c, w, s) / sigmoid(i, s): describe() prints "name(a, b[, c])".
-    std::string d = mf.describe();
-    for (char& ch : d) {
-      if (ch == '(' || ch == ',' || ch == ')') ch = ' ';
-    }
-    os << d;
+    os << "trap " << num(trap->plateauLo()) << " " << num(trap->plateauHi())
+       << " " << num(trap->leftWidth()) << " " << num(trap->rightWidth());
   } else {
     throw std::logic_error("toFdl: unsupported membership function shape");
   }
@@ -289,8 +295,8 @@ void writeMf(std::ostream& os, const MembershipFunction& mf) {
 
 void writeVariable(std::ostream& os, const char* kw,
                    const LinguisticVariable& v) {
-  os << kw << " " << v.name() << " " << v.universe().lo << " "
-     << v.universe().hi << "\n";
+  os << kw << " " << v.name() << " " << num(v.universe().lo) << " "
+     << num(v.universe().hi) << "\n";
   for (const Term& t : v.terms()) {
     os << "  term " << t.name() << " ";
     writeMf(os, t.mf());
@@ -320,7 +326,7 @@ std::string toFdl(const MamdaniEngine& engine) {
       }
     }
     os << " => " << engine.output().term(r.consequent).name();
-    if (r.weight != 1.0) os << " weight " << r.weight;
+    if (r.weight != 1.0) os << " weight " << num(r.weight);
     os << "\n";
   }
   return os.str();

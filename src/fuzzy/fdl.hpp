@@ -17,13 +17,11 @@
 ///   output <name> <lo> <hi>
 ///   term <name> tri  <center> <left_width> <right_width>
 ///   term <name> trap <plateau_lo> <plateau_hi> <left_width> <right_width>
-///   term <name> gauss <mean> <sigma>
-///   term <name> bell <center> <width> <slope>
-///   term <name> sigmoid <inflection> <slope>
 ///   rule <term>... => <term> [weight <w>]
 ///
 /// `term` lines attach to the most recently declared variable; `rule`
 /// antecedents are positional (one per input variable, "*" = wildcard).
+/// Terms are triangles and trapezoids only, the paper's two shapes.
 
 #include <iosfwd>
 #include <string>
@@ -43,15 +41,17 @@ class FdlError : public std::runtime_error {
   int line_;
 };
 
-/// Parses an FDL document into a fully constructed engine.
-/// \throws FdlError on any syntax or semantic problem.
+/// Parses an FDL document into a sealed engine, ready to infer.
+/// \throws FdlError on any syntax or semantic problem, structural ones
+///         (a variable without terms, conflicting rules) included.
 [[nodiscard]] MamdaniEngine parseFdl(std::string_view text);
 
 /// Reads an FDL document from a stream (e.g. std::ifstream).
 [[nodiscard]] MamdaniEngine parseFdl(std::istream& in);
 
-/// Serializes an engine back to FDL. parseFdl(toFdl(e)) reproduces an
-/// engine with identical behaviour (round-trip property, covered by tests).
+/// Serializes an engine back to FDL, every number in shortest round-trip
+/// form. parseFdl(toFdl(e)) reproduces an engine with bit-identical
+/// behaviour (round-trip property, covered by tests).
 [[nodiscard]] std::string toFdl(const MamdaniEngine& engine);
 
 }  // namespace facs::fuzzy

@@ -67,14 +67,11 @@ class MembershipFunction {
 
   [[nodiscard]] virtual std::unique_ptr<MembershipFunction> clone() const = 0;
 
-  /// Corners of the curve when it is piecewise linear, in ascending x:
-  /// degree() is the linear interpolation between consecutive vertices and
-  /// zero outside [front().x, back().x]. Two vertices at the same x are a
-  /// vertical edge (a zero-width side). Empty for smooth shapes — the
-  /// engine samples those instead of integrating them in closed form.
-  [[nodiscard]] virtual std::span<const Vertex> vertices() const noexcept {
-    return {};
-  }
+  /// Corners of the piecewise-linear curve, in ascending x: degree() is the
+  /// linear interpolation between consecutive vertices and zero outside
+  /// [front().x, back().x]. Two vertices at the same x are a vertical edge
+  /// (a zero-width side).
+  [[nodiscard]] virtual std::span<const Vertex> vertices() const noexcept = 0;
 
  protected:
   MembershipFunction() = default;

@@ -6,10 +6,10 @@
 /// decision is based on the user speed, angle and distance from the Base
 /// Station." We have no physical receivers, so this module substitutes a
 /// synthetic GPS: positions are sampled from the ground-truth trajectory
-/// with Gaussian horizontal error, and a small estimator reconstructs the
-/// (S, A, D) measurement vector the controllers consume. This preserves
-/// the property the paper leans on — controller inputs are noisy and the
-/// admission logic must tolerate that (hence fuzzy logic).
+/// with normally distributed horizontal error, and a small estimator
+/// reconstructs the (S, A, D) measurement vector the controllers consume.
+/// This preserves the property the paper leans on — controller inputs are
+/// noisy and the admission logic must tolerate that (hence fuzzy logic).
 
 #include <optional>
 #include <vector>

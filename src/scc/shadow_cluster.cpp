@@ -146,7 +146,7 @@ double ShadowClusterController::contribution(const Shadow& shadow, CellId cell,
       shadow.state.position_km +
       shadow.heading * (shadow.state.speed_kmh / 3600.0 * h.mid_s);
   const Vec2 d = predicted - network_.cell(cell).center;
-  // Unnormalized Gaussian kernel: each BS accumulates the probability that
+  // Unnormalized Gauss kernel: each BS accumulates the probability that
   // the mobile shows up in *its* cell independently, which (like the
   // original scheme's per-BS bookkeeping) deliberately over-reserves when
   // a mobile threatens several cells at once.

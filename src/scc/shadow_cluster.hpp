@@ -9,7 +9,7 @@
 /// Every active mobile exerts a probabilistic "shadow" over nearby cells:
 /// for each future interval k the controller projects where the mobile will
 /// be (from its last known position and velocity), spreads that prediction
-/// over cells with a Gaussian kernel whose width grows with the horizon,
+/// over cells with a Gauss kernel whose width grows with the horizon,
 /// and discounts by the probability the call is still active. Base stations
 /// sum these shadows into projected demand per interval and admit a new
 /// call only if, with the caller's own tentative shadow cluster added,
@@ -93,15 +93,15 @@ struct SccConfig {
   /// commits: rows outside the acting group defer to the barrier at every
   /// setting.
   ///
-  /// Size it to the projection horizon, not to the Gaussian spread: the
+  /// Size it to the projection horizon, not to the kernel's spread: the
   /// footprint is anchored at the LAST-REPORT cell, but contribution()
-  /// centres each interval's Gaussian on the call's PREDICTED position —
+  /// centres each interval's kernel on the call's PREDICTED position —
   /// up to speed x (intervals x interval_s) ahead of the anchor. A reach
   /// smaller than that projected distance (in cell hops) cuts off the
   /// cells the mobile is headed for, silently disabling the predictive
   /// reservation for fast traffic — the bulk of the demand, not a tail.
   /// reach >= ceil(v_max * horizon / cell_pitch) + a hop for the spread
-  /// keeps only the far Gaussian tails out; anything less is a knowingly
+  /// keeps only the kernel's far tails out; anything less is a knowingly
   /// more myopic model. Spec key: reach=N.
   int reach = 0;
 };
@@ -163,7 +163,7 @@ class ShadowClusterController final : public cellular::AdmissionController {
 
   /// Warns when a bounded reach is smaller than the projection horizon of
   /// the fastest mobile needs: the footprint is anchored at the LAST
-  /// report, but contribution() centres each interval's Gaussian on the
+  /// report, but contribution() centres each interval's kernel on the
   /// PREDICTED position — an undersized reach cuts off the cells the
   /// mobile is headed for, silently disabling predictive reservation for
   /// fast traffic (the SccConfig::reach footgun, now audited).
@@ -209,7 +209,7 @@ class ShadowClusterController final : public cellular::AdmissionController {
 
   /// The cell-independent terms of interval k's kernel, fixed by the
   /// config: the interval midpoint, the activity decay exp(-mid / holding)
-  /// and the Gaussian's 2 sigma^2.
+  /// and the kernel's 2 sigma^2.
   struct Horizon {
     double mid_s = 0.0;
     double p_active = 0.0;

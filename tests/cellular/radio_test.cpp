@@ -14,7 +14,6 @@ TEST(DbHelpers, RoundTrips) {
   EXPECT_NEAR(linearToDb(100.0), 20.0, 1e-12);
   for (double db = -120.0; db <= 50.0; db += 10.0) {
     EXPECT_NEAR(linearToDb(dbToLinear(db)), db, 1e-9);
-    EXPECT_NEAR(linearToDb(dbmToMw(db)), db, 1e-9);
   }
 }
 
@@ -134,8 +133,8 @@ TEST(RadioModel, GainTableWalkMatchesScalarReferenceBitForBit) {
   const RadioConfig& rc = radio.config();
   const PathLossParams& pl = rc.path_loss;
   const double gain_c =
-      dbmToMw(rc.tx_power_dbm - pl.reference_loss_db +
-              10.0 * pl.exponent * std::log10(pl.reference_distance_km));
+      dbToLinear(rc.tx_power_dbm - pl.reference_loss_db +
+                 10.0 * pl.exponent * std::log10(pl.reference_distance_km));
   const double min_d2 = pl.min_distance_km * pl.min_distance_km;
   const auto link_mw = [&](Vec2 pos, CellId cell) {
     const double dx = pos.x - net.cell(cell).center.x;
@@ -145,7 +144,7 @@ TEST(RadioModel, GainTableWalkMatchesScalarReferenceBitForBit) {
   };
   for (const Cell& serving : net.cells()) {
     const Vec2 pos{serving.center.x + 0.4, serving.center.y - 0.3};
-    double interference = dbmToMw(rc.noise_floor_dbm);
+    double interference = dbToLinear(rc.noise_floor_dbm);
     for (const Cell& other : net.cells()) {
       if (other.id == serving.id) continue;
       const double activity =
@@ -159,19 +158,19 @@ TEST(RadioModel, GainTableWalkMatchesScalarReferenceBitForBit) {
         << "serving=" << serving.id;
     // And the legacy log10+pow chain agrees to numerical noise: factoring
     // out the gain constant is a reformulation, not a model change.
-    double legacy_i = dbmToMw(rc.noise_floor_dbm);
+    double legacy_i = dbToLinear(rc.noise_floor_dbm);
     for (const Cell& other : net.cells()) {
       if (other.id == serving.id) continue;
       const double activity =
           rc.activity_factor * net.station(other.id).utilization();
       if (activity <= 0.0) continue;
       legacy_i += activity *
-                  dbmToMw(rc.tx_power_dbm -
-                          pathLossDb(pl, net.distanceToStationKm(pos, other.id)));
+                  dbToLinear(rc.tx_power_dbm -
+                             pathLossDb(pl, net.distanceToStationKm(pos, other.id)));
     }
     const double legacy = linearToDb(
-        dbmToMw(rc.tx_power_dbm -
-                pathLossDb(pl, net.distanceToStationKm(pos, serving.id))) /
+        dbToLinear(rc.tx_power_dbm -
+                   pathLossDb(pl, net.distanceToStationKm(pos, serving.id))) /
         legacy_i);
     EXPECT_NEAR(radio.sinrDb(pos, serving.id), legacy, 1e-9)
         << "serving=" << serving.id;

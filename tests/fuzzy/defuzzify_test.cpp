@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -11,19 +12,48 @@ namespace facs::fuzzy {
 namespace {
 
 const Interval kUnit{0.0, 1.0};
+constexpr std::array<Defuzzifier, 5> kAllDefuzzifiers{
+    Defuzzifier::Centroid, Defuzzifier::Bisector, Defuzzifier::MeanOfMax,
+    Defuzzifier::SmallestOfMax, Defuzzifier::LargestOfMax};
+
+/// A curve sampled on \p resolution uniform points over \p universe, with
+/// its trapezoid weights: what defuzzifySampled() takes.
+struct Samples {
+  std::vector<double> x;
+  std::vector<double> mu;
+  std::vector<double> half_dx;
+};
+
+template <typename Curve>
+Samples sample(Curve curve, Interval universe, int resolution = 1001) {
+  Samples s;
+  const double step = universe.width() / (resolution - 1);
+  for (int i = 0; i < resolution; ++i) {
+    s.x.push_back(universe.lo + step * i);
+    s.mu.push_back(curve(s.x.back()));
+  }
+  fillTrapezoidWeights(s.x, s.half_dx);
+  return s;
+}
+
+double defuzzify(Defuzzifier method, const Samples& s) {
+  DefuzzScratch scratch;
+  return defuzzifySampled(method, s.x, s.mu, s.half_dx, scratch);
+}
 
 TEST(Defuzzify, CentroidOfSymmetricTriangle) {
   const Triangular tri{0.5, 0.25, 0.25};
   const double c = defuzzify(
-      Defuzzifier::Centroid, [&](double x) { return tri.degree(x); }, kUnit);
+      Defuzzifier::Centroid,
+      sample([&](double x) { return tri.degree(x); }, kUnit));
   EXPECT_NEAR(c, 0.5, 1e-6);
 }
 
 TEST(Defuzzify, CentroidOfRightShoulderPullsRight) {
   const Trapezoidal shoulder{0.8, 1.0, 0.2, 0.0};
   const double c = defuzzify(
-      Defuzzifier::Centroid, [&](double x) { return shoulder.degree(x); },
-      kUnit);
+      Defuzzifier::Centroid,
+      sample([&](double x) { return shoulder.degree(x); }, kUnit));
   EXPECT_GT(c, 0.8);
   EXPECT_LT(c, 1.0);
 }
@@ -32,41 +62,42 @@ TEST(Defuzzify, CentroidOfAsymmetricTriangleAnalytic) {
   // Triangle with vertices (0,0), (0.25,1), (1,0): centroid x = (0+0.25+1)/3.
   const Triangular tri{0.25, 0.25, 0.75};
   const double c = defuzzify(
-      Defuzzifier::Centroid, [&](double x) { return tri.degree(x); }, kUnit,
-      20001);
+      Defuzzifier::Centroid,
+      sample([&](double x) { return tri.degree(x); }, kUnit, 20001));
   EXPECT_NEAR(c, (0.0 + 0.25 + 1.0) / 3.0, 1e-4);
 }
 
 TEST(Defuzzify, BisectorSplitsAreaInHalf) {
   const Triangular tri{0.5, 0.5, 0.5};
   const double b = defuzzify(
-      Defuzzifier::Bisector, [&](double x) { return tri.degree(x); }, kUnit);
+      Defuzzifier::Bisector,
+      sample([&](double x) { return tri.degree(x); }, kUnit));
   EXPECT_NEAR(b, 0.5, 1e-6);
 }
 
 TEST(Defuzzify, BisectorOfUniformCurve) {
   const double b = defuzzify(
-      Defuzzifier::Bisector, [](double) { return 0.7; }, Interval{2.0, 6.0});
+      Defuzzifier::Bisector,
+      sample([](double) { return 0.7; }, Interval{2.0, 6.0}));
   EXPECT_NEAR(b, 4.0, 1e-6);
 }
 
 TEST(Defuzzify, MaxFamilyOnPlateau) {
   const Trapezoidal trap{0.4, 0.6, 0.2, 0.2};
-  const AggregatedCurve curve = [&](double x) { return trap.degree(x); };
-  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, curve, kUnit), 0.5, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, curve, kUnit), 0.4, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, curve, kUnit), 0.6, 1e-3);
+  const Samples s = sample([&](double x) { return trap.degree(x); }, kUnit);
+  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, s), 0.5, 1e-3);
+  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, s), 0.4, 1e-3);
+  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, s), 0.6, 1e-3);
 }
 
 TEST(Defuzzify, MaxFamilyOnClippedCurve) {
   // A triangle clipped at 0.5 has a maximizing plateau over [0.25, 0.75].
   const Triangular tri{0.5, 0.5, 0.5};
-  const AggregatedCurve curve = [&](double x) {
-    return std::min(tri.degree(x), 0.5);
-  };
-  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, curve, kUnit), 0.25, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, curve, kUnit), 0.75, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, curve, kUnit), 0.5, 1e-3);
+  const Samples s = sample(
+      [&](double x) { return std::min(tri.degree(x), 0.5); }, kUnit);
+  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, s), 0.25, 1e-3);
+  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, s), 0.75, 1e-3);
+  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, s), 0.5, 1e-3);
 }
 
 class EmptyCurveNeutral : public ::testing::TestWithParam<Defuzzifier> {};
@@ -75,42 +106,41 @@ TEST_P(EmptyCurveNeutral, ZeroCurveYieldsUniverseMidpoint) {
   // No rule fired: the FACS output universes are built so the midpoint is
   // the neutral decision (A/R = 0).
   const double v = defuzzify(
-      GetParam(), [](double) { return 0.0; }, Interval{-1.0, 1.0});
+      GetParam(), sample([](double) { return 0.0; }, Interval{-1.0, 1.0}));
   EXPECT_NEAR(v, 0.0, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, EmptyCurveNeutral,
-                         ::testing::Values(Defuzzifier::Centroid,
-                                           Defuzzifier::Bisector,
-                                           Defuzzifier::MeanOfMax,
-                                           Defuzzifier::SmallestOfMax,
-                                           Defuzzifier::LargestOfMax));
+                         ::testing::ValuesIn(kAllDefuzzifiers));
 
 class WithinUniverseProperty : public ::testing::TestWithParam<Defuzzifier> {};
 
 TEST_P(WithinUniverseProperty, ResultAlwaysInsideUniverse) {
   const Interval u{-3.0, 7.0};
   const Triangular tri{6.0, 2.0, 1.0};
-  const double v = defuzzify(
-      GetParam(), [&](double x) { return tri.degree(x); }, u);
+  const double v =
+      defuzzify(GetParam(), sample([&](double x) { return tri.degree(x); }, u));
   EXPECT_GE(v, u.lo);
   EXPECT_LE(v, u.hi);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, WithinUniverseProperty,
-                         ::testing::Values(Defuzzifier::Centroid,
-                                           Defuzzifier::Bisector,
-                                           Defuzzifier::MeanOfMax,
-                                           Defuzzifier::SmallestOfMax,
-                                           Defuzzifier::LargestOfMax));
+                         ::testing::ValuesIn(kAllDefuzzifiers));
 
 TEST(Defuzzify, RejectsBadArguments) {
-  const AggregatedCurve flat = [](double) { return 1.0; };
-  EXPECT_THROW((void)defuzzify(Defuzzifier::Centroid, flat, kUnit, 1),
-               std::invalid_argument);
+  const Samples one = sample([](double) { return 1.0; }, kUnit, 2);
+  DefuzzScratch scratch;
+  const std::vector<double> x1{0.0};
+  const std::vector<double> mu1{1.0};
   EXPECT_THROW(
-      (void)defuzzify(Defuzzifier::Centroid, flat, Interval{1.0, 1.0}),
+      (void)defuzzifySampled(Defuzzifier::Centroid, x1, mu1, {}, scratch),
       std::invalid_argument);
+  EXPECT_THROW((void)defuzzifySampled(Defuzzifier::Centroid, one.x, mu1,
+                                      one.half_dx, scratch),
+               std::invalid_argument);
+  EXPECT_THROW((void)defuzzifySampled(Defuzzifier::Centroid, one.x, one.mu,
+                                      {}, scratch),
+               std::invalid_argument);
 }
 
 TEST(Defuzzify, ToStringNames) {
@@ -121,55 +151,19 @@ TEST(Defuzzify, ToStringNames) {
   EXPECT_EQ(toString(Defuzzifier::LargestOfMax), "lom");
 }
 
-class SampledMatchesCurve : public ::testing::TestWithParam<Defuzzifier> {};
-
-TEST_P(SampledMatchesCurve, PresampledPathIsBitIdentical) {
-  // defuzzifySampled is the sealed-engine entry point: the caller hands in
-  // the grid, membership values and trapezoid weights that the curve
-  // overload would otherwise compute per call. Rebuilding those arrays with
-  // the same formulas must reproduce the curve overload bit for bit.
-  const Interval u{-3.0, 7.0};
+TEST(Defuzzify, WarmScratchKeepsTheAnswer) {
+  // One scratch reused across resolutions and methods (as an engine's
+  // per-thread scratch is) answers as a fresh one does.
   const Triangular tri{6.0, 2.0, 1.0};
-  const AggregatedCurve curve = [&](double x) { return tri.degree(x); };
-  for (int resolution : {2, 11, 101, 1001}) {
-    std::vector<double> x(static_cast<std::size_t>(resolution));
-    std::vector<double> mu(x.size());
-    const double step = u.width() / static_cast<double>(resolution - 1);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = u.lo + step * static_cast<double>(i);
-      mu[i] = curve(x[i]);
+  DefuzzScratch warm;
+  for (int resolution : {2, 11, 1001, 101}) {
+    const Samples s = sample([&](double x) { return tri.degree(x); },
+                             Interval{-3.0, 7.0}, resolution);
+    for (const Defuzzifier d : kAllDefuzzifiers) {
+      EXPECT_EQ(defuzzifySampled(d, s.x, s.mu, s.half_dx, warm),
+                defuzzify(d, s))
+          << toString(d) << " at resolution " << resolution;
     }
-    std::vector<double> weights;
-    fillTrapezoidWeights(x, weights);
-    ASSERT_EQ(weights.size(), x.size() - 1);
-
-    DefuzzScratch scratch;
-    const double sampled = defuzzifySampled(GetParam(), x, mu, weights,
-                                            scratch);
-    const double direct = defuzzify(GetParam(), curve, u, resolution);
-    EXPECT_EQ(sampled, direct) << "resolution " << resolution;
-    // A dirty scratch (here: warm from the previous resolution and from
-    // this call's own buffers) must not change the answer.
-    EXPECT_EQ(defuzzifySampled(GetParam(), x, mu, weights, scratch), direct);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(All, SampledMatchesCurve,
-                         ::testing::Values(Defuzzifier::Centroid,
-                                           Defuzzifier::Bisector,
-                                           Defuzzifier::MeanOfMax,
-                                           Defuzzifier::SmallestOfMax,
-                                           Defuzzifier::LargestOfMax));
-
-TEST(Defuzzify, ScratchOverloadMatchesLegacyOverload) {
-  const Triangular tri{0.25, 0.25, 0.75};
-  const AggregatedCurve curve = [&](double x) { return tri.degree(x); };
-  DefuzzScratch scratch;
-  for (Defuzzifier d :
-       {Defuzzifier::Centroid, Defuzzifier::Bisector, Defuzzifier::MeanOfMax,
-        Defuzzifier::SmallestOfMax, Defuzzifier::LargestOfMax}) {
-    EXPECT_EQ(defuzzify(d, curve, kUnit, 501, scratch),
-              defuzzify(d, curve, kUnit, 501));
   }
 }
 

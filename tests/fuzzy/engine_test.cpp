@@ -9,7 +9,8 @@
 namespace facs::fuzzy {
 namespace {
 
-/// A tiny two-input "tipper"-style controller used across engine tests.
+/// A tiny two-input "tipper"-style controller used across engine tests,
+/// sealed and ready to infer.
 MamdaniEngine makeTipper(EngineConfig config = {}) {
   MamdaniEngine e{"tipper", config};
 
@@ -35,6 +36,7 @@ MamdaniEngine makeTipper(EngineConfig config = {}) {
   e.addRule({"good", "*"}, "medium");
   e.addRule({"great", "bad"}, "medium");
   e.addRule({"great", "tasty"}, "high");
+  e.seal();
   return e;
 }
 
@@ -148,7 +150,6 @@ TEST(Engine, TraceReportsActivationsAndWinner) {
 }
 
 TEST(Engine, RuleWeightScalesInfluence) {
-  MamdaniEngine weighted = makeTipper();
   // Re-add the high rule with a tiny weight via a fresh engine.
   MamdaniEngine e{"tipper2"};
   const MamdaniEngine base = makeTipper();
@@ -158,6 +159,7 @@ TEST(Engine, RuleWeightScalesInfluence) {
   e.addRule({"good", "*"}, "medium");
   e.addRule({"great", "bad"}, "medium");
   e.addRule({"great", "tasty"}, "high", 0.1);
+  e.seal();
 
   const std::array<double, 2> in{7.5, 10.0};
   EXPECT_LT(e.infer(in), base.infer(in));
@@ -203,13 +205,12 @@ TEST(Engine, OutputAlwaysWithinUniverse) {
 
 TEST(Engine, SealValidatesOnceAndMutationUnseals) {
   MamdaniEngine e = makeTipper();
-  EXPECT_FALSE(e.sealed());
-  e.seal();
   EXPECT_TRUE(e.sealed());
-  // Any structural mutation drops the cached validation.
+  // Any structural mutation drops the seal.
   e.setOutput(e.output());
   EXPECT_FALSE(e.sealed());
   e.seal();
+  EXPECT_TRUE(e.sealed());
   e.addRule({"poor", "bad"}, "low");
   EXPECT_FALSE(e.sealed());
 
@@ -219,17 +220,38 @@ TEST(Engine, SealValidatesOnceAndMutationUnseals) {
   EXPECT_FALSE(empty.sealed());
 }
 
-TEST(Engine, ScratchInferenceIsBitIdenticalToTracedPath) {
+TEST(Engine, UnsealedEngineRefusesToInfer) {
   MamdaniEngine e = makeTipper();
+  e.setOutput(e.output());  // a mutation unseals
+  const std::array<double, 2> in{7.5, 10.0};
+  InferenceScratch scratch;
+  // std::invalid_argument (an arity error) derives from std::logic_error,
+  // so the message tells the two apart.
+  const auto expectRefused = [&](const auto& call) {
+    try {
+      (void)call();
+      ADD_FAILURE() << "an unsealed engine inferred";
+    } catch (const std::logic_error& err) {
+      EXPECT_EQ(std::string{err.what()},
+                "engine 'tipper' is not sealed; call seal() before inference");
+    }
+  };
+  expectRefused([&] { return e.infer(in); });
+  expectRefused([&] { return e.infer(in, scratch); });
+  expectRefused([&] { return e.inferTraced(in); });
   e.seal();
+  EXPECT_EQ(e.infer(in), e.inferTraced(in).crisp_output);
+}
+
+TEST(Engine, ScratchInferenceIsBitIdenticalToTracedPath) {
+  const MamdaniEngine e = makeTipper();
   InferenceScratch scratch;
   for (double s = 0.0; s <= 10.0; s += 0.5) {
     for (double f = 0.0; f <= 10.0; f += 0.5) {
       const std::array<double, 2> in{s, f};
       const double traced = e.inferTraced(in).crisp_output;
       // Exact equality on purpose: the scratch path must run the same
-      // arithmetic in the same order, or sealed/unsealed consumers would
-      // diverge.
+      // arithmetic in the same order as the traced one.
       EXPECT_EQ(e.infer(in), traced) << "s=" << s << " f=" << f;
       EXPECT_EQ(e.infer(in, scratch), traced) << "s=" << s << " f=" << f;
       // A warm (dirty) scratch must not leak state into the next call.
@@ -239,7 +261,7 @@ TEST(Engine, ScratchInferenceIsBitIdenticalToTracedPath) {
 }
 
 TEST(Engine, OneScratchServesEnginesOfDifferentShape) {
-  MamdaniEngine tipper = makeTipper();
+  const MamdaniEngine tipper = makeTipper();
   MamdaniEngine single{"single"};
   LinguisticVariable v{"v", Interval{0.0, 1.0}};
   v.addTerm("lo", makeTriangle(0.0, 0.0, 1.0));
@@ -248,6 +270,7 @@ TEST(Engine, OneScratchServesEnginesOfDifferentShape) {
   single.setOutput(v);
   single.addRule({"lo"}, "lo");
   single.addRule({"hi"}, "hi");
+  single.seal();
 
   InferenceScratch scratch;
   const std::array<double, 2> two{9.0, 9.0};
@@ -257,29 +280,6 @@ TEST(Engine, OneScratchServesEnginesOfDifferentShape) {
   // Interleave the shapes: the scratch resizes per call, never bleeds.
   EXPECT_EQ(tipper.infer(two, scratch), a);
   EXPECT_EQ(single.infer(one, scratch), b);
-}
-
-TEST(Engine, SealedTablesMatchUnsealedPathBitExactly) {
-  // Under product implication the sealed engine runs the precomputed
-  // sample-grid tables and the unsealed one evaluates the aggregated curve
-  // through the term objects; under the default min/max both run the
-  // closed-form kernel. Either way the seal must be a pure representation
-  // change: same arithmetic, same bits.
-  EngineConfig larsen;
-  larsen.implication = TNorm::AlgebraicProduct;
-  for (const EngineConfig& config : {EngineConfig{}, larsen}) {
-    MamdaniEngine sealed_engine = makeTipper(config);
-    sealed_engine.seal();
-    MamdaniEngine unsealed_engine = makeTipper(config);
-    ASSERT_FALSE(unsealed_engine.sealed());
-    for (double s = 0.0; s <= 10.0; s += 0.25) {
-      for (double f : {0.0, 1.5, 3.0, 6.5, 10.0}) {
-        const std::array<double, 2> in{s, f};
-        EXPECT_EQ(sealed_engine.infer(in), unsealed_engine.infer(in))
-            << "s=" << s << " f=" << f;
-      }
-    }
-  }
 }
 
 }  // namespace

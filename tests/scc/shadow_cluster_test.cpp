@@ -433,7 +433,7 @@ TEST(ShadowCluster, DecisionsMatchCacheState) {
 TEST(ShadowCluster, BoundedReachLocalizesTheAccounting) {
   // rings = 2: the disk spans hex distance 2 from the centre. reach = 1
   // keeps a centre-anchored shadow out of ring-2 accumulators entirely,
-  // while the unbounded controller leaks its Gaussian tail everywhere.
+  // while the unbounded controller leaks its kernel's tail everywhere.
   const HexNetwork net{2};
   SccConfig bounded_cfg;
   bounded_cfg.reach = 1;

@@ -106,7 +106,7 @@ TEST(DetMath, ExpWithinOneUlp) {
   sim::Rng rng = sim::makeRng(4);
   const auto ex = [](double x) { return exp(x); };
   const auto ref = [](long double x) { return std::exp(x); };
-  // The normal range, then the Gaussian kernels' -z^2/2 on [-40, 0].
+  // The normal range, then the normal kernels' -z^2/2 on [-40, 0].
   EXPECT_LE(maxError([&] { return sim::sampleUniform(rng, -708.0, 709.7); },
                      ex, ref),
             1.0);
@@ -149,7 +149,9 @@ TEST(DetMath, PowWithinOneUlpOnTheUsedForms) {
                 },
                 powAt, ref),
             1.0);
-  // alpha^steps: Gauss-Markov memory over up to 8 reference periods.
+  // The model raises only distances to powers (above). The domains below
+  // have no caller left; they keep pow checked beyond that one form.
+  // Bases in (0, 1], exponents up to 8 ...
   EXPECT_LE(maxError(
                 [&] {
                   x = rng.uniform01() + 0x1p-30;
@@ -158,7 +160,7 @@ TEST(DetMath, PowWithinOneUlpOnTheUsedForms) {
                 },
                 powAt, ref),
             1.0);
-  // z^(2s): generalized-bell terms, slopes up to 4 ...
+  // ... bases up to 20, exponents up to 8 ...
   EXPECT_LE(maxError(
                 [&] {
                   x = sim::sampleUniform(rng, 0.0, 20.0);
@@ -167,7 +169,8 @@ TEST(DetMath, PowWithinOneUlpOnTheUsedForms) {
                 },
                 powAt, ref),
             1.0);
-  // ... and up to 32, where |y| scales log's error into the result.
+  // ... and exponents up to 64, where |y| scales log's error into the
+  // result.
   EXPECT_LE(maxError(
                 [&] {
                   x = sim::sampleUniform(rng, 0.05, 20.0);

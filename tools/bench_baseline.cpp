@@ -342,19 +342,19 @@ int benchMicro(const std::string& path) {
       for (const double fy : {0.3, -0.55}) {
         const cellular::Vec2 pos{c.center.x + fx, c.center.y + fy};
         sir_checksum += radio.sinrDb(pos, c.id);
-        double i_mw = cellular::dbmToMw(rc.noise_floor_dbm);
+        double i_mw = cellular::dbToLinear(rc.noise_floor_dbm);
         for (const cellular::Cell& o : net.cells()) {
           if (o.id == c.id) continue;
           const double activity =
               rc.activity_factor * net.station(o.id).utilization();
           if (activity <= 0.0) continue;
           i_mw += activity *
-                  cellular::dbmToMw(
+                  cellular::dbToLinear(
                       rc.tx_power_dbm -
                       cellular::pathLossDb(
                           rc.path_loss, net.distanceToStationKm(pos, o.id)));
         }
-        const double s_mw = cellular::dbmToMw(
+        const double s_mw = cellular::dbToLinear(
             rc.tx_power_dbm -
             cellular::pathLossDb(rc.path_loss,
                                  net.distanceToStationKm(pos, c.id)));

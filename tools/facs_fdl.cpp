@@ -28,8 +28,7 @@ fuzzy::MamdaniEngine load(const std::string& path) {
 }
 
 int check(const std::string& path) {
-  const fuzzy::MamdaniEngine engine = load(path);
-  engine.checkValid();
+  const fuzzy::MamdaniEngine engine = load(path);  // parsing validates
   const fuzzy::RuleBaseReport report =
       engine.rules().validate(engine.inputs(), engine.output());
   std::cout << "engine '" << engine.name() << "': " << engine.inputCount()
