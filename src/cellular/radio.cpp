@@ -13,7 +13,7 @@ double pathLossDb(const PathLossParams& params, double d_km) {
   }
   const double d = std::max(d_km, params.min_distance_km);
   return params.reference_loss_db +
-         10.0 * params.exponent *
+         10.0 * kPathLossExponent *
              detmath::log10(d / params.reference_distance_km);
 }
 
@@ -21,9 +21,6 @@ RadioModel::RadioModel(const HexNetwork& network, Config config)
     : network_{network}, config_{config} {
   if (config_.activity_factor < 0.0 || config_.activity_factor > 1.0) {
     throw std::invalid_argument("activity factor must be in [0, 1]");
-  }
-  if (!(config_.path_loss.exponent > 0.0)) {
-    throw std::invalid_argument("path-loss exponent must be positive");
   }
   if (!(config_.path_loss.min_distance_km > 0.0)) {
     throw std::invalid_argument("minimum path-loss distance must be positive");
@@ -37,8 +34,8 @@ void RadioModel::buildTables() {
   // - 10 n log10(d), so in linear mW: rx = C * d^-n with the constant below.
   gain_const_mw_ =
       dbToLinear(config_.tx_power_dbm - pl.reference_loss_db +
-                 10.0 * pl.exponent * detmath::log10(pl.reference_distance_km));
-  neg_half_exponent_ = -0.5 * pl.exponent;
+                 10.0 * kPathLossExponent *
+                     detmath::log10(pl.reference_distance_km));
   min_distance_sq_ = pl.min_distance_km * pl.min_distance_km;
   noise_mw_ = dbToLinear(config_.noise_floor_dbm);
 
@@ -67,7 +64,7 @@ double RadioModel::linkPowerMw(Vec2 position, CellId cell) const {
   const double dx = position.x - network_.cell(cell).center.x;
   const double dy = position.y - network_.cell(cell).center.y;
   const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
-  return gain_const_mw_ * detmath::pow(d2, neg_half_exponent_);
+  return gain_const_mw_ * pathGain(d2);
 }
 
 double RadioModel::sinrDb(Vec2 position, CellId serving_cell) const {

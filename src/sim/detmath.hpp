@@ -1,7 +1,7 @@
 #pragma once
 /// \file detmath.hpp
 /// The simulator's own elementary functions: log, log1p, log10, exp,
-/// exp10, pow, sincos in degrees, atan2 and hypot.
+/// exp10, sincos in degrees, atan2 and hypot.
 ///
 /// Every function here is built from IEEE double +, -, *, / and sqrt
 /// alone, so its bits depend on no C math library (glibc picks its
@@ -19,7 +19,6 @@
 ///   exp     x = k ln2/128 + r, |r| <= ln2/256; 2^(j/128) from a
 ///           128-entry double-double table, exp(r) - 1 by its degree-5
 ///           Taylor sum.
-///   pow     exp of y * log x, with log x and the product in double-double.
 ///   sincos  degrees reduce exactly to r in [-45, 45] by a multiple of 90;
 ///           r * pi/180 in double-double feeds Taylor kernels to x^17/x^16.
 ///   atan2   t = min/max of |x|, |y|; c = t rounded to eighths; atan t =
@@ -30,11 +29,10 @@
 /// domains the simulator uses (tests/sim/detmath_test.cpp checks each
 /// against a long double reference):
 ///   log, log1p, log10, exp, exp10, sincosDeg, atan2       <= 1 ulp
-///   pow, x >= 0, |y| <= 64, normal result                 <= 1 ulp
 ///   hypot (two products, a sum and a sqrt, each rounded)  <= 2 ulps
 /// Measured maxima: 0.51-0.66 ulp for log, exp and atan2 and their
-/// relatives, 0.8 for sincosDeg and pow, 1.2 for hypot. exp and pow
-/// results in the subnormal range carry one more rounding.
+/// relatives, 0.8 for sincosDeg, 1.2 for hypot. exp results in the
+/// subnormal range carry one more rounding.
 
 #include <array>
 #include <bit>
@@ -455,23 +453,6 @@ inline constexpr double kA7 = -1.0 / 15.0;
   if (x < -400.0) return 0.0;
   const detail::DD p = detail::twoProd(x, kLn10Hi);
   return detail::expDD(p.hi, p.lo + x * kLn10Lo);
-}
-
-/// x^y for x >= 0 (the forms the simulator uses: (d^2)^(-n/2), alpha^steps,
-/// z^(2s)). NaN for x < 0.
-[[nodiscard]] constexpr double pow(double x, double y) noexcept {
-  if (y == 0.0) return 1.0;
-  if (x != x || y != y || x < 0.0) return detail::kNaN;
-  if (x == 0.0) return y > 0.0 ? 0.0 : detail::kInf;
-  if (x == 1.0) return 1.0;
-  if (x == detail::kInf) return y > 0.0 ? detail::kInf : 0.0;
-  // The absolute error of logTable() is all an exponent needs.
-  const detail::DD l = detail::logTable(x);
-  if (!(y < 0x1p900 && y > -0x1p900)) {  // |y log x| is past any range
-    return (y > 0.0) == (l.hi > 0.0) ? detail::kInf : 0.0;
-  }
-  const detail::DD p = detail::twoProd(l.hi, y);
-  return detail::expDD(p.hi, p.lo + l.lo * y);
 }
 
 struct SinCos {

@@ -10,8 +10,11 @@ using cellular::normalizeAngleDeg;
 using cellular::Vec2;
 
 int gpsFixCount(const ScenarioParams& scenario) {
-  const double periods =
-      scenario.tracking_window_s / scenario.gps_fix_period_s;
+  // A window of a whole number of periods can divide to just below that
+  // number (0.7 / 0.1 = 6.999...), so the ratio is raised by 2^-50 of
+  // itself: within a few ulps below an integer counts as that integer.
+  const double periods = scenario.tracking_window_s /
+                         scenario.gps_fix_period_s * (1.0 + 0x1p-50);
   if (!(periods < kMaxGpsFixes)) {
     throw std::invalid_argument(
         "GPS fix count (tracking window / fix period + 1) must be at most " +

@@ -132,62 +132,6 @@ TEST(DetMath, Exp10WithinOneUlpAndExactAtPowersOfTen) {
   }
 }
 
-TEST(DetMath, PowWithinOneUlpOnTheUsedForms) {
-  sim::Rng rng = sim::makeRng(6);
-  double x = 0.0;
-  double y = 0.0;
-  const auto powAt = [&](double) { return pow(x, y); };
-  const auto ref = [&](long double) {
-    return std::pow(static_cast<long double>(x), static_cast<long double>(y));
-  };
-  // (d^2)^(-n/2): squared distances in km^2, path-loss exponents 2..6.
-  EXPECT_LE(maxError(
-                [&] {
-                  x = wideMagnitude(rng, -20, 14);
-                  y = -0.5 * sim::sampleUniform(rng, 2.0, 6.0);
-                  return x;
-                },
-                powAt, ref),
-            1.0);
-  // The model raises only distances to powers (above). The domains below
-  // have no caller left; they keep pow checked beyond that one form.
-  // Bases in (0, 1], exponents up to 8 ...
-  EXPECT_LE(maxError(
-                [&] {
-                  x = rng.uniform01() + 0x1p-30;
-                  y = sim::sampleUniform(rng, 0.0, 8.0);
-                  return x;
-                },
-                powAt, ref),
-            1.0);
-  // ... bases up to 20, exponents up to 8 ...
-  EXPECT_LE(maxError(
-                [&] {
-                  x = sim::sampleUniform(rng, 0.0, 20.0);
-                  y = sim::sampleUniform(rng, 0.0, 8.0);
-                  return x;
-                },
-                powAt, ref),
-            1.0);
-  // ... and exponents up to 64, where |y| scales log's error into the
-  // result.
-  EXPECT_LE(maxError(
-                [&] {
-                  x = sim::sampleUniform(rng, 0.05, 20.0);
-                  y = sim::sampleUniform(rng, 8.0, 64.0);
-                  return x;
-                },
-                powAt, ref),
-            1.0);
-  EXPECT_EQ(pow(0.0, 3.0), 0.0);
-  EXPECT_EQ(pow(0.0, 0.0), 1.0);
-  EXPECT_EQ(pow(1.0, 1e300), 1.0);
-  EXPECT_EQ(pow(0.85, 1.0), 0.85);
-  EXPECT_EQ(pow(4.0, -1.0), 0.25);
-  EXPECT_EQ(pow(16.0, 0.5), 4.0);
-  EXPECT_TRUE(std::isnan(pow(-2.0, 2.0)));
-}
-
 /// The reference reduces degrees exactly, as sincosDeg does, so the long
 /// double sin and cos see an argument of at most 45 degrees.
 struct SinCosRef {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "cac/baselines.hpp"
 #include "core/facs.hpp"
@@ -90,6 +91,17 @@ TEST(Simulator, ValidatesConfig) {
   bad.scenario.gps_fix_period_s = 1e-9;
   EXPECT_THROW((void)runSimulation(bad, completeSharing()),
                std::invalid_argument);
+  // A window of whole periods whose quotient rounds just below the whole
+  // number (0.7 / 0.1 = 6.999..., 0.3 / 0.1 = 2.999...) still gets its
+  // last fix; a window that stops short of a whole period does not.
+  bad = lightConfig(5);
+  bad.scenario.gps_fix_period_s = 0.1;
+  for (const auto& [window, fixes] :
+       {std::pair{0.7, 8}, std::pair{0.3, 4}, std::pair{0.6, 7},
+        std::pair{0.65, 7}, std::pair{0.1, 2}, std::pair{0.05, 1}}) {
+    bad.scenario.tracking_window_s = window;
+    EXPECT_EQ(gpsFixCount(bad.scenario), fixes) << "window " << window;
+  }
   EXPECT_THROW(
       (void)runSimulation(lightConfig(1),
                           [](const cellular::HexNetwork&)

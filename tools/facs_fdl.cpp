@@ -16,6 +16,7 @@
 #include "core/flc1.hpp"
 #include "core/flc2.hpp"
 #include "fuzzy/fdl.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
@@ -79,16 +80,20 @@ int infer(const std::string& path, const std::vector<std::string>& values) {
     inputs.push_back(*v);
   }
 
+  // Numbers print in shortest round-trip form, so two engines whose
+  // traces differ in any bit print different text.
   const fuzzy::InferenceTrace trace = engine.inferTraced(inputs);
   for (std::size_t v = 0; v < engine.inputCount(); ++v) {
-    std::cout << engine.input(v).name() << " = " << trace.inputs[v] << "\n";
+    std::cout << engine.input(v).name() << " = "
+              << sim::shortestNumber(trace.inputs[v]) << "\n";
   }
   std::cout << "fired rules: " << trace.activations.size() << "\n";
   for (const auto& a : trace.activations) {
-    std::cout << "  #" << a.rule_index << " strength " << a.firing_strength
-              << "\n";
+    std::cout << "  #" << a.rule_index << " strength "
+              << sim::shortestNumber(a.firing_strength) << "\n";
   }
-  std::cout << engine.output().name() << " = " << trace.crisp_output << " ("
+  std::cout << engine.output().name() << " = "
+            << sim::shortestNumber(trace.crisp_output) << " ("
             << engine.output().term(trace.winning_output_term).name()
             << ")\n";
   return 0;
