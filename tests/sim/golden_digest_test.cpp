@@ -105,6 +105,34 @@ TEST(GoldenDigests, BuiltinScenariosAtFourWeightedGroups) {
   }
 }
 
+/// FACS with product implication and probabilistic-OR aggregation, the one
+/// operator family whose aggregated output curve is not piecewise linear,
+/// under an area-based, a bisecting and a max-family defuzzifier.
+struct ProdCase {
+  std::string_view scenario;
+  std::string_view policy;
+  std::uint64_t serial;  ///< 1 shard x 1 group.
+};
+
+constexpr ProdCase kProdCases[] = {
+    {"highway", "facs:ops=prod,defuzz=centroid", 0xffef0ea580d9861eULL},
+    {"highway", "facs:ops=prod,defuzz=bisector", 0x7aa6c490b72ca8beULL},
+    {"highway", "facs:ops=prod,defuzz=mom", 0x0d1d79f0d0bbd3e4ULL},
+    {"urban-walkers", "facs:ops=prod,defuzz=centroid", 0xe77c98def7337e61ULL},
+    {"urban-walkers", "facs:ops=prod,defuzz=bisector", 0xe77c98def7337e61ULL},
+    {"urban-walkers", "facs:ops=prod,defuzz=mom", 0xb11bc0578075e184ULL},
+};
+
+TEST(GoldenDigests, ProdOperatorsAtOneGroup) {
+  for (const ProdCase& c : kProdCases) {
+    const std::uint64_t digest = fnv1a(
+        runPolicy(ScenarioCatalog::builtins().at(c.scenario).config, c.policy)
+            .toJson());
+    EXPECT_EQ(digest, c.serial) << c.scenario << " / " << c.policy
+                                << std::hex << " digest 0x" << digest;
+  }
+}
+
 /// A small Fig. 10 sweep (FACS against SCC, as bench/fig10_facs_vs_scc.cpp
 /// sets them up) as printJson prints it. Its GPS walks, shadow kernels and
 /// FLC engines run every function of sim/detmath.hpp, so this digest is the
