@@ -52,10 +52,12 @@ struct ShardEvent {
   std::uint32_t slot = 0;
 };
 
-/// Canonical commit order: time, then kind rank, then call id — the only
-/// order a group's heap keeps its events in, and the order its lane pops
-/// them. Independent of the worker count and of insertion order, which is
-/// what makes multi-worker runs bit-identical to serial ones.
+/// Canonical commit order: time, then kind rank, then call id, then epoch —
+/// the only order a group's heap keeps its events in, and the order its
+/// lane pops them. Independent of the worker count and of insertion order,
+/// which is what makes multi-worker runs bit-identical to serial ones. The
+/// epoch makes the order total: after an in-group handoff the heap holds
+/// two End entries of one call that differ only in epoch.
 struct CommitEntry {
   double time_s = 0.0;
   ShardEvent event;
@@ -65,7 +67,8 @@ struct CommitLater {
   bool operator()(const CommitEntry& a, const CommitEntry& b) const noexcept {
     if (a.time_s != b.time_s) return a.time_s > b.time_s;
     if (a.event.kind != b.event.kind) return a.event.kind > b.event.kind;
-    return a.event.call > b.event.call;
+    if (a.event.call != b.event.call) return a.event.call > b.event.call;
+    return a.event.epoch > b.event.epoch;
   }
 };
 

@@ -49,5 +49,21 @@ TEST(CommitOrder, HeapPopsCanonicallyInEveryInsertionOrder) {
   EXPECT_EQ(permutations, 5040);
 }
 
+// After an in-group handoff a group's heap holds two End entries of one call
+// that agree on (time, kind, call) and differ only in epoch: they pop in
+// epoch order whichever was pushed first.
+TEST(CommitOrder, EqualKeysPopInEpochOrder) {
+  const CommitEntry stale{3.0, ShardEvent{ShardEventKind::End, 6, 1, 2}};
+  const CommitEntry live{3.0, ShardEvent{ShardEventKind::End, 6, 2, 2}};
+  for (const bool stale_first : {true, false}) {
+    Heap heap;
+    heap.push(stale_first ? stale : live);
+    heap.push(stale_first ? live : stale);
+    EXPECT_EQ(heap.top().event.epoch, 1u);
+    heap.pop();
+    EXPECT_EQ(heap.top().event.epoch, 2u);
+  }
+}
+
 }  // namespace
 }  // namespace facs::sim
