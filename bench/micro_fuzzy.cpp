@@ -86,10 +86,11 @@ void BM_FacsEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_FacsEvaluate);
 
-/// The full cascade per inference path, over 64 varied (Cv, R, Cs) inputs —
-/// the snapshot (hence Cv), the demand and the occupancy all change from
-/// one evaluation to the next. `facs` defuzzifies in closed form;
-/// `facs:ops=prod` (product implication, probabilistic OR) samples.
+/// The full cascade per operator family, over 64 varied (Cv, R, Cs) inputs
+/// — the snapshot (hence Cv), the demand and the occupancy all change from
+/// one evaluation to the next. Both defuzzify exactly: `facs` (min/max) a
+/// piecewise-linear curve, `facs:ops=prod` (product implication,
+/// probabilistic OR) a piecewise-quadratic one.
 void BM_FacsEvaluateVaried(benchmark::State& state, const char* spec) {
   const auto facs = facsFromRegistry(spec);
   constexpr std::array<double, 3> kDemands{1.0, 5.0, 10.0};
@@ -110,8 +111,8 @@ void BM_FacsEvaluateVaried(benchmark::State& state, const char* spec) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_FacsEvaluateVaried, exact, "facs");
-BENCHMARK_CAPTURE(BM_FacsEvaluateVaried, sampled, "facs:ops=prod");
+BENCHMARK_CAPTURE(BM_FacsEvaluateVaried, minmax, "facs");
+BENCHMARK_CAPTURE(BM_FacsEvaluateVaried, prod, "facs:ops=prod");
 
 void BM_FdlParseFlc1(benchmark::State& state) {
   const std::string doc = fuzzy::toFdl(core::buildFlc1());

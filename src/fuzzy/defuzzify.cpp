@@ -4,114 +4,88 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace facs::fuzzy {
 
 namespace {
 
 constexpr double kZeroArea = 1e-12;
-/// Samples (max family) or points within this of the peak count as maximal.
+/// Points within this of the peak count as maximal (max family).
 constexpr double kPeakTolerance = 1e-9;
-
-double centroid(std::span<const double> x, std::span<const double> mu,
-                std::span<const double> w) {
-  // Trapezoidal integration of x*mu(x) and mu(x); w[i-1] = 0.5 * dx of the
-  // segment, so each addend matches the historical 0.5 * dx * (...) bit for
-  // bit (0.5 * dx is an exact product either way).
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    num += w[i - 1] * (x[i] * mu[i] + x[i - 1] * mu[i - 1]);
-    den += w[i - 1] * (mu[i] + mu[i - 1]);
-  }
-  if (den < kZeroArea) return 0.5 * (x.front() + x.back());
-  return num / den;
-}
-
-double bisector(std::span<const double> x, std::span<const double> mu,
-                std::span<const double> w, std::vector<double>& cumulative) {
-  double total = 0.0;
-  cumulative.assign(x.size(), 0.0);
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    total += w[i - 1] * (mu[i] + mu[i - 1]);
-    cumulative[i] = total;
-  }
-  if (total < kZeroArea) return 0.5 * (x.front() + x.back());
-  const double half = 0.5 * total;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    if (cumulative[i] >= half) {
-      // Linear interpolation within the segment for a stable answer.
-      const double seg = cumulative[i] - cumulative[i - 1];
-      const double t = seg > 0.0 ? (half - cumulative[i - 1]) / seg : 0.0;
-      return x[i - 1] + t * (x[i] - x[i - 1]);
-    }
-  }
-  return x.back();
-}
 
 enum class MaxPick { Mean, Smallest, Largest };
 
-double ofMax(std::span<const double> x, std::span<const double> mu,
-             MaxPick pick) {
-  double peak = 0.0;
-  for (const double m : mu) peak = std::max(peak, m);
-  if (peak < kZeroArea) return 0.5 * (x.front() + x.back());
-  double sum = 0.0;
-  std::size_t count = 0;
-  double smallest = x.back();
-  double largest = x.front();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (mu[i] >= peak - kPeakTolerance) {
-      sum += x[i];
-      ++count;
-      smallest = std::min(smallest, x[i]);
-      largest = std::max(largest, x[i]);
-    }
-  }
-  switch (pick) {
-    case MaxPick::Mean:
-      return sum / static_cast<double>(count);
-    case MaxPick::Smallest:
-      return smallest;
-    case MaxPick::Largest:
-      return largest;
-  }
-  return sum / static_cast<double>(count);
+// --- Exact defuzzification of a piecewise curve ---------------------------
+// Piece i runs from corner p = c[i - 1] to corner q = c[i]; a piece with
+// q.x == p.x is a vertical edge and has no area. A piece is linear unless
+// it has Bernstein coefficients b_0..b_n (b_0 = p.mu, b_n = q.mu) over
+// s = (x - p.x) / h in [0, 1]: mu = sum_j b_j C(n, j) s^j (1 - s)^(n - j).
+
+/// The Bernstein coefficients of piece i; empty when the piece is linear.
+std::span<const double> coefficients(std::span<const double> bern,
+                                     std::span<const std::size_t> ends,
+                                     std::size_t i) {
+  if (ends.empty()) return {};
+  return bern.subspan(ends[i - 1], ends[i] - ends[i - 1]);
 }
 
-double dispatch(Defuzzifier method, std::span<const double> x,
-                std::span<const double> mu, std::span<const double> w,
-                std::vector<double>& cumulative) {
-  switch (method) {
-    case Defuzzifier::Centroid:
-      return centroid(x, mu, w);
-    case Defuzzifier::Bisector:
-      return bisector(x, mu, w, cumulative);
-    case Defuzzifier::MeanOfMax:
-      return ofMax(x, mu, MaxPick::Mean);
-    case Defuzzifier::SmallestOfMax:
-      return ofMax(x, mu, MaxPick::Smallest);
-    case Defuzzifier::LargestOfMax:
-      return ofMax(x, mu, MaxPick::Largest);
+/// De Casteljau's algorithm, stable at any degree: the value at s of the
+/// piece with Bernstein coefficients \p b, and its area over [0, s] per
+/// unit of h. That area is s times the mean coefficient of the piece's
+/// restriction to [0, s], whose coefficients are the levels' first entries.
+std::pair<double, double> deCasteljau(std::span<const double> b, double s,
+                                      std::vector<double>& work) {
+  work.assign(b.begin(), b.end());
+  double sum = work[0];
+  for (std::size_t n = work.size() - 1; n > 0; --n) {
+    for (std::size_t j = 0; j < n; ++j) work[j] += s * (work[j + 1] - work[j]);
+    sum += work[0];
   }
-  return centroid(x, mu, w);
+  return {work[0], s * sum / static_cast<double>(b.size())};
 }
 
-// --- Closed-form defuzzification of a piecewise-linear curve -------------
-// Each piece runs from corner p to corner q; a piece with q.x == p.x is a
-// vertical edge and has no area.
+/// Where in [lo, hi] the monotone \p reached (false at lo, true at hi)
+/// turns true, bisected to rounding.
+template <typename Pred>
+double boundary(double lo, double hi, Pred reached) {
+  for (int k = 0; k < 64; ++k) {
+    const double mid = 0.5 * (lo + hi);
+    (reached(mid) ? hi : lo) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
 
-double centroidPiecewise(std::span<const Vertex> c) {
-  // Exact per piece: area h (p + q) / 2 and first moment
-  // h (p.x (2 p + q) + q.x (p + 2 q)) / 6 for mu linear from p to q.
+double centroidPiecewise(std::span<const Vertex> c,
+                         std::span<const double> bern,
+                         std::span<const std::size_t> ends) {
+  // Exact per piece. Linear: area h (p + q) / 2 and first moment
+  // h (p.x (2 p + q) + q.x (p + 2 q)) / 6. Degree n: area
+  // h sum(b_j) / (n + 1) and first moment about p.x
+  // h^2 sum((j + 1) b_j) / ((n + 1) (n + 2)). Sums hold 6 x the moment
+  // and 2 x the area.
   double num = 0.0;
   double den = 0.0;
   for (std::size_t i = 1; i < c.size(); ++i) {
     const Vertex& p = c[i - 1];
     const Vertex& q = c[i];
     const double h = q.x - p.x;
-    num += h * (p.x * (2.0 * p.mu + q.mu) + q.x * (p.mu + 2.0 * q.mu));
-    den += h * (p.mu + q.mu);
+    const std::span<const double> b = coefficients(bern, ends, i);
+    if (b.empty()) {
+      num += h * (p.x * (2.0 * p.mu + q.mu) + q.x * (p.mu + 2.0 * q.mu));
+      den += h * (p.mu + q.mu);
+      continue;
+    }
+    const double n1 = static_cast<double>(b.size());
+    double sum = 0.0;
+    double moment = 0.0;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      sum += b[j];
+      moment += static_cast<double>(j + 1) * b[j];
+    }
+    const double area = h * sum / n1;
+    num += 6.0 * (p.x * area + h * h * moment / (n1 * (n1 + 1.0)));
+    den += 2.0 * area;
   }
   num /= 6.0;
   den *= 0.5;
@@ -119,9 +93,18 @@ double centroidPiecewise(std::span<const Vertex> c) {
   return num / den;
 }
 
-double bisectorPiecewise(std::span<const Vertex> c) {
+double bisectorPiecewise(std::span<const Vertex> c,
+                         std::span<const double> bern,
+                         std::span<const std::size_t> ends,
+                         std::vector<double>& work) {
   const auto area = [&](std::size_t i) {
-    return 0.5 * (c[i].x - c[i - 1].x) * (c[i - 1].mu + c[i].mu);
+    const std::span<const double> b = coefficients(bern, ends, i);
+    if (b.empty()) {
+      return 0.5 * (c[i].x - c[i - 1].x) * (c[i - 1].mu + c[i].mu);
+    }
+    double sum = 0.0;
+    for (const double v : b) sum += v;
+    return (c[i].x - c[i - 1].x) * sum / static_cast<double>(b.size());
   };
   double total = 0.0;
   for (std::size_t i = 1; i < c.size(); ++i) total += area(i);
@@ -131,13 +114,20 @@ double bisectorPiecewise(std::span<const Vertex> c) {
   for (std::size_t i = 1; i < c.size(); ++i) {
     const double a = area(i);
     if (before + a >= half) {
-      // Area from p.x to p.x + t is p t + s t^2 / 2 with slope s; solve it
-      // for the missing area in the cancellation-free form of the root.
       const Vertex& p = c[i - 1];
       const Vertex& q = c[i];
       const double h = q.x - p.x;
       const double need = std::max(0.0, half - before);
       if (h <= 0.0 || need <= 0.0) return p.x;
+      const std::span<const double> b = coefficients(bern, ends, i);
+      if (!b.empty()) {
+        // The area from p.x rises with s: bisect it for the missing area.
+        return p.x + h * boundary(0.0, 1.0, [&](double s) {
+                 return h * deCasteljau(b, s, work).second >= need;
+               });
+      }
+      // Area from p.x to p.x + t is p t + s t^2 / 2 with slope s; solve it
+      // for the missing area in the cancellation-free form of the root.
       const double slope = (q.mu - p.mu) / h;
       const double root =
           std::sqrt(std::max(0.0, p.mu * p.mu + 2.0 * slope * need));
@@ -149,7 +139,11 @@ double bisectorPiecewise(std::span<const Vertex> c) {
   return c.back().x;
 }
 
-double ofMaxPiecewise(std::span<const Vertex> c, MaxPick pick) {
+double ofMaxPiecewise(std::span<const Vertex> c,
+                      std::span<const double> bern,
+                      std::span<const std::size_t> ends, MaxPick pick,
+                      std::vector<double>& work) {
+  // A bent piece peaks at a corner too: mu is quasiconvex on it.
   double peak = 0.0;
   for (const Vertex& v : c) peak = std::max(peak, v.mu);
   if (peak < kZeroArea) return 0.5 * (c.front().x + c.back().x);
@@ -158,25 +152,59 @@ double ofMaxPiecewise(std::span<const Vertex> c, MaxPick pick) {
   double moment = 0.0;
   double smallest = c.back().x;
   double largest = c.front().x;
-  for (std::size_t i = 1; i < c.size(); ++i) {
-    const Vertex& p = c[i - 1];
-    const Vertex& q = c[i];
-    if (p.mu < floor && q.mu < floor) continue;
-    // The part of the piece at or above the floor: all of it, or the side
-    // of the point where the line crosses the floor.
-    double a = p.x;
-    double b = q.x;
-    if (p.mu < floor) {
-      a = p.x + (floor - p.mu) / (q.mu - p.mu) * (q.x - p.x);
-    } else if (q.mu < floor) {
-      b = p.x + (floor - p.mu) / (q.mu - p.mu) * (q.x - p.x);
-    }
+  const auto keep = [&](double a, double b) {
     smallest = std::min(smallest, a);
     largest = std::max(largest, b);
     if (b > a) {
       length += b - a;
       moment += 0.5 * (a + b) * (b - a);
     }
+  };
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    const Vertex& p = c[i - 1];
+    const Vertex& q = c[i];
+    if (p.mu < floor && q.mu < floor) continue;
+    const std::span<const double> poly = coefficients(bern, ends, i);
+    if (poly.empty()) {
+      // The part of the piece at or above the floor: all of it, or the
+      // side of the point where the line crosses the floor.
+      double a = p.x;
+      double b = q.x;
+      if (p.mu < floor) {
+        a = p.x + (floor - p.mu) / (q.mu - p.mu) * (q.x - p.x);
+      } else if (q.mu < floor) {
+        b = p.x + (floor - p.mu) / (q.mu - p.mu) * (q.x - p.x);
+      }
+      keep(a, b);
+      continue;
+    }
+    // Quasiconvex mu is below the floor on one open interval at most,
+    // around its lowest point: an end below the floor, or the bottom of a
+    // dip that a ternary search finds.
+    const double h = q.x - p.x;
+    const auto value = [&](double s) {
+      return deCasteljau(poly, s, work).first;
+    };
+    double lo = q.mu < floor ? 1.0 : 0.0;
+    double hi = p.mu < floor ? 0.0 : 1.0;
+    while (hi - lo > 1e-12) {
+      const double m1 = lo + (hi - lo) / 3.0;
+      const double m2 = hi - (hi - lo) / 3.0;
+      if (value(m1) < value(m2)) {
+        hi = m2;
+      } else {
+        lo = m1;
+      }
+    }
+    const double dip = 0.5 * (lo + hi);
+    if (value(dip) >= floor) {
+      keep(p.x, q.x);
+      continue;
+    }
+    const auto below = [&](double s) { return value(s) < floor; };
+    const auto above = [&](double s) { return value(s) >= floor; };
+    if (dip > 0.0) keep(p.x, p.x + h * boundary(0.0, dip, below));
+    if (dip < 1.0) keep(p.x + h * boundary(dip, 1.0, above), q.x);
   }
   switch (pick) {
     case MaxPick::Mean:
@@ -188,6 +216,25 @@ double ofMaxPiecewise(std::span<const Vertex> c, MaxPick pick) {
       return largest;
   }
   return smallest;
+}
+
+double defuzzifyCurve(Defuzzifier method, std::span<const Vertex> c,
+                      std::span<const double> bern,
+                      std::span<const std::size_t> ends,
+                      std::vector<double>& work) {
+  switch (method) {
+    case Defuzzifier::Centroid:
+      return centroidPiecewise(c, bern, ends);
+    case Defuzzifier::Bisector:
+      return bisectorPiecewise(c, bern, ends, work);
+    case Defuzzifier::MeanOfMax:
+      return ofMaxPiecewise(c, bern, ends, MaxPick::Mean, work);
+    case Defuzzifier::SmallestOfMax:
+      return ofMaxPiecewise(c, bern, ends, MaxPick::Smallest, work);
+    case Defuzzifier::LargestOfMax:
+      return ofMaxPiecewise(c, bern, ends, MaxPick::Largest, work);
+  }
+  return centroidPiecewise(c, bern, ends);
 }
 
 // --- The upper envelope of clipped piecewise-linear terms ---------------
@@ -228,12 +275,19 @@ AtEvent step(std::span<const Vertex> c, std::size_t& i, double x) {
   return {mu, mu, mu};
 }
 
-/// out = max(a, b) over the union of their corners: both are linear between
-/// consecutive events, so their pointwise max bends only at the events and
-/// where the two cross between them.
-void mergeMax(std::span<const Vertex> a, std::span<const Vertex> b,
-              std::vector<Vertex>& out) {
+/// out = a (+) b over the union of their corners, for (+) max or bounded
+/// sum: both are linear between consecutive events, so out bends only at
+/// the events and where, between two, the curves cross (max) or their sum
+/// crosses 1 (bounded sum).
+void merge(SNorm aggregation, std::span<const Vertex> a,
+           std::span<const Vertex> b, std::vector<Vertex>& out) {
   constexpr double kEnd = std::numeric_limits<double>::infinity();
+  const auto join = [aggregation](double u, double v) {
+    return apply(aggregation, u, v);
+  };
+  const auto bend = [aggregation](double u, double v) {
+    return aggregation == SNorm::Maximum ? u - v : u + v - 1.0;
+  };
   std::size_t i = 0;
   std::size_t j = 0;
   double prev_x = 0.0;
@@ -246,18 +300,18 @@ void mergeMax(std::span<const Vertex> a, std::span<const Vertex> b,
     const AtEvent va = step(a, i, x);
     const AtEvent vb = step(b, j, x);
     if (!first) {
-      const double d0 = prev_a.right - prev_b.right;
-      const double d1 = va.left - vb.left;
+      const double d0 = bend(prev_a.right, prev_b.right);
+      const double d1 = bend(va.left, vb.left);
       if ((d0 < 0.0 && d1 > 0.0) || (d0 > 0.0 && d1 < 0.0)) {
         const double f = d0 / (d0 - d1);
         emit(out, prev_x + f * (x - prev_x),
-             std::max(prev_a.right + f * (va.left - prev_a.right),
-                      prev_b.right + f * (vb.left - prev_b.right)));
+             join(prev_a.right + f * (va.left - prev_a.right),
+                  prev_b.right + f * (vb.left - prev_b.right)));
       }
     }
-    const double left = std::max(va.left, vb.left);
-    const double peak = std::max(va.peak, vb.peak);
-    const double right = std::max(va.right, vb.right);
+    const double left = join(va.left, vb.left);
+    const double peak = join(va.peak, vb.peak);
+    const double right = join(va.right, vb.right);
     emit(out, x, left);
     if (peak != left) out.push_back({x, peak});
     if (right != peak) out.push_back({x, right});
@@ -268,6 +322,19 @@ void mergeMax(std::span<const Vertex> a, std::span<const Vertex> b,
   }
 }
 
+/// Multiplies the Bernstein polynomial \p b of degree n by the affine
+/// u (1 - s) + w s, giving degree n + 1. The end coefficients stay plain
+/// products of the factors' end values.
+void multiplyAffine(std::vector<double>& b, double u, double w) {
+  const std::size_t n1 = b.size();
+  b.push_back(0.0);
+  for (std::size_t k = n1; k > 0; --k) {
+    const double wk = static_cast<double>(k) / static_cast<double>(n1);
+    b[k] = w * b[k - 1] * wk + u * b[k] * (1.0 - wk);
+  }
+  b[0] *= u;
+}
+
 }  // namespace
 
 double defuzzifyPiecewise(Defuzzifier method, std::span<const Vertex> curve) {
@@ -276,64 +343,71 @@ double defuzzifyPiecewise(Defuzzifier method, std::span<const Vertex> curve) {
         "piecewise defuzzification needs >= 2 corners over a non-empty "
         "universe");
   }
-  switch (method) {
-    case Defuzzifier::Centroid:
-      return centroidPiecewise(curve);
-    case Defuzzifier::Bisector:
-      return bisectorPiecewise(curve);
-    case Defuzzifier::MeanOfMax:
-      return ofMaxPiecewise(curve, MaxPick::Mean);
-    case Defuzzifier::SmallestOfMax:
-      return ofMaxPiecewise(curve, MaxPick::Smallest);
-    case Defuzzifier::LargestOfMax:
-      return ofMaxPiecewise(curve, MaxPick::Largest);
-  }
-  return centroidPiecewise(curve);
+  std::vector<double> work;  // unused: every piece is linear
+  return defuzzifyCurve(method, curve, {}, {}, work);
 }
 
 void PiecewiseEnvelope::clear() noexcept {
-  clipped_.clear();
+  implied_.clear();
   ends_.clear();
 }
 
-void PiecewiseEnvelope::addClipped(std::span<const Vertex> polyline,
-                                   double activation) {
+void PiecewiseEnvelope::add(TNorm implication, std::span<const Vertex> polyline,
+                            double activation) {
   if (polyline.empty()) {
-    throw std::invalid_argument("clipped term needs at least one corner");
+    throw std::invalid_argument("implied term needs at least one corner");
   }
-  // Each clipped term is stored as a bump: it starts and ends at mu = 0
-  // (a vertical edge is added where the shape's own ends are not zero).
-  const auto push = [&](double x, double mu) { clipped_.push_back({x, mu}); };
-  if (polyline.front().mu > 0.0) push(polyline.front().x, 0.0);
-  push(polyline.front().x, std::min(activation, polyline.front().mu));
+  // Implication maps mu through a function that bends at most once: min
+  // clips at the activation, Lukasiewicz is zero up to 1 - activation, and
+  // product only scales. A side that crosses the bend gets a corner there.
+  const double bend = implication == TNorm::Minimum ? activation
+                      : implication == TNorm::BoundedDifference
+                          ? 1.0 - activation
+                          : -1.0;
+  const double at_bend = implication == TNorm::Minimum ? activation : 0.0;
+  const auto imply = [&](double mu) {
+    return apply(implication, activation, mu);
+  };
+  // Each implied term is stored as a bump: it starts and ends at mu = 0
+  // (a vertical edge is added where the implied ends are not zero).
+  const auto push = [&](double x, double mu) { implied_.push_back({x, mu}); };
+  if (imply(polyline.front().mu) > 0.0) push(polyline.front().x, 0.0);
+  push(polyline.front().x, imply(polyline.front().mu));
   for (std::size_t i = 1; i < polyline.size(); ++i) {
     const Vertex& p = polyline[i - 1];
     const Vertex& q = polyline[i];
-    if (p.x < q.x && (p.mu - activation) * (q.mu - activation) < 0.0) {
-      // The side crosses the clip level: a new corner at the crossing.
-      const double x = p.x + (activation - p.mu) / (q.mu - p.mu) * (q.x - p.x);
-      push(std::clamp(x, p.x, q.x), activation);
+    if (p.x < q.x && (p.mu - bend) * (q.mu - bend) < 0.0) {
+      const double x = p.x + (bend - p.mu) / (q.mu - p.mu) * (q.x - p.x);
+      push(std::clamp(x, p.x, q.x), at_bend);
     }
-    push(q.x, std::min(activation, q.mu));
+    push(q.x, imply(q.mu));
   }
-  if (polyline.back().mu > 0.0) push(polyline.back().x, 0.0);
-  ends_.push_back(clipped_.size());
+  if (imply(polyline.back().mu) > 0.0) push(polyline.back().x, 0.0);
+  ends_.push_back(implied_.size());
 }
 
-double PiecewiseEnvelope::defuzzify(Defuzzifier method, Interval universe) {
-  buildEnvelope(universe);
-  return defuzzifyPiecewise(method, curve_);
+double PiecewiseEnvelope::defuzzify(SNorm aggregation, Defuzzifier method,
+                                    Interval universe) {
+  if (aggregation == SNorm::AlgebraicSum) {
+    buildProbor(universe);
+  } else {
+    buildEnvelope(aggregation, universe);
+  }
+  return defuzzifyCurve(method, curve_, bern_, bern_end_, work_);
 }
 
-void PiecewiseEnvelope::buildEnvelope(Interval universe) {
-  // Merge the clipped terms into the envelope in order of their left end.
+std::span<const Vertex> PiecewiseEnvelope::term(std::size_t t) const {
+  return {implied_.data() + (t == 0 ? 0 : ends_[t - 1]),
+          implied_.data() + ends_[t]};
+}
+
+void PiecewiseEnvelope::buildEnvelope(SNorm aggregation, Interval universe) {
+  // Merge the implied terms into the envelope in order of their left end.
   // Everything left of the next term's start is then final, so each merge
   // only walks the envelope's tail from that start on.
   order_.resize(ends_.size());
   for (std::size_t t = 0; t < order_.size(); ++t) order_[t] = t;
-  const auto start = [&](std::size_t t) {
-    return clipped_[t == 0 ? 0 : ends_[t - 1]].x;
-  };
+  const auto start = [&](std::size_t t) { return term(t).front().x; };
   for (std::size_t k = 1; k < order_.size(); ++k) {
     // Insertion sort: terms usually arrive left to right already.
     for (std::size_t m = k; m > 0 && start(order_[m]) < start(order_[m - 1]);
@@ -344,15 +418,13 @@ void PiecewiseEnvelope::buildEnvelope(Interval universe) {
 
   envelope_.clear();
   for (const std::size_t t : order_) {
-    const std::span<const Vertex> term{
-        clipped_.data() + (t == 0 ? 0 : ends_[t - 1]),
-        clipped_.data() + ends_[t]};
-    const double x0 = term.front().x;
+    const std::span<const Vertex> next = term(t);
+    const double x0 = next.front().x;
     std::size_t keep = envelope_.size();
     while (keep > 0 && envelope_[keep - 1].x >= x0) --keep;
     if (keep == envelope_.size()) {
       // Disjoint from everything so far (the envelope ends at mu = 0).
-      for (const Vertex& v : term) emit(envelope_, v.x, v.mu);
+      for (const Vertex& v : next) emit(envelope_, v.x, v.mu);
       continue;
     }
     tail_.clear();
@@ -363,7 +435,7 @@ void PiecewiseEnvelope::buildEnvelope(Interval universe) {
                  envelope_.begin() + static_cast<std::ptrdiff_t>(keep),
                  envelope_.end());
     envelope_.resize(keep);
-    mergeMax(tail_, term, envelope_);
+    merge(aggregation, tail_, next, envelope_);
   }
 
   // Restrict to the universe: its ends carry the envelope's one-sided
@@ -378,6 +450,7 @@ void PiecewiseEnvelope::buildEnvelope(Interval universe) {
     return lerp(*(it - 1), *it, x);
   };
   curve_.clear();
+  bern_end_.clear();  // every piece is linear
   curve_.push_back({universe.lo, at(universe.lo, true)});
   for (const Vertex& v : envelope_) {
     if (v.x > universe.lo && v.x < universe.hi) emit(curve_, v.x, v.mu);
@@ -385,26 +458,54 @@ void PiecewiseEnvelope::buildEnvelope(Interval universe) {
   emit(curve_, universe.hi, at(universe.hi, false));
 }
 
-void fillTrapezoidWeights(std::span<const double> x,
-                          std::vector<double>& weights) {
-  weights.resize(x.empty() ? 0 : x.size() - 1);
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    weights[i - 1] = 0.5 * (x[i] - x[i - 1]);
+void PiecewiseEnvelope::buildProbor(Interval universe) {
+  // Sweep every corner of every implied term in ascending x. Between two
+  // consecutive events each term is linear, from its right limit at the
+  // first to its left limit at the second, so the complement
+  // prod(1 - f_i) there is the product of one affine factor per live term.
+  events_.clear();
+  for (const Vertex& v : implied_) events_.push_back(v.x);
+  events_.push_back(universe.lo);
+  events_.push_back(universe.hi);
+  std::sort(events_.begin(), events_.end());
+  events_.erase(std::unique(events_.begin(), events_.end()), events_.end());
+  cursor_.assign(ends_.size(), 0);
+  from_.assign(ends_.size(), 0.0);
+  curve_.clear();
+  bern_.clear();
+  bern_end_.clear();
+  for (const double x : events_) {
+    if (x > universe.hi) break;
+    // Complements at x (left limit, largest value, right limit) and the
+    // complement's Bernstein coefficients on the piece that ends at x.
+    double left = 1.0;
+    double peak = 1.0;
+    double right = 1.0;
+    work_.assign(1, 1.0);
+    for (std::size_t t = 0; t < ends_.size(); ++t) {
+      const AtEvent at = step(term(t), cursor_[t], x);
+      if (x > universe.lo && (from_[t] > 0.0 || at.left > 0.0)) {
+        multiplyAffine(work_, 1.0 - from_[t], 1.0 - at.left);
+      }
+      left *= 1.0 - at.left;
+      peak *= 1.0 - at.peak;
+      right *= 1.0 - at.right;
+      from_[t] = at.right;
+    }
+    if (x < universe.lo) continue;
+    // Up to degree 1 the piece is the line between its corners. The
+    // universe's ends keep only their inner one-sided limits.
+    if (work_.size() > 2) {
+      for (const double b : work_) bern_.push_back(1.0 - b);
+    }
+    const auto corner = [&](double complement) {
+      curve_.push_back({x, 1.0 - complement});
+      bern_end_.push_back(bern_.size());
+    };
+    if (x > universe.lo) corner(left);
+    if (x > universe.lo && x < universe.hi && peak != left) corner(peak);
+    if (x < universe.hi && (x == universe.lo || right != peak)) corner(right);
   }
-}
-
-double defuzzifySampled(Defuzzifier method, std::span<const double> x,
-                        std::span<const double> mu,
-                        std::span<const double> half_dx,
-                        DefuzzScratch& scratch) {
-  if (x.size() < 2) {
-    throw std::invalid_argument("defuzzification needs >= 2 samples");
-  }
-  if (mu.size() != x.size() || half_dx.size() != x.size() - 1) {
-    throw std::invalid_argument(
-        "defuzzification sample spans have mismatched sizes");
-  }
-  return dispatch(method, x, mu, half_dx, scratch.cumulative);
 }
 
 std::string_view toString(Defuzzifier method) noexcept {

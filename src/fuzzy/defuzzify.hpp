@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fuzzy/membership.hpp"
+#include "fuzzy/norms.hpp"
 
 namespace facs::fuzzy {
 
@@ -21,48 +22,37 @@ enum class Defuzzifier {
   LargestOfMax,   ///< Rightmost maximizing point.
 };
 
-/// Reusable working buffer of the bisector's running area. One scratch
-/// serves any resolution (each call resizes it), so a warm scratch keeps
-/// repeated defuzzification free of heap traffic.
-struct DefuzzScratch {
-  std::vector<double> cumulative;
-};
-
-/// Defuzzifies a sampled curve: \p x is the sample grid, \p mu the
-/// membership at each sample, \p half_dx the trapezoid weights
-/// (0.5 * (x[i+1] - x[i]) per segment, so |half_dx| == |x| - 1). Sampling
-/// engines precompute the grid and weights once at seal() and every
-/// inference only fills \p mu.
-///
-/// If the curve is identically zero (no rule fired), the grid's midpoint is
-/// returned — a neutral value by construction of the FACS output variables
-/// (A/R = 0 is "not reject, not accept").
-///
-/// \throws std::invalid_argument on mismatched spans or fewer than 2 samples.
-[[nodiscard]] double defuzzifySampled(Defuzzifier method,
-                                      std::span<const double> x,
-                                      std::span<const double> mu,
-                                      std::span<const double> half_dx,
-                                      DefuzzScratch& scratch);
-
 /// Defuzzifies a piecewise-linear curve in closed form. \p curve lists the
 /// curve's corners in ascending x over the whole universe (front().x and
 /// back().x are its ends); the curve is linear between consecutive corners,
 /// and two corners at the same x are a vertical edge. Centroid integrates
 /// x*mu and mu exactly per piece, bisector solves the piece's quadratic for
 /// the half-area point, and the max family takes the set where mu is within
-/// 1e-9 of the peak (its length-weighted mean, infimum or supremum). As on
-/// the sampled path, an area (max family: a peak) below 1e-12 returns the
-/// universe midpoint.
+/// 1e-9 of the peak (its length-weighted mean, infimum or supremum). An
+/// area (max family: a peak) below 1e-12 returns the universe midpoint —
+/// a neutral value by construction of the FACS output variables (A/R = 0
+/// is "not reject, not accept").
 ///
 /// \throws std::invalid_argument on fewer than 2 corners or a universe that
 ///         is empty or runs backwards.
 [[nodiscard]] double defuzzifyPiecewise(Defuzzifier method,
                                         std::span<const Vertex> curve);
 
-/// The Min-implication, Max-aggregation output curve of a Mamdani engine
-/// whose output terms are all piecewise linear, built from each active
-/// term's corners and activation and defuzzified with defuzzifyPiecewise().
+/// The aggregated output curve of a Mamdani engine, built exactly from its
+/// active output terms and defuzzified without sampling:
+/// - Implication keeps each term piecewise linear: min clips it at the
+///   activation a, product scales its corners by a, and Lukasiewicz
+///   (max(0, mu + a - 1)) bends where a side crosses 1 - a.
+/// - Max and bounded sum keep the curve piecewise linear, with a corner
+///   where two terms cross (max) or their sum crosses 1 (bounded sum).
+/// - Probabilistic OR, mu = 1 - prod(1 - f_i), is a polynomial between
+///   consecutive corners, of degree the number of terms alive there, kept
+///   as Bernstein coefficients. Centroid integrates it; bisector bisects
+///   the rising area inside the piece holding the half-area point. mu is
+///   quasiconvex on a piece (prod(1 - f_i) is log-concave), so its peak is
+///   a corner and the part within 1e-9 of the peak is the piece minus one
+///   open interval at most: the max family keeps defuzzifyPiecewise()'s
+///   length-weighted semantics.
 /// Every buffer is reused across clear(), so warm use allocates nothing.
 class PiecewiseEnvelope {
  public:
@@ -70,35 +60,44 @@ class PiecewiseEnvelope {
   void clear() noexcept;
 
   /// Adds the term with corners \p polyline (ascending x, as reported by
-  /// MembershipFunction::vertices()) clipped at \p activation:
-  /// mu(x) = min(activation, term(x)).
-  void addClipped(std::span<const Vertex> polyline, double activation);
+  /// MembershipFunction::vertices()) implied by \p activation:
+  /// mu(x) = apply(implication, activation, term(x)).
+  void add(TNorm implication, std::span<const Vertex> polyline,
+           double activation);
 
-  /// Builds the upper envelope of the added terms over \p universe (zero
-  /// where none is positive) and defuzzifies it in closed form.
-  [[nodiscard]] double defuzzify(Defuzzifier method, Interval universe);
+  /// Aggregates the added terms over \p universe (zero where none is
+  /// positive) and defuzzifies the result exactly.
+  [[nodiscard]] double defuzzify(SNorm aggregation, Defuzzifier method,
+                                 Interval universe);
 
-  /// The envelope the last defuzzify() built, in defuzzifyPiecewise()'s
-  /// corner format.
+  /// The corners of the curve the last defuzzify() built, in
+  /// defuzzifyPiecewise()'s format. Under probabilistic OR a piece of
+  /// more than one live term bends between its corners.
   [[nodiscard]] std::span<const Vertex> curve() const noexcept {
     return curve_;
   }
 
  private:
-  void buildEnvelope(Interval universe);
+  /// Added term \p t's implied corners.
+  [[nodiscard]] std::span<const Vertex> term(std::size_t t) const;
+  void buildEnvelope(SNorm aggregation, Interval universe);
+  void buildProbor(Interval universe);
 
-  std::vector<Vertex> clipped_;     ///< Clipped terms, back to back.
+  std::vector<Vertex> implied_;     ///< Implied terms, back to back.
   std::vector<std::size_t> ends_;   ///< One past each term's last corner.
   std::vector<std::size_t> order_;  ///< Terms by left end.
-  std::vector<Vertex> envelope_;    ///< Max of the terms merged so far.
+  std::vector<Vertex> envelope_;    ///< Terms merged so far.
   std::vector<Vertex> tail_;        ///< Envelope right of the next term.
-  std::vector<Vertex> curve_;       ///< The envelope over the universe.
+  std::vector<Vertex> curve_;       ///< The aggregated curve's corners.
+  /// Probabilistic OR: the Bernstein coefficients of the pieces of degree
+  /// >= 2. The piece ending at corner k owns [bern_end_[k - 1], bern_end_[k]).
+  std::vector<double> bern_;
+  std::vector<std::size_t> bern_end_;
+  std::vector<double> events_;       ///< Every corner x, sorted (probor).
+  std::vector<std::size_t> cursor_;  ///< Per term: next corner (probor).
+  std::vector<double> from_;         ///< Per term: mu right of last event.
+  std::vector<double> work_;         ///< A piece's coefficients, scratch.
 };
-
-/// Fills \p weights with the trapezoid integration weights of grid \p x:
-/// weights[i] = 0.5 * (x[i+1] - x[i]).
-void fillTrapezoidWeights(std::span<const double> x,
-                          std::vector<double>& weights);
 
 [[nodiscard]] std::string_view toString(Defuzzifier method) noexcept;
 

@@ -1,116 +1,37 @@
 #include "fuzzy/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 namespace facs::fuzzy {
-
-namespace {
-
-/// The aggregation inner loop of the sampled path, specialized per operator
-/// pair so the per-sample work is branch-light and autovectorizable. Each
-/// functor mirrors apply() in norms.cpp exactly — same primitive ops, so
-/// the specialized loops share every bit with apply().
-template <typename ImplOp, typename AggOp>
-void accumulateRow(double activation, const double* term_mu, double* mu,
-                   std::size_t n, ImplOp impl, AggOp agg) {
-  for (std::size_t i = 0; i < n; ++i) {
-    mu[i] = agg(mu[i], impl(activation, term_mu[i]));
-  }
-}
-
-struct MinOp {
-  double operator()(double a, double b) const { return std::min(a, b); }
-};
-struct ProdOp {
-  double operator()(double a, double b) const { return a * b; }
-};
-struct LukOp {
-  double operator()(double a, double b) const {
-    return std::max(0.0, a + b - 1.0);
-  }
-};
-struct MaxOp {
-  double operator()(double a, double b) const { return std::max(a, b); }
-};
-struct ProborOp {
-  double operator()(double a, double b) const { return a + b - a * b; }
-};
-struct BsumOp {
-  double operator()(double a, double b) const { return std::min(1.0, a + b); }
-};
-
-template <typename ImplOp>
-void accumulateWithAgg(SNorm agg, double activation, const double* term_mu,
-                       double* mu, std::size_t n, ImplOp impl) {
-  switch (agg) {
-    case SNorm::Maximum:
-      return accumulateRow(activation, term_mu, mu, n, impl, MaxOp{});
-    case SNorm::AlgebraicSum:
-      return accumulateRow(activation, term_mu, mu, n, impl, ProborOp{});
-    case SNorm::BoundedSum:
-      return accumulateRow(activation, term_mu, mu, n, impl, BsumOp{});
-  }
-  // Unknown enum value: fall back to the generic dispatcher so a future
-  // norm cannot silently diverge from apply().
-  for (std::size_t i = 0; i < n; ++i) {
-    mu[i] = apply(agg, mu[i], impl(activation, term_mu[i]));
-  }
-}
-
-void accumulateTerm(TNorm impl, SNorm agg, double activation,
-                    const double* term_mu, double* mu, std::size_t n) {
-  switch (impl) {
-    case TNorm::Minimum:
-      return accumulateWithAgg(agg, activation, term_mu, mu, n, MinOp{});
-    case TNorm::AlgebraicProduct:
-      return accumulateWithAgg(agg, activation, term_mu, mu, n, ProdOp{});
-    case TNorm::BoundedDifference:
-      return accumulateWithAgg(agg, activation, term_mu, mu, n, LukOp{});
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    mu[i] = apply(agg, mu[i], apply(impl, activation, term_mu[i]));
-  }
-}
-
-}  // namespace
 
 MamdaniEngine::MamdaniEngine(std::string name, EngineConfig config)
     : name_{std::move(name)}, config_{config} {
   if (name_.empty()) {
     throw std::invalid_argument("engine name must not be empty");
   }
-  if (config_.resolution < 2) {
-    throw std::invalid_argument("engine resolution must be >= 2");
-  }
-  if (config_.resolution > kMaxResolution) {
-    throw std::invalid_argument("engine resolution must be <= " +
-                                std::to_string(kMaxResolution));
-  }
 }
 
 std::size_t MamdaniEngine::addInput(LinguisticVariable variable) {
-  unseal();
+  sealed_ = false;
   inputs_.push_back(std::move(variable));
   return inputs_.size() - 1;
 }
 
 void MamdaniEngine::setOutput(LinguisticVariable variable) {
-  unseal();
+  sealed_ = false;
   output_.clear();
   output_.push_back(std::move(variable));
 }
 
 void MamdaniEngine::addRule(const std::vector<std::string>& antecedent_terms,
                             const std::string& consequent_term, double weight) {
-  unseal();
+  sealed_ = false;
   rules_.add(inputs_, output(), antecedent_terms, consequent_term, weight);
 }
 
 void MamdaniEngine::addRule(Rule rule) {
-  unseal();
+  sealed_ = false;
   rules_.add(std::move(rule));
 }
 
@@ -157,39 +78,9 @@ void MamdaniEngine::checkValid() const {
   // FACS controllers assert completeness separately in their tests.
 }
 
-bool MamdaniEngine::piecewiseLinear() const noexcept {
-  return config_.implication == TNorm::Minimum &&
-         config_.aggregation == SNorm::Maximum;
-}
-
 void MamdaniEngine::seal() {
   checkValid();
-  piecewise_ = piecewiseLinear();
   sealed_ = true;
-  if (piecewise_) return;
-
-  // Tabulate the output terms on the fixed sample grid x = lo + step * i,
-  // step = width / (resolution - 1): a pure function of (universe,
-  // resolution), so every inference folds the same samples.
-  const LinguisticVariable& out = output();
-  const Interval u = out.universe();
-  const auto n = static_cast<std::size_t>(config_.resolution);
-  tables_.x.resize(n);
-  const double step = u.width() / (config_.resolution - 1);
-  for (int i = 0; i < config_.resolution; ++i) {
-    tables_.x[static_cast<std::size_t>(i)] = u.lo + step * i;
-  }
-  fillTrapezoidWeights(tables_.x, tables_.half_dx);
-  tables_.term_mu.resize(out.termCount() * n);
-  for (std::size_t t = 0; t < out.termCount(); ++t) {
-    out.tabulateTerm(t, tables_.x,
-                     std::span<double>{tables_.term_mu.data() + t * n, n});
-  }
-}
-
-void MamdaniEngine::unseal() {
-  sealed_ = false;
-  tables_ = OutputTables{};
 }
 
 void MamdaniEngine::checkCall(std::span<const double> crisp_inputs) const {
@@ -224,9 +115,8 @@ void MamdaniEngine::fireInto(const std::vector<FuzzyVector>& fuzzified,
 double MamdaniEngine::aggregateAndDefuzzify(
     const std::vector<double>& strengths, InferenceScratch& scratch) const {
   // Per-output-term activation level: the s-norm of the strengths of all
-  // rules concluding in that term. Computing per-term activation first (and
-  // evaluating each term's membership once per sample point) keeps the
-  // aggregated-curve evaluation O(#terms) instead of O(#rules).
+  // rules concluding in that term. Computing per-term activation first
+  // keeps the aggregated curve O(#terms) pieces instead of O(#rules).
   const LinguisticVariable& out = output();
   std::vector<double>& term_activation = scratch.term_activation;
   term_activation.assign(out.termCount(), 0.0);
@@ -237,45 +127,26 @@ double MamdaniEngine::aggregateAndDefuzzify(
         apply(config_.aggregation, term_activation[t], strengths[i]);
   }
 
-  if (piecewise_) {
-    PiecewiseEnvelope& envelope = scratch.piecewise;
-    envelope.clear();
-    for (std::size_t t = 0; t < term_activation.size(); ++t) {
-      if (term_activation[t] <= 0.0) continue;
-      envelope.addClipped(out.term(t).mf().vertices(), term_activation[t]);
-    }
-    return envelope.defuzzify(config_.defuzzifier, out.universe());
-  }
-
-  // Fold each active term's sample row into the aggregated curve, in
-  // ascending term order per sample; the inner loop walks contiguous
-  // doubles.
-  const std::size_t n = tables_.x.size();
-  scratch.curve_mu.assign(n, 0.0);
+  PiecewiseEnvelope& curve = scratch.piecewise;
+  curve.clear();
   for (std::size_t t = 0; t < term_activation.size(); ++t) {
     if (term_activation[t] <= 0.0) continue;
-    accumulateTerm(config_.implication, config_.aggregation,
-                   term_activation[t], tables_.term_mu.data() + t * n,
-                   scratch.curve_mu.data(), n);
+    curve.add(config_.implication, out.term(t).mf().vertices(),
+              term_activation[t]);
   }
-  return defuzzifySampled(config_.defuzzifier, tables_.x, scratch.curve_mu,
-                          tables_.half_dx, scratch.defuzz);
+  return curve.defuzzify(config_.aggregation, config_.defuzzifier,
+                         out.universe());
 }
 
 double MamdaniEngine::infer(std::span<const double> crisp_inputs) const {
   // Shared across engines on the same thread; every inference resizes the
   // buffers to its own shape, so the steady state allocates nothing.
   static thread_local InferenceScratch scratch;
-  return inferInto(crisp_inputs, scratch);
+  return infer(crisp_inputs, scratch);
 }
 
 double MamdaniEngine::infer(std::span<const double> crisp_inputs,
                             InferenceScratch& scratch) const {
-  return inferInto(crisp_inputs, scratch);
-}
-
-double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
-                                InferenceScratch& scratch) const {
   checkCall(crisp_inputs);
 
   scratch.fuzzified.resize(inputs_.size());

@@ -14,19 +14,13 @@
 
 namespace facs::fuzzy {
 
-/// Largest accepted EngineConfig::resolution: far above any grid in use
-/// (the finest samples 4001 points), small enough to bound a grid's memory.
-inline constexpr int kMaxResolution = 1'000'000;
-
-/// Operator configuration of a Mamdani controller.
+/// Operator configuration of a Mamdani controller. Every combination
+/// infers exactly, without sampling (see PiecewiseEnvelope).
 struct EngineConfig {
   TNorm conjunction = TNorm::Minimum;    ///< Combines antecedent degrees.
   TNorm implication = TNorm::Minimum;    ///< Applies firing strength to the consequent (clip).
   SNorm aggregation = SNorm::Maximum;    ///< Merges rule outputs.
   Defuzzifier defuzzifier = Defuzzifier::Centroid;
-  /// Output-universe samples for defuzzification. Only engines that sample
-  /// use it; see MamdaniEngine::piecewiseLinear(). In [2, kMaxResolution].
-  int resolution = 1001;
 };
 
 /// Reusable working buffers for the allocation-free inference path. One
@@ -37,9 +31,7 @@ struct InferenceScratch {
   std::vector<FuzzyVector> fuzzified;
   std::vector<double> strengths;
   std::vector<double> term_activation;
-  std::vector<double> curve_mu;  ///< Aggregated curve on the sealed grid.
-  DefuzzScratch defuzz;
-  PiecewiseEnvelope piecewise;   ///< Breakpoint buffers of the exact path.
+  PiecewiseEnvelope piecewise;   ///< The aggregated output curve.
 };
 
 /// Per-rule diagnostic from a traced inference.
@@ -64,6 +56,10 @@ struct InferenceTrace {
 /// rules, then call `seal()` once — it validates the structure, and only a
 /// sealed engine infers. The engine is immutable during inference and
 /// therefore safe to share across threads for concurrent `infer()` calls.
+///
+/// Inference is exact for every operator configuration: the aggregated
+/// output curve is built from the output terms' corners and defuzzified in
+/// closed form (PiecewiseEnvelope), so no engine samples its universe.
 class MamdaniEngine {
  public:
   explicit MamdaniEngine(std::string name, EngineConfig config = {});
@@ -101,22 +97,11 @@ class MamdaniEngine {
   void checkValid() const;
 
   /// Validates once (checkValid(), an O(rules^2 + term-product) scan) and
-  /// makes the engine ready to infer: it remembers piecewiseLinear(), and an
-  /// engine that samples (piecewiseLinear() false) gets its OutputTables,
-  /// the output terms tabulated on the `resolution`-point grid. Any
-  /// mutation (addInput, setOutput, addRule) unseals and drops the tables.
-  /// The sealed state is written here only.
+  /// makes the engine ready to infer. Any mutation (addInput, setOutput,
+  /// addRule) unseals.
   /// \throws std::logic_error when the engine is structurally invalid.
   void seal();
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
-
-  /// True when the aggregated output curve is piecewise linear — Min
-  /// implication and Max aggregation of the piecewise-linear terms — so
-  /// inference defuzzifies it in closed form over its breakpoints
-  /// (PiecewiseEnvelope) and ignores `resolution`. Any other engine (Prod
-  /// or Lukasiewicz implication, probabilistic or bounded-sum aggregation)
-  /// samples the curve on `resolution` points.
-  [[nodiscard]] bool piecewiseLinear() const noexcept;
 
   /// Runs one inference; \p crisp_inputs are clamped to each variable's
   /// universe. \throws std::logic_error when the engine is not sealed,
@@ -141,10 +126,8 @@ class MamdaniEngine {
                 std::vector<double>& strengths) const;
 
   /// Per-term aggregation of \p strengths into scratch.term_activation
-  /// (resized and zeroed here) followed by defuzzification of the
+  /// (resized and zeroed here) followed by exact defuzzification of the
   /// aggregated curve — the shared back half of every inference.
-  /// Piecewise-linear engines run the closed-form kernel; sampling engines
-  /// fold the sealed sample-grid tables.
   [[nodiscard]] double aggregateAndDefuzzify(
       const std::vector<double>& strengths, InferenceScratch& scratch) const;
 
@@ -153,34 +136,12 @@ class MamdaniEngine {
   ///         std::invalid_argument when \p crisp_inputs has the wrong arity.
   void checkCall(std::span<const double> crisp_inputs) const;
 
-  /// Drops the cached validation and the precomputed tables — every
-  /// mutating entry point funnels through here.
-  void unseal();
-
-  /// Entry check + defuzzified output via the scratch buffers (shared core
-  /// of both infer() overloads).
-  [[nodiscard]] double inferInto(std::span<const double> crisp_inputs,
-                                 InferenceScratch& scratch) const;
-
-  /// Sample-grid tables of a sealed engine that samples (empty while
-  /// unsealed and for piecewise-linear engines, which never sample).
-  /// The grid and weights depend only on (universe, resolution); term_mu is
-  /// term-major — term t's row is [t * x.size(), (t+1) * x.size()) — so
-  /// the aggregation inner loop walks contiguous doubles.
-  struct OutputTables {
-    std::vector<double> x;        ///< Sample grid over the output universe.
-    std::vector<double> half_dx;  ///< Trapezoid weights, 0.5 * segment dx.
-    std::vector<double> term_mu;  ///< termCount x resolution, term-major.
-  };
-
   std::string name_;
   EngineConfig config_;
   std::vector<LinguisticVariable> inputs_;
   std::vector<LinguisticVariable> output_;  ///< 0 or 1 elements.
   RuleBase rules_;
-  OutputTables tables_;
   bool sealed_ = false;
-  bool piecewise_ = false;  ///< piecewiseLinear(), cached by seal().
 };
 
 }  // namespace facs::fuzzy

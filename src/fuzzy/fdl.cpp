@@ -33,29 +33,16 @@ std::vector<std::string> tokenize(std::string_view line) {
   return tokens;
 }
 
-/// Finite only: std::stod accepts "nan" and "inf", but no FDL field means
-/// anything non-finite — a NaN universe would infer NaN outputs.
+/// Finite only: std::from_chars accepts "nan" and "inf", but no FDL field
+/// means anything non-finite — a NaN universe would infer NaN outputs.
+/// Subnormals parse, so every number toFdl() prints reads back.
 double parseNumber(const std::string& token, int line) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size() || !std::isfinite(v)) {
-      throw std::invalid_argument(token);
-    }
-    return v;
-  } catch (const std::exception&) {
-    throw FdlError(line, "expected a finite number, got '" + token + "'");
-  }
-}
-
-int parseResolution(const std::string& token, int line) {
-  int v = 0;
-  const auto res = std::from_chars(token.data(), token.data() + token.size(), v);
+  double v = 0.0;
+  const auto res =
+      std::from_chars(token.data(), token.data() + token.size(), v);
   if (res.ec != std::errc{} || res.ptr != token.data() + token.size() ||
-      v < 2 || v > kMaxResolution) {
-    throw FdlError(line, "resolution expects an integer in [2, " +
-                             std::to_string(kMaxResolution) + "], got '" +
-                             token + "'");
+      !std::isfinite(v)) {
+    throw FdlError(line, "expected a finite number, got '" + token + "'");
   }
   return v;
 }
@@ -211,9 +198,6 @@ MamdaniEngine parseFdl(std::string_view text) {
     } else if (kw == "defuzzifier") {
       if (tok.size() != 2) throw FdlError(line_no, "defuzzifier: expected one method");
       b.config.defuzzifier = parseDefuzzifier(tok[1], line_no);
-    } else if (kw == "resolution") {
-      if (tok.size() != 2) throw FdlError(line_no, "resolution: expected an int");
-      b.config.resolution = parseResolution(tok[1], line_no);
     } else if (kw == "input" || kw == "output") {
       if (tok.size() != 4) {
         throw FdlError(line_no, kw + ": expected <name> <lo> <hi>");
@@ -313,7 +297,6 @@ std::string toFdl(const MamdaniEngine& engine) {
   os << "implication " << toString(engine.config().implication) << "\n";
   os << "aggregation " << toString(engine.config().aggregation) << "\n";
   os << "defuzzifier " << toString(engine.config().defuzzifier) << "\n";
-  os << "resolution " << engine.config().resolution << "\n";
   for (const auto& v : engine.inputs()) writeVariable(os, "input", v);
   writeVariable(os, "output", engine.output());
   for (const Rule& r : engine.rules().rules()) {

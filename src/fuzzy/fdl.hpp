@@ -12,7 +12,6 @@
 ///   implication  min|prod|lukasiewicz
 ///   aggregation  max|probor|bsum
 ///   defuzzifier  centroid|bisector|mom|som|lom
-///   resolution   <int>
 ///   input  <name> <lo> <hi>
 ///   output <name> <lo> <hi>
 ///   term <name> tri  <center> <left_width> <right_width>
@@ -21,7 +20,9 @@
 ///
 /// `term` lines attach to the most recently declared variable; `rule`
 /// antecedents are positional (one per input variable, "*" = wildcard).
-/// Terms are triangles and trapezoids only, the paper's two shapes.
+/// Terms are triangles and trapezoids only, the paper's two shapes. Every
+/// engine infers exactly, so no keyword sets a sampling resolution: a file
+/// that still has a `resolution` line fails with "unknown keyword".
 
 #include <iosfwd>
 #include <string>

@@ -1,32 +1,6 @@
 #include "fuzzy/norms.hpp"
 
-#include <algorithm>
-
 namespace facs::fuzzy {
-
-double apply(TNorm n, double a, double b) noexcept {
-  switch (n) {
-    case TNorm::Minimum:
-      return std::min(a, b);
-    case TNorm::AlgebraicProduct:
-      return a * b;
-    case TNorm::BoundedDifference:
-      return std::max(0.0, a + b - 1.0);
-  }
-  return std::min(a, b);  // unreachable; keeps -Wreturn-type quiet
-}
-
-double apply(SNorm n, double a, double b) noexcept {
-  switch (n) {
-    case SNorm::Maximum:
-      return std::max(a, b);
-    case SNorm::AlgebraicSum:
-      return a + b - a * b;
-    case SNorm::BoundedSum:
-      return std::min(1.0, a + b);
-  }
-  return std::max(a, b);
-}
 
 std::string_view toString(TNorm n) noexcept {
   switch (n) {

@@ -62,17 +62,6 @@ void LinguisticVariable::fuzzifyInto(double x, FuzzyVector& out) const {
   for (const Term& t : terms_) out.push_back(t.degree(clamped));
 }
 
-void LinguisticVariable::tabulateTerm(std::size_t t,
-                                      std::span<const double> xs,
-                                      std::span<double> out) const {
-  if (xs.size() != out.size()) {
-    throw std::invalid_argument("variable '" + name_ +
-                                "': tabulateTerm span sizes differ");
-  }
-  const Term& term = terms_.at(t);
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = term.degree(xs[i]);
-}
-
 std::size_t LinguisticVariable::winningTerm(double x) const {
   if (terms_.empty()) {
     throw std::logic_error("variable '" + name_ + "' has no terms");

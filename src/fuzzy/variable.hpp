@@ -4,7 +4,6 @@
 /// e.g. T(S) = {Slow, Middle, Fast}).
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,15 +71,6 @@ class LinguisticVariable {
   /// across calls keeps repeated fuzzification allocation-free — the
   /// engine's scratch inference path depends on this.
   void fuzzifyInto(double x, FuzzyVector& out) const;
-
-  /// Tabulates term \p t's membership on a fixed sample grid:
-  /// out[i] = term(t).degree(xs[i]), no clamping (the grid is already inside
-  /// the universe). This is how sealed engines precompute their
-  /// defuzzification tables — lookups reproduce degree() bit-exactly.
-  /// \throws std::out_of_range on a bad term index,
-  ///         std::invalid_argument on mismatched span sizes.
-  void tabulateTerm(std::size_t t, std::span<const double> xs,
-                    std::span<double> out) const;
 
   /// Index of the term with the highest membership at \p x (ties resolved to
   /// the earliest-declared term).

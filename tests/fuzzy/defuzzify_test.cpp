@@ -16,88 +16,39 @@ constexpr std::array<Defuzzifier, 5> kAllDefuzzifiers{
     Defuzzifier::Centroid, Defuzzifier::Bisector, Defuzzifier::MeanOfMax,
     Defuzzifier::SmallestOfMax, Defuzzifier::LargestOfMax};
 
-/// A curve sampled on \p resolution uniform points over \p universe, with
-/// its trapezoid weights: what defuzzifySampled() takes.
-struct Samples {
-  std::vector<double> x;
-  std::vector<double> mu;
-  std::vector<double> half_dx;
-};
+using Curve = std::vector<Vertex>;
 
-template <typename Curve>
-Samples sample(Curve curve, Interval universe, int resolution = 1001) {
-  Samples s;
-  const double step = universe.width() / (resolution - 1);
-  for (int i = 0; i < resolution; ++i) {
-    s.x.push_back(universe.lo + step * i);
-    s.mu.push_back(curve(s.x.back()));
-  }
-  fillTrapezoidWeights(s.x, s.half_dx);
-  return s;
-}
-
-double defuzzify(Defuzzifier method, const Samples& s) {
-  DefuzzScratch scratch;
-  return defuzzifySampled(method, s.x, s.mu, s.half_dx, scratch);
+double defuzzify(Defuzzifier method, const Curve& curve) {
+  return defuzzifyPiecewise(method, curve);
 }
 
 TEST(Defuzzify, CentroidOfSymmetricTriangle) {
-  const Triangular tri{0.5, 0.25, 0.25};
-  const double c = defuzzify(
-      Defuzzifier::Centroid,
-      sample([&](double x) { return tri.degree(x); }, kUnit));
-  EXPECT_NEAR(c, 0.5, 1e-6);
+  // tri(0.5, 0.25, 0.25) over [0, 1].
+  const Curve tri{{0.0, 0.0}, {0.25, 0.0}, {0.5, 1.0}, {0.75, 0.0},
+                  {1.0, 0.0}};
+  EXPECT_NEAR(defuzzify(Defuzzifier::Centroid, tri), 0.5, 1e-6);
 }
 
 TEST(Defuzzify, CentroidOfRightShoulderPullsRight) {
-  const Trapezoidal shoulder{0.8, 1.0, 0.2, 0.0};
-  const double c = defuzzify(
-      Defuzzifier::Centroid,
-      sample([&](double x) { return shoulder.degree(x); }, kUnit));
+  // trap(0.8, 1, 0.2, 0) over [0, 1].
+  const Curve shoulder{{0.0, 0.0}, {0.6, 0.0}, {0.8, 1.0}, {1.0, 1.0}};
+  const double c = defuzzify(Defuzzifier::Centroid, shoulder);
   EXPECT_GT(c, 0.8);
   EXPECT_LT(c, 1.0);
 }
 
-TEST(Defuzzify, CentroidOfAsymmetricTriangleAnalytic) {
-  // Triangle with vertices (0,0), (0.25,1), (1,0): centroid x = (0+0.25+1)/3.
-  const Triangular tri{0.25, 0.25, 0.75};
-  const double c = defuzzify(
-      Defuzzifier::Centroid,
-      sample([&](double x) { return tri.degree(x); }, kUnit, 20001));
-  EXPECT_NEAR(c, (0.0 + 0.25 + 1.0) / 3.0, 1e-4);
-}
-
 TEST(Defuzzify, BisectorSplitsAreaInHalf) {
-  const Triangular tri{0.5, 0.5, 0.5};
-  const double b = defuzzify(
-      Defuzzifier::Bisector,
-      sample([&](double x) { return tri.degree(x); }, kUnit));
-  EXPECT_NEAR(b, 0.5, 1e-6);
-}
-
-TEST(Defuzzify, BisectorOfUniformCurve) {
-  const double b = defuzzify(
-      Defuzzifier::Bisector,
-      sample([](double) { return 0.7; }, Interval{2.0, 6.0}));
-  EXPECT_NEAR(b, 4.0, 1e-6);
-}
-
-TEST(Defuzzify, MaxFamilyOnPlateau) {
-  const Trapezoidal trap{0.4, 0.6, 0.2, 0.2};
-  const Samples s = sample([&](double x) { return trap.degree(x); }, kUnit);
-  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, s), 0.5, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, s), 0.4, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, s), 0.6, 1e-3);
+  const Curve tri{{0.0, 0.0}, {0.5, 1.0}, {1.0, 0.0}};
+  EXPECT_NEAR(defuzzify(Defuzzifier::Bisector, tri), 0.5, 1e-6);
 }
 
 TEST(Defuzzify, MaxFamilyOnClippedCurve) {
-  // A triangle clipped at 0.5 has a maximizing plateau over [0.25, 0.75].
-  const Triangular tri{0.5, 0.5, 0.5};
-  const Samples s = sample(
-      [&](double x) { return std::min(tri.degree(x), 0.5); }, kUnit);
-  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, s), 0.25, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, s), 0.75, 1e-3);
-  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, s), 0.5, 1e-3);
+  // tri(0.5, 0.5, 0.5) clipped at 0.5: a maximizing plateau over
+  // [0.25, 0.75].
+  const Curve clipped{{0.0, 0.0}, {0.25, 0.5}, {0.75, 0.5}, {1.0, 0.0}};
+  EXPECT_NEAR(defuzzify(Defuzzifier::SmallestOfMax, clipped), 0.25, 1e-3);
+  EXPECT_NEAR(defuzzify(Defuzzifier::LargestOfMax, clipped), 0.75, 1e-3);
+  EXPECT_NEAR(defuzzify(Defuzzifier::MeanOfMax, clipped), 0.5, 1e-3);
 }
 
 class EmptyCurveNeutral : public ::testing::TestWithParam<Defuzzifier> {};
@@ -105,8 +56,7 @@ class EmptyCurveNeutral : public ::testing::TestWithParam<Defuzzifier> {};
 TEST_P(EmptyCurveNeutral, ZeroCurveYieldsUniverseMidpoint) {
   // No rule fired: the FACS output universes are built so the midpoint is
   // the neutral decision (A/R = 0).
-  const double v = defuzzify(
-      GetParam(), sample([](double) { return 0.0; }, Interval{-1.0, 1.0}));
+  const double v = defuzzify(GetParam(), Curve{{-1.0, 0.0}, {1.0, 0.0}});
   EXPECT_NEAR(v, 0.0, 1e-9);
 }
 
@@ -116,32 +66,15 @@ INSTANTIATE_TEST_SUITE_P(All, EmptyCurveNeutral,
 class WithinUniverseProperty : public ::testing::TestWithParam<Defuzzifier> {};
 
 TEST_P(WithinUniverseProperty, ResultAlwaysInsideUniverse) {
-  const Interval u{-3.0, 7.0};
-  const Triangular tri{6.0, 2.0, 1.0};
-  const double v =
-      defuzzify(GetParam(), sample([&](double x) { return tri.degree(x); }, u));
-  EXPECT_GE(v, u.lo);
-  EXPECT_LE(v, u.hi);
+  // tri(6, 2, 1) over [-3, 7].
+  const Curve tri{{-3.0, 0.0}, {4.0, 0.0}, {6.0, 1.0}, {7.0, 0.0}};
+  const double v = defuzzify(GetParam(), tri);
+  EXPECT_GE(v, -3.0);
+  EXPECT_LE(v, 7.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, WithinUniverseProperty,
                          ::testing::ValuesIn(kAllDefuzzifiers));
-
-TEST(Defuzzify, RejectsBadArguments) {
-  const Samples one = sample([](double) { return 1.0; }, kUnit, 2);
-  DefuzzScratch scratch;
-  const std::vector<double> x1{0.0};
-  const std::vector<double> mu1{1.0};
-  EXPECT_THROW(
-      (void)defuzzifySampled(Defuzzifier::Centroid, x1, mu1, {}, scratch),
-      std::invalid_argument);
-  EXPECT_THROW((void)defuzzifySampled(Defuzzifier::Centroid, one.x, mu1,
-                                      one.half_dx, scratch),
-               std::invalid_argument);
-  EXPECT_THROW((void)defuzzifySampled(Defuzzifier::Centroid, one.x, one.mu,
-                                      {}, scratch),
-               std::invalid_argument);
-}
 
 TEST(Defuzzify, ToStringNames) {
   EXPECT_EQ(toString(Defuzzifier::Centroid), "centroid");
@@ -149,22 +82,6 @@ TEST(Defuzzify, ToStringNames) {
   EXPECT_EQ(toString(Defuzzifier::MeanOfMax), "mom");
   EXPECT_EQ(toString(Defuzzifier::SmallestOfMax), "som");
   EXPECT_EQ(toString(Defuzzifier::LargestOfMax), "lom");
-}
-
-TEST(Defuzzify, WarmScratchKeepsTheAnswer) {
-  // One scratch reused across resolutions and methods (as an engine's
-  // per-thread scratch is) answers as a fresh one does.
-  const Triangular tri{6.0, 2.0, 1.0};
-  DefuzzScratch warm;
-  for (int resolution : {2, 11, 1001, 101}) {
-    const Samples s = sample([&](double x) { return tri.degree(x); },
-                             Interval{-3.0, 7.0}, resolution);
-    for (const Defuzzifier d : kAllDefuzzifiers) {
-      EXPECT_EQ(defuzzifySampled(d, s.x, s.mu, s.half_dx, warm),
-                defuzzify(d, s))
-          << toString(d) << " at resolution " << resolution;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,10 +160,11 @@ TEST(PiecewiseEnvelope, ClipsCrossesAndRestrictsToTheUniverse) {
   const Triangular b{0.6, 0.3, 0.3};
   const Triangular c{1.1, 0.3, 0.3};
   PiecewiseEnvelope envelope;
-  envelope.addClipped(a.vertices(), 0.8);
-  envelope.addClipped(b.vertices(), 0.9);
-  envelope.addClipped(c.vertices(), 0.4);
-  const double centroid = envelope.defuzzify(Defuzzifier::Centroid, kUnit);
+  envelope.add(TNorm::Minimum, a.vertices(), 0.8);
+  envelope.add(TNorm::Minimum, b.vertices(), 0.9);
+  envelope.add(TNorm::Minimum, c.vertices(), 0.4);
+  const double centroid =
+      envelope.defuzzify(SNorm::Maximum, Defuzzifier::Centroid, kUnit);
   const std::span<const Vertex> curve = envelope.curve();
   ASSERT_GE(curve.size(), 2u);
   EXPECT_EQ(curve.front().x, 0.0);
@@ -266,13 +184,141 @@ TEST(PiecewiseEnvelope, ClipsCrossesAndRestrictsToTheUniverse) {
 
 TEST(PiecewiseEnvelope, NoActiveTermGivesTheMidpoint) {
   PiecewiseEnvelope envelope;
-  EXPECT_EQ(envelope.defuzzify(Defuzzifier::Centroid, Interval{-1.0, 1.0}),
+  EXPECT_EQ(envelope.defuzzify(SNorm::Maximum, Defuzzifier::Centroid,
+                               Interval{-1.0, 1.0}),
             0.0);
   // Reuse after clear(): a term wholly outside the universe adds nothing.
   const Triangular outside{5.0, 1.0, 1.0};
-  envelope.addClipped(outside.vertices(), 1.0);
-  EXPECT_EQ(envelope.defuzzify(Defuzzifier::MeanOfMax, Interval{-1.0, 1.0}),
+  envelope.add(TNorm::Minimum, outside.vertices(), 1.0);
+  for (const SNorm agg :
+       {SNorm::Maximum, SNorm::BoundedSum, SNorm::AlgebraicSum}) {
+    EXPECT_EQ(envelope.defuzzify(agg, Defuzzifier::MeanOfMax,
+                                 Interval{-1.0, 1.0}),
+              0.0)
+        << toString(agg);
+  }
+}
+
+TEST(PiecewiseEnvelope, ImplicationKeepsTermsPiecewiseLinear) {
+  // Product scales the corners; Lukasiewicz is zero up to mu = 1 - a and
+  // bends there. Either way the curve is exact between its corners.
+  const Trapezoidal trap{0.3, 0.5, 0.2, 0.4};
+  const Triangular tri{0.8, 0.3, 0.3};
+  for (const TNorm impl : {TNorm::AlgebraicProduct, TNorm::BoundedDifference}) {
+    for (const SNorm agg : {SNorm::Maximum, SNorm::BoundedSum}) {
+      PiecewiseEnvelope envelope;
+      envelope.add(impl, trap.vertices(), 0.7);
+      envelope.add(impl, tri.vertices(), 0.6);
+      (void)envelope.defuzzify(agg, Defuzzifier::Centroid, kUnit);
+      for (double x = 0.0; x <= 1.0; x += 1.0 / 512.0) {
+        const double expected = apply(agg, apply(impl, 0.7, trap.degree(x)),
+                                      apply(impl, 0.6, tri.degree(x)));
+        EXPECT_NEAR(evaluate(envelope.curve(), x), expected, 1e-12)
+            << toString(impl) << "/" << toString(agg) << " x = " << x;
+      }
+    }
+  }
+}
+
+TEST(PiecewiseEnvelope, BoundedSumCapsWhereTheSumCrossesOne) {
+  // tri(0.4, 0.4, 0.4) and tri(0.6, 0.4, 0.4), both at 0.8: their sum is
+  // 0.8 (1 - |x - 0.4| / 0.4) + 0.8 (1 - |x - 0.6| / 0.4) = 1.2 on
+  // [0.4, 0.6] and reaches 1 at x = 0.3 and x = 0.7.
+  const Triangular a{0.4, 0.4, 0.4};
+  const Triangular b{0.6, 0.4, 0.4};
+  PiecewiseEnvelope envelope;
+  envelope.add(TNorm::Minimum, a.vertices(), 0.8);
+  envelope.add(TNorm::Minimum, b.vertices(), 0.8);
+  EXPECT_NEAR(
+      envelope.defuzzify(SNorm::BoundedSum, Defuzzifier::SmallestOfMax, kUnit),
+      0.3, 1e-9);
+  EXPECT_NEAR(
+      envelope.defuzzify(SNorm::BoundedSum, Defuzzifier::LargestOfMax, kUnit),
+      0.7, 1e-9);
+  EXPECT_NEAR(
+      envelope.defuzzify(SNorm::BoundedSum, Defuzzifier::Centroid, kUnit), 0.5,
+      1e-12);
+}
+
+/// The probabilistic OR of a (1 - x) and b x on [0, 1], from the ramps
+/// tri(0, 0, 1) and tri(1, 1, 0) under product implication: the quadratic
+/// mu = a (1 - x) + b x - a b x (1 - x).
+PiecewiseEnvelope& rampsUnderProbor(PiecewiseEnvelope& envelope, double a,
+                                    double b) {
+  const Triangular down{0.0, 0.0, 1.0};
+  const Triangular up{1.0, 1.0, 0.0};
+  envelope.clear();
+  envelope.add(TNorm::AlgebraicProduct, down.vertices(), a);
+  envelope.add(TNorm::AlgebraicProduct, up.vertices(), b);
+  return envelope;
+}
+
+TEST(PiecewiseEnvelope, ProborCentroidAndBisectorAreExact) {
+  // Area a / 2 + b / 2 - a b / 6; first moment a / 6 + b / 3 - a b / 12.
+  PiecewiseEnvelope envelope;
+  const double a = 0.9;
+  const double b = 0.35;
+  const double area = a / 2.0 + b / 2.0 - a * b / 6.0;
+  const double moment = a / 6.0 + b / 3.0 - a * b / 12.0;
+  EXPECT_NEAR(rampsUnderProbor(envelope, a, b)
+                  .defuzzify(SNorm::AlgebraicSum, Defuzzifier::Centroid, kUnit),
+              moment / area, 1e-15);
+  // Half the area lies left of the bisector t: the cubic
+  // a t - (a - b) t^2 / 2 - a b (t^2 / 2 - t^3 / 3) = area / 2.
+  const double t = rampsUnderProbor(envelope, a, b)
+                       .defuzzify(SNorm::AlgebraicSum, Defuzzifier::Bisector,
+                                  kUnit);
+  EXPECT_NEAR(a * t - (a - b) * t * t / 2.0 -
+                  a * b * (t * t / 2.0 - t * t * t / 3.0),
+              area / 2.0, 1e-14);
+}
+
+TEST(PiecewiseEnvelope, ProborDipKeepsBothEndsOfThePiece) {
+  // Equal activations: mu = a - a^2 x (1 - x) peaks at both ends and dips
+  // between, so the maximizing set is two slivers at 0 and 1.
+  PiecewiseEnvelope envelope;
+  rampsUnderProbor(envelope, 0.5, 0.5);
+  EXPECT_EQ(envelope.defuzzify(SNorm::AlgebraicSum,
+                               Defuzzifier::SmallestOfMax, kUnit),
             0.0);
+  EXPECT_EQ(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::LargestOfMax,
+                               kUnit),
+            1.0);
+  EXPECT_NEAR(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::MeanOfMax,
+                                 kUnit),
+              0.5, 1e-6);
+  // Unequal: only the higher end is maximal, a sliver of width
+  // 1e-9 / |slope at 0| = 1e-9 / 0.4 to first order.
+  rampsUnderProbor(envelope, 0.6, 0.5);
+  EXPECT_NEAR(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::LargestOfMax,
+                                 kUnit),
+              1e-9 / 0.4, 1e-12);
+}
+
+TEST(PiecewiseEnvelope, WarmEnvelopeKeepsTheAnswer) {
+  // One envelope reused across operators and methods (as an engine's
+  // per-thread scratch is) answers as a fresh one does.
+  const Triangular a{0.3, 0.3, 0.3};
+  const Trapezoidal b{0.5, 0.7, 0.2, 0.1};
+  const Triangular c{0.6, 0.5, 0.5};
+  PiecewiseEnvelope warm;
+  for (const TNorm impl : {TNorm::Minimum, TNorm::AlgebraicProduct,
+                           TNorm::BoundedDifference}) {
+    for (const SNorm agg :
+         {SNorm::AlgebraicSum, SNorm::Maximum, SNorm::BoundedSum}) {
+      for (const Defuzzifier d : kAllDefuzzifiers) {
+        PiecewiseEnvelope fresh;
+        for (PiecewiseEnvelope* e : {&warm, &fresh}) {
+          e->clear();
+          e->add(impl, a.vertices(), 0.8);
+          e->add(impl, b.vertices(), 0.9);
+          e->add(impl, c.vertices(), 0.5);
+        }
+        EXPECT_EQ(warm.defuzzify(agg, d, kUnit), fresh.defuzzify(agg, d, kUnit))
+            << toString(impl) << "/" << toString(agg) << "/" << toString(d);
+      }
+    }
+  }
 }
 
 }  // namespace

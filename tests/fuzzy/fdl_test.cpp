@@ -17,7 +17,6 @@ conjunction min
 implication min
 aggregation max
 defuzzifier centroid
-resolution 1001
 
 input service 0 10
   term poor tri 0 0 5
@@ -85,8 +84,8 @@ TEST(Fdl, RoundTripPreservesBehaviour) {
   }
 
   // Parameters that need all their digits: written with fewer, the
-  // reparsed grid, terms and rule weight move the outputs. The file is in
-  // toFdl()'s own layout, so printing it must reproduce it.
+  // reparsed universes, terms and rule weight move the outputs. The file
+  // is in toFdl()'s own layout, so printing it must reproduce it.
   const std::string text = readData("fdl-precise.fdl");
   const MamdaniEngine precise = parseFdl(text);
   EXPECT_EQ(toFdl(precise), text);
@@ -96,6 +95,29 @@ TEST(Fdl, RoundTripPreservesBehaviour) {
     const std::array<double, 1> in{1.23456789 * i / 200.0};
     EXPECT_EQ(precise.infer(in), precise_again.infer(in)) << "x=" << in[0];
   }
+
+  // Subnormal numbers are legal parameters (a rule weight in (0, 1], a
+  // non-negative width) and toFdl() prints them exactly: they read back.
+  const std::string subnormal = R"(engine subnormal
+conjunction min
+implication min
+aggregation max
+defuzzifier centroid
+input x 0 1
+  term lo tri 0 5e-324 1
+  term hi tri 1 1 2.2250738585072e-310
+output y 0 1
+  term a tri 0 0 1
+  term b tri 1 1 0
+rule lo => a weight 5e-324
+rule hi => b
+)";
+  const MamdaniEngine tiny = parseFdl(subnormal);
+  EXPECT_EQ(toFdl(tiny), subnormal);
+  EXPECT_EQ(tiny.rules().rule(0).weight, 4.9406564584124654e-324);
+  const auto& lo = dynamic_cast<const Triangular&>(tiny.input(0).term(0).mf());
+  EXPECT_EQ(lo.leftWidth(), 4.9406564584124654e-324);
+  EXPECT_EQ(toFdl(parseFdl(toFdl(tiny))), subnormal);
 }
 
 TEST(Fdl, OperatorKeywordsParse) {
@@ -105,7 +127,6 @@ conjunction prod
 implication lukasiewicz
 aggregation probor
 defuzzifier mom
-resolution 501
 input x 0 1
   term lo tri 0 0 1
 output y 0 1
@@ -116,7 +137,6 @@ rule lo => lo
   EXPECT_EQ(e.config().implication, TNorm::BoundedDifference);
   EXPECT_EQ(e.config().aggregation, SNorm::AlgebraicSum);
   EXPECT_EQ(e.config().defuzzifier, Defuzzifier::MeanOfMax);
-  EXPECT_EQ(e.config().resolution, 501);
 }
 
 struct BadDoc {
@@ -157,13 +177,8 @@ INSTANTIATE_TEST_SUITE_P(
                "engine e\ninput x 0 1\nterm a tri 0 0 1\noutput y 0 1\nterm "
                "b tri 0 0 1\nrule a => b weight inf\n",
                6},
-        BadDoc{"resolution_nan", "engine e\nresolution nan\n", 2},
-        BadDoc{"resolution_inf", "engine e\nresolution inf\n", 2},
-        BadDoc{"resolution_1e10", "engine e\nresolution 1e10\n", 2},
-        BadDoc{"resolution_overflows_int", "engine e\nresolution 99999999999\n",
-               2},
-        BadDoc{"resolution_above_max", "engine e\nresolution 1000001\n", 2},
-        BadDoc{"resolution_below_two", "engine e\nresolution 1\n", 2},
+        BadDoc{"resolution_is_unknown", "engine e\nresolution 1001\n", 2},
+        BadDoc{"underflowing_number", "engine e\ninput x 0 1e-400\n", 2},
         BadDoc{"gauss_term", "engine e\ninput x 0 1\nterm a gauss 0.5 0.1\n",
                3},
         BadDoc{"conflicting_rules",
@@ -216,30 +231,16 @@ TEST_P(FdlFileErrors, ReportsLineNumber) {
   }
 }
 
-// A non-finite universe used to parse and then infer NaN outputs; a
-// fractional resolution was truncated silently; rule errors, raised when
-// the engine is built after the whole document is read, named line 1;
-// smooth shapes are not part of the language.
+// A non-finite universe used to parse and then infer NaN outputs; rule
+// errors, raised when the engine is built after the whole document is
+// read, named line 1; smooth shapes are not part of the language.
 INSTANTIATE_TEST_SUITE_P(
     All, FdlFileErrors,
     ::testing::Values(
-        BadFile{"nonfinite_universe", "fdl-nonfinite-universe.fdl", 7},
-        BadFile{"fractional_resolution", "fdl-fractional-resolution.fdl", 3},
-        BadFile{"unknown_rule_term", "fdl-unknown-rule-term.fdl", 11},
+        BadFile{"nonfinite_universe", "fdl-nonfinite-universe.fdl", 6},
+        BadFile{"unknown_rule_term", "fdl-unknown-rule-term.fdl", 10},
         BadFile{"gauss_term", "fdl-gauss-term.fdl", 5}),
     [](const auto& param_info) { return std::string{param_info.param.name}; });
-
-TEST(Fdl, ResolutionBoundsAreInclusive) {
-  const std::string tail =
-      "input x 0 1\nterm lo tri 0 0 1\noutput y 0 1\nterm lo tri 0 0 "
-      "1\nrule lo => lo\n";
-  EXPECT_EQ(parseFdl("engine e\nresolution 2\n" + tail).config().resolution,
-            2);
-  EXPECT_EQ(parseFdl("engine e\nresolution 1000000\n" + tail)
-                .config()
-                .resolution,
-            kMaxResolution);
-}
 
 TEST(Fdl, CommentsAndBlankLinesIgnored) {
   const MamdaniEngine e = parseFdl(

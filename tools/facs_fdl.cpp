@@ -7,6 +7,7 @@
 ///   facs_fdl infer <file> x1 x2 ...    run one inference, show the trace
 ///   facs_fdl facs-flc1|facs-flc2       dump the built-in FACS engines
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -52,13 +53,13 @@ int check(const std::string& path) {
 
 /// One crisp input: a finite number with nothing trailing.
 std::optional<double> parseInput(const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos == text.size() && std::isfinite(v)) return v;
-  } catch (const std::exception&) {
+  double v = 0.0;
+  const auto res = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (res.ec != std::errc{} || res.ptr != text.data() + text.size() ||
+      !std::isfinite(v)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return v;
 }
 
 int infer(const std::string& path, const std::vector<std::string>& values) {
