@@ -295,6 +295,27 @@ TEST(PiecewiseEnvelope, ProborDipKeepsBothEndsOfThePiece) {
               1e-9 / 0.4, 1e-12);
 }
 
+TEST(PiecewiseEnvelope, ProborDipOffTheMiddleIsFound) {
+  // Tiny activations with a b = 2e-9 and a - b = 0.9e-9: mu - (a - 1e-9)
+  // is the parabola g(s) = 1e-9 - (a - b) s - a b s (1 - s). It is >= 0 at
+  // both ends and at s = 0.5, and < 0 around its minimum at s = 0.725, so
+  // the maximizing set is [0, s1] and [s2, 1] with g's roots s1 < s2.
+  const double d = 0.9e-9;
+  const double c = 2e-9;
+  const double a = 0.5 * (d + std::sqrt(d * d + 4.0 * c));
+  const double b = a - d;
+  const double disc = std::sqrt((d + c) * (d + c) - 4.0 * c * 1e-9);
+  const double s1 = (d + c - disc) / (2.0 * c);
+  const double s2 = (d + c + disc) / (2.0 * c);
+  const double mean =
+      (s1 * s1 / 2.0 + (1.0 - s2 * s2) / 2.0) / (s1 + 1.0 - s2);
+  PiecewiseEnvelope envelope;
+  EXPECT_NEAR(rampsUnderProbor(envelope, a, b)
+                  .defuzzify(SNorm::AlgebraicSum, Defuzzifier::MeanOfMax,
+                             kUnit),
+              mean, 1e-6);
+}
+
 TEST(PiecewiseEnvelope, WarmEnvelopeKeepsTheAnswer) {
   // One envelope reused across operators and methods (as an engine's
   // per-thread scratch is) answers as a fresh one does.
