@@ -141,75 +141,48 @@ double bisectorPiecewise(std::span<const Vertex> c,
 
 double ofMaxPiecewise(std::span<const Vertex> c,
                       std::span<const double> bern,
-                      std::span<const std::size_t> ends, MaxPick pick,
-                      std::vector<double>& work) {
+                      std::span<const std::size_t> ends, MaxPick pick) {
   // A bent piece peaks at a corner too: mu is quasiconvex on it.
   double peak = 0.0;
   for (const Vertex& v : c) peak = std::max(peak, v.mu);
   if (peak < kZeroArea) return 0.5 * (c.front().x + c.back().x);
+  // The maximising set is where mu equals the peak, the tolerance only
+  // absorbing rounding: every corner within it, and every piece whose
+  // Bernstein coefficients (a linear piece: both corners) all lie within
+  // it. A side sloping away from the peak adds nothing, so a sharp apex is
+  // a point.
   const double floor = peak - kPeakTolerance;
   double length = 0.0;
   double moment = 0.0;
+  double points = 0.0;
+  double point_sum = 0.0;
   double smallest = c.back().x;
   double largest = c.front().x;
-  const auto keep = [&](double a, double b) {
-    smallest = std::min(smallest, a);
-    largest = std::max(largest, b);
-    if (b > a) {
-      length += b - a;
-      moment += 0.5 * (a + b) * (b - a);
-    }
-  };
-  for (std::size_t i = 1; i < c.size(); ++i) {
-    const Vertex& p = c[i - 1];
+  for (std::size_t i = 0; i < c.size(); ++i) {
     const Vertex& q = c[i];
-    if (p.mu < floor && q.mu < floor) continue;
-    const std::span<const double> poly = coefficients(bern, ends, i);
-    if (poly.empty()) {
-      // The part of the piece at or above the floor: all of it, or the
-      // side of the point where the line crosses the floor.
-      double a = p.x;
-      double b = q.x;
-      if (p.mu < floor) {
-        a = p.x + (floor - p.mu) / (q.mu - p.mu) * (q.x - p.x);
-      } else if (q.mu < floor) {
-        b = p.x + (floor - p.mu) / (q.mu - p.mu) * (q.x - p.x);
-      }
-      keep(a, b);
+    if (q.mu < floor) continue;
+    // Corners ascend, so largest is the last maximal corner's x: the two
+    // corners of a vertical edge are one point.
+    if (points == 0.0 || q.x != largest) {
+      points += 1.0;
+      point_sum += q.x;
+    }
+    smallest = std::min(smallest, q.x);
+    largest = q.x;
+    if (i == 0) continue;
+    const Vertex& p = c[i - 1];
+    const std::span<const double> b = coefficients(bern, ends, i);
+    if (p.mu < floor || !(p.x < q.x) ||
+        std::any_of(b.begin(), b.end(), [&](double v) { return v < floor; })) {
       continue;
     }
-    // Quasiconvex mu is below the floor on one open interval at most,
-    // around its lowest point: an end below the floor, or the bottom of a
-    // dip that a ternary search finds.
-    const double h = q.x - p.x;
-    const auto value = [&](double s) {
-      return deCasteljau(poly, s, work).first;
-    };
-    double lo = q.mu < floor ? 1.0 : 0.0;
-    double hi = p.mu < floor ? 0.0 : 1.0;
-    while (hi - lo > 1e-12) {
-      const double m1 = lo + (hi - lo) / 3.0;
-      const double m2 = hi - (hi - lo) / 3.0;
-      if (value(m1) < value(m2)) {
-        hi = m2;
-      } else {
-        lo = m1;
-      }
-    }
-    const double dip = 0.5 * (lo + hi);
-    if (value(dip) >= floor) {
-      keep(p.x, q.x);
-      continue;
-    }
-    const auto below = [&](double s) { return value(s) < floor; };
-    const auto above = [&](double s) { return value(s) >= floor; };
-    if (dip > 0.0) keep(p.x, p.x + h * boundary(0.0, dip, below));
-    if (dip < 1.0) keep(p.x + h * boundary(dip, 1.0, above), q.x);
+    length += q.x - p.x;
+    moment += 0.5 * (p.x + q.x) * (q.x - p.x);
   }
   switch (pick) {
     case MaxPick::Mean:
-      // A maximising set of isolated points (a spike) has no length.
-      return length > 0.0 ? moment / length : 0.5 * (smallest + largest);
+      // Points have no length: they count only where no piece is maximal.
+      return length > 0.0 ? moment / length : point_sum / points;
     case MaxPick::Smallest:
       return smallest;
     case MaxPick::Largest:
@@ -228,11 +201,11 @@ double defuzzifyCurve(Defuzzifier method, std::span<const Vertex> c,
     case Defuzzifier::Bisector:
       return bisectorPiecewise(c, bern, ends, work);
     case Defuzzifier::MeanOfMax:
-      return ofMaxPiecewise(c, bern, ends, MaxPick::Mean, work);
+      return ofMaxPiecewise(c, bern, ends, MaxPick::Mean);
     case Defuzzifier::SmallestOfMax:
-      return ofMaxPiecewise(c, bern, ends, MaxPick::Smallest, work);
+      return ofMaxPiecewise(c, bern, ends, MaxPick::Smallest);
     case Defuzzifier::LargestOfMax:
-      return ofMaxPiecewise(c, bern, ends, MaxPick::Largest, work);
+      return ofMaxPiecewise(c, bern, ends, MaxPick::Largest);
   }
   return centroidPiecewise(c, bern, ends);
 }

@@ -27,8 +27,11 @@ enum class Defuzzifier {
 /// back().x are its ends); the curve is linear between consecutive corners,
 /// and two corners at the same x are a vertical edge. Centroid integrates
 /// x*mu and mu exactly per piece, bisector solves the piece's quadratic for
-/// the half-area point, and the max family takes the set where mu is within
-/// 1e-9 of the peak (its length-weighted mean, infimum or supremum). An
+/// the half-area point, and the max family takes the set where mu reaches
+/// the peak: the corners within 1e-9 of it and the pieces lying wholly
+/// within 1e-9 of it, so a sharp apex is a point. Mean of max is the
+/// length-weighted mean of those pieces, or the mean of the points where
+/// there is none; smallest and largest of max are the set's ends. An
 /// area (max family: a peak) below 1e-12 returns the universe midpoint —
 /// a neutral value by construction of the FACS output variables (A/R = 0
 /// is "not reject, not accept").
@@ -50,9 +53,9 @@ enum class Defuzzifier {
 ///   as Bernstein coefficients. Centroid integrates it; bisector bisects
 ///   the rising area inside the piece holding the half-area point. mu is
 ///   quasiconvex on a piece (prod(1 - f_i) is log-concave), so its peak is
-///   a corner and the part within 1e-9 of the peak is the piece minus one
-///   open interval at most: the max family keeps defuzzifyPiecewise()'s
-///   length-weighted semantics.
+///   a corner; the max family keeps defuzzifyPiecewise()'s set, a bent
+///   piece counting whole when its coefficients, which bound it, all lie
+///   within 1e-9 of the peak.
 /// Every buffer is reused across clear(), so warm use allocates nothing.
 class PiecewiseEnvelope {
  public:

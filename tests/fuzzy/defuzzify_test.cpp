@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace facs::fuzzy {
@@ -275,7 +276,7 @@ TEST(PiecewiseEnvelope, ProborCentroidAndBisectorAreExact) {
 
 TEST(PiecewiseEnvelope, ProborDipKeepsBothEndsOfThePiece) {
   // Equal activations: mu = a - a^2 x (1 - x) peaks at both ends and dips
-  // between, so the maximizing set is two slivers at 0 and 1.
+  // between, so the maximizing set is the two points 0 and 1.
   PiecewiseEnvelope envelope;
   rampsUnderProbor(envelope, 0.5, 0.5);
   EXPECT_EQ(envelope.defuzzify(SNorm::AlgebraicSum,
@@ -284,36 +285,44 @@ TEST(PiecewiseEnvelope, ProborDipKeepsBothEndsOfThePiece) {
   EXPECT_EQ(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::LargestOfMax,
                                kUnit),
             1.0);
-  EXPECT_NEAR(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::MeanOfMax,
-                                 kUnit),
-              0.5, 1e-6);
-  // Unequal: only the higher end is maximal, a sliver of width
-  // 1e-9 / |slope at 0| = 1e-9 / 0.4 to first order.
-  rampsUnderProbor(envelope, 0.6, 0.5);
-  EXPECT_NEAR(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::LargestOfMax,
-                                 kUnit),
-              1e-9 / 0.4, 1e-12);
+  EXPECT_EQ(envelope.defuzzify(SNorm::AlgebraicSum, Defuzzifier::MeanOfMax,
+                               kUnit),
+            0.5);
+  // Unequal: only the higher end is maximal. The slope away from it adds
+  // no sliver, even where the tolerance spans a long stretch of a shallow
+  // slope (activations near 1e-5).
+  for (const auto& [a, b] : {std::pair{0.6, 0.5}, std::pair{2.1e-5, 2e-5}}) {
+    for (const Defuzzifier d : {Defuzzifier::MeanOfMax,
+                                Defuzzifier::SmallestOfMax,
+                                Defuzzifier::LargestOfMax}) {
+      EXPECT_EQ(rampsUnderProbor(envelope, a, b)
+                    .defuzzify(SNorm::AlgebraicSum, d, kUnit),
+                0.0)
+          << a << " " << toString(d);
+    }
+  }
 }
 
-TEST(PiecewiseEnvelope, ProborDipOffTheMiddleIsFound) {
-  // Tiny activations with a b = 2e-9 and a - b = 0.9e-9: mu - (a - 1e-9)
-  // is the parabola g(s) = 1e-9 - (a - b) s - a b s (1 - s). It is >= 0 at
-  // both ends and at s = 0.5, and < 0 around its minimum at s = 0.725, so
-  // the maximizing set is [0, s1] and [s2, 1] with g's roots s1 < s2.
-  const double d = 0.9e-9;
-  const double c = 2e-9;
-  const double a = 0.5 * (d + std::sqrt(d * d + 4.0 * c));
-  const double b = a - d;
-  const double disc = std::sqrt((d + c) * (d + c) - 4.0 * c * 1e-9);
-  const double s1 = (d + c - disc) / (2.0 * c);
-  const double s2 = (d + c + disc) / (2.0 * c);
-  const double mean =
-      (s1 * s1 / 2.0 + (1.0 - s2 * s2) / 2.0) / (s1 + 1.0 - s2);
+TEST(PiecewiseEnvelope, FlatProborPieceOutweighsAnApex) {
+  // trap(0.2, 0.6) at 0.5 and trap(0.4, 0.8) at 0.4 (sides 0.1) overlap
+  // flat on [0.4, 0.6], where the degree-2 piece is 1 - 0.5 * 0.6 = 0.7;
+  // tri(1.5, 0.2, 0.2) at 0.7 peaks there too, at a point. Mean of max is
+  // the flat piece's midpoint; the apex still bounds the set.
+  const Trapezoidal a{0.2, 0.6, 0.1, 0.1};
+  const Trapezoidal b{0.4, 0.8, 0.1, 0.1};
+  const Triangular c{1.5, 0.2, 0.2};
+  const Interval u{0.0, 2.0};
   PiecewiseEnvelope envelope;
-  EXPECT_NEAR(rampsUnderProbor(envelope, a, b)
-                  .defuzzify(SNorm::AlgebraicSum, Defuzzifier::MeanOfMax,
-                             kUnit),
-              mean, 1e-6);
+  const auto run = [&](Defuzzifier d) {
+    envelope.clear();
+    envelope.add(TNorm::AlgebraicProduct, a.vertices(), 0.5);
+    envelope.add(TNorm::AlgebraicProduct, b.vertices(), 0.4);
+    envelope.add(TNorm::AlgebraicProduct, c.vertices(), 0.7);
+    return envelope.defuzzify(SNorm::AlgebraicSum, d, u);
+  };
+  EXPECT_NEAR(run(Defuzzifier::MeanOfMax), 0.5, 1e-15);
+  EXPECT_NEAR(run(Defuzzifier::SmallestOfMax), 0.4, 1e-15);
+  EXPECT_NEAR(run(Defuzzifier::LargestOfMax), 1.5, 1e-15);
 }
 
 TEST(PiecewiseEnvelope, WarmEnvelopeKeepsTheAnswer) {
