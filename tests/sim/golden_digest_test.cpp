@@ -107,7 +107,8 @@ TEST(GoldenDigests, BuiltinScenariosAtFourWeightedGroups) {
 
 /// FACS with product implication and probabilistic-OR aggregation, the one
 /// operator family whose aggregated output curve is not piecewise linear,
-/// under an area-based, a bisecting and a max-family defuzzifier.
+/// under every defuzzifier. Each term's apex is sharp under product
+/// implication, which the max family must read as a point.
 struct ProdCase {
   std::string_view scenario;
   std::string_view policy;
@@ -118,9 +119,13 @@ constexpr ProdCase kProdCases[] = {
     {"highway", "facs:ops=prod,defuzz=centroid", 0xffef0ea580d9861eULL},
     {"highway", "facs:ops=prod,defuzz=bisector", 0x7aa6c490b72ca8beULL},
     {"highway", "facs:ops=prod,defuzz=mom", 0x0d1d79f0d0bbd3e4ULL},
+    {"highway", "facs:ops=prod,defuzz=som", 0x5a4457c9651586f5ULL},
+    {"highway", "facs:ops=prod,defuzz=lom", 0x0d1d79f0d0bbd3e4ULL},
     {"urban-walkers", "facs:ops=prod,defuzz=centroid", 0xe77c98def7337e61ULL},
     {"urban-walkers", "facs:ops=prod,defuzz=bisector", 0xe77c98def7337e61ULL},
     {"urban-walkers", "facs:ops=prod,defuzz=mom", 0xb11bc0578075e184ULL},
+    {"urban-walkers", "facs:ops=prod,defuzz=som", 0xe522157ad86a4b24ULL},
+    {"urban-walkers", "facs:ops=prod,defuzz=lom", 0xb11bc0578075e184ULL},
 };
 
 TEST(GoldenDigests, ProdOperatorsAtOneGroup) {
