@@ -147,7 +147,7 @@ TEST(CommitGroups, GroupsOneIsBitIdenticalAcrossShardCounts) {
 }
 
 TEST(CommitGroups, GroupedRunsAreShardInvariantAndSeedStable) {
-  for (const char* policy : {"guard:8", "facs", "rsv"}) {
+  for (const char* policy : {"guard:8", "facs", "threshold"}) {
     for (const int groups : {2, 4}) {
       SimulationConfig cfg = contestedConfig();
       cfg.commit_groups = groups;

@@ -327,13 +327,13 @@ TEST(OwedSteps, OutageDropsCallsOwingSteps) {
 TEST(OwedSteps, CrossGroupHandoffsAndReHomesAtFourGroups) {
   Metrics serial;
   const std::uint64_t stream =
-      serveDigest(groupedConfig(1), "scc", 30.0, serial);
+      serveDigest(groupedConfig(1), "guard:8", 30.0, serial);
   EXPECT_GT(serial.reservations_posted, 50);
   EXPECT_GT(serial.repartitions, 0);
-  EXPECT_EQ(stream, 0xbc69d6d1d0b703f2ULL)
+  EXPECT_EQ(stream, 0x3a30aa7056ce8922ULL)
       << std::hex << "digest 0x" << stream;
   Metrics sharded;
-  EXPECT_EQ(serveDigest(groupedConfig(3), "scc", 30.0, sharded), stream);
+  EXPECT_EQ(serveDigest(groupedConfig(3), "guard:8", 30.0, sharded), stream);
   EXPECT_EQ(sharded.toJson(), serial.toJson());
 }
 

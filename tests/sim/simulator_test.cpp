@@ -484,7 +484,7 @@ TEST(EdgeConfig, ZeroTrackingWindowConservesRequestsAcrossGroups) {
   cfg.scenario.distance_max_km = 2.0;
   cfg.scenario.tracking_window_s = 0.0;
   cfg.commit_groups = 4;
-  for (const char* policy : {"facs", "sir", "scc"}) {
+  for (const char* policy : {"facs", "cs", "guard:8"}) {
     cfg.shards = 1;
     const Metrics m = runPolicy(cfg, policy);
     EXPECT_EQ(m.commit_groups, 4) << policy;
