@@ -23,6 +23,7 @@ class CompleteSharingController final : public cellular::AdmissionController {
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override;
+  [[nodiscard]] bool cellLocal() const override { return true; }
 };
 
 /// Guard Channel: new calls may only use capacity - guard_bu units;
@@ -37,6 +38,7 @@ class GuardChannelController final : public cellular::AdmissionController {
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override;
+  [[nodiscard]] bool cellLocal() const override { return true; }
 
   [[nodiscard]] cellular::BandwidthUnits guardBu() const noexcept {
     return guard_bu_;
@@ -63,6 +65,7 @@ class MultiThresholdController final : public cellular::AdmissionController {
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override;
+  [[nodiscard]] bool cellLocal() const override { return true; }
 
   [[nodiscard]] cellular::BandwidthUnits threshold(
       cellular::ServiceClass c) const noexcept {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "cellular/policy_registry.hpp"
 
@@ -20,9 +19,7 @@ PredictiveReservationController::PredictiveReservationController(
     const cellular::HexNetwork& network, PredictiveReservationConfig config)
     : network_{network},
       config_{config},
-      partition_{network, 1},
-      reserved_(network.cellCount(), 0.0),
-      stores_(1) {
+      reserved_(network.cellCount(), 0.0) {
   if (config_.reservation_fraction < 0.0 ||
       config_.reservation_fraction > 1.0) {
     throw std::invalid_argument("reservation fraction must be in [0, 1]");
@@ -83,89 +80,29 @@ void PredictiveReservationController::apply(CellId cell, double bu) {
   reserved = bu >= 0.0 ? reserved + bu : std::max(0.0, reserved + bu);
 }
 
-void PredictiveReservationController::write(int g, CellId cell, double bu) {
-  if (partition_.groupOf(cell) == g) {
-    apply(cell, bu);
-  } else {
-    stores_[static_cast<std::size_t>(g)].deltas.emplace_back(cell, bu);
-  }
-}
-
-bool PredictiveReservationController::release(int g, cellular::CallId call) {
-  auto& records = stores_[static_cast<std::size_t>(g)].records;
-  const auto it = records.find(call);
-  if (it == records.end()) return false;
-  write(g, it->second.cell, -it->second.bu);
-  records.erase(it);
-  return true;
+void PredictiveReservationController::release(cellular::CallId call) {
+  const auto it = records_.find(call);
+  if (it == records_.end()) return;
+  apply(it->second.cell, -it->second.bu);
+  records_.erase(it);
 }
 
 void PredictiveReservationController::onAdmitted(
     const CallRequest& request, const AdmissionContext& context) {
   const CellId serving = context.station.cell();
-  const int g = partition_.groupOf(serving);
-  GroupStore& store = stores_[static_cast<std::size_t>(g)];
-  // Refresh (handoffs re-predict from the new cell). A record left in a
-  // foreign store by a cross-group handoff is released at the barrier.
-  if (!release(g, request.call) && request.is_handoff) {
-    store.migrations.push_back(request.call);
-  }
+  release(request.call);  // handoffs re-predict from the new cell
   if (config_.reservation_fraction == 0.0) return;
   const auto next = predictNextCell(request.snapshot, serving);
   if (!next) return;
-  const Reservation r{serving, *next,
-                      config_.reservation_fraction *
-                          static_cast<double>(request.demand_bu)};
-  store.records[request.call] = r;
-  write(g, r.cell, r.bu);
+  const Reservation r{*next, config_.reservation_fraction *
+                                 static_cast<double>(request.demand_bu)};
+  records_[request.call] = r;
+  apply(r.cell, r.bu);
 }
 
 void PredictiveReservationController::onReleased(
-    const CallRequest& request, const AdmissionContext& context) {
-  // A call is released from the cell it was last admitted to, so its
-  // record sits in the acting group's store.
-  (void)release(partition_.groupOf(context.station.cell()), request.call);
-}
-
-void PredictiveReservationController::onPartitionChanged(
-    const cellular::CellGroupPartition& p) {
-  // Nothing is pending (the engine runs the barrier first), and stores are
-  // only looked up by call, so the re-keying order does not matter.
-  std::vector<GroupStore> old = std::move(stores_);
-  partition_ = p;  // copy: the engine's reference dies with this call
-  stores_.assign(static_cast<std::size_t>(partition_.groups()), {});
-  for (const GroupStore& store : old) {
-    for (const auto& [call, r] : store.records) {
-      stores_[static_cast<std::size_t>(partition_.groupOf(r.anchor))]
-          .records.emplace(call, r);
-    }
-  }
-}
-
-cellular::BarrierDrainStats PredictiveReservationController::onCommitBarrier(
-    double /*now_s*/) {
-  // Each buffer filled in its group's canonical order, so working through
-  // them in group order is a pure function of the committed event
-  // sequence. Migrations go first: a release in another group's cell
-  // joins that group's buffer, folded below.
-  cellular::BarrierDrainStats stats;
-  for (std::size_t g = 0; g < stores_.size(); ++g) {
-    for (const cellular::CallId call : stores_[g].migrations) {
-      for (std::size_t s = 0; s < stores_.size(); ++s) {
-        if (s != g && release(static_cast<int>(s), call)) {
-          ++stats.shadows_migrated;
-          break;
-        }
-      }
-    }
-    stores_[g].migrations.clear();
-  }
-  for (GroupStore& store : stores_) {
-    for (const auto& [cell, bu] : store.deltas) apply(cell, bu);
-    stats.deltas_applied += store.deltas.size();
-    store.deltas.clear();
-  }
-  return stats;
+    const CallRequest& request, const AdmissionContext& /*context*/) {
+  release(request.call);
 }
 
 // ------------------------------------------------------------------------

@@ -6,15 +6,11 @@
 /// fraction of the call's bandwidth for the expected handoff. New calls
 /// are admitted only if they fit alongside the cell's outstanding
 /// reservations; handoffs may consume the reservations (that is what they
-/// are for).
-///
-/// Like SCC's shadow stores, a call's record lives in its serving cell's
-/// commit group, and a write to another group's cell waits in the acting
-/// group's buffer until onCommitBarrier(). decide() reads only the target
-/// cell, which the acting group owns, so every read is live.
+/// are for). A call's hooks write its predicted next cell, so the engine
+/// runs the policy on one commit group.
 
+#include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cellular/admission.hpp"
@@ -53,17 +49,7 @@ class PredictiveReservationController final
   void onReleased(const cellular::CallRequest& request,
                   const cellular::AdmissionContext& context) override;
 
-  /// Re-keys the per-group stores by each record's serving-cell group.
-  void onPartitionChanged(const cellular::CellGroupPartition& p) override;
-
-  /// Releases the records cross-group handoffs left behind, then folds
-  /// the deferred cross-group writes (groups ascending, append order
-  /// within). Barrier context.
-  [[nodiscard]] cellular::BarrierDrainStats onCommitBarrier(
-      double now_s) override;
-
-  /// Outstanding reserved bandwidth in a cell (fractional BUs), up to the
-  /// last barrier for writes from other groups.
+  /// Outstanding reserved bandwidth in a cell (fractional BUs).
   [[nodiscard]] double reservedBu(cellular::CellId cell) const {
     return reserved_.at(static_cast<std::size_t>(cell));
   }
@@ -76,37 +62,22 @@ class PredictiveReservationController final
       cellular::CellId serving_cell) const;
 
  private:
-  /// Per admitted call: its serving cell, and where its reservation lives
-  /// and how much.
+  /// Per admitted call: where its reservation lives and how much.
   struct Reservation {
-    cellular::CellId anchor = cellular::kInvalidCell;
     cellular::CellId cell = cellular::kInvalidCell;
     double bu = 0.0;
   };
 
-  /// One commit group's records, the (cell, +/-bu) writes it owes other
-  /// groups' cells, and the calls whose old record a cross-group handoff
-  /// left in a foreign store. Only the acting group touches its store
-  /// between barriers.
-  struct GroupStore {
-    std::unordered_map<cellular::CallId, Reservation> records;
-    std::vector<std::pair<cellular::CellId, double>> deltas;
-    std::vector<cellular::CallId> migrations;
-  };
-
   /// Adds \p bu to a cell's reservation, or releases -bu of it (floored at
-  /// zero): live when group \p g owns the cell, else deferred.
-  void write(int g, cellular::CellId cell, double bu);
+  /// zero).
   void apply(cellular::CellId cell, double bu);
-  /// Releases \p call's record from group \p g's store, if it is there.
-  bool release(int g, cellular::CallId call);
+  /// Releases \p call's reservation, if it holds one.
+  void release(cellular::CallId call);
 
   const cellular::HexNetwork& network_;
   PredictiveReservationConfig config_;
-  /// Copy of the engine's cell-to-group mapping; one group until adopted.
-  cellular::CellGroupPartition partition_;
-  std::vector<double> reserved_;    ///< Indexed by cell.
-  std::vector<GroupStore> stores_;  ///< Indexed by commit group.
+  std::vector<double> reserved_;  ///< Indexed by cell.
+  std::unordered_map<cellular::CallId, Reservation> records_;
 };
 
 }  // namespace facs::cac

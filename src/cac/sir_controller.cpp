@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cellular/network.hpp"
 #include "cellular/policy_registry.hpp"
 
 namespace facs::cac {
@@ -10,7 +9,6 @@ namespace facs::cac {
 using cellular::AdmissionContext;
 using cellular::AdmissionDecision;
 using cellular::CallRequest;
-using cellular::CellId;
 using cellular::ReasonCode;
 
 SirController::SirController(const cellular::HexNetwork& network,
@@ -19,22 +17,8 @@ SirController::SirController(const cellular::HexNetwork& network,
 
 AdmissionDecision SirController::decide(const CallRequest& request,
                                         const AdmissionContext& context) {
-  const CellId serving = context.station.cell();
-  double sinr_db;
-  if (!grouped()) {
-    sinr_db = radio_.sinrDb(request.snapshot.position, serving);
-  } else {
-    // Grouped read discipline: own-group utilizations live (this lane
-    // owns their ledgers for the window), foreign groups from the barrier
-    // snapshot. Same interferer walk and arithmetic as sinrDb().
-    const int my_group = group_of_[serving];
-    const cellular::HexNetwork& net = radio_.network();
-    sinr_db = radio_.sinrDbWith(
-        request.snapshot.position, serving, [&](CellId cell) {
-          return group_of_[cell] == my_group ? net.station(cell).utilization()
-                                             : snapshot_[cell];
-        });
-  }
+  const double sinr_db =
+      radio_.sinrDb(request.snapshot.position, context.station.cell());
   const double needed_db = threshold(request.service);
   const bool clean_enough = sinr_db >= needed_db;
   const bool fits = context.station.canFit(request.demand_bu);
@@ -51,40 +35,6 @@ AdmissionDecision SirController::decide(const CallRequest& request,
     if (!fits) d.rationale.appendf(" (no free BU)");
   }
   return d;
-}
-
-void SirController::onPartitionChanged(
-    const cellular::CellGroupPartition& partition) {
-  const std::size_t cells = radio_.network().cellCount();
-  partition_groups_ = partition.groups();
-  group_of_.resize(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    group_of_[c] = partition.groupOf(static_cast<CellId>(c));
-  }
-  // Barrier context: ledgers are quiescent, so priming the snapshot here
-  // (startup and every adopted repartition epoch) is race-free and leaves
-  // no stale rows behind a re-keyed group map.
-  snapshot_.resize(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    snapshot_[c] = radio_.network().station(static_cast<CellId>(c)).utilization();
-  }
-}
-
-cellular::BarrierDrainStats SirController::onCommitBarrier(double /*now_s*/) {
-  // Only the grouped read path consumes the snapshot; a single-group run
-  // must stay byte-for-byte on the legacy metrics too, so leave its
-  // counters untouched.
-  if (!grouped()) return {};
-  cellular::BarrierDrainStats stats;
-  const cellular::HexNetwork& net = radio_.network();
-  for (std::size_t c = 0; c < snapshot_.size(); ++c) {
-    const double live = net.station(static_cast<CellId>(c)).utilization();
-    if (snapshot_[c] != live) {
-      snapshot_[c] = live;
-      ++stats.deltas_applied;
-    }
-  }
-  return stats;
 }
 
 // ------------------------------------------------------------------------

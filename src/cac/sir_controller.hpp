@@ -7,20 +7,11 @@
 /// downlink SINR clears a per-class threshold and (b) the bandwidth fits.
 ///
 /// decide() sums the interference of every other station in the network —
-/// the exact whole-network sum — and a barrier snapshot confines what a
-/// lane reads outside its own commit group. Interferers in the acting cell's own commit group
-/// are read live in-lane (they cannot change under the lane that owns
-/// them); interferers in other groups are read from a per-cell utilization
-/// snapshot refreshed single-threaded at every tick-window barrier
-/// (onCommitBarrier), AFTER the engine's reservation drain — i.e.
-/// cross-group interference is visible with at most one tick-window of lag,
-/// the same barrier-visibility semantics as grouped SCC. Results are
-/// seed-stable and shard-invariant for a fixed group count; at one group
-/// every read is live.
+/// the exact whole-network sum, read live from the station ledgers. It
+/// reads other cells, so the engine runs it on one commit group.
 
 #include <array>
 #include <string>
-#include <vector>
 
 #include "cellular/admission.hpp"
 #include "cellular/radio.hpp"
@@ -50,31 +41,13 @@ class SirController final : public cellular::AdmissionController {
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override;
 
-  /// Copies the engine's cell-to-group mapping and primes the utilization
-  /// snapshot (barrier context: single-threaded, ledgers quiescent).
-  void onPartitionChanged(const cellular::CellGroupPartition& partition) override;
-
-  /// Refreshes the out-of-group utilization snapshot from the committed
-  /// ledgers. Reported deltas = snapshot entries whose value changed, so
-  /// cross-group interference traffic shows up in Metrics::demand_deltas.
-  cellular::BarrierDrainStats onCommitBarrier(double now_s) override;
-
   [[nodiscard]] double threshold(cellular::ServiceClass c) const noexcept {
     return thresholds_.min_sinr_db[static_cast<std::size_t>(c)];
   }
 
  private:
-  /// True when decides must split reads between live in-group ledgers and
-  /// the barrier snapshot: a real multi-group partition adopted.
-  /// Single-group runs (and standalone use without an engine) read
-  /// everything live.
-  [[nodiscard]] bool grouped() const noexcept { return partition_groups_ > 1; }
-
   cellular::RadioModel radio_;
   SirThresholds thresholds_;
-  int partition_groups_ = 1;
-  std::vector<int> group_of_;      ///< Cell -> commit group (engine's map).
-  std::vector<double> snapshot_;   ///< Cell -> utilization at last barrier.
 };
 
 }  // namespace facs::cac

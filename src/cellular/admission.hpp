@@ -202,14 +202,6 @@ struct AdmissionDecision {
 static_assert(std::is_trivially_copyable_v<AdmissionDecision>,
               "decide() returns by value on the hot path; keep it memcpy-able");
 
-/// What a policy drained at one tick-window barrier — folded
-/// into Metrics (demand_deltas, shadow_migrations) so cross-group policy
-/// traffic is as observable as the engine's own reservations.
-struct BarrierDrainStats {
-  std::uint64_t deltas_applied = 0;    ///< Cross-group state deltas applied.
-  std::uint64_t shadows_migrated = 0;  ///< Per-group records re-homed.
-};
-
 /// The workload envelope the engine hands to auditWorkload(): the knobs a
 /// policy's sizing footguns depend on but cannot see from its own config.
 struct WorkloadEnvelope {
@@ -226,15 +218,12 @@ struct WorkloadEnvelope {
 ///   onReleased()  — called after a call ends or leaves the cell;
 ///   onRejected()  — called when a request is denied (blocked/dropped).
 ///
-/// Commit groups (CellGroupPartition): at commit_groups > 1 the engine calls
-/// decide() and the on*() hooks for different groups CONCURRENTLY; calls
-/// for one group stay serial, in canonical order. Without a lock a call may
-/// touch only immutable or per-thread state and cells of the target cell's
-/// group. A policy whose state spans cells must defer each write to another
-/// group's cell into a buffer of the acting group, apply the buffers in
-/// onCommitBarrier() and read other groups' state only from a copy
-/// refreshed there — or be run at one group. Results must be the same bits
-/// at any worker count.
+/// Commit groups (CellGroupPartition): a policy that declares cellLocal()
+/// may run at commit_groups > 1, where the engine calls decide() and the
+/// on*() hooks for different groups CONCURRENTLY; calls for one group stay
+/// serial, in canonical order. Every other policy runs on one group, its
+/// hooks serial in canonical order, whatever commit_groups asks for.
+/// Results must be the same bits at any worker count.
 class AdmissionController {
  public:
   virtual ~AdmissionController() = default;
@@ -266,22 +255,15 @@ class AdmissionController {
   virtual void onRejected(const CallRequest& /*request*/,
                           const AdmissionContext& /*context*/) {}
 
-  /// The engine's cell-to-group mapping changed: once at startup (before
-  /// any decision) and again at every adopted repartition epoch — always
-  /// from barrier context (single-threaded, no lane running, no claim in
-  /// flight, no deferred policy work pending). Policies with per-group
-  /// state re-key it here, deterministically; everyone else ignores it.
-  /// The partition reference is only valid for the duration of the call —
-  /// copy what you keep.
-  virtual void onPartitionChanged(const CellGroupPartition& /*partition*/) {}
+  /// True when every hook reads and writes only the target cell's ledger,
+  /// the request and immutable or per-thread state. Only such a policy
+  /// runs on several commit groups; for the others the engine builds a
+  /// one-group partition and reports it in Metrics::commit_groups.
+  [[nodiscard]] virtual bool cellLocal() const { return false; }
 
-  /// Tick-window barrier hook, called single-threaded after every lane has
-  /// quiesced and the engine's own reservation inboxes have drained.
-  /// Policies apply their deferred cross-group writes here (in canonical
-  /// order — the drain must be a pure function of the committed event
-  /// sequence) and report what moved; the default is a no-op.
-  /// Called at every barrier, whatever the commit-group count.
-  virtual BarrierDrainStats onCommitBarrier(double /*now_s*/) { return {}; }
+  /// Always a no-op, and nothing overrides it: the engine no longer calls
+  /// it. Kept only because perfbench/probes.cpp still calls it.
+  virtual void onPartitionChanged(const CellGroupPartition& /*partition*/) {}
 
   /// Startup sizing audit: given the workload envelope, return a one-line
   /// warning when the policy's configuration silently degrades under it

@@ -1,5 +1,6 @@
 #include "cellular/radio.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -68,9 +69,21 @@ double RadioModel::linkPowerMw(Vec2 position, CellId cell) const {
 }
 
 double RadioModel::sinrDb(Vec2 position, CellId serving_cell) const {
-  return sinrDbWith(position, serving_cell, [this](CellId cell) {
-    return network_.station(cell).utilization();
-  });
+  const double signal_mw = linkPowerMw(position, serving_cell);
+  double interference_mw = noise_mw_;
+  const std::uint32_t begin = interferer_offsets_[serving_cell];
+  const std::uint32_t end = interferer_offsets_[serving_cell + 1];
+  for (std::uint32_t k = begin; k != end; ++k) {
+    const double activity =
+        config_.activity_factor *
+        network_.station(interferer_ids_[k]).utilization();
+    if (activity <= 0.0) continue;
+    const double dx = position.x - station_x_[k];
+    const double dy = position.y - station_y_[k];
+    const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
+    interference_mw += activity * gain_const_mw_ * pathGain(d2);
+  }
+  return linearToDb(signal_mw / interference_mw);
 }
 
 }  // namespace facs::cellular

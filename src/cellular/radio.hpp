@@ -107,32 +107,6 @@ class RadioModel {
   /// utilization (an idle cell does not interfere).
   [[nodiscard]] double sinrDb(Vec2 position, CellId serving_cell) const;
 
-  /// As sinrDb(), but reading each interferer's utilization through
-  /// \p util (CellId -> utilization in [0, 1]) instead of the live station
-  /// ledgers. This is the partition-aware hook: a grouped policy passes
-  /// a functor that reads own-group cells live and foreign cells from its
-  /// barrier snapshot. The interferer set, walk order and arithmetic are
-  /// identical to sinrDb() — only the utilization values differ, so a
-  /// functor returning live utilizations reproduces sinrDb() bit-for-bit.
-  template <class UtilFn>
-  [[nodiscard]] double sinrDbWith(Vec2 position, CellId serving_cell,
-                                  UtilFn&& util) const {
-    const double signal_mw = linkPowerMw(position, serving_cell);
-    double interference_mw = noise_mw_;
-    const std::uint32_t begin = interferer_offsets_[serving_cell];
-    const std::uint32_t end = interferer_offsets_[serving_cell + 1];
-    for (std::uint32_t k = begin; k != end; ++k) {
-      const CellId cell = interferer_ids_[k];
-      const double activity = config_.activity_factor * util(cell);
-      if (activity <= 0.0) continue;
-      const double dx = position.x - station_x_[k];
-      const double dy = position.y - station_y_[k];
-      const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
-      interference_mw += activity * gain_const_mw_ * pathGain(d2);
-    }
-    return linearToDb(signal_mw / interference_mw);
-  }
-
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] const HexNetwork& network() const noexcept { return network_; }
 

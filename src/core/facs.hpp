@@ -64,6 +64,8 @@ class FacsController final : public cellular::AdmissionController {
   explicit FacsController(FacsConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "FACS"; }
+  /// FLC2 reads the target cell's occupancy alone.
+  [[nodiscard]] bool cellLocal() const override { return true; }
 
   /// Full two-stage evaluation from raw measurements. \p occupied_bu is the
   /// counter state Cs of the target base station.

@@ -72,7 +72,7 @@ void validateConfig(const SccConfig& config) {
 
 ShadowClusterController::ShadowClusterController(
     const cellular::HexNetwork& network, SccConfig config)
-    : network_{network}, config_{config}, partition_{network, 1} {
+    : network_{network}, config_{config} {
   validateConfig(config_);
   horizon_.resize(static_cast<std::size_t>(config_.intervals));
   for (int k = 0; k < config_.intervals; ++k) {
@@ -86,12 +86,6 @@ ShadowClusterController::ShadowClusterController(
   demand_.assign(network_.cellCount() *
                      static_cast<std::size_t>(config_.intervals),
                  0.0);
-  // One group until the engine announces its mapping: a single store whose
-  // rows are all the acting group's own, so every update and read is live.
-  stores_.resize(1);
-  deferred_.resize(1);
-  migrations_.resize(1);
-  snapshot_ = demand_;
   clusters_.resize(network_.cellCount());
   for (const cellular::Cell& center : network_.cells()) {
     for (const cellular::Cell& cell : network_.cells()) {
@@ -156,69 +150,33 @@ double ShadowClusterController::contribution(const Shadow& shadow, CellId cell,
 }
 
 void ShadowClusterController::applyShadow(const Shadow& shadow, double sign) {
-  // The acting group is the shadow's anchor group — the lane (or drain)
-  // that owns stores_[g] and therefore this call's commit. Footprint rows
-  // the partition maps to the same group are the lane's own: write live.
-  // Rows across a boundary belong to another lane's cells; deferring them
-  // into the acting group's buffer keeps every demand_ row single-writer
-  // during the parallel phase, and the barrier folds the buffers in
-  // canonical order so the float sums stay shard-invariant.
-  const int g = partition_.groupOf(shadow.anchor);
-  std::vector<DemandDelta>& defer = deferred_[static_cast<std::size_t>(g)];
   for (const cellular::CellId cell : footprint(shadow.anchor)) {
-    const bool own_row = partition_.groupOf(cell) == g;
     for (int k = 0; k < config_.intervals; ++k) {
-      const double value = sign * contribution(shadow, cell, k);
-      if (own_row) {
-        demand_[demandIndex(cell, k)] += value;
-      } else {
-        DemandDelta delta;
-        delta.cell = cell;
-        delta.k = k;
-        delta.value = value;
-        delta.group = g;
-        delta.seq = static_cast<std::uint32_t>(defer.size());
-        defer.push_back(delta);
-      }
+      demand_[demandIndex(cell, k)] += sign * contribution(shadow, cell, k);
     }
   }
-  ++stores_[static_cast<std::size_t>(g)].updates_since_rebuild;
+  ++updates_since_rebuild_;
 }
 
 void ShadowClusterController::maybeRebuild() {
-  if (config_.rebuild_every <= 0) return;
-  for (std::size_t g = 0; g < stores_.size(); ++g) {
-    GroupStore& due = stores_[g];
-    if (due.updates_since_rebuild <
-        static_cast<std::uint64_t>(config_.rebuild_every)) {
-      continue;
-    }
-    due.updates_since_rebuild = 0;
-    // Zero exactly the rows this group owns, then re-accumulate every
-    // tracked shadow's contribution to those rows (stores in index order,
-    // canonical call order within each) — the same sums the incremental
-    // updates built there, minus the float residue. Other groups' rows are
-    // untouched: their residue ages on their own counters.
-    for (const cellular::CellId cell : all_cells_) {
-      if (partition_.groupOf(cell) != static_cast<int>(g)) continue;
+  if (config_.rebuild_every <= 0 ||
+      updates_since_rebuild_ <
+          static_cast<std::uint64_t>(config_.rebuild_every)) {
+    return;
+  }
+  updates_since_rebuild_ = 0;
+  // Canonical call order makes the sums independent of hash-map bucket
+  // history.
+  std::vector<cellular::CallId> ids;
+  ids.reserve(shadows_.size());
+  for (const auto& [id, shadow] : shadows_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  std::fill(demand_.begin(), demand_.end(), 0.0);
+  for (const cellular::CallId id : ids) {
+    const Shadow& shadow = shadows_.find(id)->second;
+    for (const cellular::CellId cell : footprint(shadow.anchor)) {
       for (int k = 0; k < config_.intervals; ++k) {
-        demand_[demandIndex(cell, k)] = 0.0;
-      }
-    }
-    std::vector<cellular::CallId> ids;
-    for (const GroupStore& store : stores_) {
-      ids.clear();
-      ids.reserve(store.shadows.size());
-      for (const auto& [id, shadow] : store.shadows) ids.push_back(id);
-      std::sort(ids.begin(), ids.end());
-      for (const cellular::CallId id : ids) {
-        const Shadow& shadow = store.shadows.find(id)->second;
-        for (const cellular::CellId cell : footprint(shadow.anchor)) {
-          if (partition_.groupOf(cell) != static_cast<int>(g)) continue;
-          for (int k = 0; k < config_.intervals; ++k) {
-            demand_[demandIndex(cell, k)] += contribution(shadow, cell, k);
-          }
-        }
+        demand_[demandIndex(cell, k)] += contribution(shadow, cell, k);
       }
     }
   }
@@ -265,11 +223,7 @@ AdmissionDecision ShadowClusterController::decide(
   // Every cell of the tentative shadow cluster must be able to support the
   // projected demand over the whole horizon. Existing demand is the
   // incremental per-BS accumulator — an O(1) read per (cell, interval), so
-  // the decision cost is flat in the number of tracked calls. A decision
-  // reads the acting group's own rows live and foreign-group rows from the
-  // barrier snapshot (the same visibility the engine's reservations give
-  // cross-group ledger state).
-  const int g = partition_.groupOf(center);
+  // the decision cost is flat in the number of tracked calls.
   double worst_headroom = std::numeric_limits<double>::infinity();
   for (const CellId cell : clusters_[static_cast<std::size_t>(center)]) {
     const double budget =
@@ -277,7 +231,7 @@ AdmissionDecision ShadowClusterController::decide(
         static_cast<double>(network_.station(cell).capacityBu());
     for (int k = 0; k < config_.intervals; ++k) {
       const double projected =
-          demandRead(g, cell, k) + contribution(tentative, cell, k);
+          demandAt(cell, k) + contribution(tentative, cell, k);
       worst_headroom = std::min(worst_headroom, budget - projected);
     }
   }
@@ -305,133 +259,24 @@ void ShadowClusterController::onAdmitted(const CallRequest& request,
   CellId center = request.target_cell;
   if (center == cellular::kInvalidCell) center = context.station.cell();
   const Shadow shadow = shadowOf(request, center);
-  const int g = partition_.groupOf(center);
-  GroupStore& store = stores_[static_cast<std::size_t>(g)];
-  const auto [it, inserted] = store.shadows.try_emplace(request.call, shadow);
+  const auto [it, inserted] = shadows_.try_emplace(request.call, shadow);
   if (!inserted) {
-    // Same-group handoff refresh: the stale shadow lives in the acting
-    // group's own store — retract it in-lane before casting the new one.
+    // Handoff refresh: retract the stale shadow before casting the new one.
     applyShadow(it->second, -1.0);
     it->second = shadow;
-  } else if (request.is_handoff) {
-    // The refresh may have crossed a group boundary: the stale record is
-    // then anchored in a foreign store this lane must not touch. Cast the
-    // new shadow now; leave a migration record so the barrier retracts and
-    // erases the old one (demand_ conserved — its contribution stays
-    // folded in until exactly then).
-    migrations_[static_cast<std::size_t>(g)].push_back(request.call);
   }
   applyShadow(shadow, +1.0);
+  maybeRebuild();
 }
 
 void ShadowClusterController::onReleased(const CallRequest& request,
-                                         const AdmissionContext& context) {
-  // The release reaches us in the lane (or drain) acting for the cell the
-  // call occupied — which is the shadow's anchor (both are set by the same
-  // last admission), so the lookup stays inside the acting group's own
-  // store. A miss means the call was never tracked: nothing to retract.
-  CellId cell = request.target_cell;
-  if (cell == cellular::kInvalidCell) cell = context.station.cell();
-  GroupStore& store =
-      stores_[static_cast<std::size_t>(partition_.groupOf(cell))];
-  const auto it = store.shadows.find(request.call);
-  if (it == store.shadows.end()) return;
+                                         const AdmissionContext& /*context*/) {
+  // A miss means the call was never tracked: nothing to retract.
+  const auto it = shadows_.find(request.call);
+  if (it == shadows_.end()) return;
   applyShadow(it->second, -1.0);
-  store.shadows.erase(it);
-}
-
-void ShadowClusterController::onPartitionChanged(
-    const cellular::CellGroupPartition& p) {
-  // The engine drains the policy barrier before adopting a repartition, so
-  // this is normally a no-op; a direct caller (unit tests) may still have
-  // deferred work keyed to the old mapping — fold it first, under that
-  // mapping, or the delta targets would be re-homed out from under the
-  // buffered records.
-  (void)drainBarrierWork();
-  // Canonical call order makes the re-keyed stores — and every later
-  // rebuild walking them — independent of hash-map bucket history.
-  std::vector<std::pair<cellular::CallId, Shadow>> tracked;
-  tracked.reserve(trackedCalls());
-  for (const GroupStore& store : stores_) {
-    for (const auto& [id, shadow] : store.shadows) {
-      tracked.emplace_back(id, shadow);
-    }
-  }
-  std::sort(tracked.begin(), tracked.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  stores_.clear();
-  deferred_.clear();
-  migrations_.clear();
-  partition_ = p;  // copy: the engine's reference dies with this call
-  stores_.resize(static_cast<std::size_t>(partition_.groups()));
-  deferred_.resize(stores_.size());
-  migrations_.resize(stores_.size());
-  for (auto& [id, shadow] : tracked) {
-    stores_[static_cast<std::size_t>(partition_.groupOf(shadow.anchor))]
-        .shadows.emplace(id, shadow);
-  }
-  // demand_ is deliberately untouched: every tracked contribution is
-  // already folded in, so total projected demand is conserved EXACTLY
-  // across the re-key (the migration moves records, not float sums). The
-  // per-group rebuild counters restart at zero — deterministic.
-  snapshot_ = demand_;
-}
-
-cellular::BarrierDrainStats ShadowClusterController::onCommitBarrier(
-    double /*now_s*/) {
-  const cellular::BarrierDrainStats stats = drainBarrierWork();
+  shadows_.erase(it);
   maybeRebuild();
-  // The next window's foreign-row reads see everything up to this barrier
-  // and nothing later — reservation visibility, for demand rows.
-  snapshot_ = demand_;
-  return stats;
-}
-
-cellular::BarrierDrainStats ShadowClusterController::drainBarrierWork() {
-  cellular::BarrierDrainStats stats;
-  // Fold the deferred cross-group writes: concatenate the acting groups'
-  // buffers in group order, sort once by the total (cell, interval, group,
-  // seq) key, then apply serially. The fold order is a pure function of the
-  // committed event sequence, so the float sums are reproducible at any
-  // shard count.
-  std::vector<DemandDelta>& all = deferred_[0];
-  for (std::size_t g = 1; g < deferred_.size(); ++g) {
-    all.insert(all.end(), deferred_[g].begin(), deferred_[g].end());
-    deferred_[g].clear();
-  }
-  std::sort(all.begin(), all.end(), DemandDeltaEarlier{});
-  for (const DemandDelta& delta : all) {
-    demand_[demandIndex(delta.cell, delta.k)] += delta.value;
-  }
-  stats.deltas_applied = all.size();
-  all.clear();
-  // Re-home boundary-crossing handoff refreshes: the fresh shadow already
-  // sits in stores_[g]; the stale record under the old anchor still
-  // holds its contribution in a foreign store. Serial context — retract
-  // those rows live and erase it (groups ascending, append order within).
-  for (std::size_t g = 0; g < migrations_.size(); ++g) {
-    for (const cellular::CallId call : migrations_[g]) {
-      for (std::size_t s = 0; s < stores_.size(); ++s) {
-        if (s == g) continue;
-        GroupStore& store = stores_[s];
-        const auto it = store.shadows.find(call);
-        if (it == store.shadows.end()) continue;
-        for (const cellular::CellId cell : footprint(it->second.anchor)) {
-          for (int k = 0; k < config_.intervals; ++k) {
-            demand_[demandIndex(cell, k)] -=
-                contribution(it->second, cell, k);
-          }
-        }
-        ++store.updates_since_rebuild;
-        store.shadows.erase(it);
-        ++stats.shadows_migrated;
-        break;
-      }
-    }
-    migrations_[g].clear();
-  }
-  return stats;
 }
 
 std::string ShadowClusterController::auditWorkload(

@@ -27,8 +27,8 @@
 namespace facs::scc {
 
 /// Upper bound on SccConfig::intervals. The demand cache holds cells x
-/// intervals doubles (twice, with the barrier snapshot), so an unbounded
-/// count is an allocation failure, not a longer horizon.
+/// intervals doubles, so an unbounded count is an allocation failure, not
+/// a longer horizon.
 inline constexpr int kMaxIntervals = 1000;
 
 /// Upper bound, in seconds, on the projection horizon intervals *
@@ -66,17 +66,16 @@ struct SccConfig {
   double sigma_growth_km = 2.0;
   /// Mean call holding time used for the activity decay exp(-t / holding).
   double mean_holding_s = 180.0;
-  /// Periodic exact rebuild of the incremental demand cache: at the first
-  /// commit barrier (onCommitBarrier) after this many shadow updates of a
-  /// group (each admit, release, or handoff-refresh leg is one), that
-  /// group's per-(cell, interval) accumulators are recomputed from the
-  /// live shadows in canonical call order. Subtract-on-release leaves
-  /// ~1e-12 BU of floating residue per churn cycle; the rebuild zeroes it,
-  /// bounding the drift forever on long-lived runs. 0 disables. The
-  /// amortized cost is O(tracked * cells * intervals / rebuild_every) per
-  /// update — negligible at the default. Barriers come from the engine's
-  /// tick windows: a batch run without handoffs has a single window, so
-  /// it rebuilds only once, at the end.
+  /// Periodic exact rebuild of the incremental demand cache: the
+  /// onAdmitted() or onReleased() whose shadow updates (each admit,
+  /// release, or handoff-refresh leg is one) reach this count since the
+  /// last rebuild ends by recomputing every per-(cell, interval)
+  /// accumulator from the live shadows in canonical call order.
+  /// Subtract-on-release leaves ~1e-12 BU of floating residue per churn
+  /// cycle; the rebuild zeroes it, bounding the drift forever on
+  /// long-lived runs. 0 disables. The amortized cost is
+  /// O(tracked * cells * intervals / rebuild_every) per update —
+  /// negligible at the default.
   int rebuild_every = 1'000'000;
   /// Deny calls whose predicted trajectory leaves network coverage within
   /// the horizon: their shadow cluster cannot be established, so their QoS
@@ -89,9 +88,7 @@ struct SccConfig {
   /// touches every cell's accumulator — the historical behaviour at
   /// O(cells x intervals) per update. A positive reach bounds each update
   /// (and the periodic rebuild) to the cells within that many hops, so the
-  /// cost becomes flat in the network size. Reach does not gate parallel
-  /// commits: rows outside the acting group defer to the barrier at every
-  /// setting.
+  /// cost becomes flat in the network size.
   ///
   /// Size it to the projection horizon, not to the kernel's spread: the
   /// footprint is anchored at the LAST-REPORT cell, but contribution()
@@ -143,24 +140,6 @@ class ShadowClusterController final : public cellular::AdmissionController {
   void onReleased(const cellular::CallRequest& request,
                   const cellular::AdmissionContext& context) override;
 
-  /// Adopts the engine's cell-to-group mapping (startup and every adopted
-  /// repartition epoch — barrier context). Shadows live in per-group
-  /// stores keyed by each shadow's anchor group (a single store until a
-  /// partition is adopted); a boundary move re-keys every store in
-  /// canonical call order. `demand_` is left untouched by
-  /// the re-keying — every tracked contribution is already folded in — so
-  /// total projected demand is conserved exactly across a repartition.
-  void onPartitionChanged(const cellular::CellGroupPartition& p) override;
-
-  /// Applies the deferred cross-group demand deltas (concatenated, sorted
-  /// once in canonical (cell, interval, group, seq) order, then folded
-  /// serially), re-homes shadows whose handoff refresh crossed
-  /// a group boundary, runs any due per-group exact rebuilds, and
-  /// refreshes the barrier snapshot foreign-row reads use. Single-threaded
-  /// by the engine's contract.
-  [[nodiscard]] cellular::BarrierDrainStats onCommitBarrier(
-      double now_s) override;
-
   /// Warns when a bounded reach is smaller than the projection horizon of
   /// the fastest mobile needs: the footprint is anchored at the LAST
   /// report, but contribution() centres each interval's kernel on the
@@ -179,12 +158,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// is anchored at its last report.
   [[nodiscard]] DemandProfile projectedDemand(cellular::CellId cell) const;
 
-  /// Number of mobiles currently exerting a shadow (summed over the
-  /// per-group stores).
+  /// Number of mobiles currently exerting a shadow.
   [[nodiscard]] std::size_t trackedCalls() const noexcept {
-    std::size_t n = 0;
-    for (const GroupStore& store : stores_) n += store.shadows.size();
-    return n;
+    return shadows_.size();
   }
 
   [[nodiscard]] const SccConfig& config() const noexcept { return config_; }
@@ -216,40 +192,6 @@ class ShadowClusterController final : public cellular::AdmissionController {
     double two_sigma_sq = 0.0;
   };
 
-  /// One commit group's slice of the shadow map: every shadow whose
-  /// anchor the partition maps to this group, plus the group's own
-  /// rebuild counter. Invariant: a shadow lives in the store of its
-  /// anchor's group — lanes and per-target-group reservation drains
-  /// therefore touch disjoint stores.
-  struct GroupStore {
-    std::unordered_map<cellular::CallId, Shadow> shadows;
-    std::uint64_t updates_since_rebuild = 0;
-  };
-
-  /// One deferred cross-group accumulator write: "add value to cell's
-  /// interval-k row". Produced inside a lane or drain whose acting group
-  /// does not own the row; applied single-threaded at the barrier. The
-  /// (cell, k, group, seq) key is the canonical combine order — seq is the
-  /// append index within the acting group's buffer, so the fold is a pure
-  /// function of the committed event sequence.
-  struct DemandDelta {
-    cellular::CellId cell = 0;
-    std::int32_t k = 0;
-    double value = 0.0;
-    std::int32_t group = 0;
-    std::uint32_t seq = 0;
-  };
-
-  struct DemandDeltaEarlier {
-    bool operator()(const DemandDelta& a,
-                    const DemandDelta& b) const noexcept {
-      if (a.cell != b.cell) return a.cell < b.cell;
-      if (a.k != b.k) return a.k < b.k;
-      if (a.group != b.group) return a.group < b.group;
-      return a.seq < b.seq;
-    }
-  };
-
   /// The shadow \p request casts from \p center, the cell its snapshot
   /// is taken against and the shadow's anchor.
   [[nodiscard]] Shadow shadowOf(const cellular::CallRequest& request,
@@ -260,24 +202,16 @@ class ShadowClusterController final : public cellular::AdmissionController {
   [[nodiscard]] double contribution(const Shadow& shadow,
                                     cellular::CellId cell, int k) const;
 
-  /// Adds (sign +1) or retracts (sign -1) one shadow's contribution — the
-  /// incremental cache update. Footprint rows owned by the shadow's anchor
-  /// group apply live (the acting lane/drain owns them); rows across a
-  /// group boundary defer into the acting group's delta buffer for the
-  /// barrier to fold. Counts one update toward the acting group's rebuild
-  /// counter.
+  /// Adds (sign +1) or retracts (sign -1) one shadow's contribution over
+  /// its footprint — the incremental cache update. Counts one update
+  /// toward the rebuild period.
   void applyShadow(const Shadow& shadow, double sign);
 
-  /// Per-group exact rebuilds, barrier context: any group whose counter
-  /// crossed rebuild_every gets its cells' rows zeroed and recomputed from
-  /// every tracked shadow whose footprint intersects them (stores in index
-  /// order, canonical call order within each) — exactly what the
-  /// incremental updates accumulated there, minus the float residue.
+  /// The exact rebuild, once the update count reaches rebuild_every: every
+  /// row zeroed and recomputed from the tracked shadows in canonical call
+  /// order — exactly what the incremental updates accumulated, minus the
+  /// float residue. Called only where shadows_ matches demand_.
   void maybeRebuild();
-
-  /// Folds the deferred cross-group deltas (concatenate, sort once, serial
-  /// apply) and re-homes migrated shadows. Barrier context.
-  [[nodiscard]] cellular::BarrierDrainStats drainBarrierWork();
 
   [[nodiscard]] std::size_t demandIndex(cellular::CellId cell,
                                         int k) const noexcept {
@@ -288,17 +222,6 @@ class ShadowClusterController final : public cellular::AdmissionController {
 
   [[nodiscard]] double demandAt(cellular::CellId cell, int k) const noexcept {
     return demand_[demandIndex(cell, k)];
-  }
-
-  /// Row read for a decision acting in group \p g: the group's own rows
-  /// read live (end-of-window within the lane's canonical replay), foreign
-  /// rows read the barrier snapshot — the same visibility the engine's
-  /// reservation protocol gives cross-group state. At one group every
-  /// row is the acting group's own, so every read is live.
-  [[nodiscard]] double demandRead(int g, cellular::CellId cell,
-                                  int k) const noexcept {
-    if (partition_.groupOf(cell) == g) return demandAt(cell, k);
-    return snapshot_[demandIndex(cell, k)];
   }
 
   const cellular::HexNetwork& network_;
@@ -317,24 +240,10 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// footprint() answers with all_cells_.
   std::vector<std::vector<cellular::CellId>> footprints_;
   std::vector<cellular::CellId> all_cells_;
-  /// Copy of the engine's cell-to-group mapping, adopted at
-  /// onPartitionChanged(); one group until then.
-  cellular::CellGroupPartition partition_;
-  /// Per-group shadow stores, indexed by commit group (stores_[g] holds
-  /// exactly the shadows whose anchor maps to g).
-  std::vector<GroupStore> stores_;
-  /// Barrier snapshot of demand_ — what foreign-group rows read during a
-  /// window (each row has exactly one live writer: its owner group).
-  /// Refreshed at every onCommitBarrier().
-  std::vector<double> snapshot_;
-  /// Per-acting-group deferred cross-group writes, and the calls whose
-  /// handoff refresh crossed into the group: the new shadow is already in
-  /// stores_[g], but the stale record lives in a foreign store the acting
-  /// drain must not touch, so the barrier retracts and erases it. Exactly
-  /// one writer per phase (the group's lane, its reservation drain, or the
-  /// serial barrier), drained every barrier.
-  std::vector<std::vector<DemandDelta>> deferred_;
-  std::vector<std::vector<cellular::CallId>> migrations_;
+  /// Every tracked shadow, by call.
+  std::unordered_map<cellular::CallId, Shadow> shadows_;
+  /// Shadow updates since the last exact rebuild.
+  std::uint64_t updates_since_rebuild_ = 0;
 };
 
 /// Reconstructs a mobile's motion state from an admission snapshot taken

@@ -48,8 +48,8 @@ struct Metrics {
   std::uint64_t engine_events = 0;
 
   /// Commit lanes the run actually used: SimulationConfig::commit_groups
-  /// clamped to the cell count. Deterministic — part of the JSON so
-  /// grouped runs are self-describing.
+  /// clamped to the cell count, or 1 for a policy that is not cell-local.
+  /// Deterministic — part of the JSON so grouped runs are self-describing.
   int commit_groups = 1;
 
   /// Committed events per commit lane (size == commit_groups, lane order).
@@ -90,14 +90,8 @@ struct Metrics {
   std::uint64_t reservations_admitted = 0;
   std::uint64_t reservations_dropped = 0;
 
-  /// Policy traffic drained at tick-window barriers
-  /// (cellular::BarrierDrainStats, summed over the run): cross-group
-  /// demand-delta records a policy deferred out of its lanes and applied
-  /// at the barrier, and per-group records re-homed across a group
-  /// boundary (handoff refreshes whose old anchor lives in a foreign
-  /// store, plus repartition migrations). Always 0 for policies without
-  /// cross-cell state and at commit_groups == 1. Deterministic for fixed
-  /// (config, seed, commit_groups) at any shard count.
+  /// Always 0: no policy defers work to the barrier any more. Kept only
+  /// because perfbench/main.cpp still reads them.
   std::uint64_t demand_deltas = 0;
   std::uint64_t shadow_migrations = 0;
 

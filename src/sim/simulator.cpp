@@ -113,14 +113,18 @@ static_assert(sizeof(CallState) <= 256, "CallState regrew past 256 bytes");
   return w;
 }
 
-/// The run's initial cell-to-lane mapping.
+/// The run's initial cell-to-lane mapping: one group unless the policy
+/// is cell-local (AdmissionController::cellLocal()).
 [[nodiscard]] cellular::CellGroupPartition makePartition(
-    const SimulationConfig& cfg, const HexNetwork& network) {
+    const SimulationConfig& cfg, const HexNetwork& network,
+    const cellular::AdmissionController* controller) {
+  const int groups =
+      controller && controller->cellLocal() ? cfg.commit_groups : 1;
   if (cfg.partition == PartitionStrategy::Weighted) {
-    return cellular::CellGroupPartition{network, cfg.commit_groups,
+    return cellular::CellGroupPartition{network, groups,
                                         spawnWeightsOf(cfg, network)};
   }
-  return cellular::CellGroupPartition{network, cfg.commit_groups};
+  return cellular::CellGroupPartition{network, groups};
 }
 
 /// Arrival-instant source. The batch engine drew every instant up front;
@@ -228,7 +232,7 @@ class Engine {
         network_{cfg.rings, cfg.cell_radius_km, cfg.capacity_bu,
                  capacityOverrides(cfg)},
         controller_{make_controller(network_)},
-        partition_{makePartition(cfg, network_)},
+        partition_{makePartition(cfg, network_, controller_.get())},
         shard_count_{std::max(1, std::min(cfg.shards, kMaxShards))},
         pool_{shard_count_},
         queues_(static_cast<std::size_t>(partition_.groups())),
@@ -237,9 +241,6 @@ class Engine {
       throw std::invalid_argument("controller factory returned nullptr");
     }
     prepareCellOverrides();
-    // The policy learns the startup mapping before any decision commits;
-    // every adopted repartition epoch re-announces it (barrier context).
-    controller_->onPartitionChanged(partition_);
     const std::string warning =
         controller_->auditWorkload(cellular::WorkloadEnvelope{
             cfg_.scenario.speed_max_kmh, cfg_.cell_radius_km});
@@ -644,7 +645,7 @@ class Engine {
 
     // Boundary hysteresis: a re-draw that barely improves the projected
     // max/mean imbalance is flapping, not balancing — moving cells costs
-    // policies a store migration and the occupancy integrals a re-base,
+    // a re-home of the queues and a re-base of the occupancy integrals,
     // for noise-level gain on a near-balanced disk. Skip unless
     // the new mapping beats the old by the adoption threshold (on THIS
     // epoch's observed weights; deterministic either way).
@@ -655,7 +656,6 @@ class Engine {
     }
 
     for (GroupLane& lane : lanes_) noteOccupancy(lane, at_s);
-    policyBarrier(at_s);  // no deferred policy work may outlive the mapping
     partition_ = std::move(next);
     for (GroupLane& lane : lanes_) lane.occupied_bu = 0;
     for (const cellular::Cell& cell : network_.cells()) {
@@ -663,7 +663,6 @@ class Engine {
           network_.station(cell.id).occupiedBu();
     }
     rehomeQueues();
-    controller_->onPartitionChanged(partition_);
     ++metrics_.repartitions;
   }
 
@@ -981,8 +980,8 @@ class Engine {
   /// group's heap — then its lane. No barrier is needed between the halves:
   /// a local phase writes only its own calls (of a foreign call it reads the
   /// group tag alone), a lane touches only its own calls, ledgers and heap
-  /// (foreign groups come from barrier snapshots), and precompute() is
-  /// const and state-free. The order the sweep visits its movers in cannot
+  /// (a policy that reads other cells runs on one group), and precompute()
+  /// is const and state-free. The order the sweep visits its movers in cannot
   /// matter: the lane pops the heap in canonical order.
   void runGroups(double window_end) {
     forEachGroup([&](int g) {
@@ -1311,22 +1310,6 @@ class Engine {
       lane.outgoing.clear();
     }
     if (any) drainInboxes(window_end);
-    // Policies drain their own cross-group residue now — unconditionally:
-    // an in-lane commit whose write footprint crosses a group boundary
-    // defers deltas even when no call crossed (no reservation posted).
-    policyBarrier(window_end);
-  }
-
-  /// Lets the policy apply its deferred cross-group writes (and
-  /// re-home migrated records) in barrier context, folding what it drained
-  /// into the run's metrics — at every group count. Nothing defers at one
-  /// lane (every row is the lane's own), but the barrier is still where
-  /// barrier-time work such as SCC's periodic exact rebuild runs.
-  void policyBarrier(double now_s) {
-    const cellular::BarrierDrainStats stats =
-        controller_->onCommitBarrier(now_s);
-    metrics_.demand_deltas += stats.deltas_applied;
-    metrics_.shadow_migrations += stats.shadows_migrated;
   }
 
   /// Fans the reservation drain out over the groups (ledger-disjoint by
@@ -1493,10 +1476,6 @@ class Engine {
       case serve::MutationOp::Outage:
         down_[static_cast<std::size_t>(*m.cell)] = 1;
         forceDropCell(*m.cell, m.at_s);
-        // The forced releases ran in barrier context but may have deferred
-        // cross-group policy writes; drain them before the next window's
-        // lanes (or a following epoch's migration) can observe the stores.
-        policyBarrier(m.at_s);
         break;
       case serve::MutationOp::Restore:
         down_[static_cast<std::size_t>(*m.cell)] = 0;

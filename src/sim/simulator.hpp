@@ -29,9 +29,9 @@
 /// barrier delivers it to the target group's inbox and drains each inbox
 /// in canonical order, re-validating every capacity claim against the
 /// live ledger and policy state. At several groups the engine calls the
-/// policy's hooks for different groups concurrently; a policy whose state
-/// spans cells defers cross-group writes to onCommitBarrier() (see
-/// cellular::AdmissionController) or is run at one group.
+/// policy's hooks for different groups concurrently, so only a policy
+/// that declares AdmissionController::cellLocal() gets more than one
+/// group; every other policy runs on one.
 /// commit_groups == 1 is the single serialized commit; commit_groups > 1
 /// changes cross-group visibility (see README "Commit groups &
 /// reservations") but stays deterministic.
@@ -145,10 +145,10 @@ struct SimulationConfig {
   /// shard count. N > 1 partitions cells into N contiguous groups, each
   /// owning its event heap, mover sweep and commit lane; the
   /// groups run concurrently and exchange cross-group handoffs as
-  /// Reservations at the tick-window barrier. Every built-in policy keeps
-  /// its per-group state apart and defers cross-group writes to the
-  /// barrier; an external policy must do the same or be run at one group
-  /// (cellular::AdmissionController). Deterministic
+  /// Reservations at the tick-window barrier. Only a cell-local policy
+  /// (cellular::AdmissionController::cellLocal()) runs on N groups; the
+  /// engine runs any other policy on one, and Metrics::commit_groups
+  /// reports the count used. Deterministic
   /// for fixed (config, seed): the same groups give the same bits at any
   /// shard count, but different group counts are different (documented)
   /// visibility semantics, not reorderings of one truth. Must be in

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -156,19 +156,13 @@ TEST(PredictiveReservation, ZeroFractionDegeneratesToCompleteSharing) {
           .accept);
 }
 
-TEST(PredictiveReservation, GroupedBooksMatchOneGroupAtEveryBarrier) {
-  // The engine's hook protocol at four groups and at one: new admissions,
-  // in-group and cross-group handoffs (the latter with no release of the
-  // old cell — the record is left behind in a foreign store), dropped
-  // handoffs and departures. After every barrier the grouped controller
-  // must hold the same reservations as the one-group controller, and none
-  // once every call is gone.
+TEST(PredictiveReservation, BooksDrainToZeroOnceEveryCallIsGone) {
+  // The engine's hook sequence: new admissions, handoffs (with no release
+  // of the old cell — the refresh replaces the record), dropped handoffs
+  // and departures. No cell's reservation ever goes negative, and none is
+  // left once every call is gone.
   const HexNetwork net{2, 10.0};
-  const cellular::CellGroupPartition four{net, 4};
-  PredictiveReservationController grouped{net};
-  grouped.onPartitionChanged(four);
-  PredictiveReservationController serial{net};
-  serial.onPartitionChanged(cellular::CellGroupPartition{net, 1});
+  PredictiveReservationController ctl{net};
 
   std::mt19937 gen{20240917};
   std::uniform_real_distribution<double> unit{0.0, 1.0};
@@ -180,26 +174,11 @@ TEST(PredictiveReservation, GroupedBooksMatchOneGroupAtEveryBarrier) {
     snap.angle_deg = 360.0 * unit(gen) - 180.0;
     return snap;
   };
-  const auto both = [&](auto&& hook) {
-    hook(grouped);
-    hook(serial);
-  };
 
   std::vector<CallRequest> live;
   cellular::CallId next_id = 1;
-  int cross_group_handoffs = 0;
-  std::uint64_t migrated = 0;
-  std::uint64_t deltas = 0;
-  const auto barrier = [&](double now) {
-    const cellular::BarrierDrainStats stats = grouped.onCommitBarrier(now);
-    migrated += stats.shadows_migrated;
-    deltas += stats.deltas_applied;
-    (void)serial.onCommitBarrier(now);
-    for (CellId c = 0; c < net.cellCount(); ++c) {
-      ASSERT_NEAR(grouped.reservedBu(c), serial.reservedBu(c), 1e-9)
-          << "cell " << c << " at t=" << now;
-    }
-  };
+  int handoffs = 0;
+  double peak = 0.0;
 
   for (int window = 0; window < 40; ++window) {
     for (int k = 0; k < 6; ++k) {
@@ -210,7 +189,7 @@ TEST(PredictiveReservation, GroupedBooksMatchOneGroupAtEveryBarrier) {
       r.demand_bu = cellular::profileFor(r.service).demand_bu;
       r.snapshot = snapshotIn(cell);
       r.target_cell = cell;
-      both([&](auto& ctl) { ctl.onAdmitted(r, {net.station(cell), 0.0}); });
+      ctl.onAdmitted(r, {net.station(cell), 0.0});
       live.push_back(r);
     }
     // Each live call moves at most once per window, as in the engine.
@@ -218,9 +197,7 @@ TEST(PredictiveReservation, GroupedBooksMatchOneGroupAtEveryBarrier) {
       CallRequest& r = live[i];
       const double roll = unit(gen);
       if (roll < 0.15) {  // departs from its cell
-        both([&](auto& ctl) {
-          ctl.onReleased(r, {net.station(r.target_cell), 0.0});
-        });
+        ctl.onReleased(r, {net.station(r.target_cell), 0.0});
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
@@ -228,36 +205,31 @@ TEST(PredictiveReservation, GroupedBooksMatchOneGroupAtEveryBarrier) {
         const auto& around = net.neighbors(r.target_cell);
         const CellId to = around[gen() % around.size()];
         if (unit(gen) < 0.2) {  // dropped: the old cell releases it
-          both([&](auto& ctl) {
-            ctl.onReleased(r, {net.station(r.target_cell), 0.0});
-          });
+          ctl.onReleased(r, {net.station(r.target_cell), 0.0});
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
           continue;
         }
-        if (four.groupOf(to) != four.groupOf(r.target_cell)) {
-          ++cross_group_handoffs;
-        }
+        ++handoffs;
         r.is_handoff = true;
         r.target_cell = to;
         r.snapshot = snapshotIn(to);
-        both([&](auto& ctl) { ctl.onAdmitted(r, {net.station(to), 0.0}); });
+        ctl.onAdmitted(r, {net.station(to), 0.0});
       }
       ++i;
     }
-    barrier(window + 1.0);
+    for (CellId c = 0; c < net.cellCount(); ++c) {
+      ASSERT_GE(ctl.reservedBu(c), 0.0) << "cell " << c;
+      peak = std::max(peak, ctl.reservedBu(c));
+    }
   }
-  EXPECT_GT(cross_group_handoffs, 0);
-  EXPECT_GT(migrated, 0u);
-  EXPECT_GT(deltas, 0u);
+  EXPECT_GT(handoffs, 0);
+  EXPECT_GT(peak, 0.0);
 
   for (const CallRequest& r : live) {
-    both([&](auto& ctl) {
-      ctl.onReleased(r, {net.station(r.target_cell), 0.0});
-    });
+    ctl.onReleased(r, {net.station(r.target_cell), 0.0});
   }
-  barrier(100.0);
   for (CellId c = 0; c < net.cellCount(); ++c) {
-    EXPECT_NEAR(grouped.reservedBu(c), 0.0, 1e-9) << "cell " << c;
+    EXPECT_NEAR(ctl.reservedBu(c), 0.0, 1e-9) << "cell " << c;
   }
 }
 

@@ -90,64 +90,17 @@ TEST(SirController, CustomThresholds) {
   EXPECT_DOUBLE_EQ(sir.threshold(ServiceClass::Voice), 60.0);
 }
 
-// ---------------------------------------------------- barrier snapshot --
-
-TEST(SirController, SnapshotReadsMatchLiveAtAQuiescentBarrier) {
-  // Right after the barrier primes the snapshot, grouped decisions must be
-  // bit-identical to an ungrouped live-read controller: snapshot == live
-  // until some ledger moves, and the interferer walk is shared.
-  HexNetwork net{1};
-  for (cellular::CellId id = 1; id < 7; ++id) {
-    net.station(id).allocate(id, static_cast<cellular::BandwidthUnits>(5 * id),
-                             true);
-  }
-  SirController grouped{net};
-  grouped.onPartitionChanged(cellular::CellGroupPartition{net, 4});
-  SirController live{net};
-  const AdmissionContext ctx{net.station(0), 0.0};
-  for (const auto s :
-       {ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video}) {
-    for (const Vec2 pos : {Vec2{0.5, 0.0}, Vec2{8.5, 0.0}, Vec2{4.0, 3.0}}) {
-      const auto a = grouped.decide(request(s, pos), ctx);
-      const auto b = live.decide(request(s, pos), ctx);
-      EXPECT_EQ(a.accept, b.accept);
-      EXPECT_EQ(a.reason, b.reason);
-      EXPECT_EQ(a.score, b.score);
-    }
-  }
-}
-
-TEST(SirController, ForeignUtilizationIsSnapshotUntilTheBarrier) {
-  // One group per cell: every interferer is foreign, so decide() reads the
-  // barrier snapshot only. A ledger change in another cell must stay
-  // invisible until onCommitBarrier refreshes — barrier-visibility
-  // semantics, one tick-window of lag at most.
+TEST(SirController, ReadsEveryLedgerLive) {
+  // A ledger change in another cell shows in the very next decision: the
+  // controller runs on one commit group, so it never reads a snapshot.
   HexNetwork net{1};
   SirController sir{net};
-  sir.onPartitionChanged(cellular::CellGroupPartition{net, 7});
   const AdmissionContext ctx{net.station(0), 0.0};
   const CallRequest video = request(ServiceClass::Video, {8.5, 0.0});
   EXPECT_TRUE(sir.decide(video, ctx).accept);  // quiet network
   net.station(3).allocate(1, 40, true);        // eastern neighbour fills up
-  EXPECT_TRUE(sir.decide(video, ctx).accept)
-      << "pre-barrier decide must still see the snapshot";
-  const cellular::BarrierDrainStats stats = sir.onCommitBarrier(1.0);
-  EXPECT_EQ(stats.deltas_applied, 1u);  // exactly one cell changed
-  EXPECT_FALSE(sir.decide(video, ctx).accept)
-      << "post-barrier decide must see the loaded neighbour";
-  // Idle barrier: nothing changed, nothing reported.
-  EXPECT_EQ(sir.onCommitBarrier(2.0).deltas_applied, 0u);
-}
-
-TEST(SirController, UngroupedControllerIgnoresTheBarrierProtocol) {
-  // A single-group partition reads every ledger live: the barrier hook
-  // must stay a strict no-op, even after a ledger moves, so a one-group
-  // run keeps the legacy metrics byte for byte.
-  HexNetwork net{1};
-  SirController sir{net};
-  sir.onPartitionChanged(cellular::CellGroupPartition{net, 1});
-  net.station(3).allocate(1, 40, true);
-  EXPECT_EQ(sir.onCommitBarrier(0.0).deltas_applied, 0u);
+  EXPECT_FALSE(sir.decide(video, ctx).accept);
+  EXPECT_FALSE(sir.cellLocal());
   EXPECT_TRUE(sir.auditWorkload({120.0, 10.0}).empty());
 }
 

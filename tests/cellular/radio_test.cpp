@@ -222,21 +222,5 @@ TEST(PathGain, WithinFiveAndAHalfUlpOfTheExactPower) {
   EXPECT_EQ(pathGain(16.0), 1.0 / 128.0);  // 4^-3.5, exact
 }
 
-TEST(RadioModel, SinrDbWithLiveUtilizationIsTheLiveSinr) {
-  // The functor variant with a live-ledger reader IS sinrDb — same walk,
-  // same bits. This is what lets the grouped SIR controller swap in a
-  // snapshot reader without touching the arithmetic.
-  HexNetwork net{2, 1.5};
-  loadStations(net);
-  const RadioModel radio{net};
-  for (const Cell& serving : net.cells()) {
-    const Vec2 pos{serving.center.x - 0.2, serving.center.y + 0.5};
-    const double live = radio.sinrDbWith(pos, serving.id, [&](CellId cell) {
-      return net.station(cell).utilization();
-    });
-    EXPECT_EQ(radio.sinrDb(pos, serving.id), live);
-  }
-}
-
 }  // namespace
 }  // namespace facs::cellular

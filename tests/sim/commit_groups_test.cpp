@@ -12,12 +12,8 @@
 ///  * Cross-group handoffs flow through reservations, and contended claims
 ///    (several groups after the last bandwidth units of one cell) resolve
 ///    deterministically in canonical (time, call) order.
-///  * Every policy runs at the configured lane count. Policies with
-///    cross-cell state (SCC, SIR, `rsv`) read foreign groups from a
-///    barrier snapshot or not at all, defer cross-group writes through the
-///    barrier drain, and stay bit-identical across shard counts —
-///    including under epoch re-partitioning, where their per-group stores
-///    re-key deterministically.
+///  * Only a cell-local policy (AdmissionController::cellLocal()) runs at
+///    the configured lane count. Every other policy runs on one group.
 ///  * The load-aware (weighted) partition is deterministic too — seed-
 ///    stable and shard-invariant at every group count — and on a skewed
 ///    hotspot its per-lane committed-event split is measurably flatter
@@ -86,14 +82,11 @@ void expectBitIdentical(const Metrics& a, const Metrics& b,
   EXPECT_EQ(a.reservations_posted, b.reservations_posted) << label;
   EXPECT_EQ(a.reservations_admitted, b.reservations_admitted) << label;
   EXPECT_EQ(a.reservations_dropped, b.reservations_dropped) << label;
-  // The per-lane event split, the repartition counts and the policy
-  // barrier traffic are part of the deterministic surface: identical bits
-  // at every shard count.
+  // The per-lane event split and the repartition counts are part of the
+  // deterministic surface: identical bits at every shard count.
   EXPECT_EQ(a.lane_events, b.lane_events) << label;
   EXPECT_EQ(a.repartitions, b.repartitions) << label;
   EXPECT_EQ(a.repartitions_skipped, b.repartitions_skipped) << label;
-  EXPECT_EQ(a.demand_deltas, b.demand_deltas) << label;
-  EXPECT_EQ(a.shadow_migrations, b.shadow_migrations) << label;
 }
 
 /// max/mean over the per-lane committed-event counts — 1.0 is a perfectly
@@ -220,29 +213,11 @@ TEST(CommitGroups, ContendedLastUnitsResolveDeterministically) {
   expectBitIdentical(first, again, "contended repeat");
 }
 
-TEST(CommitGroups, GroupedRsvRunsEveryLaneAndBalancesItsBooks) {
-  // Predictive reservation writes into each mobile's predicted next cell,
-  // which may belong to another group: those writes wait for the barrier,
-  // so `rsv` keeps every configured lane and posts cross-group claims like
-  // any other policy.
-  SimulationConfig cfg = contestedConfig();
-  cfg.warmup_s = 0.0;
-  cfg.commit_groups = 4;
-  const Metrics m = runPolicy(cfg, "rsv");
-  EXPECT_EQ(m.commit_groups, 4);
-  EXPECT_GT(m.reservations_posted, 0u);
-  EXPECT_GT(m.new_accepted, 0);
-  EXPECT_EQ(m.new_requests, m.new_accepted + m.new_blocked);
-  EXPECT_EQ(m.reservations_posted,
-            m.reservations_admitted + m.reservations_dropped);
-  EXPECT_EQ(m.handoff_requests, m.handoff_accepted + m.handoff_dropped);
-}
-
-/// Complete sharing that counts the policy barriers it sees.
-class BarrierCounting final : public cellular::AdmissionController {
+/// Complete sharing, declared cell-local or not.
+class SharingStub final : public cellular::AdmissionController {
  public:
-  explicit BarrierCounting(int* barriers) : barriers_{barriers} {}
-  [[nodiscard]] std::string name() const override { return "BarrierCounting"; }
+  explicit SharingStub(bool cell_local) : cell_local_{cell_local} {}
+  [[nodiscard]] std::string name() const override { return "SharingStub"; }
   [[nodiscard]] cellular::AdmissionDecision decide(
       const cellular::CallRequest& request,
       const cellular::AdmissionContext& context) override {
@@ -252,294 +227,37 @@ class BarrierCounting final : public cellular::AdmissionController {
                  : cellular::ReasonCode::NoCapacity,
             fits ? 1.0 : -1.0, ""};
   }
-  cellular::BarrierDrainStats onCommitBarrier(double /*now_s*/) override {
-    ++*barriers_;
-    return {};
-  }
+  [[nodiscard]] bool cellLocal() const override { return cell_local_; }
 
  private:
-  int* barriers_;
+  bool cell_local_;
 };
 
-TEST(CommitGroups, PolicyBarrierRunsAtEveryGroupCount) {
-  // The barrier is one protocol whatever the lane count: a policy sees
-  // onCommitBarrier at one group too (SCC runs its periodic
-  // exact rebuild there), not only when lanes defer cross-group work.
-  for (const int groups : {1, 4}) {
-    int barriers = 0;
-    cellular::PolicyRuntime runtime;
+TEST(CommitGroups, OnlyCellLocalPoliciesGetLanes) {
+  // The same decisions, declared cell-local or not: the cell-local stub
+  // runs on the four requested lanes, the other on one, with the output
+  // of a one-group run of either.
+  cellular::PolicyRuntime runtime;
+  for (const bool cell_local : {true, false}) {
     runtime.registerExternal(
-        {"barrier-count", "test stub: counts policy barriers",
-         "barrier-count"},
-        [&barriers](const cellular::PolicySpec&) -> ControllerFactory {
-          return [&barriers](const cellular::HexNetwork&) {
-            return std::make_unique<BarrierCounting>(&barriers);
+        {cell_local ? "local-stub" : "spanning-stub", "test stub",
+         cell_local ? "local-stub" : "spanning-stub"},
+        [cell_local](const cellular::PolicySpec&) -> ControllerFactory {
+          return [cell_local](const cellular::HexNetwork&) {
+            return std::make_unique<SharingStub>(cell_local);
           };
         });
-    SimulationConfig cfg = contestedConfig();
-    cfg.commit_groups = groups;
-    const Metrics m = runPolicy(cfg, "barrier-count", runtime);
-    EXPECT_EQ(m.commit_groups, groups);
-    EXPECT_GT(barriers, 1) << "groups " << groups;
   }
-}
-
-// ------------------------------------------------ grouped policy commits
-
-TEST(GroupLocalScc, CommitsFromAllLanesAndStaysDeterministic) {
-  // The grouped SCC contract: the engine keeps the full configured lane
-  // count, cross-group
-  // shadow rows flow through the deferred-delta drain (observable as
-  // demand_deltas), and the run stays a pure function of (config, seed) —
-  // bit-identical at every shard count and on repeats.
-  for (const int groups : {2, 4}) {
-    SimulationConfig cfg = contestedConfig();
-    cfg.commit_groups = groups;
-    cfg.shards = 1;
-    const Metrics first = runPolicy(cfg, "scc:reach=2");
-    EXPECT_EQ(first.commit_groups, groups);
-    EXPECT_GT(first.demand_deltas, 0u)
-        << "a reach-2 footprint on a 7-cell disk must cross group borders";
-    for (const int shards : {2, 4}) {
-      cfg.shards = shards;
-      const Metrics m = runPolicy(cfg, "scc:reach=2");
-      expectBitIdentical(first, m, "scc groups=" + std::to_string(groups) +
-                                       " shards=" + std::to_string(shards));
-    }
-    cfg.shards = 1;
-    const Metrics again = runPolicy(cfg, "scc:reach=2");
-    expectBitIdentical(first, again,
-                       "scc repeated groups=" + std::to_string(groups));
-  }
-}
-
-TEST(GroupLocalScc, GroupsOneDefersNothing) {
-  // At one group SCC keeps a single store whose rows are all the lane's
-  // own: no deferred deltas, no migrations, no reservations, and
-  // bit-identical at every shard count.
   SimulationConfig cfg = contestedConfig();
-  cfg.commit_groups = 1;
-  cfg.shards = 1;
-  const Metrics serial = runPolicy(cfg, "scc:reach=2");
-  EXPECT_EQ(serial.commit_groups, 1);
-  EXPECT_EQ(serial.reservations_posted, 0u);
-  EXPECT_EQ(serial.demand_deltas, 0u);
-  EXPECT_EQ(serial.shadow_migrations, 0u);
-  cfg.shards = 4;
-  const Metrics sharded = runPolicy(cfg, "scc:reach=2");
-  expectBitIdentical(serial, sharded, "scc:reach=2 groups=1 shards=4");
-}
-
-TEST(GroupLocalScc, ContendedCrossGroupClaimsResolveDeterministically) {
-  // Starved cells + one group per cell: every handoff is a cross-group
-  // reservation and SCC's shadow traffic crosses borders constantly. The
-  // contended outcomes must still be canonical — same bits on every run
-  // and at every shard count.
-  SimulationConfig cfg = contestedConfig();
-  cfg.capacity_bu = 10;
-  cfg.total_requests = 200;
-  cfg.warmup_s = 0.0;
-  cfg.commit_groups = 7;
-  cfg.scenario.mix = cellular::TrafficMix{0.0, 1.0, 0.0};  // 5 BU voice
-  cfg.shards = 1;
-  const Metrics first = runPolicy(cfg, "scc:reach=1");
-  EXPECT_EQ(first.commit_groups, 7);
-  ASSERT_GT(first.reservations_posted, 0u);
-  ASSERT_GT(first.demand_deltas, 0u);
-  EXPECT_EQ(first.reservations_posted,
-            first.reservations_admitted + first.reservations_dropped);
-  for (const int shards : {2, 4}) {
-    cfg.shards = shards;
-    const Metrics m = runPolicy(cfg, "scc:reach=1");
-    expectBitIdentical(first, m,
-                       "scc contended shards=" + std::to_string(shards));
-  }
-  cfg.shards = 1;
-  const Metrics again = runPolicy(cfg, "scc:reach=1");
-  expectBitIdentical(first, again, "scc contended repeat");
-}
-
-TEST(GroupLocalScc, SurvivesAMigratingHotspotRepartition) {
-  // The hard composition: grouped SCC + weighted partition + epoch
-  // re-partitioning + a hotspot that MOVES. Boundary moves re-key the
-  // per-group shadow stores mid-run; the books must still balance, and
-  // the whole run must stay bit-identical across shard counts and
-  // repeats — shadows migrate deterministically or not at all.
-  SimulationConfig cfg = hotspotConfig();
+  const Metrics serial = runPolicy(cfg, "local-stub", runtime);
   cfg.commit_groups = 4;
-  cfg.partition = PartitionStrategy::Weighted;
-  cfg.repartition_every_s = 50.0;
-  serve::ScenarioMutation cool;
-  cool.at_s = 180.0;
-  cool.op = serve::MutationOp::ArrivalScale;
-  cool.cell = 0;
-  cool.scale = 1.0;
-  serve::ScenarioMutation heat;
-  heat.at_s = 180.0;
-  heat.op = serve::MutationOp::ArrivalScale;
-  heat.cell = 4;
-  heat.scale = 12.0;
-  cfg.mutations.push_back(cool);
-  cfg.mutations.push_back(heat);
-  cfg.shards = 1;
-  const Metrics first = runPolicy(cfg, "scc:reach=2");
-  EXPECT_EQ(first.commit_groups, 4);
-  EXPECT_GT(first.repartitions, 0)
-      << "a migrating hotspot must trigger at least one boundary re-draw";
-  EXPECT_GT(first.demand_deltas, 0u);
-  EXPECT_EQ(first.mutations_applied, 2);
-  EXPECT_EQ(first.reservations_posted,
-            first.reservations_admitted + first.reservations_dropped);
-  EXPECT_EQ(first.handoff_requests,
-            first.handoff_accepted + first.handoff_dropped);
-  for (const int shards : {2, 3, 4, 8}) {
-    cfg.shards = shards;
-    const Metrics m = runPolicy(cfg, "scc:reach=2");
-    expectBitIdentical(first, m,
-                       "scc migrating shards=" + std::to_string(shards));
-  }
-  cfg.shards = 1;
-  const Metrics again = runPolicy(cfg, "scc:reach=2");
-  expectBitIdentical(first, again, "scc migrating repeat");
+  const Metrics local = runPolicy(cfg, "local-stub", runtime);
+  EXPECT_EQ(local.commit_groups, 4);
+  EXPECT_GT(local.reservations_posted, 0u);
+  const Metrics spanning = runPolicy(cfg, "spanning-stub", runtime);
+  EXPECT_EQ(spanning.commit_groups, 1);
+  EXPECT_EQ(spanning.toJson(), serial.toJson());
 }
-
-TEST(GroupLocalScc, RepartitionHysteresisSkipsLowGainEpochs) {
-  // A STEADY hotspot: after the initial weighted draw the projected
-  // improvement of later epochs is noise, so the hysteresis gate must
-  // skip them (counted, deterministic) instead of churning the policy
-  // stores through pointless re-keys.
-  SimulationConfig cfg = hotspotConfig();
-  cfg.commit_groups = 4;
-  cfg.partition = PartitionStrategy::Weighted;
-  cfg.repartition_every_s = 40.0;
-  cfg.shards = 1;
-  const Metrics first = runPolicy(cfg, "guard:8");
-  EXPECT_GT(first.repartitions_skipped, 0)
-      << "a steady hotspot must not clear the hysteresis bar every epoch";
-  cfg.shards = 4;
-  const Metrics m = runPolicy(cfg, "guard:8");
-  expectBitIdentical(first, m, "hysteresis shards=4");
-}
-
-// -------------------------------------------------- grouped SIR commits
-
-TEST(GroupLocalSir, CommitsFromAllLanesAndStaysDeterministic) {
-  // The grouped SIR contract: the engine keeps the full configured lane
-  // count, the
-  // barrier-refreshed utilization snapshot shows up as demand_deltas,
-  // and the run is a pure function of (config, seed) — bit-identical at
-  // every shard count and on repeats.
-  for (const int groups : {2, 4}) {
-    SimulationConfig cfg = contestedConfig();
-    cfg.commit_groups = groups;
-    cfg.shards = 1;
-    const Metrics first = runPolicy(cfg, "sir");
-    EXPECT_EQ(first.commit_groups, groups);
-    EXPECT_GT(first.demand_deltas, 0u)
-        << "utilizations move every window: the snapshot refresh must "
-           "report changed cells";
-    for (const int shards : {2, 4}) {
-      cfg.shards = shards;
-      const Metrics m = runPolicy(cfg, "sir");
-      expectBitIdentical(first, m, "sir groups=" + std::to_string(groups) +
-                                       " shards=" + std::to_string(shards));
-    }
-    cfg.shards = 1;
-    const Metrics again = runPolicy(cfg, "sir");
-    expectBitIdentical(first, again,
-                       "sir repeated groups=" + std::to_string(groups));
-  }
-}
-
-TEST(GroupLocalSir, ExactSirAndUnboundedSccKeepEveryLane) {
-  // The exact whole-network SIR sum and SCC at reach 0 are both confined
-  // by the barrier snapshot, not by a footprint: a grouped config keeps
-  // every lane, reports barrier traffic, and is a pure function of
-  // (config, seed, groups) at any worker count.
-  for (const char* policy : {"sir", "scc"}) {
-    SimulationConfig cfg = contestedConfig();
-    cfg.commit_groups = 4;
-    cfg.shards = 1;
-    const Metrics first = runPolicy(cfg, policy);
-    EXPECT_EQ(first.commit_groups, 4) << policy;
-    EXPECT_GT(first.demand_deltas, 0u) << policy;
-    for (const int shards : {3, 4, 8}) {
-      cfg.shards = shards;
-      const Metrics m = runPolicy(cfg, policy);
-      expectBitIdentical(first, m, std::string{policy} + " groups=4 shards=" +
-                                       std::to_string(shards));
-    }
-    cfg.shards = 1;
-    const Metrics again = runPolicy(cfg, policy);
-    expectBitIdentical(first, again, std::string{policy} + " repeat");
-  }
-}
-
-TEST(GroupLocalSir, GroupsOneReadsEverythingLive) {
-  // At one group the snapshot never engages: decide() reads live ledgers,
-  // with zero barrier traffic — and the run
-  // is bit-identical at every shard count.
-  SimulationConfig cfg = contestedConfig();
-  cfg.commit_groups = 1;
-  cfg.shards = 1;
-  const Metrics serial = runPolicy(cfg, "sir");
-  EXPECT_EQ(serial.commit_groups, 1);
-  EXPECT_EQ(serial.demand_deltas, 0u);
-  EXPECT_EQ(serial.reservations_posted, 0u);
-  cfg.shards = 4;
-  const Metrics sharded = runPolicy(cfg, "sir");
-  expectBitIdentical(serial, sharded, "sir groups=1 shards=4");
-}
-
-class MigratingHotspot : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(MigratingHotspot, SurvivesTheRepartitions) {
-  // A grouped policy + weighted partition + epoch re-partitioning + a
-  // hotspot that MOVES: boundary re-draws re-key the group map mid-run
-  // (SIR re-primes its utilization snapshot, `rsv` re-keys its stores).
-  // The books must still balance and the whole run must stay bit-identical
-  // across shard counts and repeats.
-  const std::string policy = GetParam();
-  SimulationConfig cfg = hotspotConfig();
-  cfg.commit_groups = 4;
-  cfg.partition = PartitionStrategy::Weighted;
-  cfg.repartition_every_s = 50.0;
-  serve::ScenarioMutation cool;
-  cool.at_s = 180.0;
-  cool.op = serve::MutationOp::ArrivalScale;
-  cool.cell = 0;
-  cool.scale = 1.0;
-  serve::ScenarioMutation heat;
-  heat.at_s = 180.0;
-  heat.op = serve::MutationOp::ArrivalScale;
-  heat.cell = 4;
-  heat.scale = 12.0;
-  cfg.mutations.push_back(cool);
-  cfg.mutations.push_back(heat);
-  cfg.shards = 1;
-  const Metrics first = runPolicy(cfg, policy);
-  EXPECT_EQ(first.commit_groups, 4);
-  EXPECT_GT(first.repartitions, 0)
-      << "a migrating hotspot must trigger at least one boundary re-draw";
-  EXPECT_GT(first.demand_deltas, 0u) << policy;
-  EXPECT_EQ(first.mutations_applied, 2);
-  EXPECT_EQ(first.reservations_posted,
-            first.reservations_admitted + first.reservations_dropped);
-  EXPECT_EQ(first.handoff_requests,
-            first.handoff_accepted + first.handoff_dropped);
-  for (const int shards : {2, 3, 4, 8}) {
-    cfg.shards = shards;
-    const Metrics m = runPolicy(cfg, policy);
-    expectBitIdentical(first, m,
-                       policy + " migrating shards=" + std::to_string(shards));
-  }
-  cfg.shards = 1;
-  const Metrics again = runPolicy(cfg, policy);
-  expectBitIdentical(first, again, policy + " migrating repeat");
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupedPolicies, MigratingHotspot,
-                         ::testing::Values("sir", "rsv"));
 
 TEST(CommitGroups, GroupCountClampsToCellCount) {
   // 7 cells, 64 requested lanes: the partition clamps, the run reports
@@ -710,6 +428,24 @@ TEST(WeightedPartition, EpochRepartitioningFollowsAMigratingHotspot) {
   cfg.shards = 1;
   const Metrics again = runPolicy(cfg, "guard:8");
   expectBitIdentical(first, again, "migrating repeat");
+}
+
+TEST(WeightedPartition, RepartitionHysteresisSkipsLowGainEpochs) {
+  // A STEADY hotspot: after the initial weighted draw the projected
+  // improvement of later epochs is noise, so the hysteresis gate must
+  // skip them (counted, deterministic) instead of churning the queues
+  // through pointless re-homes.
+  SimulationConfig cfg = hotspotConfig();
+  cfg.commit_groups = 4;
+  cfg.partition = PartitionStrategy::Weighted;
+  cfg.repartition_every_s = 40.0;
+  cfg.shards = 1;
+  const Metrics first = runPolicy(cfg, "guard:8");
+  EXPECT_GT(first.repartitions_skipped, 0)
+      << "a steady hotspot must not clear the hysteresis bar every epoch";
+  cfg.shards = 4;
+  const Metrics m = runPolicy(cfg, "guard:8");
+  expectBitIdentical(first, m, "hysteresis shards=4");
 }
 
 TEST(WeightedPartition, LaneEventsCoverTheCommittedStream) {

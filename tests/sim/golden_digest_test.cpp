@@ -1,10 +1,12 @@
 /// \file golden_digest_test.cpp
 /// Makes "byte-identical" executable: FNV-1a digests of Metrics::toJson()
-/// for three handoff-heavy built-in scenarios under four policies, at one
-/// serial group and at 4 shards x 4 weighted groups with repartition epochs,
-/// plus the digest of a whole `--serve` JSONL stream that crosses an outage
-/// and a restore. An optimisation that claims to keep every output bit
-/// must leave every digest here unchanged.
+/// for three handoff-heavy built-in scenarios under four policies at one
+/// serial group, and under the cell-local `facs` at 4 shards x 4 weighted
+/// groups with repartition epochs, plus the digest of a whole `--serve`
+/// JSONL stream that crosses an outage and a restore. The policies that
+/// read other cells run on one group whatever the configuration asks, so
+/// their 4 x 4 runs must print their 1 x 1 output. An optimisation that
+/// claims to keep every output bit must leave every digest here unchanged.
 ///
 /// The OwedSteps cases pin runs where the mover sweep's deferred steps
 /// (see mover_horizon_test.cpp) meet every other path: slot recycling,
@@ -47,61 +49,78 @@ namespace {
 struct GoldenCase {
   std::string_view scenario;
   std::string_view policy;
-  std::uint64_t serial;   ///< 1 shard x 1 group.
-  std::uint64_t grouped;  ///< 4 x 4, weighted, repartition every 60 s.
+  std::uint64_t digest;
 };
 
+/// At 1 shard x 1 group.
 constexpr GoldenCase kCases[] = {
-    {"stadium-burst", "scc:reach=2",
-     0xb9c2dcbb53fb41a3ULL, 0xd2267c3d87441a11ULL},
-    {"stadium-burst", "sir",
-     0x17223c59099009e0ULL, 0x3b46a609f0605520ULL},
-    {"stadium-burst", "rsv",
-     0x1d91aa2cc533c9fbULL, 0xc964f9115dfec6efULL},
-    {"stadium-burst", "facs",
-     0x1660c74a3b76f4dcULL, 0x6e0c1a4ae0a89042ULL},
-    {"urban-walkers", "scc:reach=2",
-     0x4da630e9c291bc4dULL, 0x2aedc9a650f8aaeaULL},
-    {"urban-walkers", "sir",
-     0x9272ac8c4bf7083fULL, 0x3aae1f12e3a68cadULL},
-    {"urban-walkers", "rsv",
-     0xf04882e23585dc3aULL, 0xec8687d70e4b090bULL},
-    {"urban-walkers", "facs",
-     0xe77c98def7337e61ULL, 0xa25f14a4b061b2a5ULL},
-    {"highway", "scc:reach=2",
-     0x8f21b55d3a4736f1ULL, 0xc57c63d65a4fae94ULL},
-    {"highway", "sir",
-     0x9cbbea04faa97d22ULL, 0xc70cd2dfd490718eULL},
-    {"highway", "rsv",
-     0x4d1537d99bafbc8cULL, 0x1091ab0f0a9fbc1dULL},
-    {"highway", "facs",
-     0x0cc9a1880993fab4ULL, 0x85c524b1104232eeULL},
+    {"stadium-burst", "scc:reach=2", 0xb9c2dcbb53fb41a3ULL},
+    {"stadium-burst", "sir", 0x17223c59099009e0ULL},
+    {"stadium-burst", "rsv", 0x1d91aa2cc533c9fbULL},
+    {"stadium-burst", "facs", 0x1660c74a3b76f4dcULL},
+    {"urban-walkers", "scc:reach=2", 0x4da630e9c291bc4dULL},
+    {"urban-walkers", "sir", 0x9272ac8c4bf7083fULL},
+    {"urban-walkers", "rsv", 0xf04882e23585dc3aULL},
+    {"urban-walkers", "facs", 0xe77c98def7337e61ULL},
+    {"highway", "scc:reach=2", 0x8f21b55d3a4736f1ULL},
+    {"highway", "sir", 0x9cbbea04faa97d22ULL},
+    {"highway", "rsv", 0x4d1537d99bafbc8cULL},
+    {"highway", "facs", 0x0cc9a1880993fab4ULL},
 };
 
-[[nodiscard]] std::uint64_t digestOf(const GoldenCase& c, bool grouped) {
-  SimulationConfig cfg = ScenarioCatalog::builtins().at(c.scenario).config;
+/// The cell-local `facs` at 4 x 4, weighted, repartition every 60 s.
+constexpr GoldenCase kGroupedCases[] = {
+    {"stadium-burst", "facs", 0x6e0c1a4ae0a89042ULL},
+    {"urban-walkers", "facs", 0xa25f14a4b061b2a5ULL},
+    {"highway", "facs", 0x85c524b1104232eeULL},
+};
+
+[[nodiscard]] std::string jsonOf(std::string_view scenario,
+                                 std::string_view policy, bool grouped) {
+  SimulationConfig cfg = ScenarioCatalog::builtins().at(scenario).config;
   if (grouped) {
     cfg.shards = 4;
     cfg.commit_groups = 4;
     cfg.partition = PartitionStrategy::Weighted;
     cfg.repartition_every_s = 60.0;
   }
-  return fnv1a(runPolicy(cfg, c.policy).toJson());
+  return runPolicy(cfg, policy).toJson();
 }
 
 TEST(GoldenDigests, BuiltinScenariosAtOneGroup) {
   for (const GoldenCase& c : kCases) {
-    EXPECT_EQ(digestOf(c, false), c.serial)
-        << c.scenario << " / " << c.policy << std::hex << " digest 0x"
-        << digestOf(c, false);
+    const std::uint64_t digest = fnv1a(jsonOf(c.scenario, c.policy, false));
+    EXPECT_EQ(digest, c.digest) << c.scenario << " / " << c.policy
+                                << std::hex << " digest 0x" << digest;
   }
 }
 
 TEST(GoldenDigests, BuiltinScenariosAtFourWeightedGroups) {
-  for (const GoldenCase& c : kCases) {
-    EXPECT_EQ(digestOf(c, true), c.grouped)
-        << c.scenario << " / " << c.policy << std::hex << " digest 0x"
-        << digestOf(c, true);
+  for (const GoldenCase& c : kGroupedCases) {
+    const std::uint64_t digest = fnv1a(jsonOf(c.scenario, c.policy, true));
+    EXPECT_EQ(digest, c.digest) << c.scenario << " / " << c.policy
+                                << std::hex << " digest 0x" << digest;
+  }
+}
+
+/// `scc`, `sir` and `rsv` read other cells, so the engine runs them on one
+/// group: at 3 shards x 4 weighted groups with repartition epochs they
+/// print the 1 x 1 output byte for byte.
+TEST(GoldenDigests, CrossCellPoliciesAtFourGroupsMatchOneGroup) {
+  for (const std::string_view scenario :
+       {"highway", "urban-walkers", "stadium-burst"}) {
+    for (const std::string_view policy : {"scc", "scc:reach=2", "sir", "rsv"}) {
+      const SimulationConfig serial =
+          ScenarioCatalog::builtins().at(scenario).config;
+      SimulationConfig grouped = serial;
+      grouped.shards = 3;
+      grouped.commit_groups = 4;
+      grouped.partition = PartitionStrategy::Weighted;
+      grouped.repartition_every_s = 60.0;
+      EXPECT_EQ(runPolicy(grouped, policy).toJson(),
+                runPolicy(serial, policy).toJson())
+          << scenario << " / " << policy;
+    }
   }
 }
 

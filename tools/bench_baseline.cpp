@@ -420,7 +420,6 @@ int benchMicro(const std::string& path) {
       scc_ctl.onReleased(r, ctx);
     }
   }
-  (void)scc_ctl.onCommitBarrier(0.0);
   double scc_checksum = 0.0;
   for (const cellular::Cell& c : net.cells()) {
     for (const double d : scc_ctl.projectedDemand(c.id)) scc_checksum += d;
