@@ -21,6 +21,9 @@
 ///  * Epoch re-partitioning follows a migrating hotspot without changing
 ///    any outcome invariant: the books still balance, and the run is a
 ///    pure function of (config, seed).
+///  * Groups still move results for the policies that keep their lanes:
+///    the handoff-drop gap between one and four groups on `highway` is
+///    pinned, sign and size.
 
 #include <gtest/gtest.h>
 
@@ -35,8 +38,10 @@
 #include "cellular/network.hpp"
 #include "cellular/policy_registry.hpp"
 #include "serve/mutation.hpp"
+#include "sim/experiment.hpp"
 #include "sim/reservation.hpp"
 #include "run_policy.hpp"
+#include "sim/scenario_catalog.hpp"
 #include "sim/simulator.hpp"
 
 namespace facs::sim {
@@ -291,6 +296,47 @@ TEST(CommitGroups, MetricsJsonCarriesTheGroupFields) {
   EXPECT_NE(json.find("\"reservations_posted\": "), std::string::npos);
   EXPECT_NE(json.find("\"reservations_admitted\": "), std::string::npos);
   EXPECT_NE(json.find("\"reservations_dropped\": "), std::string::npos);
+}
+
+// -------------------------------------------------------- group drift
+
+/// One pinned gap: the mean over seeds 1-20 of a policy's handoff-drop
+/// probability at four groups minus one, and its 95% CI half-width.
+struct DriftCase {
+  const char* policy;
+  double gap;
+  double ci95;
+};
+
+TEST(GroupDrift, CrossGroupClaimsRaiseHandoffDropsOnTheHighway) {
+  // A cross-group handoff releases its source cell in-lane, but its claim
+  // on the target cell is decided at the barrier, after every event of the
+  // target group in that window: new calls arriving there take capacity
+  // first. On `highway` (3000 requests, 1 shard), paired over seeds 1-20,
+  // that raises the handoff-drop probability at four groups by a gap
+  // whose CI clears zero. README's "When to use it" publishes this table;
+  // a change that moves it must re-pin it there too.
+  constexpr DriftCase kDrift[] = {
+      {"cs", 0.0997, 0.0126},
+      {"facs", 0.0428, 0.0120},
+  };
+  for (const DriftCase& c : kDrift) {
+    RunningStat gap;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SimulationConfig cfg =
+          ScenarioCatalog::builtins().at("highway").config;
+      cfg.total_requests = 3000;
+      cfg.seed = seed;
+      const double one = runPolicy(cfg, c.policy).droppingProbability();
+      cfg.commit_groups = 4;
+      const double four = runPolicy(cfg, c.policy).droppingProbability();
+      gap.add(four - one);
+    }
+    EXPECT_GT(gap.mean() - gap.ci95(), 0.0)
+        << c.policy << " gap " << gap.mean() << " +/- " << gap.ci95();
+    EXPECT_NEAR(gap.mean(), c.gap, 5e-5) << c.policy;
+    EXPECT_NEAR(gap.ci95(), c.ci95, 5e-5) << c.policy;
+  }
 }
 
 // ------------------------------------------------- load-aware partitioning
