@@ -297,10 +297,13 @@ run:
                         any shard count
   --commit-groups N     cell groups, each owning its event heap, mover
                         sweep and commit lane (default 1 = one
-                        serialized commit; N>1 runs every policy's
-                        groups concurrently and changes cross-group
+                        serialized commit). N>1 runs the groups
+                        concurrently for the cell-local policies (cs,
+                        guard, threshold, facs) and changes cross-group
                         visibility — see README "Commit groups &
-                        reservations"; deterministic at any shard count)
+                        reservations". Every other policy runs on one
+                        group, with a note on stderr. Deterministic at
+                        any shard count
   --partition NAME      cell-to-lane mapping for commit groups:
                         'contiguous' (default; near-equal-size id ranges,
                         bit-identical to the historical engine) or

@@ -19,6 +19,16 @@ int main(int argc, char** argv) {
   // invocation. An embedding front end would extend these per run instead.
   const cellular::PolicyRuntime runtime;
   const sim::ScenarioCatalog catalog;
+  // On stderr, so diffable output never moves: a policy that reads other
+  // cells ran on one group although more were asked for.
+  const auto noteOneGroup = [](const sim::CliOptions& options,
+                               const sim::Metrics& metrics) {
+    if (options.config.commit_groups > 1 && metrics.commit_groups == 1) {
+      std::cerr << "facs_cli: note: policy '" << options.policy
+                << "' reads other cells, so it ran on one commit group, not "
+                << options.config.commit_groups << "\n";
+    }
+  };
   try {
     const sim::CliOptions options =
         sim::parseCli({argv + 1, argv + argc}, runtime, catalog);
@@ -60,9 +70,10 @@ int main(int argc, char** argv) {
       serve::ServeOptions serve_options;
       serve_options.metrics_every_s = options.metrics_every_s;
       serve_options.duration_s = options.serve_duration_s;
-      (void)serve::serveSimulation(options.config,
-                                   sim::makeFactory(options, runtime),
-                                   serve_options, std::cout);
+      noteOneGroup(options, serve::serveSimulation(
+                                options.config,
+                                sim::makeFactory(options, runtime),
+                                serve_options, std::cout));
       return 0;
     }
 
@@ -93,6 +104,7 @@ int main(int argc, char** argv) {
 
     const sim::Metrics metrics =
         sim::runSimulation(options.config, sim::makeFactory(options, runtime));
+    noteOneGroup(options, metrics);
     if (metrics.truncated_rationales > 0) {
       // Once per run, on stderr so it never perturbs diffable output:
       // explain-mode rationales lost their tails at the inline capacity.
