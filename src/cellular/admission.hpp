@@ -261,8 +261,8 @@ class AdmissionController {
   /// one-group partition and reports it in Metrics::commit_groups.
   [[nodiscard]] virtual bool cellLocal() const { return false; }
 
-  /// Always a no-op, and nothing overrides it: the engine no longer calls
-  /// it. Kept only because perfbench/probes.cpp still calls it.
+  /// A no-op that nothing overrides and the engine never calls. Kept only
+  /// because perfbench/probes.cpp calls it.
   virtual void onPartitionChanged(const CellGroupPartition& /*partition*/) {}
 
   /// Startup sizing audit: given the workload envelope, return a one-line

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "cellular/policy_registry.hpp"
 #include "sim/detmath.hpp"

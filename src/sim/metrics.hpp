@@ -90,8 +90,8 @@ struct Metrics {
   std::uint64_t reservations_admitted = 0;
   std::uint64_t reservations_dropped = 0;
 
-  /// Always 0: no policy defers work to the barrier any more. Kept only
-  /// because perfbench/main.cpp still reads them.
+  /// Always 0: no policy defers work to a barrier. Kept only because
+  /// perfbench/main.cpp reads them.
   std::uint64_t demand_deltas = 0;
   std::uint64_t shadow_migrations = 0;
 

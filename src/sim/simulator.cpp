@@ -981,8 +981,8 @@ class Engine {
   /// a local phase writes only its own calls (of a foreign call it reads the
   /// group tag alone), a lane touches only its own calls, ledgers and heap
   /// (a policy that reads other cells runs on one group), and precompute()
-  /// is const and state-free. The order the sweep visits its movers in cannot
-  /// matter: the lane pops the heap in canonical order.
+  /// is const and state-free. The order the sweep visits its movers in
+  /// cannot matter: the lane pops the heap in canonical order.
   void runGroups(double window_end) {
     forEachGroup([&](int g) {
       GroupQueue& q = queues_[static_cast<std::size_t>(g)];
